@@ -191,6 +191,26 @@ def cmd_oracle(args) -> int:
     return 1 if bad else 0
 
 
+def _game_json(winner: str, strategy: dict, k: int) -> str:
+    """The game report exactly as ``_json_out`` would print it.
+
+    Spelled out by hand because ``json.dumps`` with ``indent`` falls back to
+    its pure-Python encoder, which dominates on large strategies.  The
+    strategy is never empty (the winner moves at depth 0 or 1) and its
+    entries already come in sorted history order.
+    """
+    pieces = [f"\n        {m}" for m in range(k)]
+    entries = []
+    for hist, move in strategy.items():
+        shown = f'[{",".join(map(pieces.__getitem__, hist))}\n      ]' if hist else "[]"
+        entries.append(f'    {{\n      "history": {shown},\n      "move": {move}\n    }}')
+    return (
+        f'{{\n  "schema": {json.dumps(SCHEMA)},\n  "strategy": [\n'
+        + ",\n".join(entries)
+        + f'\n  ],\n  "winner": {json.dumps(winner)}\n}}\n'
+    )
+
+
 def cmd_game(args) -> int:
     started = time.perf_counter()
     try:
@@ -203,14 +223,13 @@ def cmd_game(args) -> int:
     except ResourceLimitError as exc:
         _fail(str(exc))
         return 3
-    moves = [{"history": list(h), "move": mv} for h, mv in sorted(strategy.items())]
     if args.json:
-        _json_out({"schema": SCHEMA, "winner": winner, "strategy": moves})
+        sys.stdout.write(_game_json(winner, strategy, g.k))
     else:
         print(f"winner: {winner}")
-        for entry in moves:
-            hist = " ".join(str(m) for m in entry["history"]) or "(start)"
-            print(f"  {hist} -> {entry['move']}")
+        for h, mv in strategy.items():
+            hist = " ".join(map(str, h)) or "(start)"
+            print(f"  {hist} -> {mv}")
         elapsed = (time.perf_counter() - started) * 1000
         print(f"[{elapsed:.1f} ms]")
     return 0

@@ -7,6 +7,12 @@ player has a winning strategy) falls out of the induction; the solver also
 extracts the winner's strategy, choosing the least winning move at every
 node so results are reproducible.
 
+The induction runs level by level rather than node by node.  The target is
+turned into a table of leaf values once, one byte per play in play-index
+order; each shallower level is then reduced from the one below it by
+k-strided slices, so time is linear in the number of plays and memory is
+at most two bytes per play (the levels shrink by a factor of k).
+
 Targets come as bitsets over play indices (big-endian base-k encoding of
 the move sequence) or as predicates; game files support a restricted
 arithmetic expression form over the move names a0, b0, a1, b1, ...
@@ -18,12 +24,14 @@ import ast as pyast
 import json
 import os
 from dataclasses import dataclass
+from itertools import compress, product, repeat
 from typing import Callable
 
 from .errors import FormatError, ResourceLimitError
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV = "PROJCALC_NODE_BUDGET"
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass
@@ -77,55 +85,91 @@ def _tree_nodes(k: int, length: int) -> int:
     return (k ** (length + 1) - 1) // (k - 1) if k > 1 else length + 1
 
 
+def _leaf_values(g: FiniteGame) -> bytes:
+    """Target membership of every play: byte i is 1 iff play i is in the target.
+
+    Plays are in play-index order, which is ``itertools.product`` order.  A
+    bitset is read through its binary string once; a predicate is called
+    once per play.
+    """
+    n = g.play_count
+    if g.mask is not None:
+        bits = format(g.mask, f"0{n}b")[::-1][:n]  # character i is bit i
+        return bits.encode("ascii").translate(_BIT_BYTES)
+    return bytes(map(bool, map(g.predicate, product(range(g.k), repeat=g.play_length))))
+
+
 def solve(g: FiniteGame, budget: int | None = None) -> tuple[str, dict]:
     """Winner and the winner's strategy (own-turn history -> move).
 
-    The whole tree is walked (no alpha pruning) because both players'
-    candidate strategies need entries across all opponent moves; the cost
-    is checked against the node budget up front.
+    Backward induction, one ply at a time: level d holds, for each of the
+    k**d histories of length d in ``itertools.product`` order, whether
+    Player I wins from there.  The leaf level is the target's leaf table;
+    the node at index j of level d has its children at j*k .. j*k+k-1 of
+    level d+1, so the level is ``any`` over the k strided slices of the
+    level below on Player I's plies and ``all`` on Player II's.  Time is
+    linear in the number of plays, and the stored levels take at most two
+    bytes per play.
+
+    The strategy has an entry for every history at which the winner is to
+    move and wins, not only the reachable ones, mapping it to the least
+    winning move; entries come in sorted history order.  The cost is
+    checked against the node budget up front.
     """
     limit = _node_budget(budget)
     if _tree_nodes(g.k, g.play_length) > limit:
         raise ResourceLimitError(limit)
-    s_one: dict = {}
-    s_two: dict = {}
-    root = _wins(g, (), s_one, s_two)
-    return ("I", s_one) if root else ("II", s_two)
+    k, length = g.k, g.play_length
+    levels = [_leaf_values(g)]
+    for depth in reversed(range(length)):
+        pick = any if depth % 2 == 0 else all
+        levels.append(bytes(map(pick, _children(levels[-1], k))))
+    levels.reverse()
+
+    want = levels[0][0]  # 1 iff Player I wins; also the value of every node the winner wins
+    keys, hists, moves = [], [], []
+    for depth in range(1 - want, length, 2):
+        won = [value == want for value in levels[depth]]
+        # sort key: the history's first play, then its length, so that a
+        # history sorts before its extensions
+        step = k ** (length - depth) * (length + 1)
+        keys.extend(compress(range(depth, k ** depth * step, step), won))
+        hists.extend(compress(product(range(k), repeat=depth), won))
+        moves.extend(map(tuple.index, compress(_children(levels[depth + 1], k), won), repeat(want)))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    strategy = dict(zip(map(hists.__getitem__, order), map(moves.__getitem__, order)))
+    return ("I" if want else "II"), strategy
 
 
-def _wins(g: FiniteGame, hist: tuple, s_one: dict, s_two: dict) -> bool:
-    """Does Player I win from this node with optimal play on both sides?"""
-    if len(hist) == g.play_length:
-        return g.hits(hist)
-    outcomes = [_wins(g, hist + (mv,), s_one, s_two) for mv in range(g.k)]
-    if len(hist) % 2 == 0:
-        if any(outcomes):
-            s_one[hist] = outcomes.index(True)
-            return True
-        return False
-    if all(outcomes):
-        return True
-    s_two[hist] = outcomes.index(False)
-    return False
+def _children(level: bytes, k: int):
+    """The k child values of each node of the level above, as tuples."""
+    return zip(*(level[m::k] for m in range(k)))
 
 
 def verify_strategy(g: FiniteGame, strategy: dict, player: str) -> bool:
-    """True iff every opponent completion against the strategy wins."""
+    """True iff every opponent completion against the strategy wins.
+
+    A history the strategy misses, or a move outside the alphabet, fails.
+    """
     if player not in ("I", "II"):
         raise ValueError(f"player must be 'I' or 'II', got {player!r}")
     own_parity = 0 if player == "I" else 1
-
-    def walk(hist: tuple) -> bool:
-        if len(hist) == g.play_length:
-            hit = g.hits(hist)
-            return hit if player == "I" else not hit
-        if len(hist) % 2 == own_parity:
-            if hist not in strategy:
-                return False
-            return walk(hist + (strategy[hist],))
-        return all(walk(hist + (mv,)) for mv in range(g.k))
-
-    return walk(())
+    moves = range(g.k)
+    frontier = [((), 0)]  # (history, index among the histories of its length)
+    for depth in range(g.play_length):
+        if depth % 2 == own_parity:
+            chosen = []
+            for hist, idx in frontier:
+                mv = strategy.get(hist)
+                if mv not in moves:
+                    return False
+                chosen.append((hist + (mv,), idx * g.k + mv))
+            frontier = chosen
+        else:
+            frontier = [(hist + (mv,), idx * g.k + mv) for hist, idx in frontier for mv in moves]
+    leaves = _leaf_values(g)
+    want = 1 if player == "I" else 0
+    return all(leaves[idx] == want for _, idx in frontier)
 
 
 # --- expression targets --------------------------------------------------------
@@ -222,7 +266,7 @@ def game_from_json(obj) -> FiniteGame:
         if mask < 0:
             raise FormatError("bitsets are nonnegative")
         game = FiniteGame(k, n_rounds, mask=mask)
-        if mask >= 1 << game.play_count:
+        if mask.bit_length() > game.play_count:
             raise FormatError("bitset has more bits than the game has plays")
         return game
     if isinstance(target, dict) and isinstance(target.get("expr"), str):

@@ -7,7 +7,9 @@ second route to the same answers.
   an explicit finite token universe, with joins/meets found by scanning
   bound sets (no closed-form shortcuts);
 - game winners: exhaustive enumeration of strategy profiles, not the
-  solver's quantifier recursion.
+  solver's quantifier recursion;
+- game strategies: the node-by-node recursive walk, not the solver's
+  level-by-level reduction.
 """
 
 from __future__ import annotations
@@ -129,3 +131,34 @@ def dual_prefix_holds(k: int, n_rounds: int, target) -> bool:
         return branch(ev(prefix + (mv,)) for mv in range(k))
 
     return ev(())
+
+
+def reference_solve(g) -> tuple[str, dict]:
+    """Winner and least-move strategy of a FiniteGame by recursive walk.
+
+    The solver's deliberate second route: ``games.solve`` reduces whole
+    levels of the tree at once from a leaf table, while this visits one node
+    at a time and reads each leaf through ``FiniteGame.hits``.  It is the
+    solver's earlier implementation, kept verbatim.  Quadratic in plays on
+    bitset targets and unbudgeted, so keep the games small.
+    """
+    s_one: dict = {}
+    s_two: dict = {}
+    root = _wins(g, (), s_one, s_two)
+    return ("I", s_one) if root else ("II", s_two)
+
+
+def _wins(g, hist: tuple, s_one: dict, s_two: dict) -> bool:
+    """Does Player I win from this node with optimal play on both sides?"""
+    if len(hist) == g.play_length:
+        return g.hits(hist)
+    outcomes = [_wins(g, hist + (mv,), s_one, s_two) for mv in range(g.k)]
+    if len(hist) % 2 == 0:
+        if any(outcomes):
+            s_one[hist] = outcomes.index(True)
+            return True
+        return False
+    if all(outcomes):
+        return True
+    s_two[hist] = outcomes.index(False)
+    return False

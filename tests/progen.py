@@ -4,11 +4,16 @@ Every program shares one declaration header and mixes binding templates so
 that, across the corpus, every set and function constructor shows up at
 least once (the first len(TEMPLATES) programs round-robin through the
 template list).  All bindings infer cleanly in ZFC_PD mode.
+
+Also a small seeded game corpus, shared by the solver and CLI tests.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
+
+from projcalc.games import FiniteGame, compile_target_expr, loads_game
 
 HEADER = """\
 space X = baire
@@ -90,3 +95,35 @@ def corpus(count: int = 55, seed: int = 11) -> list[str]:
         lines.extend(rng.sample(ASSERTS, k=rng.randint(1, 2)))
         programs.append(HEADER + "\n".join(lines) + "\n")
     return programs
+
+
+# (k, N) of the bitset games; each gets a sparse and a dense target so that
+# both players win somewhere for every k
+MASK_SHAPES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4),
+               (3, 0), (3, 1), (3, 2), (5, 0), (5, 1)]
+TARGET_EXPRS = [
+    (2, 0, "a0 == b0"),
+    (2, 1, "a0 == b0 and a1 == b1"),
+    (3, 1, "(a0 + 2*b0 + a1) % 3 != b1"),
+    (2, 3, "(3*a0 + b0 + 5*a1 + 2*b1 + a2 + 4*b2 + 6*a3 + b3) % 7 < 6"),
+]
+PARITY_GAME = Path(__file__).resolve().parents[1] / "demos" / "games" / "parity.pjg"
+
+
+def game_corpus(seed: int = 23) -> list[tuple[str, FiniteGame]]:
+    """(label, game) pairs: seeded bitsets, expression targets and the demo game.
+
+    Every game can be written back to a .pjg file.
+    """
+    rng = random.Random(seed)
+    games = []
+    for k, n_rounds in MASK_SHAPES:
+        plays = k ** (2 * n_rounds + 2)
+        for density in (0.3, 0.85):
+            mask = sum(1 << i for i in range(plays) if rng.random() < density)
+            games.append((f"mask-k{k}-N{n_rounds}-{density}", FiniteGame(k, n_rounds, mask=mask)))
+    for k, n_rounds, expr in TARGET_EXPRS:
+        pred = compile_target_expr(expr, n_rounds)
+        games.append((f"expr-k{k}-N{n_rounds}", FiniteGame(k, n_rounds, predicate=pred, expr=expr)))
+    games.append(("parity.pjg", loads_game(PARITY_GAME.read_text(encoding="utf-8"))))
+    return games

@@ -1,13 +1,15 @@
 """End-to-end command tests, run in-process through main(argv)."""
 
 import json
+import re
 
 import pytest
 
 from projcalc.cli import main
 from projcalc.games import FiniteGame, compile_target_expr, dumps_game
 
-from .oracles import brute_force_winner
+from .oracles import brute_force_winner, reference_solve
+from .progen import game_corpus
 
 PROGRAM = """\
 space X = baire
@@ -223,6 +225,38 @@ def test_game_budget_exit(tmp_path, monkeypatch):
     path = game_file(tmp_path, "big.pjg", FiniteGame(4, 4, mask=0))
     monkeypatch.setenv("PROJCALC_NODE_BUDGET", "100")
     assert main(["game", path]) == 3
+
+
+def test_game_bitset_past_play_count_budget_exit(tmp_path, capsys):
+    # 2**82 plays: loading must not overflow, and the budget refuses the solve
+    path = tmp_path / "huge.pjg"
+    path.write_text('{"schema": "projcalc/1", "k": 2, "N": 40, "target": "0x1"}', encoding="utf-8")
+    assert main(["game", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("game", [pytest.param(g, id=label) for label, g in game_corpus()])
+def test_game_reports_match_reference(game, tmp_path, capsys):
+    path = game_file(tmp_path, "g.pjg", game)
+    winner, strategy = reference_solve(game)
+    entries = sorted(strategy.items())
+
+    assert main(["game", path, "--json"]) == 0
+    doc = {
+        "schema": "projcalc/1",
+        "winner": winner,
+        "strategy": [{"history": list(h), "move": mv} for h, mv in entries],
+    }
+    expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert capsys.readouterr().out == expected
+
+    assert main(["game", path]) == 0
+    *lines, timing = capsys.readouterr().out.splitlines()
+    assert lines == [f"winner: {winner}"] + [
+        f"  {' '.join(map(str, h)) or '(start)'} -> {mv}" for h, mv in entries
+    ]
+    assert re.fullmatch(r"\[\d+\.\d ms\]", timing)
 
 
 # --- fmt ------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from projcalc.games import (
     verify_strategy,
 )
 
-from .oracles import brute_force_winner, dual_prefix_holds
+from .oracles import brute_force_winner, dual_prefix_holds, reference_solve
+from .progen import game_corpus
 
 
 def mask_game(k: int, n_rounds: int, mask: int) -> FiniteGame:
@@ -53,6 +54,14 @@ def test_verify_examples():
         verify_strategy(off_diag, copy, "2")
 
 
+def test_verify_rejects_moves_outside_alphabet():
+    # (1, 5) would index play 7, past the 4 plays, where no target bit is set
+    empty = mask_game(2, 0, 0)
+    assert verify_strategy(empty, {(0,): 0, (1,): 0}, "II")
+    assert not verify_strategy(empty, {(0,): 0, (1,): 5}, "II")
+    assert not verify_strategy(empty, {(0,): 0, (1,): -1}, "II")
+
+
 def test_single_move_alphabet():
     g = mask_game(1, 1, 1)  # the unique play is in the target
     assert solve(g) == ("I", {(): 0, (0, 0): 0})
@@ -85,6 +94,44 @@ def test_sampled_k2_n1_against_oracle():
         assert winner == brute_force_winner(2, 1, g.hits)
         assert verify_strategy(g, s, winner)
         assert (winner == "II") == dual_prefix_holds(2, 1, g.hits)
+
+
+def test_solve_matches_reference_walk():
+    winners: dict[int, set] = {}
+    for label, g in game_corpus():
+        winner, strategy = solve(g)
+        assert (winner, strategy) == reference_solve(g), label
+        assert list(strategy) == sorted(strategy), label
+        winners.setdefault(g.k, set()).add(winner)
+    assert all(w == {"I", "II"} for w in winners.values()), winners
+
+
+def _reachable(g: FiniteGame, strategy: dict, player: str) -> list[tuple]:
+    """The player's own-turn histories that occur in play against the strategy."""
+    own_parity = 0 if player == "I" else 1
+    frontier, seen = [()], []
+    for depth in range(g.play_length):
+        if depth % 2 == own_parity:
+            seen.extend(frontier)
+            frontier = [h + (strategy[h],) for h in frontier]
+        else:
+            frontier = [h + (mv,) for h in frontier for mv in range(g.k)]
+    return seen
+
+
+@pytest.mark.parametrize("density", [0.3, 0.8])
+def test_verify_strategy_k2_n7(density):
+    rng = random.Random(707)
+    g = mask_game(2, 7, sum(1 << i for i in range(2 ** 16) if rng.random() < density))
+    winner, strategy = solve(g)
+    assert verify_strategy(g, strategy, winner)
+    assert not verify_strategy(g, strategy, "II" if winner == "I" else "I")
+    # solve picks the least winning move, so where it picked 1, move 0
+    # loses; flipping one reachable such entry must break the strategy
+    flippable = [h for h in _reachable(g, strategy, winner) if strategy[h] == 1]
+    assert flippable
+    hist = flippable[len(flippable) // 2]
+    assert not verify_strategy(g, {**strategy, hist: 0}, winner)
 
 
 def test_strategy_moves_are_least_indexed():
@@ -179,6 +226,14 @@ def test_game_disk_round_trip(tmp_path):
 def test_loads_game_rejects(doc):
     with pytest.raises(FormatError):
         loads_game(doc)
+
+
+def test_from_json_bitset_on_huge_game():
+    # 2**82 plays: the bound check must not build a 2**82-bit integer
+    g = game_from_json({"schema": "projcalc/1", "k": 2, "N": 40, "target": "0x1"})
+    assert g.mask == 1
+    with pytest.raises(ResourceLimitError):
+        solve(g)
 
 
 def test_from_json_play_count_boundary():
