@@ -1,13 +1,14 @@
 """Parse a program, infer every binding, and check the evidence independently.
 
-Each inference returns a derivation tree.  The checker re-derives every node
-from its premises and the declarations alone, so a tampered tree is caught
-no matter where the edit lands.
+Each inference returns a derivation with shared subproofs.  The checker
+re-derives every node from its premises and the declarations alone, so a
+tampered derivation is caught no matter where the edit lands.
 
 Run:  python3 demos/02_programs_and_derivations.py
 """
 
 import dataclasses
+import json
 import pathlib
 
 import projcalc.ast as ast
@@ -44,7 +45,8 @@ show(deriv)
 text = serialize(deriv)
 again = deserialize(text)
 check(again, env)
-print("\nserialized, reloaded, and re-checked: ok")
+rows = json.loads(text)["nodes"]
+print(f"\nserialized as {len(rows)} rows, reloaded, and re-checked: ok")
 
 # flip one conclusion and the checker localizes the damage
 bad_cls = dataclasses.replace(deriv.conclusion.judgment.cls, level=7)

@@ -4,9 +4,9 @@ The package has four largely independent layers:
 
 - symbolic: hierarchy tokens and their lattice (`pointclass`), the operator
   AST and DSL front end (`ast`, `parser`, `sema`, `formatter`), the
-  inference engine that assigns classes and measurability levels with full
-  derivation trees (`infer`, `rules`), and an independent re-checker for
-  serialized derivations (`derivation`);
+  inference engine that assigns classes and measurability levels with
+  derivations with shared subproofs (`infer`, `rules`), and an independent
+  re-checker for serialized derivations (`derivation`);
 - concrete: exact finite models with evaluators for every constructor that
   has desk-scale semantics (`finitemodel`, `xreal`), randomized structural
   identity suites over them (`identities`), and enumerated near-optimal

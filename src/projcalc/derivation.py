@@ -1,11 +1,12 @@
-"""Proof traces: derivation trees, canonical JSON, and a re-checker.
+"""Proof traces: derivations with shared subproofs, a node-table wire format, and a re-checker.
 
 A derivation node is {rule, cite, premises, conclusion}; the conclusion is
-a rendered judgment (subject, class or level, axiom mode).  check() walks a
-tree and recomputes every conclusion from its premises with its own copy of
-the rule arithmetic: it shares the lattice primitives and the parser with
-the engine but none of the engine's rule-application code, so an engine
-that emits a wrong level is caught here.
+a rendered judgment (subject, class or level, axiom mode).  Premises may be
+shared, so a derivation is a DAG of node objects.  check() visits each
+distinct node once and recomputes its conclusion from its premises with
+its own copy of the rule arithmetic: it shares the lattice primitives and
+the parser with the engine but none of the engine's rule-application
+code, so an engine that emits a wrong level is caught here.
 """
 
 from __future__ import annotations
@@ -80,58 +81,107 @@ def node(rule: str, premises: tuple[Derivation, ...], subject: str, judgment: Ju
 
 
 # --- wire format --------------------------------------------------------------
+#
+# A .pjd document is a node table in the style of LRAT proof files: one row
+# per distinct node, premises named by the ids of earlier rows, root last.
 
-
-def _to_obj(d: Derivation) -> dict:
-    return {
-        "rule": d.rule,
-        "cite": d.cite,
-        "premises": [_to_obj(p) for p in d.premises],
-        "conclusion": {
-            "subject": d.conclusion.subject,
-            "judgment": d.conclusion.judgment.render(),
-            "mode": d.conclusion.mode,
-        },
-    }
+SCHEMA = "projcalc/2"
 
 
 def serialize(d: Derivation) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(_to_obj(d), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical node table, one JSON row per line, with a trailing newline.
+
+    Rows come in first post-order visit order and structurally equal nodes
+    share one row, so the text depends only on the derivation's structure.
+    """
+    rows: dict[str, int] = {}  # rendered row -> row id
+    row_of: dict[int, int] = {}  # id(node) -> row id
+    stack = [d]
+    while stack:
+        n = stack[-1]
+        if id(n) in row_of:
+            stack.pop()
+            continue
+        todo = [p for p in n.premises if id(p) not in row_of]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        c = n.conclusion
+        line = json.dumps(
+            {
+                "rule": n.rule,
+                "cite": n.cite,
+                "premises": [row_of[id(p)] for p in n.premises],
+                "conclusion": {"subject": c.subject, "judgment": c.judgment.render(), "mode": c.mode},
+            },
+            sort_keys=True,
+            ensure_ascii=False,
+        )
+        row_of[id(n)] = rows.setdefault(line, len(rows))
+    return '{"nodes": [\n' + ",\n".join(rows) + f'\n], "schema": "{SCHEMA}"}}\n'
 
 
-def _from_obj(obj, path: str) -> Derivation:
+def _from_row(obj, where: str, built: list[Derivation]) -> tuple[Derivation, list[int]]:
     if not isinstance(obj, dict):
-        raise FormatError(f"derivation node at {path or '/'} is not an object")
+        raise FormatError(f"derivation row {where} is not an object")
     try:
         rule = obj["rule"]
         cite = obj["cite"]
         premises = obj["premises"]
         conclusion = obj["conclusion"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"missing field {exc} at {path or '/'}") from None
+    except KeyError as exc:
+        raise FormatError(f"missing field {exc} at {where}") from None
     if not isinstance(rule, str) or not isinstance(cite, str) or not isinstance(premises, list):
-        raise FormatError(f"bad field types at {path or '/'}")
+        raise FormatError(f"bad field types at {where}")
     if not isinstance(conclusion, dict):
-        raise FormatError(f"conclusion at {path or '/'} is not an object")
+        raise FormatError(f"conclusion at {where} is not an object")
     try:
         subject = conclusion["subject"]
         judgment = Judgment.parse(conclusion["judgment"])
         mode = conclusion["mode"]
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise FormatError(f"bad conclusion at {path or '/'}: {exc}") from None
+        raise FormatError(f"bad conclusion at {where}: {exc}") from None
     if mode not in MODES:
-        raise FormatError(f"unknown mode {mode!r} at {path or '/'}")
-    kids = tuple(_from_obj(p, f"{path}/premises/{i}") for i, p in enumerate(premises))
-    return Derivation(rule, cite, kids, Conclusion(subject, judgment, mode))
+        raise FormatError(f"unknown mode {mode!r} at {where}")
+    for p in premises:
+        # bool is an int subclass; only genuine ints name rows
+        if type(p) is not int or not 0 <= p < len(built):
+            raise FormatError(f"premise {p!r} at {where} does not name an earlier row")
+    kids = tuple(built[p] for p in premises)
+    return Derivation(rule, cite, kids, Conclusion(subject, judgment, mode)), premises
 
 
 def deserialize(text: str) -> Derivation:
     try:
-        obj = json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON: {exc.msg}", offset=exc.pos) from None
-    return _from_obj(obj, "")
+    except RecursionError:
+        raise FormatError("malformed JSON: nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise FormatError("derivation document is not an object")
+    if doc.get("schema") != SCHEMA:
+        raise FormatError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA!r}")
+    table = doc.get("nodes")
+    if not isinstance(table, list) or not table:
+        raise FormatError("derivation document needs a non-empty 'nodes' list")
+    built: list[Derivation] = []
+    premise_ids: list[list[int]] = []
+    for i, obj in enumerate(table):
+        d, ids = _from_row(obj, f"/nodes/{i}", built)
+        built.append(d)
+        premise_ids.append(ids)
+    # later rows name earlier ones only, so one backward sweep finds every
+    # row the root reaches
+    reached = [False] * len(built)
+    reached[-1] = True
+    for i in range(len(built) - 1, -1, -1):
+        if not reached[i]:
+            raise FormatError(f"row /nodes/{i} is not reachable from the root")
+        for p in premise_ids[i]:
+            reached[p] = True
+    return built[-1]
 
 
 # --- independent checking -----------------------------------------------------
@@ -389,17 +439,36 @@ def _check_gate(d: Derivation, path: str) -> None:
 
 
 def check(d: Derivation, env: Env) -> None:
-    """Raise CheckError unless every node re-derives and every leaf is declared."""
-    _check_node(d, env, "", d.conclusion.mode)
+    """Raise CheckError unless every node re-derives and every leaf is declared.
+
+    Each distinct node object is checked once, on its first visit in
+    depth-first premise order, and errors carry that visit's path.  The walk
+    keeps its own stack, so depth is bounded by memory, not by recursion.
+    """
+    mode = d.conclusion.mode
+    seen: set[int] = set()
+    stack: list[tuple[Derivation, str, bool]] = [(d, "", False)]
+    while stack:
+        n, path, premises_done = stack.pop()
+        if premises_done:
+            _check_own(n, env, path)
+            continue
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if n.conclusion.mode != mode:
+            raise CheckError(path, f"mode mismatch: {n.conclusion.mode} inside a {mode} derivation")
+        if n.rule not in CITATIONS:
+            raise CheckError(path, f"unknown rule id {n.rule!r}")
+        stack.append((n, path, True))
+        for i in range(len(n.premises) - 1, -1, -1):
+            p = n.premises[i]
+            if id(p) not in seen:
+                stack.append((p, f"{path}/premises/{i}", False))
 
 
-def _check_node(d: Derivation, env: Env, path: str, mode: str) -> None:
-    if d.conclusion.mode != mode:
-        raise CheckError(path, f"mode mismatch: {d.conclusion.mode} inside a {mode} derivation")
-    if d.rule not in CITATIONS:
-        raise CheckError(path, f"unknown rule id {d.rule!r}")
-    for i, p in enumerate(d.premises):
-        _check_node(p, env, f"{path}/premises/{i}", mode)
+def _check_own(d: Derivation, env: Env, path: str) -> None:
+    """The node's own checks, run once all of its premises have passed."""
     if d.rule == "DECL":
         if d.premises:
             raise CheckError(path, "declaration leaves have no premises")

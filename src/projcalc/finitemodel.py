@@ -310,6 +310,8 @@ def loads_model(text: str) -> FiniteModel:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON: {exc.msg}", offset=exc.pos) from None
+    except RecursionError:
+        raise FormatError("malformed JSON: nested too deeply") from None
     return model_from_json(obj)
 
 

@@ -284,4 +284,6 @@ def loads_game(text: str) -> FiniteGame:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON: {exc.msg}", offset=exc.pos) from None
+    except RecursionError:
+        raise FormatError("malformed JSON: nested too deeply") from None
     return game_from_json(obj)

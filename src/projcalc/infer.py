@@ -1,6 +1,8 @@
 """Bottom-up class and level inference over bound expressions.
 
-Every judgment comes with a derivation tree.  At each node the engine
+Every judgment comes with a derivation with shared subproofs: an engine
+infers each declared or let-bound name once, and every later use of the
+name reuses the same derivation object.  At each node the engine
 applies the sharpest applicable rule for that constructor (the one genuine
 two-rule node is composition, where an inner level-1 function upgrades
 F-COMP to F-COMP-B).  All results are upper bounds by construction; nothing
@@ -100,6 +102,10 @@ class _Engine:
         _check_mode(mode)
         self.env = env
         self.mode = mode
+        # name -> (class or level, derivation) of every set, function and
+        # kernel inferred so far; sets, functions and kernels share one
+        # namespace
+        self.named: dict[str, tuple] = {}
 
     # -- node builders
 
@@ -123,10 +129,17 @@ class _Engine:
 
     def set_class(self, e: ast.SetExpr) -> tuple[PointClass, Derivation]:
         if isinstance(e, ast.NamedSet):
-            entry = self.env.set_entry(e.name)
-            if entry.expr is not None:
-                return self.set_class(entry.expr)
-            return entry.cls, self._decl_set(e.name, entry.cls)
+            # memoized inline: a helper method here would double the
+            # frames per nesting level
+            hit = self.named.get(e.name)
+            if hit is None:
+                entry = self.env.set_entry(e.name)
+                if entry.expr is not None:
+                    hit = self.set_class(entry.expr)
+                else:
+                    hit = entry.cls, self._decl_set(e.name, entry.cls)
+                self.named[e.name] = hit
+            return hit
         if isinstance(e, ast.Complement):
             c, d = self.set_class(e.operand)
             out = complement_class(c)
@@ -214,17 +227,21 @@ class _Engine:
 
     def func_level(self, e: ast.FuncExpr) -> tuple[FuncLevel, Derivation]:
         if isinstance(e, ast.NamedFunc):
-            entry = self.env.func_entry(e.name)
-            if entry.expr is not None:
-                return self.func_level(entry.expr)
-            base = FuncLevel(entry.annot.level, entry.annot.origin)
-            leaf = self._decl_func(e.name, base.level)
-            if entry.domain_set is None:
-                return base, leaf
-            dc, dd = self.set_class(ast.NamedSet(entry.domain_set))
-            lvl = max(base.level, delta_lift(dc).level)
-            out = FuncLevel(lvl, base.origin)
-            return out, self._func_node("F-DOM", [leaf, dd], e.name, lvl)
+            hit = self.named.get(e.name)
+            if hit is None:
+                entry = self.env.func_entry(e.name)
+                if entry.expr is not None:
+                    hit = self.func_level(entry.expr)
+                else:
+                    base = FuncLevel(entry.annot.level, entry.annot.origin)
+                    leaf = self._decl_func(e.name, base.level)
+                    hit = base, leaf
+                    if entry.domain_set is not None:
+                        dc, dd = self.set_class(ast.NamedSet(entry.domain_set))
+                        lvl = max(base.level, delta_lift(dc).level)
+                        hit = FuncLevel(lvl, base.origin), self._func_node("F-DOM", [leaf, dd], e.name, lvl)
+                self.named[e.name] = hit
+            return hit
         if isinstance(e, ast.PairFunc):
             (l, dl), (r, dr) = self.func_level(e.left), self.func_level(e.right)
             lvl = rule_pair(l.level, r.level)
@@ -268,11 +285,14 @@ class _Engine:
             return FuncLevel(lvl), self._func_node("F-PARTIAL", [fd, dd], format_func(e), lvl)
         if isinstance(e, ast.IntegralKernel):
             fl, fd = self.func_level(e.func)
-            kentry = self.env.kernel_entry(e.kernel)
+            hit = self.named.get(e.kernel)
+            if hit is None:
+                kentry = self.env.kernel_entry(e.kernel)
+                hit = self.named[e.kernel] = kentry.level, self._decl_func(e.kernel, kentry.level)
             if self.mode != ZFC_PD:
                 raise AxiomRequiredError("F-INT", "kernel integration is determinacy-gated")
-            kleaf = self._decl_func(e.kernel, kentry.level)
-            lvl = rule_integration(fl.level, kentry.level)
+            klevel, kleaf = hit
+            lvl = rule_integration(fl.level, klevel)
             return FuncLevel(lvl), self._func_node("F-INT", [fd, kleaf], format_func(e), lvl)
         if isinstance(e, ast.Select):
             cert = self._select(e.operand, format_func(e))

@@ -97,6 +97,13 @@ def corpus(count: int = 55, seed: int = 11) -> list[str]:
     return programs
 
 
+def doubling_chain(n: int) -> str:
+    """n lets, each using the previous one twice: 3 * 2**n - 2 nodes as a tree, 2n + 1 distinct."""
+    lines = ["space X = baire", "set A0 in X : sigma 1"]
+    lines += [f"let A{i} = union(A{i - 1}, compl(A{i - 1}))" for i in range(1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
 # (k, N) of the bitset games; each gets a sparse and a dense target so that
 # both players win somewhere for every k
 MASK_SHAPES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4),

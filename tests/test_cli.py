@@ -9,7 +9,7 @@ from projcalc.cli import main
 from projcalc.games import FiniteGame, compile_target_expr, dumps_game
 
 from .oracles import brute_force_winner, reference_solve
-from .progen import game_corpus
+from .progen import doubling_chain, game_corpus
 
 PROGRAM = """\
 space X = baire
@@ -126,7 +126,7 @@ def test_check_ok(derivation, gated, capsys):
 
 def test_check_tampered_rule(derivation, gated, tmp_path, capsys):
     doc = json.loads(open(derivation, encoding="utf-8").read())
-    doc["rule"] = "S-COMPL"  # wrong arity for the union's two premises
+    doc["nodes"][-1]["rule"] = "S-COMPL"  # wrong arity for the union's two premises
     bad = tmp_path / "bad.pjd"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check", str(bad), gated]) == 1
@@ -144,6 +144,59 @@ def test_check_malformed_document(gated, tmp_path):
     bad = tmp_path / "junk.pjd"
     bad.write_text("{", encoding="utf-8")
     assert main(["check", str(bad), gated]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    # the tree-shaped layout that preceded the node table
+    '{"cite": "", "conclusion": {"judgment": "class sigma 1", "mode": "ZFC", "subject": "A"},'
+    ' "premises": [], "rule": "DECL"}',
+    "[" * 200_000,
+], ids=["tree-format", "nested-200k"])
+def test_check_unreadable_document_exits_two(text, gated, tmp_path, capsys):
+    bad = tmp_path / "bad.pjd"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["check", str(bad), gated]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_check_tampered_shared_row(tmp_path, capsys):
+    program = tmp_path / "doubling.pjc"
+    program.write_text(doubling_chain(4), encoding="utf-8")
+    assert main(["infer", str(program), "--emit-derivations", str(tmp_path / "d")]) == 0
+    path = tmp_path / "d" / "let_A4.pjd"
+    assert main(["check", str(path), str(program)]) == 0
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    uses = [0] * len(doc["nodes"])
+    for row in doc["nodes"]:
+        for p in row["premises"]:
+            uses[p] += 1
+    shared = max(i for i, n in enumerate(uses) if n >= 2 and doc["nodes"][i]["rule"] == "S-CU")
+    doc["nodes"][shared]["conclusion"]["judgment"] = "class delta 3"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(path), str(program)]) == 1
+    assert "check failed at /premises/" in capsys.readouterr().out
+
+
+def test_deep_nest_derivations_check(tmp_path, capsys):
+    # 600 nested complements: serialize, deserialize and check walk it without recursion
+    expr = "A0"
+    for _ in range(600):
+        expr = f"compl({expr})"
+    program = tmp_path / "nest.pjc"
+    program.write_text(
+        f"space X = baire\nset A0 in X : sigma 1\nlet N = {expr}\nassert class(N) == sigma 1\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "d"
+    assert main(["infer", str(program), "--json", "--emit-derivations", str(out_dir)]) == 0
+    emitted = json.loads(capsys.readouterr().out)["derivations"]
+    assert len(emitted) == 2
+    for path in emitted:
+        assert main(["check", path, str(program)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("ok: ") and "Traceback" not in captured.err
 
 
 # --- oracle ---------------------------------------------------------------------
@@ -219,6 +272,14 @@ def test_game_malformed(tmp_path, capsys):
     path = tmp_path / "bad.pjg"
     path.write_text('{"schema": "projcalc/1"}', encoding="utf-8")
     assert main(["game", str(path)]) == 2
+
+
+def test_game_nested_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.pjg"
+    path.write_text('{"a": ' * 200_000, encoding="utf-8")
+    assert main(["game", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_game_budget_exit(tmp_path, monkeypatch):

@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from projcalc import ast
+from projcalc import ast, derivation
 from projcalc.derivation import (
     ZFC,
     ZFC_PD,
@@ -19,9 +20,17 @@ from projcalc.derivation import (
     serialize,
 )
 from projcalc.errors import CheckError, FormatError
-from projcalc.infer import eps_selector_certificate, infer_func, infer_set, select_certificate
+from projcalc.infer import (
+    eps_selector_certificate,
+    evaluate_assertions,
+    infer_func,
+    infer_set,
+    select_certificate,
+)
 from projcalc.parser import parse
 from projcalc.pointclass import BoundedBy, delta, pi, sigma
+
+from .progen import corpus, doubling_chain
 
 SRC = """\
 space X = baire
@@ -68,12 +77,18 @@ def test_serialized_shape(env):
     text = serialize(d)
     assert text.endswith("\n")
     obj = json.loads(text)
-    assert sorted(obj) == ["cite", "conclusion", "premises", "rule"]
-    assert obj["rule"] == "S-COMPL"
-    assert obj["conclusion"]["judgment"] == "class pi 1"
-    assert obj["conclusion"]["mode"] == "ZFC"
-    assert obj["premises"][0]["rule"] == "DECL"
-    # two serializations of the same tree are byte-identical
+    assert sorted(obj) == ["nodes", "schema"]
+    assert obj["schema"] == "projcalc/2"
+    root = obj["nodes"][-1]
+    assert sorted(root) == ["cite", "conclusion", "premises", "rule"]
+    assert root["rule"] == "S-COMPL"
+    assert root["conclusion"]["judgment"] == "class pi 1"
+    assert root["conclusion"]["mode"] == "ZFC"
+    assert obj["nodes"][root["premises"][0]]["rule"] == "DECL"
+    # one canonical row per line, between the header and the footer
+    lines = text.splitlines()
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == obj["nodes"]
+    # two serializations of the same derivation are byte-identical
     assert serialize(d) == text
 
 
@@ -216,20 +231,69 @@ def test_pum_subject_must_be_class_token(env):
     check(node("P-UM", (), "sigma 2", Judgment("prop", text="universally measurable: sigma 2"), ZFC_PD), env)
 
 
+def _row(rule="DECL", premises=(), subject="A", judgment="class sigma 1", mode="ZFC"):
+    return {"rule": rule, "cite": "", "premises": list(premises),
+            "conclusion": {"subject": subject, "judgment": judgment, "mode": mode}}
+
+
+def _doc(*rows, **top) -> str:
+    """A node-table document; the keyword arguments replace or add top-level keys."""
+    doc = {"nodes": list(rows), "schema": "projcalc/2"}
+    doc.update(top)
+    return json.dumps(doc)
+
+
+DECL_A = _row()
+COMPL_A = _row("S-COMPL", [0], "compl(A)", "class pi 1")
+GOOD_DOCUMENT = _doc(DECL_A, COMPL_A)
+
+
+def _without(row: dict, key: str) -> dict:
+    return {k: v for k, v in row.items() if k != key}
+
+
+# each document is GOOD_DOCUMENT with one defect, and the message names it
 BAD_DOCUMENTS = [
-    ("not json", "{"),
-    ("not an object", "[1, 2]"),
-    ("missing rule", '{"cite": "", "premises": [], "conclusion": {"subject": "A", "judgment": "class sigma 1", "mode": "ZFC"}}'),
-    ("premises not a list", '{"rule": "DECL", "cite": "", "premises": 3, "conclusion": {"subject": "A", "judgment": "class sigma 1", "mode": "ZFC"}}'),
-    ("bad judgment", '{"rule": "DECL", "cite": "", "premises": [], "conclusion": {"subject": "A", "judgment": "klass sigma 1", "mode": "ZFC"}}'),
-    ("bad level judgment", '{"rule": "DECL", "cite": "", "premises": [], "conclusion": {"subject": "g", "judgment": "level delta x", "mode": "ZFC"}}'),
-    ("unknown mode", '{"rule": "DECL", "cite": "", "premises": [], "conclusion": {"subject": "A", "judgment": "class sigma 1", "mode": "ZFC+V=L"}}'),
+    ("not json", "{", "malformed JSON"),
+    ("not an object", "[1, 2]", "not an object"),
+    ("row not an object", _doc(DECL_A, [1, 2]), "row /nodes/1 is not an object"),
+    ("missing rule", _doc(DECL_A, _without(COMPL_A, "rule")), "missing field 'rule' at /nodes/1"),
+    ("premises not a list", _doc(DECL_A, dict(COMPL_A, premises=3)), "bad field types at /nodes/1"),
+    ("bad judgment", _doc(_row(judgment="klass sigma 1"), COMPL_A), "bad conclusion at /nodes/0"),
+    ("bad level judgment", _doc(_row(subject="g", judgment="level delta x"), COMPL_A),
+     "bad conclusion at /nodes/0"),
+    ("unknown mode", _doc(DECL_A, _row("S-COMPL", [0], "compl(A)", "class pi 1", mode="ZFC+V=L")),
+     "unknown mode 'ZFC\\+V=L' at /nodes/1"),
+    ("forward premise", _doc(_row(premises=[1]), COMPL_A), "premise 1 at /nodes/0"),
+    ("self premise", _doc(DECL_A, _row("S-COMPL", [1], "compl(A)", "class pi 1")), "premise 1 at /nodes/1"),
+    ("negative premise", _doc(DECL_A, _row("S-COMPL", [-1], "compl(A)", "class pi 1")),
+     "premise -1 at /nodes/1"),
+    ("boolean premise", _doc(DECL_A, _row("S-COMPL", [False], "compl(A)", "class pi 1")),
+     "premise False at /nodes/1"),
+    ("string premise", _doc(DECL_A, _row("S-COMPL", ["0"], "compl(A)", "class pi 1")),
+     "premise '0' at /nodes/1"),
+    ("empty nodes", _doc(), "non-empty 'nodes' list"),
+    ("nodes not a list", _doc(nodes={"0": DECL_A}), "non-empty 'nodes' list"),
+    ("unreachable row", _doc(DECL_A, _row(subject="B", judgment="class pi 2"),
+                             _row("S-COMPL", [1], "compl(B)", "class sigma 2")),
+     "row /nodes/0 is not reachable"),
+    ("missing schema", json.dumps({"nodes": [DECL_A, COMPL_A]}), "unsupported schema None"),
+    ("wrong schema", _doc(DECL_A, COMPL_A, schema="projcalc/1"), "unsupported schema 'projcalc/1'"),
+    ("tree format", json.dumps({"rule": "S-COMPL", "cite": "", "premises": [DECL_A],
+                                "conclusion": COMPL_A["conclusion"]}), "unsupported schema None"),
+    ("nested too deeply", "[" * 200_000, "nested too deeply"),
 ]
 
 
-@pytest.mark.parametrize("label,text", BAD_DOCUMENTS, ids=[t[0] for t in BAD_DOCUMENTS])
-def test_deserialize_rejects(label, text):
-    with pytest.raises(FormatError):
+def test_good_document_loads_and_checks(env):
+    d = deserialize(GOOD_DOCUMENT)
+    check(d, env)
+    assert d.premises[0].conclusion.subject == "A"
+
+
+@pytest.mark.parametrize("label,text,message", BAD_DOCUMENTS, ids=[t[0] for t in BAD_DOCUMENTS])
+def test_deserialize_rejects(label, text, message):
+    with pytest.raises(FormatError, match=message):
         deserialize(text)
 
 
@@ -251,3 +315,71 @@ def test_checked_tree_from_disk(tmp_path, env):
     loaded = deserialize(p.read_text(encoding="utf-8"))
     check(loaded, env)
     assert loaded == d
+
+
+# --- shared subproofs -----------------------------------------------------------
+
+
+def test_doubling_chain_is_linear():
+    _, chain_env = parse(doubling_chain(18))
+    started = time.perf_counter()
+    cls, d = infer_set(ast.NamedSet("A18"), chain_env, ZFC)
+    text = serialize(d)
+    loaded = deserialize(text)
+    check(loaded, chain_env)
+    elapsed = time.perf_counter() - started
+    assert cls == delta(2)
+    assert len(json.loads(text)["nodes"]) == 1 + 2 * 18
+    assert len(text.encode("utf-8")) < 16 * 1024
+    assert elapsed < 0.25
+    assert serialize(loaded) == text
+
+
+def test_check_recomputes_each_row_once(monkeypatch):
+    _, chain_env = parse(doubling_chain(12))
+    text = serialize(infer_set(ast.NamedSet("A12"), chain_env, ZFC)[1])
+    inner_rows = sum(1 for row in json.loads(text)["nodes"] if row["premises"])
+    calls = []
+    original = derivation._expected_judgment
+
+    def counting(d, env, path):
+        calls.append(path)
+        return original(d, env, path)
+
+    monkeypatch.setattr(derivation, "_expected_judgment", counting)
+    check(deserialize(text), chain_env)
+    assert len(calls) == inner_rows == 2 * 12
+    calls.clear()
+    check(infer_set(ast.NamedSet("A12"), chain_env, ZFC)[1], chain_env)
+    assert len(calls) == inner_rows
+
+
+def test_equal_nodes_share_one_row():
+    a = node("DECL", (), "A", Judgment("class", cls=sigma(1)), ZFC)
+    twin = node("DECL", (), "A", Judgment("class", cls=sigma(1)), ZFC)
+    assert a is not twin and a == twin
+    root = node("S-CU", (a, twin), "union(A, A)", Judgment("class", cls=sigma(1)), ZFC)
+    rows = json.loads(serialize(root))["nodes"]
+    assert len(rows) == 2
+    assert rows[1]["premises"] == [0, 0]
+    loaded = deserialize(serialize(root))
+    assert loaded == root
+    assert loaded.premises[0] is loaded.premises[1]
+
+
+def test_round_trip_on_generated_programs():
+    count = 0
+    for text in corpus():
+        program, prog_env = parse(text)
+        found = [r.derivation for r in evaluate_assertions(program, prog_env, ZFC_PD) if r.derivation is not None]
+        for stmt in program.statements:
+            if isinstance(stmt, ast.LetSet):
+                found.append(infer_set(ast.NamedSet(stmt.name), prog_env, ZFC_PD)[1])
+            elif isinstance(stmt, ast.LetFunc):
+                found.append(infer_func(ast.NamedFunc(stmt.name), prog_env, ZFC_PD)[1])
+        for d in found:
+            serialized = serialize(d)
+            assert deserialize(serialized) == d
+            assert serialize(deserialize(serialized)) == serialized
+            count += 1
+    assert count >= 150

@@ -153,6 +153,12 @@ def test_loads_model_json_offset():
     assert exc.value.offset == 11
 
 
+def test_loads_model_nested_json():
+    # deeper than the JSON decoder's recursion allows: a format error, not RecursionError
+    with pytest.raises(FormatError, match="nested too deeply"):
+        loads_model('{"schema": "projcalc/1", "spaces": ' + "[" * 200_000)
+
+
 def test_loads_model_validates():
     # structurally fine, semantically bad: measure mass 2
     doc = (
