@@ -29,6 +29,7 @@ from .derivation import (
 from .errors import (
     AxiomRequiredError,
     CheckError,
+    DepthLimitError,
     FormatError,
     LevelOverflowError,
     ParseError,
@@ -123,6 +124,7 @@ __all__ = [
     "serialize",
     "AxiomRequiredError",
     "CheckError",
+    "DepthLimitError",
     "FormatError",
     "LevelOverflowError",
     "ParseError",

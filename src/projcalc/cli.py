@@ -13,6 +13,7 @@ variants do print elapsed time.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -22,6 +23,7 @@ from .derivation import ZFC, ZFC_PD, check, deserialize, serialize
 from .errors import (
     AxiomRequiredError,
     CheckError,
+    DepthLimitError,
     FormatError,
     LevelOverflowError,
     ParseError,
@@ -218,11 +220,7 @@ def cmd_game(args) -> int:
     except FormatError as exc:
         _fail(str(exc))
         return 2
-    try:
-        winner, strategy = solve(g)
-    except ResourceLimitError as exc:
-        _fail(str(exc))
-        return 3
+    winner, strategy = solve(g)
     if args.json:
         sys.stdout.write(_game_json(winner, strategy, g.k))
     else:
@@ -282,10 +280,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and kept for the process.
+
+    Building the five subparsers takes longer than checking a small
+    derivation, and ``parse_args`` leaves no state behind in the parser,
+    so a caller that runs ``main`` many times in one process builds it once.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
+    except RecursionError:
+        _fail(str(DepthLimitError(sys.getrecursionlimit())))
+        return 3
+    except ResourceLimitError as exc:
+        _fail(str(exc))
+        return 3
     except ProjcalcError as exc:  # uncategorized: treat as input error
         _fail(str(exc))
         return 2

@@ -96,3 +96,20 @@ class ResourceLimitError(ProjcalcError):
     def __init__(self, budget: int):
         self.budget = budget
         super().__init__(f"ResourceLimit: node budget {budget} exhausted")
+
+
+class DepthLimitError(ResourceLimitError):
+    """A program nests or chains deeper than the interpreter stack allows.
+
+    The parser, binder, inference engine and formatter recurse into nested
+    expressions, and the inference engine also into the let that a name
+    refers to, so deep nests and long chains of lets run out of stack.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        ProjcalcError.__init__(
+            self,
+            f"DepthLimit: program nests or chains deeper than the interpreter "
+            f"stack allows (recursion limit {limit})",
+        )

@@ -34,7 +34,7 @@ from .errors import (
     SignAnnotationMissingError,
     UnboundedScheduleError,
 )
-from .formatter import format_func, format_schedule, format_set, format_space
+from .formatter import format_func, format_schedule, format_set, format_space, format_statement
 from .pointclass import (
     Kind,
     PointClass,
@@ -427,18 +427,12 @@ class AssertionResult:
     derivation: Derivation | None = None
 
 
-def _format_assertion(stmt: ast.Statement) -> str:
-    from .formatter import format_statement
-
-    return format_statement(stmt)
-
-
 def evaluate_assertions(program: ast.Program, env: Env, mode: str = ZFC) -> list[AssertionResult]:
     """Run every assert statement; axiom gates count as failures, not crashes."""
     eng = _Engine(env, mode)
     results: list[AssertionResult] = []
     for stmt in program.assertions:
-        text = _format_assertion(stmt)
+        text = format_statement(stmt)
         try:
             if isinstance(stmt, ast.AssertClass):
                 got, d = eng.set_class(stmt.expr)

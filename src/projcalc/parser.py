@@ -25,19 +25,22 @@ from .pointclass import (
 )
 from .sema import Env, bind
 
+# One match per token: the whitespace before a token is absorbed into the
+# token's own match, and "bad" catches the first character no token can
+# start with.  A match with no named group is trailing whitespace or the end
+# of the line.  The operator tokens share one group because their first
+# characters are disjoint from identifiers' and integers'.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#.*)
-  | (?P<string>"[^"]*")
-  | (?P<arrow>->)
-  | (?P<karrow>~>)
-  | (?P<le><=)
-  | (?P<ge>>=)
-  | (?P<eqeq>==)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>[0-9]+)
-  | (?P<punct>[()\[\],:=<>/@-])
+    \s*
+    (?:
+        (?P<comment>\#.*)
+      | (?P<string>"[^"]*")
+      | (?P<op>->|~>|<=|>=|==|[()\[\],:=<>/@-])
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<int>[0-9]+)
+      | (?P<bad>.)
+    )?
     """,
     re.VERBOSE,
 )
@@ -54,7 +57,7 @@ FUNC_KEYWORDS = {
 SPACE_KEYWORDS = {"reals", "nat", "baire", "cantor", "xreal", "prod", "measures"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # ident / int / string / punct text
     text: str
@@ -64,20 +67,15 @@ class Token:
 
 def _lex_line(line: str, lineno: int) -> list[Token]:
     toks = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(line):
         kind = m.lastgroup
-        if kind in ("ws", "comment"):
+        if kind is None or kind == "comment":
             continue
-        text = m.group()
-        if kind in ("arrow", "karrow", "le", "ge", "eqeq", "punct"):
-            toks.append(Token(text, text, lineno, m.start() + 1))
-        else:
-            toks.append(Token(kind, text, lineno, m.start() + 1))
+        col = m.start(kind) + 1
+        text = m.group(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", lineno, col)
+        toks.append(Token(text if kind == "op" else kind, text, lineno, col))
     return toks
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from . import ast
 from .errors import ResolutionError, SignatureError
+from .formatter import format_space
 
 
 @dataclass
@@ -45,12 +46,8 @@ class Env:
     funcs: dict[str, FuncEntry] = field(default_factory=dict)
     kernels: dict[str, KernelEntry] = field(default_factory=dict)
 
-    def _all_names(self):
-        for d in (self.spaces, self.sets, self.funcs, self.kernels):
-            yield from d
-
     def declare(self, name: str, kind: str, entry) -> None:
-        if name in set(self._all_names()):
+        if name in self.spaces or name in self.sets or name in self.funcs or name in self.kernels:
             raise ResolutionError(f"duplicate identifier {name!r}")
         getattr(self, kind)[name] = entry
 
@@ -88,7 +85,7 @@ def is_real_vector(space: ast.SpaceExpr) -> bool:
 
 def resolve_axis(space: ast.SpaceExpr, axis: ast.Axis, env: Env) -> int:
     if not isinstance(space, ast.ProductSpace):
-        raise SignatureError(f"axis selection needs a product carrier, got {format_space_brief(space)}")
+        raise SignatureError(f"axis selection needs a product carrier, got {format_space(space)}")
     if isinstance(axis, int):
         if axis in (1, 2):
             return axis
@@ -102,22 +99,6 @@ def resolve_axis(space: ast.SpaceExpr, axis: ast.Axis, env: Env) -> int:
     if len(hits) == 2:
         raise SignatureError(f"axis {axis!r} is ambiguous on a square product; use 1 or 2")
     return hits[0]
-
-
-def format_space_brief(space: ast.SpaceExpr) -> str:
-    names = {
-        ast.Reals: "reals",
-        ast.Naturals: "nat",
-        ast.Baire: "baire",
-        ast.Cantor: "cantor",
-        ast.XRealLine: "xreal",
-    }
-    t = type(space)
-    if t in names:
-        return names[t]
-    if isinstance(space, ast.ProductSpace):
-        return f"prod({format_space_brief(space.left)}, {format_space_brief(space.right)})"
-    return f"measures({format_space_brief(space.inner)})"
 
 
 def family_carrier(base: str, carrier: ast.SpaceExpr | None, env: Env, want: str) -> ast.SpaceExpr:

@@ -9,13 +9,18 @@ second route to the same answers.
 - game winners: exhaustive enumeration of strategy profiles, not the
   solver's quantifier recursion;
 - game strategies: the node-by-node recursive walk, not the solver's
-  level-by-level reduction.
+  level-by-level reduction;
+- tokens: a match for each token and another for each gap between tokens,
+  not the lexer's single match per token.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
+from projcalc.errors import ParseError
+from projcalc.parser import Token
 from projcalc.pointclass import Kind, PointClass, delta, pi, sigma
 
 
@@ -162,3 +167,46 @@ def _wins(g, hist: tuple, s_one: dict, s_two: dict) -> bool:
         return True
     s_two[hist] = outcomes.index(False)
     return False
+
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#.*)
+  | (?P<string>"[^"]*")
+  | (?P<arrow>->)
+  | (?P<karrow>~>)
+  | (?P<le><=)
+  | (?P<ge>>=)
+  | (?P<eqeq>==)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>[0-9]+)
+  | (?P<punct>[()\[\],:=<>/@-])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_lex_line(line: str, lineno: int) -> list[Token]:
+    """Tokens of one line, one anchored match per token and per gap.
+
+    The lexer's earlier implementation, kept verbatim: ``parser._lex_line``
+    folds the gap before each token into the token's match and must give
+    the same tokens and the same ``ParseError`` on every line.
+    """
+    toks = []
+    pos = 0
+    while pos < len(line):
+        m = _TOKEN_RE.match(line, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind in ("ws", "comment"):
+            continue
+        text = m.group()
+        if kind in ("arrow", "karrow", "le", "ge", "eqeq", "punct"):
+            toks.append(Token(text, text, lineno, m.start() + 1))
+        else:
+            toks.append(Token(kind, text, lineno, m.start() + 1))
+    return toks

@@ -104,6 +104,19 @@ def doubling_chain(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def linear_chain(n: int) -> str:
+    """n lets, each the complement of the previous one: n + 1 distinct nodes, depth n."""
+    lines = ["space X = baire", "set A0 in X : sigma 1"]
+    lines += [f"let A{i} = compl(A{i - 1})" for i in range(1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def compl_nest(depth: int) -> str:
+    """One let whose expression is depth nested complements."""
+    expr = "compl(" * depth + "A0" + ")" * depth
+    return f"space X = baire\nset A0 in X : sigma 1\nlet N = {expr}\n"
+
+
 # (k, N) of the bitset games; each gets a sparse and a dense target so that
 # both players win somewhere for every k
 MASK_SHAPES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4),

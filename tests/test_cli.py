@@ -1,15 +1,22 @@
 """End-to-end command tests, run in-process through main(argv)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from projcalc.cli import main
+from projcalc import cli
+from projcalc.cli import build_parser, main
 from projcalc.games import FiniteGame, compile_target_expr, dumps_game
 
 from .oracles import brute_force_winner, reference_solve
-from .progen import doubling_chain, game_corpus
+from .progen import compl_nest, doubling_chain, game_corpus, linear_chain
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PROGRAM = """\
 space X = baire
@@ -107,6 +114,27 @@ def test_infer_emitted_derivations_check(gated, tmp_path, capsys):
     assert sorted(doc["derivations"]) == sorted(str(p) for p in out_dir.iterdir())
     for path in doc["derivations"]:
         assert main(["check", path, gated]) == 0
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["infer"], compl_nest(2000)),
+    (["infer", "--json"], linear_chain(3000)),
+    (["fmt"], compl_nest(2000)),
+], ids=["infer-nest-2000", "infer-linear-3000", "fmt-nest-2000"])
+def test_past_the_stack_exits_three(argv, text, tmp_path):
+    # a fresh interpreter, so the stack is as deep as a command-line run gets
+    path = tmp_path / "deep.pjc"
+    path.write_text(text, encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "projcalc.cli", argv[0], str(path), *argv[1:]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("error: DepthLimit: ")
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
 
 
 # --- check ----------------------------------------------------------------------
@@ -336,3 +364,39 @@ def test_fmt_parse_error(tmp_path):
     path = tmp_path / "bad.pjc"
     path.write_text("func f :\n", encoding="utf-8")
     assert main(["fmt", str(path)]) == 2
+
+
+# --- one parser per process -----------------------------------------------------
+
+
+def test_parser_factory_builds_fresh_parsers():
+    assert build_parser() is not build_parser()
+    assert cli._parser() is cli._parser()
+
+
+def _outcomes(argvs, capsys):
+    rows = []
+    for argv in argvs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            rc = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        rows.append((rc, captured.out, captured.err))
+    return rows
+
+
+def test_shared_parser_keeps_no_state_between_calls(derivation, gated, monkeypatch, capsys):
+    argvs = [
+        ["infer", gated, "--assume-pd", "--json"],
+        ["infer", gated, "--json"],
+        ["check", derivation, gated],
+        ["infer", gated, "--no-such-flag"],
+        ["infer", gated, "--json"],
+    ]
+    shared = _outcomes(argvs, capsys)
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = _outcomes(argvs, capsys)
+    assert shared == fresh
+    assert [row[0] for row in shared] == [0, 1, 0, ("SystemExit", 2), 1]
+    assert shared[0][1] != shared[1][1]  # --assume-pd did not stick

@@ -1,14 +1,21 @@
 """DSL front end: parsing, binding, canonical formatting."""
 
+import itertools
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from projcalc import ast
 from projcalc.errors import ParseError, ResolutionError, SignatureError
 from projcalc.formatter import format_program, format_set, format_statement
-from projcalc.parser import parse, parse_program
+from projcalc.parser import _lex_line, parse, parse_program
 from projcalc.pointclass import BoundedBy, ExplicitList, Unbounded, delta, pi, sigma
+from projcalc.sema import bind
+
+from .oracles import reference_lex_line
+from .progen import corpus
 
 BASE = """\
 space X = baire
@@ -117,6 +124,73 @@ class TestParseErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("space X = baire extra\n")
+
+
+def _lexed(lex, line: str):
+    """Tokens of a line, or the text of the ParseError it raises."""
+    try:
+        return lex(line, 7)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+DEMO_PROGRAMS = sorted((Path(__file__).resolve().parents[1] / "demos" / "programs").glob("*.pjc"))
+HAND_LINES = [
+    "$", ";", '"', "\t", "σ", "# a comment and nothing else", "", "   ",
+    "set A in X : sigma 1   ", "set A in X : sigma 1 # trailing $ comment",
+    'let U = union i in nat of A_i with levels unbounded "open', "let x = f $",
+    "a->b~>c<=d>=e==f(g)[h],i:j=k<l>m/n@o-p", "0042abc_9 _x", "\x0bx\u2003y",
+    "bounded\ndelta 2", '"two\nlines" # and\n$',
+]
+
+
+class TestLexer:
+    """The one-match-per-token lexer against the match-per-gap reference."""
+
+    def test_corpus_lines(self):
+        lines = [line for text in corpus() for line in text.splitlines()]
+        assert lines
+        for line in lines:
+            assert _lexed(_lex_line, line) == _lexed(reference_lex_line, line), line
+
+    @pytest.mark.parametrize("path", DEMO_PROGRAMS, ids=lambda p: p.name)
+    def test_demo_program_lines(self, path):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            assert _lexed(_lex_line, line) == _lexed(reference_lex_line, line), line
+
+    @pytest.mark.parametrize("line", HAND_LINES)
+    def test_hand_written_lines(self, line):
+        assert _lexed(_lex_line, line) == _lexed(reference_lex_line, line)
+
+
+# one declaration of the name x for each namespace; "let" reads the set A
+DECLARE_X = {
+    "space": ast.SpaceDecl("x", ast.Baire()),
+    "set": ast.SetDecl("x", ast.Baire(), sigma(1)),
+    "func": ast.FuncDecl("x", ast.Baire(), ast.Reals(), ast.FuncAnnot("declared", 1)),
+    "kernel": ast.KernelDecl("x", ast.Baire(), ast.Cantor(), 1),
+    "let": ast.LetSet("x", ast.NamedSet("A")),
+}
+
+
+class TestBind:
+    @pytest.mark.parametrize("first,second", list(itertools.product(DECLARE_X, repeat=2)))
+    def test_duplicate_across_namespaces(self, first, second):
+        # parse() stops duplicates before bind runs, so build the AST by hand
+        head = ast.SetDecl("A", ast.Baire(), sigma(1))
+        env = bind(ast.Program((head, DECLARE_X[first])))
+        assert "x" in {**env.spaces, **env.sets, **env.funcs, **env.kernels}
+        with pytest.raises(ResolutionError, match="duplicate identifier 'x'"):
+            bind(ast.Program((head, DECLARE_X[first], DECLARE_X[second])))
+
+    def test_declarations_bind_in_linear_time(self):
+        n = 10_000
+        text = "space X = baire\n" + "".join(f"set A{i} in X : sigma 1\n" for i in range(n))
+        started = time.perf_counter()
+        _, env = parse(text)
+        elapsed = time.perf_counter() - started
+        assert len(env.sets) == n
+        assert elapsed < 2.0  # a quadratic duplicate check takes seconds at this size
 
 
 class TestSignatures:
