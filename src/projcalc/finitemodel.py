@@ -437,6 +437,34 @@ def _scalar(f: FuncData, what: str) -> None:
         raise SignatureError(f"{what} needs extended-real valued operands")
 
 
+def _iroot(a: int, n: int) -> int:
+    """floor(a ** (1/n)) for a >= 0, by integer Newton steps."""
+    if a < 2:
+        return a
+    if n >= a.bit_length():  # 1 <= root < 2, and x ** (n - 1) below would be huge
+        return 1
+    x = 1 << -(-a.bit_length() // n)  # a power of two at or above the root
+    while True:
+        y = ((n - 1) * x + a // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
+
+
+def _exact_power(q: Fraction, exponent: Fraction, point) -> Fraction:
+    """q ** exponent as an exact rational; an irrational power is unsupported."""
+    if exponent.denominator == 1:
+        return q ** exponent.numerator
+    n = exponent.denominator
+    if q >= 0:
+        num, den = _iroot(q.numerator, n), _iroot(q.denominator, n)
+        if num**n == q.numerator and den**n == q.denominator:
+            return Fraction(num, den) ** exponent.numerator
+    raise UnsupportedConstructorError(
+        f"pow(..., {exponent}) has no exact rational value at {point!r}, where the base is {q}"
+    )
+
+
 def _dot(u, v) -> XReal:
     if isinstance(u, XReal) and isinstance(v, XReal):
         return xreal_prod(u, v)
@@ -518,7 +546,7 @@ def func_data(e: ast.FuncExpr, m: FiniteModel) -> FuncData:
             elif v == NEG_INF:
                 out[p] = NEG_INF if e.exponent % 2 else POS_INF
             else:
-                out[p] = fin(v.fin ** e.exponent)
+                out[p] = fin(_exact_power(v.fin, e.exponent, p))
         return FuncData(f.dom, XREAL, out)
     if isinstance(e, (ast.CountableSup, ast.CountableInf)):
         names = _family_members(m, e.base, "func")

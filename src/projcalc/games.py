@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast as pyast
 import json
 import os
+import re
 from dataclasses import dataclass
 from itertools import compress, product, repeat
 from typing import Callable
@@ -80,9 +81,24 @@ def _node_budget(budget: int | None) -> int:
         raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
-def _tree_nodes(k: int, length: int) -> int:
-    # nodes of the full k-ary tree of the given depth, root included
-    return (k ** (length + 1) - 1) // (k - 1) if k > 1 else length + 1
+def _capped_pow(k: int, e: int, cap: int) -> int:
+    """min(k ** e, cap) for k >= 1, without building a power past cap."""
+    if k == 1:
+        return min(1, cap)
+    out = 1
+    for _ in range(e):  # at most log2(cap) + 1 rounds, since k >= 2
+        out *= k
+        if out >= cap:
+            return cap
+    return min(out, cap)
+
+
+def _tree_nodes(k: int, length: int, cap: int) -> int:
+    """min(nodes of the full k-ary tree of the given depth, cap), root included."""
+    if k == 1:
+        return min(length + 1, cap)
+    # (k**(length+1) - 1) // (k-1) reaches cap exactly when the power reaches cap*(k-1) + 1
+    return (_capped_pow(k, length + 1, cap * (k - 1) + 1) - 1) // (k - 1)
 
 
 def _leaf_values(g: FiniteGame) -> bytes:
@@ -117,7 +133,7 @@ def solve(g: FiniteGame, budget: int | None = None) -> tuple[str, dict]:
     checked against the node budget up front.
     """
     limit = _node_budget(budget)
-    if _tree_nodes(g.k, g.play_length) > limit:
+    if _tree_nodes(g.k, g.play_length, limit + 1) > limit:
         raise ResourceLimitError(limit)
     k, length = g.k, g.play_length
     levels = [_leaf_values(g)]
@@ -206,12 +222,10 @@ def compile_target_expr(source: str, n_rounds: int) -> Callable[[tuple], bool]:
     """Predicate over plays from an arithmetic expression in a0, b0, a1, ...
 
     Only boolean/arithmetic operators, comparisons, integer constants and
-    the move names are allowed; anything else is rejected.
+    the move names are allowed; anything else is rejected.  Only the names
+    that occur are mapped, so the horizon costs nothing here.
     """
     names = {}
-    for i in range(n_rounds + 1):
-        names[f"a{i}"] = 2 * i
-        names[f"b{i}"] = 2 * i + 1
     try:
         tree = pyast.parse(source, mode="eval")
     except SyntaxError as exc:
@@ -222,7 +236,10 @@ def compile_target_expr(source: str, n_rounds: int) -> Callable[[tuple], bool]:
         if isinstance(node, pyast.Constant) and not isinstance(node.value, (int, bool)):
             raise FormatError(f"target expression constant {node.value!r} is not an integer")
         if isinstance(node, pyast.Name) and node.id not in names:
-            raise FormatError(f"unknown move name {node.id!r} in target expression")
+            pos = _move_position(node.id, n_rounds)
+            if pos is None:
+                raise FormatError(f"unknown move name {node.id!r} in target expression")
+            names[node.id] = pos
     code = compile(tree, "<target>", "eval")
 
     def predicate(play: tuple) -> bool:
@@ -230,6 +247,20 @@ def compile_target_expr(source: str, n_rounds: int) -> Callable[[tuple], bool]:
         return bool(eval(code, {"__builtins__": {}}, env))
 
     return predicate
+
+
+_MOVE_NAME = re.compile(r"([ab])(0|[1-9][0-9]*)")
+
+
+def _move_position(name: str, n_rounds: int) -> int | None:
+    """Ply of move name a<i> (2i) or b<i> (2i+1) for i <= N, else None."""
+    match = _MOVE_NAME.fullmatch(name)
+    if match is None or len(match[2]) > len(str(n_rounds)):
+        return None
+    i = int(match[2])
+    if i > n_rounds:
+        return None
+    return 2 * i + (match[1] == "b")
 
 
 # --- wire format (.pjg) --------------------------------------------------------
@@ -266,7 +297,8 @@ def game_from_json(obj) -> FiniteGame:
         if mask < 0:
             raise FormatError("bitsets are nonnegative")
         game = FiniteGame(k, n_rounds, mask=mask)
-        if mask.bit_length() > game.play_count:
+        bits = mask.bit_length()
+        if _capped_pow(k, game.play_length, bits) < bits:
             raise FormatError("bitset has more bits than the game has plays")
         return game
     if isinstance(target, dict) and isinstance(target.get("expr"), str):

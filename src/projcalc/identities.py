@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,6 +58,9 @@ class IdentityCase:
 
 # --- random instances ----------------------------------------------------------
 
+# every finite value _rand_value can draw, keyed by (numerator, denominator)
+_FINITE_VALUES = {(a, b): fin(Fraction(a, b)) for a in range(-4, 5) for b in range(1, 4)}
+
 
 def _rand_value(rng: random.Random) -> XReal:
     roll = rng.randrange(10)
@@ -64,7 +68,8 @@ def _rand_value(rng: random.Random) -> XReal:
         return NEG_INF
     if roll == 1:
         return POS_INF
-    return fin(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    a = rng.randint(-4, 4)
+    return _FINITE_VALUES[a, rng.randint(1, 3)]
 
 
 def _rand_space(rng: random.Random, prefix: str, lo: int = 1, hi: int = 6) -> tuple[str, ...]:
@@ -132,6 +137,10 @@ def generate_case(identity: str, seed: int) -> IdentityCase:
 
 
 def _sectionwise(members, table, pick) -> dict:
+    # The oracle's declared second route to the sectionwise optimum, next to
+    # selectors.sectionwise_optimum and finitemodel.func_data: it must not
+    # call eval_set or func_data, or the check compares the evaluator with
+    # itself.
     out: dict = {}
     for (x, y) in members:
         v = table[(x, y)]
@@ -163,30 +172,49 @@ def _check_infsup_proj(case: IdentityCase) -> Counterexample | None:
 def _sum_candidates(fv, gv, c) -> set[Fraction]:
     """Finitely many r that stand in for the rational union in the sum rule."""
     out = {Fraction(0)}
+    slack = [c - b for b in gv]
     for a in fv:
         out.add(a + 1)
-        for b in gv:
-            out.add(Fraction(a + (c - b), 2))
-    for b in gv:
-        out.add(c - b - 1)
+        for s in slack:
+            out.add((a + s) / 2)
+    out.update(s - 1 for s in slack)
     return out
+
+
+def _sum_rects(points, f: dict, g: dict, c: Fraction, candidates) -> set:
+    """Points x with f(x) < r and g(x) < c - r for some r in candidates.
+
+    The oracle's declared second route to the sum sublevel: it must not
+    call eval_set or func_data.  One sort of the candidates, then one
+    bisection per point: x is in the union exactly when the least candidate
+    above f(x) is below c - g(x).  f(x) = -inf takes the least candidate,
+    g(x) = -inf bounds nothing, and +inf on either side admits no r.
+    """
+    cands = sorted(candidates)
+    rects = set()
+    for x in points:
+        fx, gx = f[x], g[x]
+        if fx.sign > 0 or gx.sign > 0:
+            continue
+        i = 0 if fx.sign < 0 else bisect_right(cands, fx.fin)
+        if i < len(cands) and (gx.sign < 0 or cands[i] < c - gx.fin):
+            rects.add(x)
+    return rects
 
 
 def _check_sum_pre(case: IdentityCase) -> Counterexample | None:
     m, c = case.model, case.params["c"]
     f, g = m.funcs["f"].table, m.funcs["g"].table
     lhs = eval_set(ast.Sublevel(ast.Sum(ast.NamedFunc("f"), ast.NamedFunc("g")), "<", c), m)
+    points = m.points("X")
     n_band = {
         x
-        for x in m.points("X")
+        for x in points
         if (f[x] == POS_INF and g[x] == NEG_INF) or (f[x] == NEG_INF and g[x] == POS_INF)
     }
-    fv = [v.fin for v in f.values() if v.is_finite]
-    gv = [v.fin for v in g.values() if v.is_finite]
-    rects = set()
-    for r in _sum_candidates(fv, gv, c):
-        hit = {x for x in m.points("X") if f[x] < fin(r) and g[x] < fin(c - r)}
-        rects |= hit
+    fv = {v.fin for v in f.values() if v.is_finite}
+    gv = {v.fin for v in g.values() if v.is_finite}
+    rects = _sum_rects(points, f, g, c, _sum_candidates(fv, gv, c))
     rhs = n_band | (rects - n_band)
     if set(lhs) != rhs:
         x = sorted(set(lhs) ^ rhs)[0]

@@ -59,6 +59,8 @@ def eps_select_enumerate(
     """
     if direction not in ("inf", "sup"):
         raise ValueError(f"direction must be 'inf' or 'sup', got {direction!r}")
+    if isinstance(eps, float):
+        raise TypeError(f"eps must be exact (int or Fraction), got {eps!r}")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

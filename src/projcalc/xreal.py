@@ -8,7 +8,9 @@ generalized integrals):
     +(-inf) = -inf,  -(+inf) = -inf
     0 * (+-inf) = (+-inf) * 0 = 0
 
-No floats anywhere: comparisons and sums of rationals are exact.
+No floats anywhere: comparisons and sums of rationals are exact, and a
+float finite part is a TypeError.  XReal is a slotted frozen dataclass, cheap
+to build and compare: the finite oracles make hundreds of thousands of them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Union
 RationalLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class XReal:
     """sign = -1 for -inf, +1 for +inf, 0 for the finite value `fin`."""
 
@@ -30,10 +32,12 @@ class XReal:
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or 1, got {self.sign!r}")
+        if type(self.fin) is not Fraction:
+            if isinstance(self.fin, float):
+                raise TypeError(f"XReal takes no float finite part, got {self.fin!r}")
+            object.__setattr__(self, "fin", Fraction(self.fin))
         if self.sign != 0 and self.fin != 0:
             raise ValueError("infinite values carry no finite part")
-        if not isinstance(self.fin, Fraction):
-            object.__setattr__(self, "fin", Fraction(self.fin))
 
     # -- predicates
 
@@ -41,16 +45,17 @@ class XReal:
     def is_finite(self) -> bool:
         return self.sign == 0
 
-    # -- total order: -inf < finite (by value) < +inf
-
-    def _key(self):
-        return (self.sign, self.fin)
+    # -- total order: -inf < finite (by value) < +inf, i.e. (sign, fin) order
 
     def __lt__(self, other: "XReal") -> bool:
-        return self._key() < other._key()
+        if self.sign != other.sign:
+            return self.sign < other.sign
+        return self.fin < other.fin
 
     def __le__(self, other: "XReal") -> bool:
-        return self._key() <= other._key()
+        if self.sign != other.sign:
+            return self.sign < other.sign
+        return self.fin <= other.fin
 
     def __gt__(self, other: "XReal") -> bool:
         return other < self
@@ -66,11 +71,22 @@ class XReal:
     def __pos__(self) -> "XReal":
         return self
 
+    # two-term xreal_sum, without the list: any -inf wins, then any +inf
+
     def __add__(self, other: "XReal") -> "XReal":
-        return xreal_sum([self, other])
+        if self.sign < 0 or other.sign < 0:
+            return NEG_INF
+        if self.sign > 0 or other.sign > 0:
+            return POS_INF
+        return XReal(0, self.fin + other.fin)
 
     def __sub__(self, other: "XReal") -> "XReal":
-        return xreal_sum([self, -other])
+        # self + (-other)
+        if self.sign < 0 or other.sign > 0:
+            return NEG_INF
+        if self.sign > 0 or other.sign < 0:
+            return POS_INF
+        return XReal(0, self.fin - other.fin)
 
     def __mul__(self, other: "XReal") -> "XReal":
         return xreal_prod(self, other)
@@ -89,7 +105,7 @@ ZERO = XReal(0)
 
 
 def fin(q: RationalLike) -> XReal:
-    return XReal(0, Fraction(q))
+    return XReal(0, q)  # __post_init__ converts ints and rejects floats
 
 
 def parse_xreal(text: str) -> XReal:

@@ -11,7 +11,9 @@ second route to the same answers.
 - game strategies: the node-by-node recursive walk, not the solver's
   level-by-level reduction;
 - tokens: a match for each token and another for each gap between tokens,
-  not the lexer's single match per token.
+  not the lexer's single match per token;
+- SUM-PRE rectangles: every candidate tested at every point, not the
+  oracle's one sort and one bisection per point.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import re
 from projcalc.errors import ParseError
 from projcalc.parser import Token
 from projcalc.pointclass import Kind, PointClass, delta, pi, sigma
+from projcalc.xreal import fin
 
 
 def token_universe(max_level: int) -> list[PointClass]:
@@ -210,3 +213,17 @@ def reference_lex_line(line: str, lineno: int) -> list[Token]:
         else:
             toks.append(Token(kind, text, lineno, m.start() + 1))
     return toks
+
+
+def reference_sum_rects(points, f: dict, g: dict, c, candidates) -> set:
+    """Points x with f(x) < r and g(x) < c - r for some r in candidates.
+
+    The SUM-PRE oracle's earlier loop, kept verbatim: one extended-real
+    comparison per candidate and point.  ``identities._sum_rects`` sorts
+    the candidates once and must give the same set.
+    """
+    rects = set()
+    for r in candidates:
+        hit = {x for x in points if f[x] < fin(r) and g[x] < fin(c - r)}
+        rects |= hit
+    return rects

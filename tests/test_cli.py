@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from projcalc import cli
 from projcalc.cli import build_parser, main
-from projcalc.games import FiniteGame, compile_target_expr, dumps_game
+from projcalc.games import BUDGET_ENV, FiniteGame, compile_target_expr, dumps_game
 
 from .oracles import brute_force_winner, reference_solve
 from .progen import compl_nest, doubling_chain, game_corpus, linear_chain
@@ -323,6 +324,27 @@ def test_game_bitset_past_play_count_budget_exit(tmp_path, capsys):
     assert main(["game", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ['"0x1"', '{"expr": "a0 == b0"}'], ids=["mask", "expr"])
+def test_huge_horizon_game_exits_three_fast(target, tmp_path):
+    # N = 10**9: the loader and the budget check must size nothing first
+    path = tmp_path / "huge.pjg"
+    path.write_text(f'{{"schema": "projcalc/1", "k": 2, "N": 1000000000, "target": {target}}}', encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop(BUDGET_ENV, None)
+    started = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "projcalc.cli", "game", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.perf_counter() - started
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("error: ResourceLimit: ")
+    assert "Traceback" not in run.stderr
+    assert run.stdout == ""
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("game", [pytest.param(g, id=label) for label, g in game_corpus()])

@@ -327,6 +327,30 @@ def test_func_power(m):
     assert even.table["x2"] == POS_INF  # even power flips -inf
 
 
+def test_func_fractional_power_is_exact():
+    # rational roots come out exact; an irrational one is refused, never
+    # rounded through a float
+    pm = FiniteModel(
+        spaces={"X": ("a", "b", "c")},
+        funcs={"u": FuncData("X", XREAL, {"a": fin(Fraction(9, 4)), "b": fin(0), "c": POS_INF})},
+    )
+    half = func_data(ast.Power(ast.NamedFunc("u"), Fraction(1, 2)), pm)
+    assert half.table == {"a": fin(Fraction(3, 2)), "b": fin(0), "c": POS_INF}
+    assert func_data(ast.Power(ast.NamedFunc("u"), Fraction(3, 2)), pm).table["a"] == fin(Fraction(27, 8))
+    big = Fraction(3**40, 7**20)
+    pm.funcs["u"] = FuncData("X", XREAL, {"a": fin(big), "b": fin(1), "c": fin(0)})
+    assert func_data(ast.Power(ast.NamedFunc("u"), Fraction(1, 20)), pm).table["a"] == fin(Fraction(9, 7))
+    pm.funcs["u"] = FuncData("X", XREAL, {"a": fin(2), "b": fin(1), "c": fin(0)})
+    with pytest.raises(UnsupportedConstructorError, match="no exact rational value at 'a'"):
+        func_data(ast.Power(ast.NamedFunc("u"), Fraction(1, 2)), pm)
+    # a root index far past the base's size costs nothing, exact or not
+    with pytest.raises(UnsupportedConstructorError):
+        func_data(ast.Power(ast.NamedFunc("u"), Fraction(1, 10**9)), pm)
+    pm.funcs["u"] = FuncData("X", XREAL, {"a": fin(1), "b": fin(1), "c": fin(0)})
+    tiny = func_data(ast.Power(ast.NamedFunc("u"), Fraction(1, 10**9)), pm)
+    assert tiny.table == {"a": fin(1), "b": fin(1), "c": fin(0)}
+
+
 def test_func_countable_family(m):
     sup = func_data(ast.CountableSup("n", "u", None, SCHED), m)
     assert sup.table == {"x1": fin(4), "x2": fin(5)}

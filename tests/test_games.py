@@ -14,6 +14,8 @@ from projcalc.games import (
     loads_game,
     solve,
     verify_strategy,
+    _capped_pow,
+    _tree_nodes,
 )
 
 from .oracles import brute_force_winner, dual_prefix_holds, reference_solve
@@ -156,6 +158,10 @@ def test_budget_enforced(monkeypatch):
         solve(FiniteGame(2, 2, mask=0))
     # an explicit budget wins over the environment
     assert solve(FiniteGame(2, 2, mask=0), budget=10_000)[0] == "II"
+    # k=2, N=1 has 2**5 - 1 = 31 tree nodes: the bound is exact
+    assert solve(FiniteGame(2, 1, mask=0), budget=31)[0] == "II"
+    with pytest.raises(ResourceLimitError):
+        solve(FiniteGame(2, 1, mask=0), budget=30)
     monkeypatch.setenv(BUDGET_ENV, "plenty")
     with pytest.raises(ValueError, match=BUDGET_ENV):
         solve(FiniteGame(2, 0, mask=0))
@@ -190,6 +196,52 @@ def test_target_expr_arithmetic():
 def test_target_expr_rejects(bad):
     with pytest.raises(FormatError):
         compile_target_expr(bad, 0)
+
+
+def test_target_expr_move_names_against_horizon():
+    # exactly a0..aN and b0..bN are move names, with no leading zeros and
+    # ASCII digits only; each maps to its ply
+    play = tuple(range(8))  # N = 3
+    assert compile_target_expr("a3 == 6 and b3 == 7 and a0 == 0 and b1 == 3", 3)(play)
+    for bad in ("a4", "b4", "a01", "a00", "c0", "a", "b10", "a\u0661", "a" + "9" * 5000):
+        with pytest.raises(FormatError, match="unknown move name"):
+            compile_target_expr(f"{bad} == 0", 3)
+
+
+def test_target_expr_on_a_huge_horizon():
+    # only the names that occur are mapped, so N costs nothing; a sparse
+    # stand-in for the 2 * 10**9 + 2 moves shows which plies are read
+    pred = compile_target_expr("a0 == b0 and b999999999 == 0", 10**9)
+    assert pred({0: 1, 1: 1, 1_999_999_999: 0})
+    assert not pred({0: 1, 1: 0, 1_999_999_999: 0})
+    with pytest.raises(FormatError, match="unknown move name 'a1000000001'"):
+        compile_target_expr("a1000000001 == 0", 10**9)
+
+
+def test_capped_sizes_match_exact_sizes():
+    for k in range(1, 6):
+        for e in range(12):
+            nodes = (k ** (e + 1) - 1) // (k - 1) if k > 1 else e + 1
+            for cap in range(-3, 300):
+                assert _capped_pow(k, e, cap) == min(k**e, cap), (k, e, cap)
+                assert _tree_nodes(k, e, cap) == min(nodes, cap), (k, e, cap)
+    # huge exponents stop at the cap
+    assert _capped_pow(2, 10**12, 1000) == 1000
+    assert _capped_pow(1, 10**12, 1000) == 1
+    assert _tree_nodes(2, 2 * 10**9 + 2, 10**7 + 1) == 10**7 + 1
+    assert _tree_nodes(1, 2 * 10**9 + 2, 10**7 + 1) == 10**7 + 1
+
+
+def test_from_json_bitset_on_huge_horizons():
+    # the bit-length check needs no power of k
+    g = game_from_json({"schema": "projcalc/1", "k": 10**50, "N": 3, "target": "0x" + "f" * 1000})
+    assert g.mask.bit_length() == 4000
+    with pytest.raises(ResourceLimitError):
+        solve(g)
+    # k = 1 has one play at every horizon
+    assert game_from_json({"schema": "projcalc/1", "k": 1, "N": 10**9, "target": "0x1"}).mask == 1
+    with pytest.raises(FormatError, match="more bits"):
+        game_from_json({"schema": "projcalc/1", "k": 1, "N": 10**9, "target": "0x2"})
 
 
 def test_game_round_trips():
@@ -231,6 +283,11 @@ def test_loads_game_rejects(doc):
 def test_from_json_bitset_on_huge_game():
     # 2**82 plays: the bound check must not build a 2**82-bit integer
     g = game_from_json({"schema": "projcalc/1", "k": 2, "N": 40, "target": "0x1"})
+    assert g.mask == 1
+    with pytest.raises(ResourceLimitError):
+        solve(g)
+    # nor at N = 10**9, where k**(2N+2) cannot be built at all
+    g = game_from_json({"schema": "projcalc/1", "k": 2, "N": 10**9, "target": "0x1"})
     assert g.mask == 1
     with pytest.raises(ResourceLimitError):
         solve(g)

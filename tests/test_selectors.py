@@ -18,6 +18,16 @@ def test_sectionwise_optimum_directions():
     assert sectionwise_optimum(D, f, "sup") == {"x": fin(1), "z": NEG_INF}
 
 
+def test_float_eps_rejected():
+    # sectionwise_optimum has no eps of its own; the selector built on it
+    # refuses an inexact band width instead of rounding it to a Fraction
+    D = {("x", "a"), ("x", "b")}
+    f = {("x", "a"): fin(0), ("x", "b"): fin(1)}
+    assert sectionwise_optimum(D, f, "inf") == {"x": fin(0)}
+    with pytest.raises(TypeError):
+        eps_select_enumerate(D, f, 0.5, "inf", YS)
+
+
 def test_golden_inf_pick():
     D = {("x", "a"), ("x", "b")}
     f = {("x", "a"): fin(0), ("x", "b"): fin(1)}

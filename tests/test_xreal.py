@@ -77,6 +77,44 @@ class TestConventions:
     def test_order(self):
         assert NEG_INF < fin(-(10**9)) < fin(0) < fin(10**9) < POS_INF
 
+    @given(xreals, xreals)
+    def test_order_is_sign_then_value(self, a, b):
+        # the comparisons skip the tuple, but must keep (sign, fin) order
+        ka, kb = (a.sign, a.fin), (b.sign, b.fin)
+        assert (a < b) == (ka < kb)
+        assert (a <= b) == (ka <= kb)
+        assert (a > b) == (ka > kb)
+        assert (a >= b) == (ka >= kb)
+        assert (a == b) == (ka == kb)
+
+
+class TestConstruction:
+    def test_finite_part_is_a_fraction(self):
+        assert type(fin(3).fin) is Fraction
+        assert type(XReal(0, -2).fin) is Fraction
+        q = Fraction(1, 3)
+        assert fin(q).fin is q  # no re-wrap
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            XReal(0, 0.5)
+        with pytest.raises(TypeError):
+            fin(0.1)
+        with pytest.raises(TypeError):
+            XReal(1, 0.0)
+
+    def test_infinite_values_carry_no_finite_part(self):
+        with pytest.raises(ValueError):
+            XReal(1, Fraction(1))
+        with pytest.raises(ValueError):
+            XReal(2)
+
+    def test_slotted_and_frozen(self):
+        x = fin(1)
+        assert not hasattr(x, "__dict__")
+        with pytest.raises(AttributeError):
+            x.fin = Fraction(2)
+
 
 class TestParseFormat:
     @given(xreals)
