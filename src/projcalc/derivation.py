@@ -68,8 +68,11 @@ class Conclusion:
     mode: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
+    """One node; equality and hashing go by identity, since the generated
+    structural ones would unfold shared subproofs (compare by serialize)."""
+
     rule: str
     cite: str
     premises: tuple["Derivation", ...]

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import ast
 from .errors import FormatError, SignatureError, UnsupportedConstructorError
+from .selectors import least_choice, sectionwise_optimum
 from .xreal import (
     NEG_INF,
     POS_INF,
@@ -561,12 +562,8 @@ def func_data(e: ast.FuncExpr, m: FiniteModel) -> FuncData:
     if isinstance(e, (ast.PartialInf, ast.PartialSup)):
         f = func_data(e.func, m)
         _scalar(f, "inf_over/sup_over")
-        dom_set = eval_set(e.dom, m)
-        pick = min if isinstance(e, ast.PartialInf) else max
-        out: dict = {}
-        for (x, y) in dom_set:
-            v = f.table[(x, y)]
-            out[x] = v if x not in out else pick(out[x], v)
+        direction = "inf" if isinstance(e, ast.PartialInf) else "sup"
+        out = sectionwise_optimum(eval_set(e.dom, m), f.table, direction)
         return FuncData(f.dom.left if isinstance(f.dom, Prod) else f.dom, XREAL, out)
     if isinstance(e, ast.IntegralKernel):
         f = func_data(e.func, m)
@@ -580,21 +577,12 @@ def func_data(e: ast.FuncExpr, m: FiniteModel) -> FuncData:
     if isinstance(e, ast.Select):
         members = eval_set(e.operand, m)
         carrier = set_carrier_of(e.operand, m)
-        order = {y: i for i, y in enumerate(m.points(carrier.right))}
-        out = {}
-        for (x, y) in members:
-            if x not in out or order[y] < order[out[x]]:
-                out[x] = y
-        return FuncData(carrier.left, carrier.right, out)
+        return FuncData(carrier.left, carrier.right, least_choice(members, m.points(carrier.right)))
     if isinstance(e, ast.FromGraph):
         g = eval_set(e.graph, m)
         dom_set = eval_set(e.dom, m)
         carrier = set_carrier_of(e.graph, m)
-        order = {y: i for i, y in enumerate(m.points(carrier.right))}
-        out = {}
-        for (x, y) in g:
-            if x in dom_set and (x not in out or order[y] < order[out[x]]):
-                out[x] = y
+        out = least_choice(((x, y) for (x, y) in g if x in dom_set), m.points(carrier.right))
         return FuncData(carrier.left, carrier.right, out)
     raise UnsupportedConstructorError(f"no finite semantics for {type(e).__name__}")
 

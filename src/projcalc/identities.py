@@ -138,9 +138,9 @@ def generate_case(identity: str, seed: int) -> IdentityCase:
 
 def _sectionwise(members, table, pick) -> dict:
     # The oracle's declared second route to the sectionwise optimum, next to
-    # selectors.sectionwise_optimum and finitemodel.func_data: it must not
-    # call eval_set or func_data, or the check compares the evaluator with
-    # itself.
+    # selectors.sectionwise_optimum (which finitemodel.func_data calls): it
+    # must not call eval_set or func_data, or the check compares the
+    # evaluator with itself.
     out: dict = {}
     for (x, y) in members:
         v = table[(x, y)]

@@ -44,33 +44,21 @@ from .pointclass import (
     join,
     leq,
     pi,
+    product_class,
     projection_class,
     schedule_bound,
     sigma,
     sigma_lift,
 )
-from .rules import (
-    UM_REFUSAL,
-    least_selector_stage,
-    rule_compose,
-    rule_graph,
-    rule_integration,
-    rule_pair,
-    rule_partial_extremum,
-    rule_preimage_delta,
-    rule_preimage_sigma,
-    rule_section,
-    rule_ungraph,
-)
-from .sema import Env, is_nonneg, resolve_axis, set_carrier
+from .rules import UM_REFUSAL
+from .sema import Env, is_nonneg, set_carrier
 
 
 @dataclass(frozen=True)
 class FuncLevel:
-    """Measurability level delta(level), tagged with how it arose."""
+    """Measurability level delta(level)."""
 
     level: int
-    origin: str = "inferred"  # declared | borel | lsa | usa | inferred
 
     def __str__(self) -> str:
         return f"delta {self.level}"
@@ -115,12 +103,6 @@ class _Engine:
     def _func_node(self, rule: str, premises, expr_text: str, level: int) -> Derivation:
         return node(rule, tuple(premises), expr_text, level_judgment(level), self.mode)
 
-    def _decl_set(self, name: str, cls: PointClass) -> Derivation:
-        return node("DECL", (), name, class_judgment(cls), self.mode)
-
-    def _decl_func(self, name: str, level: int) -> Derivation:
-        return node("DECL", (), name, level_judgment(level), self.mode)
-
     def _sched_leaf(self, schedule) -> Derivation:
         bound = schedule_bound(schedule)  # raises UnboundedScheduleError
         return node("SCHED", (), f"levels {format_schedule(schedule)}", class_judgment(bound), self.mode)
@@ -137,7 +119,7 @@ class _Engine:
                 if entry.expr is not None:
                     hit = self.set_class(entry.expr)
                 else:
-                    hit = entry.cls, self._decl_set(e.name, entry.cls)
+                    hit = entry.cls, self._set_node("DECL", (), e.name, entry.cls)
                 self.named[e.name] = hit
             return hit
         if isinstance(e, ast.Complement):
@@ -158,10 +140,7 @@ class _Engine:
             return out, self._set_node(rule, [leaf], format_set(e), out)
         if isinstance(e, ast.Product):
             (a, da), (b, db) = self.set_class(e.left), self.set_class(e.right)
-            if a.kind is b.kind or Kind.DELTA in (a.kind, b.kind):
-                out = join(a, b)
-            else:
-                out = delta(max(a.level, b.level) + 1)
+            out = product_class(a, b)
             return out, self._set_node("S-PROD", [da, db], format_set(e), out)
         if isinstance(e, ast.Projection):
             c, d = self.set_class(e.operand)
@@ -171,7 +150,7 @@ class _Engine:
             # the image rule wants the bare level-1 declaration, not an
             # F-DOM lift; a partial domain restricts the operand instead
             entry = self.env.func_entry(e.func)
-            leaf = self._decl_func(e.func, entry.annot.level)
+            leaf = self._func_node("DECL", (), e.func, entry.annot.level)
             c, d = self.set_class(e.operand)
             if entry.domain_set is not None:
                 dc, dd = self.set_class(ast.NamedSet(entry.domain_set))
@@ -188,7 +167,7 @@ class _Engine:
             return c, self._set_node("S-BPRE", [d], format_set(e), c)
         if isinstance(e, ast.Graph):
             fl, fd = self.func_level(e.func)
-            out = delta(rule_graph(fl.level))
+            out = delta(fl.level + 1)
             return out, self._set_node("F-GRAPH", [fd], format_set(e), out)
         if isinstance(e, ast.Sublevel):
             fl, fd = self.func_level(e.func)
@@ -209,14 +188,14 @@ class _Engine:
         if fl.level == 1:
             return c, self._set_node("S-BPRE", [fd, d], text, c)
         if c.kind is Kind.DELTA:
-            out = delta(rule_preimage_delta(fl.level, c.level))
+            out = delta(fl.level + c.level)
             return out, self._set_node("F-PRE-Δ", [fd, d], text, out)
         if c.kind is Kind.SIGMA:
-            out = sigma(rule_preimage_sigma(fl.level, c.level))
+            out = sigma(c.level + fl.level - 1)
             return out, self._set_node("F-PRE-Σ", [fd, d], text, out)
         # pi target: complement, pull back the sigma side, complement again
         flip = self._set_node("S-COMPL", [d], f"compl({format_set(e.operand)})", complement_class(c))
-        pulled = sigma(rule_preimage_sigma(fl.level, c.level))
+        pulled = sigma(c.level + fl.level - 1)
         inner = self._set_node(
             "F-PRE-Σ", [fd, flip], f"pre[{format_func(e.func)}](compl({format_set(e.operand)}))", pulled
         )
@@ -233,18 +212,18 @@ class _Engine:
                 if entry.expr is not None:
                     hit = self.func_level(entry.expr)
                 else:
-                    base = FuncLevel(entry.annot.level, entry.annot.origin)
-                    leaf = self._decl_func(e.name, base.level)
-                    hit = base, leaf
+                    lvl = entry.annot.level
+                    leaf = self._func_node("DECL", (), e.name, lvl)
+                    hit = FuncLevel(lvl), leaf
                     if entry.domain_set is not None:
                         dc, dd = self.set_class(ast.NamedSet(entry.domain_set))
-                        lvl = max(base.level, delta_lift(dc).level)
-                        hit = FuncLevel(lvl, base.origin), self._func_node("F-DOM", [leaf, dd], e.name, lvl)
+                        lvl = max(lvl, delta_lift(dc).level)
+                        hit = FuncLevel(lvl), self._func_node("F-DOM", [leaf, dd], e.name, lvl)
                 self.named[e.name] = hit
             return hit
         if isinstance(e, ast.PairFunc):
             (l, dl), (r, dr) = self.func_level(e.left), self.func_level(e.right)
-            lvl = rule_pair(l.level, r.level)
+            lvl = max(l.level, r.level)
             return FuncLevel(lvl), self._func_node("F-PAIR", [dl, dr], format_func(e), lvl)
         if isinstance(e, ast.CylinderExtend):
             fl, fd = self.func_level(e.func)
@@ -255,15 +234,18 @@ class _Engine:
                 # inner Borel: preimages of the outer function's targets
                 # pull back without cost
                 return FuncLevel(o.level), self._func_node("F-COMP-B", [do, di], format_func(e), o.level)
-            lvl = rule_compose(o.level, i.level)
+            lvl = o.level + i.level
             return FuncLevel(lvl), self._func_node("F-COMP", [do, di], format_func(e), lvl)
         if isinstance(e, ast.SectionOf):
             fl, fd = self.func_level(e.func)
-            lvl = rule_section(fl.level)
+            lvl = fl.level + 1
             return FuncLevel(lvl), self._func_node("F-SECT", [fd], format_func(e), lvl)
         if isinstance(e, (ast.Sum, ast.Neg, ast.ProdOp, ast.MinOp, ast.MaxOp, ast.InnerProduct)):
-            ops = [e.operand] if isinstance(e, ast.Neg) else [e.left, e.right]
-            pairs = [self.func_level(f) for f in ops]
+            # no comprehension here: it would add a frame per nesting level
+            if isinstance(e, ast.Neg):
+                pairs = [self.func_level(e.operand)]
+            else:
+                pairs = [self.func_level(e.left), self.func_level(e.right)]
             lvl = max(fl.level for fl, _ in pairs)
             return FuncLevel(lvl), self._func_node("F-ARITH", [d for _, d in pairs], format_func(e), lvl)
         if isinstance(e, ast.Power):
@@ -281,18 +263,18 @@ class _Engine:
         if isinstance(e, (ast.PartialInf, ast.PartialSup)):
             fl, fd = self.func_level(e.func)
             dc, dd = self.set_class(e.dom)
-            lvl = rule_partial_extremum(max(fl.level, delta_lift(dc).level))
+            lvl = max(fl.level, delta_lift(dc).level) + 1
             return FuncLevel(lvl), self._func_node("F-PARTIAL", [fd, dd], format_func(e), lvl)
         if isinstance(e, ast.IntegralKernel):
             fl, fd = self.func_level(e.func)
             hit = self.named.get(e.kernel)
             if hit is None:
                 kentry = self.env.kernel_entry(e.kernel)
-                hit = self.named[e.kernel] = kentry.level, self._decl_func(e.kernel, kentry.level)
+                hit = self.named[e.kernel] = kentry.level, self._func_node("DECL", (), e.kernel, kentry.level)
             if self.mode != ZFC_PD:
                 raise AxiomRequiredError("F-INT", "kernel integration is determinacy-gated")
             klevel, kleaf = hit
-            lvl = rule_integration(fl.level, klevel)
+            lvl = fl.level + klevel + 2
             return FuncLevel(lvl), self._func_node("F-INT", [fd, kleaf], format_func(e), lvl)
         if isinstance(e, ast.Select):
             cert = self._select(e.operand, format_func(e))
@@ -305,25 +287,32 @@ class _Engine:
         if isinstance(e, ast.FromGraph):
             gc, gd = self.set_class(e.graph)
             dc, dd = self.set_class(e.dom)
-            lvl = rule_ungraph(max(delta_lift(gc).level, delta_lift(dc).level))
+            lvl = max(delta_lift(gc).level, delta_lift(dc).level) + 1
             return FuncLevel(lvl), self._func_node("F-UNGRAPH", [gd, dd], format_func(e), lvl)
         raise TypeError(f"not a function expression: {e!r}")
 
     # -- selection chains
 
-    def _select(self, operand: ast.SetExpr, subject: str) -> Certificate:
-        c, cd = self.set_class(operand)
-        m = least_selector_stage(pi_threshold=_pi_threshold(c))
+    def _uniformize(self, d: Derivation, operand_text: str, subject: str) -> Derivation:
+        """F-UNGRAPH over a selector's graph (F-SELECT) and domain (S-PROJ)."""
+        c = d.conclusion.judgment.cls
+        # the least stage m with c <= pi(2m+1) is t // 2, for t the least k
+        # with c <= pi(k)
+        m = (c.level + 1 if c.kind is Kind.SIGMA else c.level) // 2
         if m >= 1 and self.mode != ZFC_PD:
             raise AxiomRequiredError(
                 "F-SELECT", f"selection for {c} needs stage m={m}; only stage 0 is available outright"
             )
         graph_cls = pi(2 * m + 1)
-        sel = self._set_node("F-SELECT", [cd], f"graph({subject})", graph_cls)
+        sel = self._set_node("F-SELECT", [d], f"graph({subject})", graph_cls)
         dom_cls = projection_class(c)
-        dom = self._set_node("S-PROJ", [cd], f"proj[1]({format_set(operand)})", dom_cls)
-        lvl = rule_ungraph(max(delta_lift(graph_cls).level, delta_lift(dom_cls).level))
-        root = self._func_node("F-UNGRAPH", [sel, dom], subject, lvl)
+        dom = self._set_node("S-PROJ", [d], f"proj[1]({operand_text})", dom_cls)
+        lvl = max(delta_lift(graph_cls).level, delta_lift(dom_cls).level) + 1
+        return self._func_node("F-UNGRAPH", [sel, dom], subject, lvl)
+
+    def _select(self, operand: ast.SetExpr, subject: str) -> Certificate:
+        root = self._uniformize(self.set_class(operand)[1], format_set(operand), subject)
+        lvl = root.conclusion.judgment.level
         return Certificate(subject, f"level delta {lvl}", self.mode, root, note="derived bound")
 
     def _eps_select(self, e: ast.EpsSelector) -> Certificate:
@@ -374,21 +363,10 @@ class _Engine:
                                 join(g1.conclusion.judgment.cls, g2.conclusion.judgment.cls))
 
         # uniformize the target and read the level off the graph and domain
-        c = target.conclusion.judgment.cls
-        m = least_selector_stage(pi_threshold=_pi_threshold(c))
-        graph_cls = pi(2 * m + 1)
-        sel = self._set_node("F-SELECT", [target], f"graph({subject})", graph_cls)
-        dom_cls = projection_class(c)
-        dom = self._set_node("S-PROJ", [target], "proj[1](eps-selection target)", dom_cls)
-        lvl = rule_ungraph(max(delta_lift(graph_cls).level, delta_lift(dom_cls).level))
-        un = self._func_node("F-UNGRAPH", [sel, dom], subject, lvl)
+        un = self._uniformize(target, "eps-selection target", subject)
+        lvl = un.conclusion.judgment.level
         root = self._func_node("F-EPS", [un], subject, lvl)
         return Certificate(subject, f"level delta {lvl}", self.mode, root, note="derived bound")
-
-
-def _pi_threshold(c: PointClass) -> int:
-    # least k with c <= pi(k)
-    return c.level + 1 if c.kind is Kind.SIGMA else c.level
 
 
 def infer_set(e: ast.SetExpr, env: Env, mode: str = ZFC) -> tuple[PointClass, Derivation]:
@@ -414,6 +392,8 @@ def eps_selector_certificate(
 ) -> Certificate:
     if direction not in ("inf", "sup"):
         raise ValueError(f"direction must be 'inf' or 'sup', got {direction!r}")
+    if isinstance(eps, float):
+        raise TypeError(f"eps must be exact (int or Fraction), got {eps!r}")
     eng = _Engine(env, mode)
     return eng._eps_select(ast.EpsSelector(dom, func, Fraction(eps), direction))
 

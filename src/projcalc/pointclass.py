@@ -137,16 +137,6 @@ def projection_class(c: PointClass) -> PointClass:
     return sigma(c.level)
 
 
-def borel_image_class(c: PointClass) -> PointClass:
-    """Image under a Borel function: same bounds as projection."""
-    return projection_class(c)
-
-
-def borel_preimage_class(c: PointClass) -> PointClass:
-    """Preimage under a Borel function preserves every token."""
-    return c
-
-
 def product_class(a: PointClass, b: PointClass) -> PointClass:
     """Class of a binary product of sets.
 
@@ -220,18 +210,6 @@ def schedule_bound(s: LevelSchedule) -> PointClass:
     raise UnboundedScheduleError(s.witness)
 
 
-def countable_combine(kind: str, s: LevelSchedule) -> PointClass:
-    """Class of a countable union or intersection over a scheduled family.
-
-    Every token is closed under countable unions and intersections at its
-    own level, so the combination lands at the schedule's bound; `kind`
-    ("union" or "intersection") does not change the bound.
-    """
-    if kind not in ("union", "intersection"):
-        raise ValueError(f"kind must be 'union' or 'intersection', got {kind!r}")
-    return schedule_bound(s)
-
-
 __all__ = [
     "LEVEL_CAP",
     "Kind",
@@ -247,8 +225,6 @@ __all__ = [
     "sigma_lift",
     "complement_class",
     "projection_class",
-    "borel_image_class",
-    "borel_preimage_class",
     "product_class",
     "ConstantClass",
     "BoundedBy",
@@ -256,7 +232,6 @@ __all__ = [
     "Unbounded",
     "LevelSchedule",
     "schedule_bound",
-    "countable_combine",
     "LevelOverflowError",
     "UnboundedScheduleError",
 ]

@@ -1,9 +1,10 @@
-"""The rule table: stable ids, citations, and level arithmetic.
+"""The rule table: stable ids and citations.
 
 Each rule id names one inference step; the cite string is a self-contained
-statement of the mathematical fact the step rests on.  The arithmetic
-helpers below are the engine's single source of truth for the additive
-rules (the derivation checker deliberately re-implements them).
+statement of the mathematical fact the step rests on.  The level
+arithmetic lives at each rule's node in the inference engine; the
+derivation checker deliberately keeps its own copy, so that an engine
+that gets a step wrong is caught on replay.
 """
 
 from __future__ import annotations
@@ -71,60 +72,3 @@ UM_REFUSAL = (
     "universal measurability beyond level 1 is independent of the base "
     "axioms: consistently, a level-2 set can fail to be measurable"
 )
-
-UNBOUNDED_NOTE = (
-    "a countable combination across an unbounded level schedule need not "
-    "land in any fixed level of the hierarchy"
-)
-
-
-def rule_compose(p: int, q: int) -> int:
-    """Level of a composition of level-p (outer) and level-q (inner) maps."""
-    return p + q
-
-
-def rule_preimage_delta(p: int, n: int) -> int:
-    """Level of the preimage of a delta n set under a level-p map."""
-    return p + n
-
-
-def rule_preimage_sigma(p: int, n: int) -> int:
-    """Sigma level of the preimage of a sigma n set under a level-p map."""
-    return n + p - 1
-
-
-def rule_graph(n: int) -> int:
-    """Delta level of the graph of a level-n map on a delta n domain."""
-    return n + 1
-
-
-def rule_ungraph(n: int) -> int:
-    """Level of a map recovered from a delta n graph and delta n domain."""
-    return n + 1
-
-
-def rule_section(p: int) -> int:
-    """Level of a one-coordinate section of a level-p map on a product."""
-    return p + 1
-
-
-def rule_pair(p: int, q: int) -> int:
-    return max(p, q)
-
-
-def rule_partial_extremum(q: int) -> int:
-    """Level of a sectionwise inf/sup over a level-q constraint picture."""
-    return q + 1
-
-
-def rule_integration(p: int, r: int) -> int:
-    """Level of the kernel integral of a level-p integrand, level-r kernel."""
-    return p + r + 2
-
-
-def least_selector_stage(*, pi_threshold: int) -> int:
-    """Least m with pi(2m+1) above the given pi-level threshold."""
-    m = 0
-    while 2 * m + 1 < pi_threshold:
-        m += 1
-    return m

@@ -31,6 +31,16 @@ def sectionwise_optimum(
     return out
 
 
+def least_choice(pairs: Iterable[tuple], y_order: Sequence) -> dict:
+    """For each x among the pairs (x, y), the y that comes first in y_order."""
+    index = {y: i for i, y in enumerate(y_order)}
+    out: dict = {}
+    for (x, y) in pairs:
+        if x not in out or index[y] < index[out[x]]:
+            out[x] = y
+    return out
+
+
 def _qualifies(v: XReal, opt: XReal, eps: Fraction, direction: str) -> bool:
     if direction == "inf":
         if opt == NEG_INF:
@@ -64,14 +74,9 @@ def eps_select_enumerate(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    index = {y: i for i, y in enumerate(y_order)}
     opt = sectionwise_optimum(D, f, direction)
-    out: dict = {}
-    for (x, y) in D:
-        if not _qualifies(f[(x, y)], opt[x], eps, direction):
-            continue
-        if x not in out or index[y] < index[out[x]]:
-            out[x] = y
+    near = ((x, y) for (x, y) in D if _qualifies(f[(x, y)], opt[x], eps, direction))
+    out = least_choice(near, y_order)
     # on finite sections the optimum is attained, so every x is covered
     assert set(out) == set(opt)
     return out

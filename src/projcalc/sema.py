@@ -136,7 +136,7 @@ def set_carrier(e: ast.SetExpr, env: Env) -> ast.SpaceExpr:
         return space.left if k == 1 else space.right
     if isinstance(e, ast.BorelImage):
         entry = env.func_entry(e.func)
-        if resolved_level(entry) != 1:
+        if entry.annot is None or entry.annot.level != 1:
             raise SignatureError(f"img[{e.func}] needs a level-1 (Borel) function")
         if entry.dom != set_carrier(e.operand, env):
             raise SignatureError(f"img[{e.func}]: function domain differs from operand carrier")
@@ -163,17 +163,10 @@ def set_carrier(e: ast.SetExpr, env: Env) -> ast.SpaceExpr:
     raise TypeError(f"not a set expression: {e!r}")
 
 
-def resolved_level(entry: FuncEntry) -> int | None:
-    """Declared level of a named function entry, None for let-bound."""
-    return entry.annot.level if entry.annot is not None else None
-
-
 def func_signature(e: ast.FuncExpr, env: Env) -> tuple[ast.SpaceExpr, ast.SpaceExpr]:
     """(domain, codomain) of a function expression; raises on mismatch."""
     if isinstance(e, ast.NamedFunc):
         entry = env.func_entry(e.name)
-        if entry.expr is not None:
-            return func_signature(entry.expr, env)
         return entry.dom, entry.cod
     if isinstance(e, ast.PairFunc):
         ld, lc = func_signature(e.left, env)
@@ -278,10 +271,7 @@ def func_signature(e: ast.FuncExpr, env: Env) -> tuple[ast.SpaceExpr, ast.SpaceE
 def is_nonneg(e: ast.FuncExpr, env: Env) -> bool:
     """Conservative syntactic nonnegativity, seeded by declarations."""
     if isinstance(e, ast.NamedFunc):
-        entry = env.func_entry(e.name)
-        if entry.expr is not None:
-            return is_nonneg(entry.expr, env)
-        return entry.nonneg
+        return env.func_entry(e.name).nonneg
     if isinstance(e, ast.Power):
         return is_nonneg(e.operand, env)
     if isinstance(e, (ast.Sum, ast.ProdOp, ast.MinOp, ast.MaxOp)):
@@ -325,8 +315,11 @@ def bind(program: ast.Program) -> Env:
             space = set_carrier(stmt.expr, env)
             env.declare(stmt.name, "sets", SetEntry(space=space, expr=stmt.expr))
         elif isinstance(stmt, ast.LetFunc):
+            # a let's signature and sign are computed once, here; every use
+            # of the name reads them back from its entry
             dom, cod = func_signature(stmt.expr, env)
-            env.declare(stmt.name, "funcs", FuncEntry(dom=dom, cod=cod, expr=stmt.expr))
+            entry = FuncEntry(dom=dom, cod=cod, expr=stmt.expr, nonneg=is_nonneg(stmt.expr, env))
+            env.declare(stmt.name, "funcs", entry)
         elif isinstance(stmt, ast.AssertClass):
             set_carrier(stmt.expr, env)
         elif isinstance(stmt, ast.AssertLevel):

@@ -13,7 +13,9 @@ second route to the same answers.
 - tokens: a match for each token and another for each gap between tokens,
   not the lexer's single match per token;
 - SUM-PRE rectangles: every candidate tested at every point, not the
-  oracle's one sort and one bisection per point.
+  oracle's one sort and one bisection per point;
+- derivation equality: a field-by-field walk over pairs of nodes, not
+  serialize's node table.
 """
 
 from __future__ import annotations
@@ -227,3 +229,20 @@ def reference_sum_rects(points, f: dict, g: dict, c, candidates) -> set:
         hit = {x for x in points if f[x] < fin(r) and g[x] < fin(c - r)}
         rects |= hit
     return rects
+
+
+def same_derivation(a, b) -> bool:
+    """Structural equality of two derivations, each pair of nodes compared once."""
+    seen: set[tuple[int, int]] = set()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if (x.rule, x.cite, x.conclusion) != (y.rule, y.cite, y.conclusion):
+            return False
+        if len(x.premises) != len(y.premises):
+            return False
+        stack.extend(zip(x.premises, y.premises))
+    return True

@@ -1,5 +1,6 @@
 """End-to-end command tests, run in-process through main(argv)."""
 
+import hashlib
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from projcalc.cli import build_parser, main
 from projcalc.games import BUDGET_ENV, FiniteGame, compile_target_expr, dumps_game
 
 from .oracles import brute_force_winner, reference_solve
-from .progen import compl_nest, doubling_chain, game_corpus, linear_chain
+from .progen import compl_nest, corpus, doubling_chain, game_corpus, linear_chain
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -115,6 +116,24 @@ def test_infer_emitted_derivations_check(gated, tmp_path, capsys):
     assert sorted(doc["derivations"]) == sorted(str(p) for p in out_dir.iterdir())
     for path in doc["derivations"]:
         assert main(["check", path, gated]) == 0
+
+
+def test_derivations_frozen(tmp_path, capsys):
+    # every verdict, report byte and emitted .pjd of the corpus and three
+    # chains, frozen: refactoring the engine must not move any of them
+    h = hashlib.sha256()
+    texts = corpus() + [doubling_chain(12), linear_chain(200), compl_nest(150)]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"p{i}.pjc"
+        path.write_text(text, encoding="utf-8")
+        for flags in ([], ["--assume-pd"]):
+            out_dir = tmp_path / f"d{i}{''.join(flags)}"
+            rc = main(["infer", str(path), "--json", "--emit-derivations", str(out_dir), *flags])
+            stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
+            h.update(f"{rc}\n{stdout}".encode())
+            for pjd in sorted(out_dir.iterdir()):
+                h.update(pjd.name.encode() + b"\n" + pjd.read_bytes())
+    assert h.hexdigest() == "2a407ca0fa3d435a16b256e62ef0dc20edd31bfa2c20e8ae7e9632128b3126ed"
 
 
 @pytest.mark.parametrize("argv,text", [

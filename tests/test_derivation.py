@@ -30,6 +30,7 @@ from projcalc.infer import (
 from projcalc.parser import parse
 from projcalc.pointclass import BoundedBy, delta, pi, sigma
 
+from .oracles import same_derivation
 from .progen import corpus, doubling_chain
 
 SRC = """\
@@ -67,7 +68,7 @@ def sample_trees(env):
 def test_round_trip(env):
     for d in sample_trees(env):
         text = serialize(d)
-        assert deserialize(text) == d
+        assert same_derivation(deserialize(text), d)
         # canonical form is a fixed point
         assert serialize(deserialize(text)) == text
 
@@ -314,7 +315,7 @@ def test_checked_tree_from_disk(tmp_path, env):
     p.write_text(serialize(d), encoding="utf-8")
     loaded = deserialize(p.read_text(encoding="utf-8"))
     check(loaded, env)
-    assert loaded == d
+    assert same_derivation(loaded, d)
 
 
 # --- shared subproofs -----------------------------------------------------------
@@ -333,6 +334,26 @@ def test_doubling_chain_is_linear():
     assert len(text.encode("utf-8")) < 16 * 1024
     assert elapsed < 0.25
     assert serialize(loaded) == text
+
+
+def test_identity_hash_is_fast_on_shared_subproofs():
+    # structural __eq__/__hash__ would unfold the 2^18 paths of the chain
+    _, chain_env = parse(doubling_chain(18))
+    d = infer_set(ast.NamedSet("A18"), chain_env, ZFC)[1]
+    twin = deserialize(serialize(d))
+    started = time.perf_counter()
+    hash(d)
+    assert d in {d} and twin not in {d}
+    assert same_derivation(d, twin)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_same_derivation_sees_a_deep_difference():
+    _, chain_env = parse(doubling_chain(6))
+    d = infer_set(ast.NamedSet("A6"), chain_env, ZFC)[1]
+    doc = json.loads(serialize(d))
+    doc["nodes"][0]["conclusion"]["subject"] = "A_other"
+    assert not same_derivation(d, deserialize(json.dumps(doc)))
 
 
 def test_check_recomputes_each_row_once(monkeypatch):
@@ -357,13 +378,13 @@ def test_check_recomputes_each_row_once(monkeypatch):
 def test_equal_nodes_share_one_row():
     a = node("DECL", (), "A", Judgment("class", cls=sigma(1)), ZFC)
     twin = node("DECL", (), "A", Judgment("class", cls=sigma(1)), ZFC)
-    assert a is not twin and a == twin
+    assert a is not twin and same_derivation(a, twin)
     root = node("S-CU", (a, twin), "union(A, A)", Judgment("class", cls=sigma(1)), ZFC)
     rows = json.loads(serialize(root))["nodes"]
     assert len(rows) == 2
     assert rows[1]["premises"] == [0, 0]
     loaded = deserialize(serialize(root))
-    assert loaded == root
+    assert same_derivation(loaded, root)
     assert loaded.premises[0] is loaded.premises[1]
 
 
@@ -379,7 +400,7 @@ def test_round_trip_on_generated_programs():
                 found.append(infer_func(ast.NamedFunc(stmt.name), prog_env, ZFC_PD)[1])
         for d in found:
             serialized = serialize(d)
-            assert deserialize(serialized) == d
+            assert same_derivation(deserialize(serialized), d)
             assert serialize(deserialize(serialized)) == serialized
             count += 1
     assert count >= 150

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from projcalc import ast
-from projcalc.derivation import ZFC, ZFC_PD, check
+from projcalc.derivation import ZFC, ZFC_PD, check, serialize
 from projcalc.errors import (
     AxiomRequiredError,
     SignAnnotationMissingError,
@@ -224,6 +224,14 @@ def test_eps_selector_bad_direction(env):
         eps_selector_certificate(N("D"), F("f"), Fraction(1, 10), "fwd", env, ZFC_PD)
 
 
+def test_eps_selector_rejects_float_eps(env):
+    # a float would be rounded through binary into the derivation's subjects
+    with pytest.raises(TypeError):
+        eps_selector_certificate(N("D"), F("f"), 0.1, "inf", env, ZFC_PD)
+    cert = eps_selector_certificate(N("D"), F("f"), Fraction(1, 10), "inf", env, ZFC_PD)
+    assert "sublevel(f, <, -10)" in serialize(cert.derivation)
+
+
 def test_unbounded_schedule(env):
     expr = ast.CountableUnion("i", "A", None, Unbounded("levels grow with the index"))
     with pytest.raises(UnboundedScheduleError) as exc:
@@ -234,6 +242,28 @@ def test_unbounded_schedule(env):
 def test_power_needs_sign_annotation(env):
     with pytest.raises(SignAnnotationMissingError):
         infer_func(ast.Power(F("g"), 2), env, ZFC)
+
+
+def _let_chain(n: int) -> str:
+    lines = [f"let f{i} = add(f{i - 1}, f0)" for i in range(1, n + 1)]
+    return "space X = baire\nfunc f0 : X -> reals : delta 2 nonneg\n" + "\n".join(lines) + "\n"
+
+
+def test_function_let_chain_binds_and_infers():
+    # bind stores each let's signature and sign once; no use re-walks its definition
+    _, e = parse(_let_chain(400))
+    assert e.funcs["f400"].nonneg and e.funcs["f400"].cod == ast.Reals()
+    fl, d = infer_func(ast.Power(F("f400"), Fraction(3, 2)), e, ZFC)
+    assert fl.level == 2
+    check(d, e)
+
+
+def test_power_sign_through_lets():
+    _, e = parse(_let_chain(3) + "let g = neg(f0)\nlet k = add(f3, g)\n")
+    assert infer_func(ast.Power(F("f3"), 2), e, ZFC)[0].level == 2
+    for name in ("g", "k"):
+        with pytest.raises(SignAnnotationMissingError):
+            infer_func(ast.Power(F(name), 2), e, ZFC)
 
 
 def test_unknown_mode(env):

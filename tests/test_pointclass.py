@@ -16,10 +16,7 @@ from projcalc.pointclass import (
     PointClass,
     Unbounded,
     UnboundedScheduleError,
-    borel_image_class,
-    borel_preimage_class,
     complement_class,
-    countable_combine,
     delta,
     join,
     leq,
@@ -135,15 +132,9 @@ class TestClassOps:
         assert projection_class(pi(2)) == sigma(3)
         assert projection_class(sigma(2)) == sigma(2)
         assert projection_class(delta(2)) == sigma(2)
-
-    def test_borel_image(self):
-        assert borel_image_class(pi(2)) == sigma(3)
-        assert borel_image_class(delta(1)) == sigma(1)
-        assert borel_image_class(sigma(4)) == sigma(4)
-
-    @given(tokens)
-    def test_borel_preimage_identity(self, a):
-        assert borel_preimage_class(a) == a
+        # Borel images (S-BIMG) take the same bounds
+        assert projection_class(delta(1)) == sigma(1)
+        assert projection_class(sigma(4)) == sigma(4)
 
     def test_product(self):
         assert product_class(sigma(2), sigma(2)) == sigma(2)
@@ -164,36 +155,32 @@ class TestClassOps:
     @given(tokens)
     def test_unary_monotone(self, a):
         ups = [b for b in token_universe(32) if leq(a, b)]
-        for op in (complement_class, projection_class, borel_image_class, borel_preimage_class):
+        for op in (complement_class, projection_class):
             for b in ups:
                 assert leq(op(a), op(b)), (op.__name__, a, b)
 
 
 class TestSchedules:
     def test_constant_and_bounded(self):
-        assert countable_combine("union", ConstantClass(sigma(2))) == sigma(2)
-        assert countable_combine("intersection", BoundedBy(delta(2))) == delta(2)
+        assert schedule_bound(ConstantClass(sigma(2))) == sigma(2)
+        assert schedule_bound(BoundedBy(delta(2))) == delta(2)
 
     def test_explicit_list_folds_join(self):
         # frozen from the closure oracle: join(delta 1, delta 3, delta 2) = delta 3
         sched = ExplicitList((delta(1), delta(3), delta(2)))
-        assert countable_combine("intersection", sched) == delta(3)
+        assert schedule_bound(sched) == delta(3)
         mixed = ExplicitList((sigma(2), pi(2)))
-        assert countable_combine("union", mixed) == delta(3)
+        assert schedule_bound(mixed) == delta(3)
 
     def test_unbounded_raises(self):
         with pytest.raises(UnboundedScheduleError) as exc:
-            countable_combine("union", Unbounded("level_i = i"))
+            schedule_bound(Unbounded("level_i = i"))
         assert "UnboundedSchedule" in str(exc.value)
         assert "level_i = i" in str(exc.value)
 
     def test_empty_explicit_list_rejected(self):
         with pytest.raises(ValueError):
             ExplicitList(())
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            countable_combine("symmetric-difference", ConstantClass(sigma(1)))
 
     def test_schedule_bound_scans_all_entries(self):
         assert schedule_bound(ExplicitList((pi(1), sigma(1)))) == delta(2)
