@@ -132,7 +132,10 @@ class TestClassOps:
         assert projection_class(pi(2)) == sigma(3)
         assert projection_class(sigma(2)) == sigma(2)
         assert projection_class(delta(2)) == sigma(2)
-        # Borel images (S-BIMG) take the same bounds
+
+    def test_borel_image(self):
+        # Borel images (S-BIMG) take the projection bound
+        assert projection_class(pi(2)) == sigma(3)
         assert projection_class(delta(1)) == sigma(1)
         assert projection_class(sigma(4)) == sigma(4)
 
