@@ -75,6 +75,7 @@ from .identities import (
 from .infer import (
     AssertionResult,
     Certificate,
+    Engine,
     FuncLevel,
     Refusal,
     eps_selector_certificate,
@@ -162,6 +163,7 @@ __all__ = [
     "run_suite",
     "AssertionResult",
     "Certificate",
+    "Engine",
     "FuncLevel",
     "Refusal",
     "eps_selector_certificate",

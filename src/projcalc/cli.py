@@ -23,7 +23,6 @@ from .derivation import ZFC, ZFC_PD, check, deserialize, serialize
 from .errors import (
     AxiomRequiredError,
     CheckError,
-    DepthLimitError,
     FormatError,
     LevelOverflowError,
     ParseError,
@@ -33,11 +32,14 @@ from .errors import (
     SignAnnotationMissingError,
     SignatureError,
     UnboundedScheduleError,
+    depth_limited,
 )
 from .formatter import format_program
 from .games import loads_game, solve
 from .identities import IDENTITIES, run_suite
-from .infer import evaluate_assertions, infer_func, infer_set
+from .infer import Engine, evaluate_assertions
+# infer_set and infer_func are looked up on this module by bench/tracing.py
+from .infer import infer_func, infer_set  # noqa: F401
 from .parser import parse, parse_program
 from . import ast
 
@@ -72,13 +74,14 @@ def _json_out(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False))
 
 
-def _infer_bindings(program, env, mode: str) -> list[dict]:
+def _infer_bindings(program, engine: Engine) -> list[dict]:
+    # in program order, so each let finds the lets it uses already inferred
     rows = []
     for stmt in program.statements:
         if isinstance(stmt, ast.LetSet):
-            kind, run = "set", lambda s=stmt: infer_set(ast.NamedSet(s.name), env, mode)
+            kind, run = "set", lambda s=stmt: engine.set_class(ast.NamedSet(s.name))
         elif isinstance(stmt, ast.LetFunc):
-            kind, run = "func", lambda s=stmt: infer_func(ast.NamedFunc(s.name), env, mode)
+            kind, run = "func", lambda s=stmt: engine.func_level(ast.NamedFunc(s.name))
         else:
             continue
         row = {"name": stmt.name, "kind": kind}
@@ -103,8 +106,9 @@ def cmd_infer(args) -> int:
         return 2
     mode = ZFC_PD if args.assume_pd else ZFC
     try:
-        bindings = _infer_bindings(program, env, mode)
-        results = evaluate_assertions(program, env, mode)
+        engine = Engine(env, mode)
+        bindings = _infer_bindings(program, engine)
+        results = evaluate_assertions(program, env, mode, engine)
     except (ResolutionError, SignatureError) as exc:
         _fail(str(exc))
         return 2
@@ -294,10 +298,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.run(args)
-    except RecursionError:
-        _fail(str(DepthLimitError(sys.getrecursionlimit())))
-        return 3
+        return depth_limited(args.run)(args)
     except ResourceLimitError as exc:
         _fail(str(exc))
         return 3

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _str
 
 from .errors import CheckError, FormatError
 from .pointclass import Kind, PointClass, delta, leq, parse_class_token, pi, sigma
@@ -111,15 +112,13 @@ def serialize(d: Derivation) -> str:
             continue
         stack.pop()
         c = n.conclusion
-        line = json.dumps(
-            {
-                "rule": n.rule,
-                "cite": n.cite,
-                "premises": [row_of[id(p)] for p in n.premises],
-                "conclusion": {"subject": c.subject, "judgment": c.judgment.render(), "mode": c.mode},
-            },
-            sort_keys=True,
-            ensure_ascii=False,
+        # the row json.dumps(..., sort_keys=True, ensure_ascii=False) would
+        # write, spelled out: keys in sorted order, default separators
+        premises = ", ".join([str(row_of[id(p)]) for p in n.premises])
+        line = (
+            f'{{"cite": {_str(n.cite)}, "conclusion": {{"judgment": {_str(c.judgment.render())}, '
+            f'"mode": {_str(c.mode)}, "subject": {_str(c.subject)}}}, '
+            f'"premises": [{premises}], "rule": {_str(n.rule)}}}'
         )
         row_of[id(n)] = rows.setdefault(line, len(rows))
     return '{"nodes": [\n' + ",\n".join(rows) + f'\n], "schema": "{SCHEMA}"}}\n'

@@ -6,6 +6,9 @@ id in AxiomRequiredError), so the CLI can surface them verbatim.
 
 from __future__ import annotations
 
+import functools
+import sys
+
 
 class ProjcalcError(Exception):
     """Base class for all package-specific errors."""
@@ -99,11 +102,13 @@ class ResourceLimitError(ProjcalcError):
 
 
 class DepthLimitError(ResourceLimitError):
-    """A program nests or chains deeper than the interpreter stack allows.
+    """A program nests deeper than the interpreter stack allows.
 
     The parser, binder, inference engine and formatter recurse into nested
-    expressions, and the inference engine also into the let that a name
-    refers to, so deep nests and long chains of lets run out of stack.
+    expressions, so a deep enough nest runs out of stack.  So does one
+    inference call that unfolds a long chain of lets, such as ``infer_set``
+    on the last name of the chain.  ``projcalc infer`` does not: its one
+    engine infers a program's lets in order, each on top of the one before.
     """
 
     def __init__(self, limit: int):
@@ -113,3 +118,16 @@ class DepthLimitError(ResourceLimitError):
             f"DepthLimit: program nests or chains deeper than the interpreter "
             f"stack allows (recursion limit {limit})",
         )
+
+
+def depth_limited(fn):
+    """``fn``, raising DepthLimitError where it would run out of stack."""
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise DepthLimitError(sys.getrecursionlimit()) from None
+
+    return call

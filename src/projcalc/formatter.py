@@ -65,15 +65,27 @@ def _axis(axis: ast.Axis, at: str | None = None) -> str:
     return f"[{inner}]"
 
 
-def format_set(e: ast.SetExpr) -> str:
+def format_set(e: ast.SetExpr, memo: dict | None = None) -> str:
+    """Canonical text of a set expression.
+
+    ``memo`` maps ``id(node)`` to ``(node, text)`` for subexpressions a
+    caller has already rendered; a hit stands for the whole subtree.  A
+    caller that renders children before parents and records each text
+    spells every node from its children's, in time linear in its text.
+    """
     if isinstance(e, ast.NamedSet):
         return e.name
+    if memo is not None:
+        hit = memo.get(id(e))
+        # an entry counts only for this very node: a freed node's id is reused
+        if hit is not None and hit[0] is e:
+            return hit[1]
     if isinstance(e, ast.Complement):
-        return f"compl({format_set(e.operand)})"
+        return f"compl({format_set(e.operand, memo)})"
     if isinstance(e, ast.FiniteUnion):
-        return "union(" + ", ".join(format_set(m) for m in e.members) + ")"
+        return "union(" + ", ".join(format_set(m, memo) for m in e.members) + ")"
     if isinstance(e, ast.FiniteIntersection):
-        return "inter(" + ", ".join(format_set(m) for m in e.members) + ")"
+        return "inter(" + ", ".join(format_set(m, memo) for m in e.members) + ")"
     if isinstance(e, (ast.CountableUnion, ast.CountableIntersection)):
         word = "union" if isinstance(e, ast.CountableUnion) else "inter"
         carrier = f" in {format_space(e.carrier)}" if e.carrier is not None else ""
@@ -82,49 +94,54 @@ def format_set(e: ast.SetExpr) -> str:
             f"with levels {format_schedule(e.schedule)}"
         )
     if isinstance(e, ast.Product):
-        return f"prod({format_set(e.left)}, {format_set(e.right)})"
+        return f"prod({format_set(e.left, memo)}, {format_set(e.right, memo)})"
     if isinstance(e, ast.Projection):
-        return f"proj{_axis(e.axis)}({format_set(e.operand)})"
+        return f"proj{_axis(e.axis)}({format_set(e.operand, memo)})"
     if isinstance(e, ast.BorelImage):
-        return f"img[{e.func}]({format_set(e.operand)})"
+        return f"img[{e.func}]({format_set(e.operand, memo)})"
     if isinstance(e, ast.Preimage):
-        return f"pre[{format_func(e.func)}]({format_set(e.operand)})"
+        return f"pre[{format_func(e.func, memo)}]({format_set(e.operand, memo)})"
     if isinstance(e, ast.Section):
-        return f"section{_axis(e.axis, e.at)}({format_set(e.operand)})"
+        return f"section{_axis(e.axis, e.at)}({format_set(e.operand, memo)})"
     if isinstance(e, ast.Graph):
-        return f"graph({format_func(e.func)})"
+        return f"graph({format_func(e.func, memo)})"
     if isinstance(e, ast.Sublevel):
-        return f"sublevel({format_func(e.func)}, {e.op}, {format_rational(e.bound)})"
+        return f"sublevel({format_func(e.func, memo)}, {e.op}, {format_rational(e.bound)})"
     if isinstance(e, ast.MeasureThreshold):
-        return f"measure_ge({format_set(e.operand)}, {format_rational(e.threshold)})"
+        return f"measure_ge({format_set(e.operand, memo)}, {format_rational(e.threshold)})"
     raise TypeError(f"not a set expression: {e!r}")
 
 
-def format_func(e: ast.FuncExpr) -> str:
+def format_func(e: ast.FuncExpr, memo: dict | None = None) -> str:
+    """Canonical text of a function expression; ``memo`` as in ``format_set``."""
     if isinstance(e, ast.NamedFunc):
         return e.name
+    if memo is not None:
+        hit = memo.get(id(e))
+        if hit is not None and hit[0] is e:
+            return hit[1]
     if isinstance(e, ast.PairFunc):
-        return f"pair({format_func(e.left)}, {format_func(e.right)})"
+        return f"pair({format_func(e.left, memo)}, {format_func(e.right, memo)})"
     if isinstance(e, ast.CylinderExtend):
-        return f"cyl[{format_space(e.factor)}]({format_func(e.func)})"
+        return f"cyl[{format_space(e.factor)}]({format_func(e.func, memo)})"
     if isinstance(e, ast.Compose):
-        return f"compose({format_func(e.outer)}, {format_func(e.inner)})"
+        return f"compose({format_func(e.outer, memo)}, {format_func(e.inner, memo)})"
     if isinstance(e, ast.SectionOf):
-        return f"fsection{_axis(e.axis, e.at)}({format_func(e.func)})"
+        return f"fsection{_axis(e.axis, e.at)}({format_func(e.func, memo)})"
     if isinstance(e, ast.Sum):
-        return f"add({format_func(e.left)}, {format_func(e.right)})"
+        return f"add({format_func(e.left, memo)}, {format_func(e.right, memo)})"
     if isinstance(e, ast.Neg):
-        return f"neg({format_func(e.operand)})"
+        return f"neg({format_func(e.operand, memo)})"
     if isinstance(e, ast.ProdOp):
-        return f"mul({format_func(e.left)}, {format_func(e.right)})"
+        return f"mul({format_func(e.left, memo)}, {format_func(e.right, memo)})"
     if isinstance(e, ast.MinOp):
-        return f"min({format_func(e.left)}, {format_func(e.right)})"
+        return f"min({format_func(e.left, memo)}, {format_func(e.right, memo)})"
     if isinstance(e, ast.MaxOp):
-        return f"max({format_func(e.left)}, {format_func(e.right)})"
+        return f"max({format_func(e.left, memo)}, {format_func(e.right, memo)})"
     if isinstance(e, ast.InnerProduct):
-        return f"inner({format_func(e.left)}, {format_func(e.right)})"
+        return f"inner({format_func(e.left, memo)}, {format_func(e.right, memo)})"
     if isinstance(e, ast.Power):
-        return f"pow({format_func(e.operand)}, {format_rational(e.exponent)})"
+        return f"pow({format_func(e.operand, memo)}, {format_rational(e.exponent)})"
     if isinstance(e, (ast.CountableSup, ast.CountableInf)):
         word = "sup" if isinstance(e, ast.CountableSup) else "inf"
         carrier = f" in {format_space(e.carrier)}" if e.carrier is not None else ""
@@ -133,18 +150,19 @@ def format_func(e: ast.FuncExpr) -> str:
             f"with levels {format_schedule(e.schedule)}"
         )
     if isinstance(e, ast.PartialInf):
-        return f"inf_over({format_func(e.func)}, {format_set(e.dom)})"
+        return f"inf_over({format_func(e.func, memo)}, {format_set(e.dom, memo)})"
     if isinstance(e, ast.PartialSup):
-        return f"sup_over({format_func(e.func)}, {format_set(e.dom)})"
+        return f"sup_over({format_func(e.func, memo)}, {format_set(e.dom, memo)})"
     if isinstance(e, ast.IntegralKernel):
-        return f"integral({format_func(e.func)}, {e.kernel})"
+        return f"integral({format_func(e.func, memo)}, {e.kernel})"
     if isinstance(e, ast.Select):
-        return f"select({format_set(e.operand)})"
+        return f"select({format_set(e.operand, memo)})"
     if isinstance(e, ast.EpsSelector):
         word = "eps_inf" if e.direction == "inf" else "eps_sup"
-        return f"{word}({format_set(e.dom)}, {format_func(e.func)}, {format_rational(e.eps)})"
+        dom, func = format_set(e.dom, memo), format_func(e.func, memo)
+        return f"{word}({dom}, {func}, {format_rational(e.eps)})"
     if isinstance(e, ast.FromGraph):
-        return f"from_graph({format_set(e.graph)}, {format_set(e.dom)})"
+        return f"from_graph({format_set(e.graph, memo)}, {format_set(e.dom, memo)})"
     raise TypeError(f"not a function expression: {e!r}")
 
 

@@ -33,6 +33,7 @@ from .errors import (
     LevelOverflowError,
     SignAnnotationMissingError,
     UnboundedScheduleError,
+    depth_limited,
 )
 from .formatter import format_func, format_schedule, format_set, format_space, format_statement
 from .pointclass import (
@@ -85,7 +86,15 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown axiom mode {mode!r}")
 
 
-class _Engine:
+class Engine:
+    """One inference run over one environment and axiom mode.
+
+    Each set, function and kernel name is inferred once per engine, and
+    every later use of it, in any expression the engine is given, shares
+    that derivation.  Each node's subject is spelled from the subjects the
+    engine already rendered for the node's children.
+    """
+
     def __init__(self, env: Env, mode: str):
         _check_mode(mode)
         self.env = env
@@ -94,6 +103,22 @@ class _Engine:
         # kernel inferred so far; sets, functions and kernels share one
         # namespace
         self.named: dict[str, tuple] = {}
+        # id(expr) -> (expr, subject) of every expression rendered so far:
+        # the formatter's memo, keyed by identity since hashing a frozen
+        # AST node walks its whole subtree
+        self.texts: dict[int, tuple] = {}
+
+    def _set_text(self, e: ast.SetExpr) -> str:
+        """e's subject, spelled from its children's and recorded for its parent's."""
+        text = format_set(e, self.texts)
+        self.texts[id(e)] = e, text
+        return text
+
+    def _func_text(self, e: ast.FuncExpr) -> str:
+        """As ``_set_text``, for a function expression."""
+        text = format_func(e, self.texts)
+        self.texts[id(e)] = e, text
+        return text
 
     # -- node builders
 
@@ -125,27 +150,29 @@ class _Engine:
         if isinstance(e, ast.Complement):
             c, d = self.set_class(e.operand)
             out = complement_class(c)
-            return out, self._set_node("S-COMPL", [d], format_set(e), out)
+            return out, self._set_node("S-COMPL", [d], self._set_text(e), out)
         if isinstance(e, (ast.FiniteUnion, ast.FiniteIntersection)):
             rule = "S-CU" if isinstance(e, ast.FiniteUnion) else "S-CI"
-            pairs = [self.set_class(m) for m in e.members]
-            out = pairs[0][0]
-            for c, _ in pairs[1:]:
-                out = join(out, c)
-            return out, self._set_node(rule, [d for _, d in pairs], format_set(e), out)
+            # no comprehension here: it would add a frame per nesting level
+            out, premises = None, []
+            for m in e.members:
+                c, d = self.set_class(m)
+                out = c if out is None else join(out, c)
+                premises.append(d)
+            return out, self._set_node(rule, premises, self._set_text(e), out)
         if isinstance(e, (ast.CountableUnion, ast.CountableIntersection)):
             rule = "S-CU" if isinstance(e, ast.CountableUnion) else "S-CI"
             leaf = self._sched_leaf(e.schedule)
             out = leaf.conclusion.judgment.cls
-            return out, self._set_node(rule, [leaf], format_set(e), out)
+            return out, self._set_node(rule, [leaf], self._set_text(e), out)
         if isinstance(e, ast.Product):
             (a, da), (b, db) = self.set_class(e.left), self.set_class(e.right)
             out = product_class(a, b)
-            return out, self._set_node("S-PROD", [da, db], format_set(e), out)
+            return out, self._set_node("S-PROD", [da, db], self._set_text(e), out)
         if isinstance(e, ast.Projection):
             c, d = self.set_class(e.operand)
             out = projection_class(c)
-            return out, self._set_node("S-PROJ", [d], format_set(e), out)
+            return out, self._set_node("S-PROJ", [d], self._set_text(e), out)
         if isinstance(e, ast.BorelImage):
             # the image rule wants the bare level-1 declaration, not an
             # F-DOM lift; a partial domain restricts the operand instead
@@ -155,36 +182,35 @@ class _Engine:
             if entry.domain_set is not None:
                 dc, dd = self.set_class(ast.NamedSet(entry.domain_set))
                 c = join(c, dc)
-                d = self._set_node(
-                    "S-CI", [d, dd], f"inter({format_set(e.operand)}, {entry.domain_set})", c
-                )
+                text = f"inter({format_set(e.operand, self.texts)}, {entry.domain_set})"
+                d = self._set_node("S-CI", [d, dd], text, c)
             out = projection_class(c)
-            return out, self._set_node("S-BIMG", [leaf, d], format_set(e), out)
+            return out, self._set_node("S-BIMG", [leaf, d], self._set_text(e), out)
         if isinstance(e, ast.Preimage):
             return self._preimage(e)
         if isinstance(e, ast.Section):
             c, d = self.set_class(e.operand)
-            return c, self._set_node("S-BPRE", [d], format_set(e), c)
+            return c, self._set_node("S-BPRE", [d], self._set_text(e), c)
         if isinstance(e, ast.Graph):
             fl, fd = self.func_level(e.func)
             out = delta(fl.level + 1)
-            return out, self._set_node("F-GRAPH", [fd], format_set(e), out)
+            return out, self._set_node("F-GRAPH", [fd], self._set_text(e), out)
         if isinstance(e, ast.Sublevel):
             fl, fd = self.func_level(e.func)
             out = delta(fl.level)
-            return out, self._set_node("S-SUBLEV", [fd], format_set(e), out)
+            return out, self._set_node("S-SUBLEV", [fd], self._set_text(e), out)
         if isinstance(e, ast.MeasureThreshold):
             c, d = self.set_class(e.operand)
             out = sigma_lift(c)
             if out.level >= 2 and self.mode != ZFC_PD:
                 raise AxiomRequiredError("S-WR", f"threshold sets above level 1 (here {out})")
-            return out, self._set_node("S-WR", [d], format_set(e), out)
+            return out, self._set_node("S-WR", [d], self._set_text(e), out)
         raise TypeError(f"not a set expression: {e!r}")
 
     def _preimage(self, e: ast.Preimage) -> tuple[PointClass, Derivation]:
         fl, fd = self.func_level(e.func)
         c, d = self.set_class(e.operand)
-        text = format_set(e)
+        text = self._set_text(e)
         if fl.level == 1:
             return c, self._set_node("S-BPRE", [fd, d], text, c)
         if c.kind is Kind.DELTA:
@@ -194,11 +220,10 @@ class _Engine:
             out = sigma(c.level + fl.level - 1)
             return out, self._set_node("F-PRE-Σ", [fd, d], text, out)
         # pi target: complement, pull back the sigma side, complement again
-        flip = self._set_node("S-COMPL", [d], f"compl({format_set(e.operand)})", complement_class(c))
+        func, operand = format_func(e.func, self.texts), format_set(e.operand, self.texts)
+        flip = self._set_node("S-COMPL", [d], f"compl({operand})", complement_class(c))
         pulled = sigma(c.level + fl.level - 1)
-        inner = self._set_node(
-            "F-PRE-Σ", [fd, flip], f"pre[{format_func(e.func)}](compl({format_set(e.operand)}))", pulled
-        )
+        inner = self._set_node("F-PRE-Σ", [fd, flip], f"pre[{func}](compl({operand}))", pulled)
         out = complement_class(pulled)
         return out, self._set_node("S-COMPL", [inner], text, out)
 
@@ -224,22 +249,24 @@ class _Engine:
         if isinstance(e, ast.PairFunc):
             (l, dl), (r, dr) = self.func_level(e.left), self.func_level(e.right)
             lvl = max(l.level, r.level)
-            return FuncLevel(lvl), self._func_node("F-PAIR", [dl, dr], format_func(e), lvl)
+            return FuncLevel(lvl), self._func_node("F-PAIR", [dl, dr], self._func_text(e), lvl)
         if isinstance(e, ast.CylinderExtend):
             fl, fd = self.func_level(e.func)
-            return FuncLevel(fl.level), self._func_node("F-CYL", [fd], format_func(e), fl.level)
+            return FuncLevel(fl.level), self._func_node("F-CYL", [fd], self._func_text(e), fl.level)
         if isinstance(e, ast.Compose):
             (o, do), (i, di) = self.func_level(e.outer), self.func_level(e.inner)
             if i.level == 1:
                 # inner Borel: preimages of the outer function's targets
                 # pull back without cost
-                return FuncLevel(o.level), self._func_node("F-COMP-B", [do, di], format_func(e), o.level)
+                return FuncLevel(o.level), self._func_node(
+                    "F-COMP-B", [do, di], self._func_text(e), o.level
+                )
             lvl = o.level + i.level
-            return FuncLevel(lvl), self._func_node("F-COMP", [do, di], format_func(e), lvl)
+            return FuncLevel(lvl), self._func_node("F-COMP", [do, di], self._func_text(e), lvl)
         if isinstance(e, ast.SectionOf):
             fl, fd = self.func_level(e.func)
             lvl = fl.level + 1
-            return FuncLevel(lvl), self._func_node("F-SECT", [fd], format_func(e), lvl)
+            return FuncLevel(lvl), self._func_node("F-SECT", [fd], self._func_text(e), lvl)
         if isinstance(e, (ast.Sum, ast.Neg, ast.ProdOp, ast.MinOp, ast.MaxOp, ast.InnerProduct)):
             # no comprehension here: it would add a frame per nesting level
             if isinstance(e, ast.Neg):
@@ -247,24 +274,27 @@ class _Engine:
             else:
                 pairs = [self.func_level(e.left), self.func_level(e.right)]
             lvl = max(fl.level for fl, _ in pairs)
-            return FuncLevel(lvl), self._func_node("F-ARITH", [d for _, d in pairs], format_func(e), lvl)
+            premises = [d for _, d in pairs]
+            return FuncLevel(lvl), self._func_node("F-ARITH", premises, self._func_text(e), lvl)
         if isinstance(e, ast.Power):
             if not is_nonneg(e.operand, self.env):
                 raise SignAnnotationMissingError(
                     f"pow({format_func(e.operand)}, {e.exponent}): operand needs a nonneg annotation"
                 )
             fl, fd = self.func_level(e.operand)
-            return FuncLevel(fl.level), self._func_node("F-ARITH", [fd], format_func(e), fl.level)
+            return FuncLevel(fl.level), self._func_node(
+                "F-ARITH", [fd], self._func_text(e), fl.level
+            )
         if isinstance(e, (ast.CountableSup, ast.CountableInf)):
             rule = "F-CSUP" if isinstance(e, ast.CountableSup) else "F-CINF"
             leaf = self._sched_leaf(e.schedule)
             lvl = delta_lift(leaf.conclusion.judgment.cls).level
-            return FuncLevel(lvl), self._func_node(rule, [leaf], format_func(e), lvl)
+            return FuncLevel(lvl), self._func_node(rule, [leaf], self._func_text(e), lvl)
         if isinstance(e, (ast.PartialInf, ast.PartialSup)):
             fl, fd = self.func_level(e.func)
             dc, dd = self.set_class(e.dom)
             lvl = max(fl.level, delta_lift(dc).level) + 1
-            return FuncLevel(lvl), self._func_node("F-PARTIAL", [fd, dd], format_func(e), lvl)
+            return FuncLevel(lvl), self._func_node("F-PARTIAL", [fd, dd], self._func_text(e), lvl)
         if isinstance(e, ast.IntegralKernel):
             fl, fd = self.func_level(e.func)
             hit = self.named.get(e.kernel)
@@ -275,9 +305,9 @@ class _Engine:
                 raise AxiomRequiredError("F-INT", "kernel integration is determinacy-gated")
             klevel, kleaf = hit
             lvl = fl.level + klevel + 2
-            return FuncLevel(lvl), self._func_node("F-INT", [fd, kleaf], format_func(e), lvl)
+            return FuncLevel(lvl), self._func_node("F-INT", [fd, kleaf], self._func_text(e), lvl)
         if isinstance(e, ast.Select):
-            cert = self._select(e.operand, format_func(e))
+            cert = self._select(e)
             lvl = cert.derivation.conclusion.judgment.level
             return FuncLevel(lvl), cert.derivation
         if isinstance(e, ast.EpsSelector):
@@ -288,7 +318,7 @@ class _Engine:
             gc, gd = self.set_class(e.graph)
             dc, dd = self.set_class(e.dom)
             lvl = max(delta_lift(gc).level, delta_lift(dc).level) + 1
-            return FuncLevel(lvl), self._func_node("F-UNGRAPH", [gd, dd], format_func(e), lvl)
+            return FuncLevel(lvl), self._func_node("F-UNGRAPH", [gd, dd], self._func_text(e), lvl)
         raise TypeError(f"not a function expression: {e!r}")
 
     # -- selection chains
@@ -310,50 +340,57 @@ class _Engine:
         lvl = max(delta_lift(graph_cls).level, delta_lift(dom_cls).level) + 1
         return self._func_node("F-UNGRAPH", [sel, dom], subject, lvl)
 
-    def _select(self, operand: ast.SetExpr, subject: str) -> Certificate:
-        root = self._uniformize(self.set_class(operand)[1], format_set(operand), subject)
+    def _select(self, e: ast.Select) -> Certificate:
+        d = self.set_class(e.operand)[1]
+        subject = self._func_text(e)
+        root = self._uniformize(d, format_set(e.operand, self.texts), subject)
         lvl = root.conclusion.judgment.level
         return Certificate(subject, f"level delta {lvl}", self.mode, root, note="derived bound")
 
     def _eps_select(self, e: ast.EpsSelector) -> Certificate:
         if self.mode != ZFC_PD:
             raise AxiomRequiredError("F-EPS", "eps-optimal selection is determinacy-gated")
-        subject = format_func(e)
         fl, fd = self.func_level(e.func)
         dc, dd = self.set_class(e.dom)
+        subject = self._func_text(e)
         q = max(fl.level, delta_lift(dc).level)
         space = set_carrier(e.dom, self.env)
         inf_side = e.direction == "inf"
 
         # the sectionwise optimum and its cylinder back over the product
         ext_expr = (ast.PartialInf if inf_side else ast.PartialSup)(e.func, e.dom)
-        fstar = self._func_node("F-PARTIAL", [fd, dd], format_func(ext_expr), q + 1)
+        ext = self._func_text(ext_expr)
+        fstar = self._func_node("F-PARTIAL", [fd, dd], ext, q + 1)
         cyl_expr = ast.CylinderExtend(ext_expr, space.right)
-        cyl = self._func_node("F-CYL", [fstar], format_func(cyl_expr), q + 1)
+        cyl = self._func_node("F-CYL", [fstar], self._func_text(cyl_expr), q + 1)
         gap_expr = ast.Sum(e.func, ast.Neg(cyl_expr))
-        gap = self._func_node("F-ARITH", [fd, cyl], format_func(gap_expr), max(fl.level, q + 1))
+        gap = self._func_node("F-ARITH", [fd, cyl], self._func_text(gap_expr), max(fl.level, q + 1))
 
         # near-optimal band and the escape band for an infinite optimum
         cmp_op = "<" if inf_side else ">"
         band1 = self._set_node(
-            "S-SUBLEV", [gap], format_set(ast.Sublevel(gap_expr, cmp_op, e.eps if inf_side else -e.eps)),
+            "S-SUBLEV", [gap],
+            format_set(ast.Sublevel(gap_expr, cmp_op, e.eps if inf_side else -e.eps), self.texts),
             delta(max(fl.level, q + 1)),
         )
         far_bound = -1 / e.eps if inf_side else 1 / e.eps
         band2 = self._set_node(
-            "S-SUBLEV", [fd], format_set(ast.Sublevel(e.func, cmp_op, Fraction(far_bound))), delta(fl.level)
+            "S-SUBLEV", [fd],
+            format_set(ast.Sublevel(e.func, cmp_op, Fraction(far_bound)), self.texts),
+            delta(fl.level),
         )
         finite_side = self._set_node(
-            "S-SUBLEV", [fstar], f"prod(finite({format_func(ext_expr)}), {format_space(space.right)})",
+            "S-SUBLEV", [fstar], f"prod(finite({ext}), {format_space(space.right)})",
             delta(q + 1),
         )
         infinite_side = self._set_node(
-            "S-SUBLEV", [fstar], f"prod(infinite({format_func(ext_expr)}), {format_space(space.right)})",
+            "S-SUBLEV", [fstar], f"prod(infinite({ext}), {format_space(space.right)})",
             delta(q + 1),
         )
-        a1 = self._set_node("S-CI", [dd, band1], f"inter({format_set(e.dom)}, near-optimal band)",
+        dom = format_set(e.dom, self.texts)
+        a1 = self._set_node("S-CI", [dd, band1], f"inter({dom}, near-optimal band)",
                             join(dc, delta(max(fl.level, q + 1))))
-        a2 = self._set_node("S-CI", [dd, band2], f"inter({format_set(e.dom)}, escape band)",
+        a2 = self._set_node("S-CI", [dd, band2], f"inter({dom}, escape band)",
                             join(dc, delta(fl.level)))
         g1 = self._set_node("S-CI", [a1, finite_side], "near-optimal branch",
                             join(a1.conclusion.judgment.cls, delta(q + 1)))
@@ -369,17 +406,18 @@ class _Engine:
         return Certificate(subject, f"level delta {lvl}", self.mode, root, note="derived bound")
 
 
+@depth_limited
 def infer_set(e: ast.SetExpr, env: Env, mode: str = ZFC) -> tuple[PointClass, Derivation]:
-    return _Engine(env, mode).set_class(e)
+    return Engine(env, mode).set_class(e)
 
 
+@depth_limited
 def infer_func(e: ast.FuncExpr, env: Env, mode: str = ZFC) -> tuple[FuncLevel, Derivation]:
-    return _Engine(env, mode).func_level(e)
+    return Engine(env, mode).func_level(e)
 
 
 def select_certificate(operand: ast.SetExpr, env: Env, mode: str = ZFC) -> Certificate:
-    eng = _Engine(env, mode)
-    return eng._select(operand, format_func(ast.Select(operand)))
+    return Engine(env, mode)._select(ast.Select(operand))
 
 
 def eps_selector_certificate(
@@ -394,8 +432,7 @@ def eps_selector_certificate(
         raise ValueError(f"direction must be 'inf' or 'sup', got {direction!r}")
     if isinstance(eps, float):
         raise TypeError(f"eps must be exact (int or Fraction), got {eps!r}")
-    eng = _Engine(env, mode)
-    return eng._eps_select(ast.EpsSelector(dom, func, Fraction(eps), direction))
+    return Engine(env, mode)._eps_select(ast.EpsSelector(dom, func, Fraction(eps), direction))
 
 
 @dataclass(frozen=True)
@@ -407,9 +444,16 @@ class AssertionResult:
     derivation: Derivation | None = None
 
 
-def evaluate_assertions(program: ast.Program, env: Env, mode: str = ZFC) -> list[AssertionResult]:
-    """Run every assert statement; axiom gates count as failures, not crashes."""
-    eng = _Engine(env, mode)
+@depth_limited
+def evaluate_assertions(
+    program: ast.Program, env: Env, mode: str = ZFC, engine: Engine | None = None
+) -> list[AssertionResult]:
+    """Run every assert statement; axiom gates count as failures, not crashes.
+
+    ``engine``, built over the same env and mode, lets the assertions share
+    the names it has already inferred; a fresh engine is used without it.
+    """
+    eng = Engine(env, mode) if engine is None else engine
     results: list[AssertionResult] = []
     for stmt in program.assertions:
         text = format_statement(stmt)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ast
-from .errors import ParseError, ResolutionError
+from .errors import ParseError, ResolutionError, depth_limited
 from .pointclass import (
     BoundedBy,
     ConstantClass,
@@ -631,6 +631,7 @@ def parse_program(text: str) -> ast.Program:
     return ast.Program(tuple(statements))
 
 
+@depth_limited
 def parse(text: str) -> tuple[ast.Program, Env]:
     """Full front end: parse, resolve, and carrier-check a program."""
     program = parse_program(text)

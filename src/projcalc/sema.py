@@ -122,7 +122,10 @@ def set_carrier(e: ast.SetExpr, env: Env) -> ast.SpaceExpr:
     if isinstance(e, ast.Complement):
         return set_carrier(e.operand, env)
     if isinstance(e, (ast.FiniteUnion, ast.FiniteIntersection)):
-        spaces = [set_carrier(m, env) for m in e.members]
+        # no comprehension here: it would add a frame per nesting level
+        spaces = []
+        for m in e.members:
+            spaces.append(set_carrier(m, env))
         if any(s != spaces[0] for s in spaces):
             raise SignatureError("members of a finite union/intersection must share a carrier")
         return spaces[0]
@@ -188,8 +191,10 @@ def func_signature(e: ast.FuncExpr, env: Env) -> tuple[ast.SpaceExpr, ast.SpaceE
         k = resolve_axis(d, e.axis, env)
         return (d.right if k == 1 else d.left), c
     if isinstance(e, (ast.Sum, ast.Neg)):
-        ops = [e.operand] if isinstance(e, ast.Neg) else [e.left, e.right]
-        sigs = [func_signature(f, env) for f in ops]
+        # no comprehension here: it would add a frame per nesting level
+        sigs = []
+        for f in ((e.operand,) if isinstance(e, ast.Neg) else (e.left, e.right)):
+            sigs.append(func_signature(f, env))
         if any(s[0] != sigs[0][0] for s in sigs):
             raise SignatureError("pointwise arithmetic needs a shared domain")
         cods = [s[1] for s in sigs]

@@ -15,12 +15,15 @@ second route to the same answers.
 - SUM-PRE rectangles: every candidate tested at every point, not the
   oracle's one sort and one bisection per point;
 - derivation equality: a field-by-field walk over pairs of nodes, not
-  serialize's node table.
+  serialize's node table;
+- .pjd rows: json.dumps of each row as a dict, not serialize's rows
+  spelled out piece by piece.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
 
 from projcalc.errors import ParseError
@@ -246,3 +249,33 @@ def same_derivation(a, b) -> bool:
             return False
         stack.extend(zip(x.premises, y.premises))
     return True
+
+
+def reference_serialize(d) -> str:
+    """The .pjd node table with every row written by json.dumps."""
+    rows: dict[str, int] = {}  # rendered row -> row id
+    row_of: dict[int, int] = {}  # id(node) -> row id
+    stack = [d]
+    while stack:
+        n = stack[-1]
+        if id(n) in row_of:
+            stack.pop()
+            continue
+        todo = [p for p in n.premises if id(p) not in row_of]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        c = n.conclusion
+        line = json.dumps(
+            {
+                "rule": n.rule,
+                "cite": n.cite,
+                "premises": [row_of[id(p)] for p in n.premises],
+                "conclusion": {"subject": c.subject, "judgment": c.judgment.render(), "mode": c.mode},
+            },
+            sort_keys=True,
+            ensure_ascii=False,
+        )
+        row_of[id(n)] = rows.setdefault(line, len(rows))
+    return '{"nodes": [\n' + ",\n".join(rows) + '\n], "schema": "projcalc/2"}\n'

@@ -136,25 +136,60 @@ def test_derivations_frozen(tmp_path, capsys):
     assert h.hexdigest() == "2a407ca0fa3d435a16b256e62ef0dc20edd31bfa2c20e8ae7e9632128b3126ed"
 
 
-@pytest.mark.parametrize("argv,text", [
-    (["infer"], compl_nest(2000)),
-    (["infer", "--json"], linear_chain(3000)),
-    (["fmt"], compl_nest(2000)),
-], ids=["infer-nest-2000", "infer-linear-3000", "fmt-nest-2000"])
-def test_past_the_stack_exits_three(argv, text, tmp_path):
+def _fresh_run(argv, text, tmp_path):
     # a fresh interpreter, so the stack is as deep as a command-line run gets
     path = tmp_path / "deep.pjc"
     path.write_text(text, encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "projcalc.cli", argv[0], str(path), *argv[1:]],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["infer"], compl_nest(2000)),
+    (["fmt"], compl_nest(2000)),
+], ids=["infer-nest-2000", "fmt-nest-2000"])
+def test_past_the_stack_exits_three(argv, text, tmp_path):
+    run = _fresh_run(argv, text, tmp_path)
     assert run.returncode == 3, run.stderr
     assert run.stderr.startswith("error: DepthLimit: ")
     assert run.stdout == ""
     assert "Traceback" not in run.stderr
+
+
+def test_long_let_chain_infers(tmp_path):
+    # one engine infers the lets in order, so chain length costs no stack
+    run = _fresh_run(["infer", "--json"], linear_chain(3000), tmp_path)
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(run.stdout)
+    assert doc["ok"] is True
+    assert doc["bindings"][-1] == {
+        "kind": "set", "name": "A3000", "ok": True, "conclusion": "class sigma 1",
+    }
+
+
+def test_one_engine_per_infer_run(tmp_path, monkeypatch, capsys):
+    # each let's derivation is the premise of the next one's: the chain is
+    # built once, not once per binding
+    n = 50
+    path = tmp_path / "linear.pjc"
+    path.write_text(linear_chain(n), encoding="utf-8")
+    roots = []
+    monkeypatch.setattr(cli, "serialize", lambda d: roots.append(d) or "")
+    assert main(["infer", str(path), "--emit-derivations", str(tmp_path / "d")]) == 0
+    assert len(roots) == n
+    for before, after in zip(roots, roots[1:]):
+        assert after.premises[0] is before
+    seen, stack = set(), list(roots)
+    while stack:
+        d = stack.pop()
+        if id(d) not in seen:
+            seen.add(id(d))
+            stack.extend(d.premises)
+    assert len(seen) == n + 1  # the declaration of A0 and one complement per let
 
 
 # --- check ----------------------------------------------------------------------

@@ -28,9 +28,10 @@ from projcalc.infer import (
     select_certificate,
 )
 from projcalc.parser import parse
-from projcalc.pointclass import BoundedBy, delta, pi, sigma
+from projcalc.formatter import format_schedule
+from projcalc.pointclass import BoundedBy, Unbounded, delta, pi, sigma
 
-from .oracles import same_derivation
+from .oracles import reference_serialize, same_derivation
 from .progen import corpus, doubling_chain
 
 SRC = """\
@@ -400,7 +401,21 @@ def test_round_trip_on_generated_programs():
                 found.append(infer_func(ast.NamedFunc(stmt.name), prog_env, ZFC_PD)[1])
         for d in found:
             serialized = serialize(d)
+            assert serialized == reference_serialize(d)
             assert same_derivation(deserialize(serialized), d)
             assert serialize(deserialize(serialized)) == serialized
             count += 1
     assert count >= 150
+
+
+def test_rows_match_json_dumps_on_awkward_text():
+    # quotes and backslashes as an unbounded "witness" schedule spells them,
+    # control characters, and the non-ASCII rule ids, written as they are
+    sched = format_schedule(Unbounded('a "quoted" \\ witness\twith\x01 é'))
+    leaf = node("SCHED", (), f"levels {sched}", Judgment("class", cls=sigma(2)), ZFC)
+    delta_pre = node("F-PRE-Δ", (leaf, leaf), 'pre[f](\\"x\n")', Judgment("class", cls=delta(3)), ZFC)
+    sigma_pre = node("F-PRE-Σ", (delta_pre, leaf), "Σ ∪ Δ", Judgment("class", cls=sigma(4)), ZFC_PD)
+    text = serialize(sigma_pre)
+    assert text == reference_serialize(sigma_pre)
+    assert "F-PRE-Δ" in text and '\\"quoted\\"' in text
+    assert same_derivation(deserialize(text), sigma_pre)

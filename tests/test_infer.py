@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from projcalc import ast
+from projcalc import ast, formatter, infer
 from projcalc.derivation import ZFC, ZFC_PD, check, serialize
 from projcalc.errors import (
     AxiomRequiredError,
+    DepthLimitError,
     SignAnnotationMissingError,
     UnboundedScheduleError,
 )
@@ -35,6 +36,8 @@ from projcalc.pointclass import (
     pi,
     sigma,
 )
+
+from .progen import compl_nest
 
 BASE = """\
 space X = baire
@@ -256,6 +259,45 @@ def test_function_let_chain_binds_and_infers():
     fl, d = infer_func(ast.Power(F("f400"), Fraction(3, 2)), e, ZFC)
     assert fl.level == 2
     check(d, e)
+
+
+def test_union_let_chain_infers():
+    # the union branches of bind and infer add no frame of their own per let
+    lines = [f"let A{i} = union(A{i - 1}, A0)" for i in range(1, 401)]
+    _, e = parse("space X = baire\nset A0 in X : sigma 1\n" + "\n".join(lines) + "\n")
+    cls, d = infer_set(N("A400"), e, ZFC)
+    assert cls == sigma(1)
+    check(d, e)
+
+
+def test_past_the_stack_is_a_depth_limit():
+    with pytest.raises(DepthLimitError):
+        parse(compl_nest(2000))
+    _, e = parse(compl_nest(1))
+    deep = N("A0")
+    for _ in range(5000):
+        deep = ast.Complement(deep)
+    with pytest.raises(DepthLimitError):
+        infer_set(deep, e, ZFC)
+
+
+def test_nest_subjects_render_in_linear_calls(monkeypatch):
+    # each node's subject is spelled from its child's, not by re-rendering the subtree
+    depth = 400
+    _, e = parse(compl_nest(depth))
+    calls = 0
+    original = formatter.format_set
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(formatter, "format_set", counted)
+    monkeypatch.setattr(infer, "format_set", counted)
+    cls, d = infer_set(N("N"), e, ZFC)
+    assert cls == sigma(1) and d.conclusion.subject.count("compl(") == depth
+    assert calls <= 3 * depth
 
 
 def test_power_sign_through_lets():
