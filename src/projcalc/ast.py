@@ -5,6 +5,13 @@ their factors are).  Set and function expressions are frozen trees; axis
 arguments stay as written (a 1-based position or a space name) and are
 resolved against carriers at bind time.  Statement line numbers are carried
 for diagnostics but excluded from equality so that parse(format(p)) == p.
+
+The keyword form of each fixed-arity constructor is written down once, in
+SET_FORMS and FUNC_FORMS (SPACE_ATOMS for the argument-free spaces); the
+parser reads and the formatter writes every such form from its entry.  A new
+one is its class and one entry here plus its rules in sema, infer and
+derivation; an irregular form is also spelled by hand in parser.set_expr or
+func_expr and in formatter.format_set or format_func.
 """
 
 from __future__ import annotations
@@ -311,6 +318,56 @@ FuncExpr = (
     | EpsSelector
     | FromGraph
 )
+
+# --- keyword forms -----------------------------------------------------------
+#
+# keyword -> (node class, bracket slot or None, paren slots), spelled
+# keyword[bracket](slot, ..., slot).  A slot is (field, kind); the kind is the
+# grammar category there (set_expr, func_expr, space_expr, ident, axis,
+# comparator, rational), read by the parser's method of that name, or point:
+# an axis with an optional "@ name", filling the fields axis and at.
+
+SET_FORMS = {
+    "compl": (Complement, None, (("operand", "set_expr"),)),
+    "prod": (Product, None, (("left", "set_expr"), ("right", "set_expr"))),
+    "proj": (Projection, ("axis", "axis"), (("operand", "set_expr"),)),
+    "img": (BorelImage, ("func", "ident"), (("operand", "set_expr"),)),
+    "pre": (Preimage, ("func", "func_expr"), (("operand", "set_expr"),)),
+    "section": (Section, ("axis", "point"), (("operand", "set_expr"),)),
+    "graph": (Graph, None, (("func", "func_expr"),)),
+    "sublevel": (Sublevel, None, (("func", "func_expr"), ("op", "comparator"), ("bound", "rational"))),
+    "measure_ge": (MeasureThreshold, None, (("operand", "set_expr"), ("threshold", "rational"))),
+}
+
+FUNC_FORMS = {
+    "pair": (PairFunc, None, (("left", "func_expr"), ("right", "func_expr"))),
+    "compose": (Compose, None, (("outer", "func_expr"), ("inner", "func_expr"))),
+    "add": (Sum, None, (("left", "func_expr"), ("right", "func_expr"))),
+    "mul": (ProdOp, None, (("left", "func_expr"), ("right", "func_expr"))),
+    "min": (MinOp, None, (("left", "func_expr"), ("right", "func_expr"))),
+    "max": (MaxOp, None, (("left", "func_expr"), ("right", "func_expr"))),
+    "inner": (InnerProduct, None, (("left", "func_expr"), ("right", "func_expr"))),
+    "neg": (Neg, None, (("operand", "func_expr"),)),
+    "cyl": (CylinderExtend, ("factor", "space_expr"), (("func", "func_expr"),)),
+    "fsection": (SectionOf, ("axis", "point"), (("func", "func_expr"),)),
+    "pow": (Power, None, (("operand", "func_expr"), ("exponent", "rational"))),
+    "inf_over": (PartialInf, None, (("func", "func_expr"), ("dom", "set_expr"))),
+    "sup_over": (PartialSup, None, (("func", "func_expr"), ("dom", "set_expr"))),
+    "integral": (IntegralKernel, None, (("func", "func_expr"), ("kernel", "ident"))),
+    "select": (Select, None, (("operand", "set_expr"),)),
+    "from_graph": (FromGraph, None, (("graph", "set_expr"), ("dom", "set_expr"))),
+}
+
+SPACE_ATOMS = {"reals": Reals, "nat": Naturals, "baire": Baire, "cantor": Cantor, "xreal": XRealLine}
+
+
+def slot_steps(bracket, slots) -> tuple[tuple[str, str, str], ...]:
+    """(text before the slot, field, kind) in reading order; a form ends in ")"."""
+    leads = ("[", "](") if bracket else ("(",)
+    order = (bracket, *slots) if bracket else slots
+    leads += (", ",) * (len(order) - len(leads))
+    return tuple((lead, field, kind) for lead, (field, kind) in zip(leads, order))
+
 
 # --- declarations and statements --------------------------------------------
 

@@ -64,6 +64,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_program(path: str):
@@ -113,24 +115,21 @@ def cmd_infer(args) -> int:
         _fail(str(exc))
         return 2
 
+    certs = [(f"let_{row['name']}.pjd", row.pop("derivation", None)) for row in bindings]
+    certs += [(f"assert_{res.line:03d}.pjd", res.derivation) for res in results]
     emitted: list[str] = []
     if args.emit_derivations:
         out_dir = Path(args.emit_derivations)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for row in bindings:
-            cert = row.pop("derivation", None)
-            if cert is not None:
-                path = out_dir / f"let_{row['name']}.pjd"
-                path.write_text(serialize(cert), encoding="utf-8")
-                emitted.append(str(path))
-        for res in results:
-            if res.derivation is not None:
-                path = out_dir / f"assert_{res.line:03d}.pjd"
-                path.write_text(serialize(res.derivation), encoding="utf-8")
-                emitted.append(str(path))
-    else:
-        for row in bindings:
-            row.pop("derivation", None)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, cert in certs:
+                if cert is not None:
+                    path = out_dir / name
+                    path.write_text(serialize(cert), encoding="utf-8")
+                    emitted.append(str(path))
+        except OSError as exc:
+            _fail(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}")
+            return 2
 
     ok = all(r["ok"] for r in bindings) and all(r.ok for r in results)
     if args.json:

@@ -3,47 +3,30 @@
 parse(format(p)) == p for every well-formed program: keywords come out
 lowercase, spacing is fixed, space declarations keep their names but later
 references are printed structurally (names are resolved at parse time).
+Keyword forms are written from the tables in ast, which the parser reads too;
+only the irregular ones (union/inter, countable families, eps_*) are here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import ast
-from .pointclass import (
-    BoundedBy,
-    ConstantClass,
-    ExplicitList,
-    LevelSchedule,
-    PointClass,
-    Unbounded,
-)
+from .pointclass import BoundedBy, ConstantClass, ExplicitList, LevelSchedule, Unbounded
+
+# node class -> (keyword, slot steps) for the forms of ast.SET_FORMS/FUNC_FORMS
+_SET_BY_CLASS = {c: (w, ast.slot_steps(b, s)) for w, (c, b, s) in ast.SET_FORMS.items()}
+_FUNC_BY_CLASS = {c: (w, ast.slot_steps(b, s)) for w, (c, b, s) in ast.FUNC_FORMS.items()}
+_ATOM_NAMES = {c: w for w, c in ast.SPACE_ATOMS.items()}
 
 
 def format_space(s: ast.SpaceExpr) -> str:
-    if isinstance(s, ast.Reals):
-        return "reals"
-    if isinstance(s, ast.Naturals):
-        return "nat"
-    if isinstance(s, ast.Baire):
-        return "baire"
-    if isinstance(s, ast.Cantor):
-        return "cantor"
-    if isinstance(s, ast.XRealLine):
-        return "xreal"
+    name = _ATOM_NAMES.get(type(s))
+    if name is not None:
+        return name
     if isinstance(s, ast.ProductSpace):
         return f"prod({format_space(s.left)}, {format_space(s.right)})"
     if isinstance(s, ast.MeasureSpace):
         return f"measures({format_space(s.inner)})"
     raise TypeError(f"not a space: {s!r}")
-
-
-def format_class(c: PointClass) -> str:
-    return str(c)
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 def format_schedule(s: LevelSchedule) -> str:
@@ -58,11 +41,9 @@ def format_schedule(s: LevelSchedule) -> str:
     raise TypeError(f"not a schedule: {s!r}")
 
 
-def _axis(axis: ast.Axis, at: str | None = None) -> str:
-    inner = str(axis)
-    if at is not None:
-        inner += f" @ {at}"
-    return f"[{inner}]"
+def _family(word: str, e) -> str:
+    carrier = f" in {format_space(e.carrier)}" if e.carrier is not None else ""
+    return f"{word} {e.index} in nat of {e.base}_{e.index}{carrier} with levels {format_schedule(e.schedule)}"
 
 
 def format_set(e: ast.SetExpr, memo: dict | None = None) -> str:
@@ -80,35 +61,32 @@ def format_set(e: ast.SetExpr, memo: dict | None = None) -> str:
         # an entry counts only for this very node: a freed node's id is reused
         if hit is not None and hit[0] is e:
             return hit[1]
-    if isinstance(e, ast.Complement):
-        return f"compl({format_set(e.operand, memo)})"
+    form = _SET_BY_CLASS.get(type(e))
+    if form is not None:
+        word, steps = form
+        text = word
+        # inline, not in a helper: one frame per nesting level (as format_func)
+        for lead, name, kind in steps:
+            value = getattr(e, name)
+            if kind == "set_expr":
+                text += lead + format_set(value, memo)
+            elif kind == "func_expr":
+                text += lead + format_func(value, memo)
+            elif kind == "space_expr":
+                text += lead + format_space(value)
+            elif kind == "point" and e.at is not None:
+                text += f"{lead}{value} @ {e.at}"
+            else:
+                text += lead + str(value)
+        return text + ")"
     if isinstance(e, ast.FiniteUnion):
         return "union(" + ", ".join(format_set(m, memo) for m in e.members) + ")"
     if isinstance(e, ast.FiniteIntersection):
         return "inter(" + ", ".join(format_set(m, memo) for m in e.members) + ")"
-    if isinstance(e, (ast.CountableUnion, ast.CountableIntersection)):
-        word = "union" if isinstance(e, ast.CountableUnion) else "inter"
-        carrier = f" in {format_space(e.carrier)}" if e.carrier is not None else ""
-        return (
-            f"{word} {e.index} in nat of {e.base}_{e.index}{carrier} "
-            f"with levels {format_schedule(e.schedule)}"
-        )
-    if isinstance(e, ast.Product):
-        return f"prod({format_set(e.left, memo)}, {format_set(e.right, memo)})"
-    if isinstance(e, ast.Projection):
-        return f"proj{_axis(e.axis)}({format_set(e.operand, memo)})"
-    if isinstance(e, ast.BorelImage):
-        return f"img[{e.func}]({format_set(e.operand, memo)})"
-    if isinstance(e, ast.Preimage):
-        return f"pre[{format_func(e.func, memo)}]({format_set(e.operand, memo)})"
-    if isinstance(e, ast.Section):
-        return f"section{_axis(e.axis, e.at)}({format_set(e.operand, memo)})"
-    if isinstance(e, ast.Graph):
-        return f"graph({format_func(e.func, memo)})"
-    if isinstance(e, ast.Sublevel):
-        return f"sublevel({format_func(e.func, memo)}, {e.op}, {format_rational(e.bound)})"
-    if isinstance(e, ast.MeasureThreshold):
-        return f"measure_ge({format_set(e.operand, memo)}, {format_rational(e.threshold)})"
+    if isinstance(e, ast.CountableUnion):
+        return _family("union", e)
+    if isinstance(e, ast.CountableIntersection):
+        return _family("inter", e)
     raise TypeError(f"not a set expression: {e!r}")
 
 
@@ -120,49 +98,30 @@ def format_func(e: ast.FuncExpr, memo: dict | None = None) -> str:
         hit = memo.get(id(e))
         if hit is not None and hit[0] is e:
             return hit[1]
-    if isinstance(e, ast.PairFunc):
-        return f"pair({format_func(e.left, memo)}, {format_func(e.right, memo)})"
-    if isinstance(e, ast.CylinderExtend):
-        return f"cyl[{format_space(e.factor)}]({format_func(e.func, memo)})"
-    if isinstance(e, ast.Compose):
-        return f"compose({format_func(e.outer, memo)}, {format_func(e.inner, memo)})"
-    if isinstance(e, ast.SectionOf):
-        return f"fsection{_axis(e.axis, e.at)}({format_func(e.func, memo)})"
-    if isinstance(e, ast.Sum):
-        return f"add({format_func(e.left, memo)}, {format_func(e.right, memo)})"
-    if isinstance(e, ast.Neg):
-        return f"neg({format_func(e.operand, memo)})"
-    if isinstance(e, ast.ProdOp):
-        return f"mul({format_func(e.left, memo)}, {format_func(e.right, memo)})"
-    if isinstance(e, ast.MinOp):
-        return f"min({format_func(e.left, memo)}, {format_func(e.right, memo)})"
-    if isinstance(e, ast.MaxOp):
-        return f"max({format_func(e.left, memo)}, {format_func(e.right, memo)})"
-    if isinstance(e, ast.InnerProduct):
-        return f"inner({format_func(e.left, memo)}, {format_func(e.right, memo)})"
-    if isinstance(e, ast.Power):
-        return f"pow({format_func(e.operand, memo)}, {format_rational(e.exponent)})"
-    if isinstance(e, (ast.CountableSup, ast.CountableInf)):
-        word = "sup" if isinstance(e, ast.CountableSup) else "inf"
-        carrier = f" in {format_space(e.carrier)}" if e.carrier is not None else ""
-        return (
-            f"{word} {e.index} in nat of {e.base}_{e.index}{carrier} "
-            f"with levels {format_schedule(e.schedule)}"
-        )
-    if isinstance(e, ast.PartialInf):
-        return f"inf_over({format_func(e.func, memo)}, {format_set(e.dom, memo)})"
-    if isinstance(e, ast.PartialSup):
-        return f"sup_over({format_func(e.func, memo)}, {format_set(e.dom, memo)})"
-    if isinstance(e, ast.IntegralKernel):
-        return f"integral({format_func(e.func, memo)}, {e.kernel})"
-    if isinstance(e, ast.Select):
-        return f"select({format_set(e.operand, memo)})"
+    form = _FUNC_BY_CLASS.get(type(e))
+    if form is not None:
+        word, steps = form
+        text = word
+        for lead, name, kind in steps:
+            value = getattr(e, name)
+            if kind == "set_expr":
+                text += lead + format_set(value, memo)
+            elif kind == "func_expr":
+                text += lead + format_func(value, memo)
+            elif kind == "space_expr":
+                text += lead + format_space(value)
+            elif kind == "point" and e.at is not None:
+                text += f"{lead}{value} @ {e.at}"
+            else:
+                text += lead + str(value)
+        return text + ")"
+    if isinstance(e, ast.CountableSup):
+        return _family("sup", e)
+    if isinstance(e, ast.CountableInf):
+        return _family("inf", e)
     if isinstance(e, ast.EpsSelector):
         word = "eps_inf" if e.direction == "inf" else "eps_sup"
-        dom, func = format_set(e.dom, memo), format_func(e.func, memo)
-        return f"{word}({dom}, {func}, {format_rational(e.eps)})"
-    if isinstance(e, ast.FromGraph):
-        return f"from_graph({format_set(e.graph, memo)}, {format_set(e.dom, memo)})"
+        return f"{word}({format_set(e.dom, memo)}, {format_func(e.func, memo)}, {e.eps})"
     raise TypeError(f"not a function expression: {e!r}")
 
 
@@ -170,7 +129,7 @@ def format_statement(stmt: ast.Statement) -> str:
     if isinstance(stmt, ast.SpaceDecl):
         return f"space {stmt.name} = {format_space(stmt.space)}"
     if isinstance(stmt, ast.SetDecl):
-        return f"set {stmt.name} in {format_space(stmt.space)} : {format_class(stmt.cls)}"
+        return f"set {stmt.name} in {format_space(stmt.space)} : {stmt.cls}"
     if isinstance(stmt, ast.FuncDecl):
         on = f" on {stmt.domain_set}" if stmt.domain_set is not None else ""
         nn = " nonneg" if stmt.nonneg else ""
@@ -188,7 +147,7 @@ def format_statement(stmt: ast.Statement) -> str:
     if isinstance(stmt, ast.LetFunc):
         return f"let {stmt.name} = {format_func(stmt.expr)}"
     if isinstance(stmt, ast.AssertClass):
-        return f"assert class({format_set(stmt.expr)}) {stmt.op} {format_class(stmt.cls)}"
+        return f"assert class({format_set(stmt.expr)}) {stmt.op} {stmt.cls}"
     if isinstance(stmt, ast.AssertLevel):
         return f"assert level({format_func(stmt.expr)}) {stmt.op} delta {stmt.level}"
     if isinstance(stmt, ast.AssertUM):

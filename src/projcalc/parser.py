@@ -5,6 +5,9 @@ case-insensitively, identifiers are case-sensitive.  Space names resolve
 eagerly (programs have no forward references), so parsed declarations carry
 structural space values.  parse() also binds, reporting undeclared names as
 ResolutionError and carrier mismatches as SignatureError.
+
+Keyword forms are read from the tables in ast (edit those to add one); only
+the irregular ones (union/inter, countable families, eps_*) are spelled here.
 """
 
 from __future__ import annotations
@@ -45,16 +48,13 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-SET_KEYWORDS = {
-    "compl", "union", "inter", "prod", "proj", "img", "pre",
-    "section", "graph", "sublevel", "measure_ge",
-}
-FUNC_KEYWORDS = {
-    "pair", "cyl", "compose", "fsection", "add", "neg", "mul", "min", "max",
-    "inner", "pow", "sup", "inf", "inf_over", "sup_over", "integral",
-    "select", "eps_inf", "eps_sup", "from_graph",
-}
-SPACE_KEYWORDS = {"reals", "nat", "baire", "cantor", "xreal", "prod", "measures"}
+# keyword -> (node class, slot steps) for the forms of ast.SET_FORMS/FUNC_FORMS
+_SET_FORMS = {w: (c, ast.slot_steps(b, s)) for w, (c, b, s) in ast.SET_FORMS.items()}
+_FUNC_FORMS = {w: (c, ast.slot_steps(b, s)) for w, (c, b, s) in ast.FUNC_FORMS.items()}
+
+SET_KEYWORDS = set(ast.SET_FORMS) | {"union", "inter"}
+FUNC_KEYWORDS = set(ast.FUNC_FORMS) | {"sup", "inf", "eps_inf", "eps_sup"}
+SPACE_KEYWORDS = set(ast.SPACE_ATOMS) | {"prod", "measures"}
 
 
 @dataclass(slots=True)
@@ -167,21 +167,10 @@ class _LineParser:
         if tok is None or tok.kind != "ident":
             self.error(tuple(sorted(SPACE_KEYWORDS)) + ("space name",))
         word = tok.text.lower()
-        if word == "reals":
+        atom = ast.SPACE_ATOMS.get(word)
+        if atom is not None:
             self._advance()
-            return ast.Reals()
-        if word == "nat":
-            self._advance()
-            return ast.Naturals()
-        if word == "baire":
-            self._advance()
-            return ast.Baire()
-        if word == "cantor":
-            self._advance()
-            return ast.Cantor()
-        if word == "xreal":
-            self._advance()
-            return ast.XRealLine()
+            return atom()
         if word == "prod":
             self._advance()
             self.take("(")
@@ -218,6 +207,13 @@ class _LineParser:
             return ExplicitList(tuple(classes))
         text = self.take("string").text
         return Unbounded(text[1:-1])
+
+    def point(self) -> tuple[ast.Axis, str | None]:
+        axis = self.axis()
+        if self.peek() is not None and self.peek().kind == "@":
+            self._advance()
+            return axis, self.ident()
+        return axis, None
 
     def axis(self) -> ast.Axis:
         tok = self.peek()
@@ -277,12 +273,21 @@ class _LineParser:
         if tok is None or tok.kind != "ident":
             self.error(tuple(sorted(SET_KEYWORDS)) + ("set name",))
         word = tok.text.lower()
-        if word == "compl":
+        form = _SET_FORMS.get(word)
+        if form is not None:
             self._advance()
-            self.take("(")
-            inner = self.set_expr()
+            node, steps = form
+            args = {}
+            # inline, not in a helper: one frame per nesting level (as func_expr)
+            for lead, name, kind in steps:
+                for punct in lead.rstrip():
+                    self.take(punct)
+                if kind == "point":
+                    args["axis"], args["at"] = self.point()
+                else:  # set_expr, func_expr and every other kind is a method
+                    args[name] = getattr(self, kind)()
             self.take(")")
-            return ast.Complement(inner)
+            return node(**args)
         if word in ("union", "inter"):
             self._advance()
             if self.peek() is not None and self.peek().kind == "(":
@@ -296,90 +301,15 @@ class _LineParser:
                     self.error((",",))
                 node = ast.FiniteUnion if word == "union" else ast.FiniteIntersection
                 return node(tuple(members))
-            return self._countable(word)
-        if word == "prod":
-            self._advance()
-            self.take("(")
-            left = self.set_expr()
-            self.take(",")
-            right = self.set_expr()
-            self.take(")")
-            return ast.Product(left, right)
-        if word == "proj":
-            self._advance()
-            self.take("[")
-            axis = self.axis()
-            self.take("]")
-            self.take("(")
-            inner = self.set_expr()
-            self.take(")")
-            return ast.Projection(inner, axis)
-        if word == "img":
-            self._advance()
-            self.take("[")
-            fn = self.ident()
-            self.take("]")
-            self.take("(")
-            inner = self.set_expr()
-            self.take(")")
-            return ast.BorelImage(fn, inner)
-        if word == "pre":
-            self._advance()
-            self.take("[")
-            fn = self.func_expr()
-            self.take("]")
-            self.take("(")
-            inner = self.set_expr()
-            self.take(")")
-            return ast.Preimage(fn, inner)
-        if word == "section":
-            self._advance()
-            axis, at = self._axis_with_point()
-            self.take("(")
-            inner = self.set_expr()
-            self.take(")")
-            return ast.Section(inner, axis, at)
-        if word == "graph":
-            self._advance()
-            self.take("(")
-            fn = self.func_expr()
-            self.take(")")
-            return ast.Graph(fn)
-        if word == "sublevel":
-            self._advance()
-            self.take("(")
-            fn = self.func_expr()
-            self.take(",")
-            op = self.comparator()
-            self.take(",")
-            bound = self.rational()
-            self.take(")")
-            return ast.Sublevel(fn, op, bound)
-        if word == "measure_ge":
-            self._advance()
-            self.take("(")
-            inner = self.set_expr()
-            self.take(",")
-            threshold = self.rational()
-            self.take(")")
-            return ast.MeasureThreshold(inner, threshold)
+            return self._countable(ast.CountableUnion if word == "union" else ast.CountableIntersection)
         # named set
         self._advance()
         if self.expr_kind_of(tok.text) != "set":
             raise ResolutionError(f"{tok.text!r} is not a set")
         return ast.NamedSet(tok.text)
 
-    def _axis_with_point(self) -> tuple[ast.Axis, str | None]:
-        self.take("[")
-        axis = self.axis()
-        at = None
-        if self.peek() is not None and self.peek().kind == "@":
-            self._advance()
-            at = self.ident()
-        self.take("]")
-        return axis, at
-
-    def _countable(self, word: str):
+    def _countable(self, node):
+        """The family clause after union/inter/sup/inf, as a ``node``."""
         index = self.ident()
         self.keyword("in")
         self.keyword("nat")
@@ -391,98 +321,30 @@ class _LineParser:
             carrier = self.space_expr()
         self.keyword("with")
         self.keyword("levels")
-        sched = self.schedule()
-        node = ast.CountableUnion if word == "union" else ast.CountableIntersection
-        return node(index, base, carrier, sched)
-
-    def _countable_func(self, word: str):
-        index = self.ident()
-        self.keyword("in")
-        self.keyword("nat")
-        self.keyword("of")
-        base = self.family(index)
-        carrier = None
-        if self.at_keyword("in"):
-            self._advance()
-            carrier = self.space_expr()
-        self.keyword("with")
-        self.keyword("levels")
-        sched = self.schedule()
-        node = ast.CountableSup if word == "sup" else ast.CountableInf
-        return node(index, base, carrier, sched)
+        return node(index, base, carrier, self.schedule())
 
     def func_expr(self) -> ast.FuncExpr:
         tok = self.peek()
         if tok is None or tok.kind != "ident":
             self.error(tuple(sorted(FUNC_KEYWORDS)) + ("function name",))
         word = tok.text.lower()
-        binary = {"pair": ast.PairFunc, "compose": ast.Compose, "add": ast.Sum,
-                  "mul": ast.ProdOp, "min": ast.MinOp, "max": ast.MaxOp,
-                  "inner": ast.InnerProduct}
-        if word in binary:
+        form = _FUNC_FORMS.get(word)
+        if form is not None:
             self._advance()
-            self.take("(")
-            left = self.func_expr()
-            self.take(",")
-            right = self.func_expr()
+            node, steps = form
+            args = {}
+            for lead, name, kind in steps:
+                for punct in lead.rstrip():
+                    self.take(punct)
+                if kind == "point":
+                    args["axis"], args["at"] = self.point()
+                else:  # set_expr, func_expr and every other kind is a method
+                    args[name] = getattr(self, kind)()
             self.take(")")
-            return binary[word](left, right)
-        if word == "neg":
-            self._advance()
-            self.take("(")
-            inner = self.func_expr()
-            self.take(")")
-            return ast.Neg(inner)
-        if word == "cyl":
-            self._advance()
-            self.take("[")
-            factor = self.space_expr()
-            self.take("]")
-            self.take("(")
-            inner = self.func_expr()
-            self.take(")")
-            return ast.CylinderExtend(inner, factor)
-        if word == "fsection":
-            self._advance()
-            axis, at = self._axis_with_point()
-            self.take("(")
-            inner = self.func_expr()
-            self.take(")")
-            return ast.SectionOf(inner, axis, at)
-        if word == "pow":
-            self._advance()
-            self.take("(")
-            inner = self.func_expr()
-            self.take(",")
-            exponent = self.rational()
-            self.take(")")
-            return ast.Power(inner, exponent)
+            return node(**args)
         if word in ("sup", "inf"):
             self._advance()
-            return self._countable_func(word)
-        if word in ("inf_over", "sup_over"):
-            self._advance()
-            self.take("(")
-            fn = self.func_expr()
-            self.take(",")
-            dom = self.set_expr()
-            self.take(")")
-            node = ast.PartialInf if word == "inf_over" else ast.PartialSup
-            return node(fn, dom)
-        if word == "integral":
-            self._advance()
-            self.take("(")
-            fn = self.func_expr()
-            self.take(",")
-            kernel = self.ident()
-            self.take(")")
-            return ast.IntegralKernel(fn, kernel)
-        if word == "select":
-            self._advance()
-            self.take("(")
-            operand = self.set_expr()
-            self.take(")")
-            return ast.Select(operand)
+            return self._countable(ast.CountableSup if word == "sup" else ast.CountableInf)
         if word in ("eps_inf", "eps_sup"):
             self._advance()
             self.take("(")
@@ -493,14 +355,6 @@ class _LineParser:
             eps = self.rational()
             self.take(")")
             return ast.EpsSelector(dom, fn, eps, "inf" if word == "eps_inf" else "sup")
-        if word == "from_graph":
-            self._advance()
-            self.take("(")
-            graph = self.set_expr()
-            self.take(",")
-            dom = self.set_expr()
-            self.take(")")
-            return ast.FromGraph(graph, dom)
         # named function
         self._advance()
         if self.expr_kind_of(tok.text) != "func":

@@ -156,16 +156,10 @@ def product_class(a: PointClass, b: PointClass) -> PointClass:
 class ConstantClass:
     cls: PointClass
 
-    def __str__(self) -> str:
-        return f"constant {self.cls}"
-
 
 @dataclass(frozen=True)
 class BoundedBy:
     bound: PointClass
-
-    def __str__(self) -> str:
-        return f"bounded {self.bound}"
 
 
 @dataclass(frozen=True)
@@ -176,16 +170,10 @@ class ExplicitList:
         if not self.classes:
             raise ValueError("explicit schedule must be non-empty")
 
-    def __str__(self) -> str:
-        return "from [" + ", ".join(str(c) for c in self.classes) + "]"
-
 
 @dataclass(frozen=True)
 class Unbounded:
     witness: str
-
-    def __str__(self) -> str:
-        return f'unbounded "{self.witness}"'
 
 
 LevelSchedule = ConstantClass | BoundedBy | ExplicitList | Unbounded

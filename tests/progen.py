@@ -80,6 +80,10 @@ ASSERTS = (
     "assert level(compose(h, g)) <= delta 4",
 )
 
+# read by the syntax digests alongside HEADER, TEMPLATES and ASSERTS, never by
+# corpus(): it spells the space forms no declaration or template needs
+SYNTAX_EXTRAS = ("space M = measures(prod(nat, reals))",)
+
 
 def corpus(count: int = 55, seed: int = 11) -> list[str]:
     """count programs; same (count, seed) gives the same list."""

@@ -91,6 +91,20 @@ def test_infer_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["infer", "BAD"], ["fmt", "BAD"], ["check", "PJD", "BAD"], ["check", "BAD", "PJC"], ["game", "BAD"],
+], ids=["infer", "fmt", "check-program", "check-derivation", "game"])
+def test_non_utf8_input_exits_two(argv, derivation, gated, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"space X = baire\n\xff\n")
+    files = {"BAD": str(bad), "PJD": derivation, "PJC": gated}
+    capsys.readouterr()
+    assert main([files.get(a, a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot read {bad}: not UTF-8 text (byte 16)\n"
+
+
 def test_infer_json_deterministic(gated, capsys):
     assert main(["infer", gated, "--assume-pd", "--json"]) == 0
     first = capsys.readouterr().out
@@ -116,6 +130,15 @@ def test_infer_emitted_derivations_check(gated, tmp_path, capsys):
     assert sorted(doc["derivations"]) == sorted(str(p) for p in out_dir.iterdir())
     for path in doc["derivations"]:
         assert main(["check", path, gated]) == 0
+
+
+def test_emit_derivations_onto_a_file_exits_two(gated, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["infer", gated, "--assume-pd", "--json", "--emit-derivations", str(taken)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {taken}: ") and "Traceback" not in err
 
 
 def test_derivations_frozen(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """DSL front end: parsing, binding, canonical formatting."""
 
+import hashlib
 import itertools
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,12 +12,19 @@ import pytest
 from projcalc import ast
 from projcalc.errors import ParseError, ResolutionError, SignatureError
 from projcalc.formatter import format_program, format_set, format_statement
-from projcalc.parser import _lex_line, parse, parse_program
+from projcalc.parser import (
+    FUNC_KEYWORDS,
+    SET_KEYWORDS,
+    SPACE_KEYWORDS,
+    _lex_line,
+    parse,
+    parse_program,
+)
 from projcalc.pointclass import BoundedBy, ExplicitList, Unbounded, delta, pi, sigma
 from projcalc.sema import bind
 
 from .oracles import reference_lex_line
-from .progen import corpus
+from .progen import ASSERTS, HEADER, SYNTAX_EXTRAS, TEMPLATES, corpus
 
 BASE = """\
 space X = baire
@@ -291,3 +300,60 @@ class TestFormatter:
     def test_set_expr_text(self):
         prog, env = parse(BASE + "let P = pre[g](B)\n")
         assert format_set(env.sets["P"].expr) == "pre[g](B)"
+
+
+# -- the syntax digests: every keyword form of the DSL, frozen
+
+_WORD_RE = re.compile(r'->|~>|<=|>=|==|"[^"]*"|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S')
+
+
+def _syntax_lines() -> list[tuple[str, str]]:
+    """(context, line) pairs: each header line under the ones before it,
+    then each template, assert and extra line under the whole header."""
+    header = HEADER.splitlines()
+    pairs = [("".join(h + "\n" for h in header[:i]), line) for i, line in enumerate(header)]
+    for tag in sorted(TEMPLATES):
+        pairs += [(HEADER, line) for line in TEMPLATES[tag]("0")]
+    pairs += [(HEADER, line) for line in ASSERTS + SYNTAX_EXTRAS]
+    return pairs
+
+
+def _variants(line: str) -> list[str]:
+    """The line cut before each token, with each token deleted, and with
+    each of ')', ',' and '[' inserted before each token."""
+    out = []
+    for m in _WORD_RE.finditer(line):
+        a, b = m.span()
+        out += [line[:a], line[:a] + line[b:]]
+        out += [line[:a] + p + line[a:] for p in ")[,"]
+    return out
+
+
+def test_parse_error_texts_frozen():
+    # hashed at a commit before the parser and formatter shared one syntax
+    # table: the table must not move any parsed program or error text
+    h = hashlib.sha256()
+    for context, line in _syntax_lines():
+        for variant in [line] + _variants(line):
+            try:
+                out = format_program(parse_program(context + variant + "\n"))
+            except (ParseError, ResolutionError) as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            h.update(f"{variant}\n{out}\n".encode())
+    assert h.hexdigest() == "80b29bc848d971ac95ab092fcc9c6b416cda94e13dafc01e613ae4a5da56f902"
+
+
+def test_syntax_lines_spell_every_keyword():
+    # the frozen digests reach a keyword form only through these lines
+    words = {w.lower() for _, line in _syntax_lines() for w in _WORD_RE.findall(line)}
+    assert SET_KEYWORDS | FUNC_KEYWORDS | SPACE_KEYWORDS <= words
+
+
+@pytest.mark.parametrize("word", ["compl", "neg"])
+def test_deep_nest_formats_in_process(word):
+    # one parser frame and one formatter frame per nesting level
+    depth = 600
+    inner = "A" if word == "compl" else "u"
+    nest = f"{word}(" * depth + inner + ")" * depth
+    text = f"space X = baire\nset A in X : sigma 1\nfunc u : X -> reals : delta 1\nlet N = {nest}\n"
+    assert format_program(parse_program(text)).endswith(f"\nlet N = {nest}\n")
