@@ -21,17 +21,14 @@ from pathlib import Path
 
 from .derivation import ZFC, ZFC_PD, check, deserialize, serialize
 from .errors import (
-    AxiomRequiredError,
+    VERDICT_ERRORS,
     CheckError,
     FormatError,
-    LevelOverflowError,
     ParseError,
     ProjcalcError,
     ResolutionError,
     ResourceLimitError,
-    SignAnnotationMissingError,
     SignatureError,
-    UnboundedScheduleError,
     depth_limited,
 )
 from .formatter import format_program
@@ -44,15 +41,6 @@ from .parser import parse, parse_program
 from . import ast
 
 SCHEMA = "projcalc/1"
-
-# inference-level refusals: the program is well-formed but the judgment is
-# not available (axiom gates, unbounded schedules, missing sign annotations)
-_VERDICT_ERRORS = (
-    AxiomRequiredError,
-    LevelOverflowError,
-    SignAnnotationMissingError,
-    UnboundedScheduleError,
-)
 
 
 def _fail(message: str) -> None:
@@ -92,7 +80,7 @@ def _infer_bindings(program, engine: Engine) -> list[dict]:
             row["ok"] = True
             row["conclusion"] = d.conclusion.judgment.render()
             row["derivation"] = d
-        except _VERDICT_ERRORS as exc:
+        except VERDICT_ERRORS as exc:
             row["ok"] = False
             row["detail"] = str(exc)
         rows.append(row)

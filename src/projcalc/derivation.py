@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _str
 
-from .errors import CheckError, FormatError
+from .errors import CheckError, FormatError, LevelOverflowError
 from .pointclass import Kind, PointClass, delta, leq, parse_class_token, pi, sigma
 from .rules import ALWAYS_GATED, CITATIONS
 from .sema import Env
@@ -413,9 +413,15 @@ def _expected_judgment(d: Derivation, env: Env, path: str) -> Judgment:
         m = _selector_stage(c)
         return class_judgment(pi(2 * m + 1))
     if rule == "F-EPS":
-        _arity(prem, path, 1)
-        (p,) = _levels(prem, path)
-        return level_judgment(p)
+        # objective at level p, constraint set in class c: the eps-optimal
+        # target lies in delta q+1, and its selector is recovered from a
+        # pi 2m+1 graph over the target's sigma q+1 projection
+        _arity(prem, path, 2)
+        (p,) = _levels(prem[:1], path)
+        (c,) = _classes(prem[1:], path)
+        q = max(p, _delta_level(c))
+        m = _selector_stage(delta(q + 1))
+        return level_judgment(max(2 * m + 2, q + 2) + 1)
     raise CheckError(path, f"unknown rule id {rule!r}")
 
 
@@ -493,7 +499,11 @@ def _check_own(d: Derivation, env: Env, path: str) -> None:
             )
         _check_gate(d, path)
     else:
-        expected = _expected_judgment(d, env, path)
+        try:
+            expected = _expected_judgment(d, env, path)
+        except LevelOverflowError as exc:
+            # premises at the cap: no engine run concludes this row
+            raise CheckError(path, str(exc)) from None
         if d.conclusion.judgment != expected:
             raise CheckError(
                 path,

@@ -52,6 +52,17 @@ class SignAnnotationMissingError(ProjcalcError):
     """A positive-power node needs a nonneg-annotated operand."""
 
 
+# inference-level refusals: the program is well-formed but the judgment is
+# not available (axiom gates, level overflow, unbounded schedules, missing
+# sign annotations); a verdict fails, the input is not malformed
+VERDICT_ERRORS = (
+    AxiomRequiredError,
+    LevelOverflowError,
+    SignAnnotationMissingError,
+    UnboundedScheduleError,
+)
+
+
 class ParseError(ProjcalcError):
     """Syntax error in DSL source. Carries position and expectations."""
 

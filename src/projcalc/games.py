@@ -226,10 +226,15 @@ def compile_target_expr(source: str, n_rounds: int) -> Callable[[tuple], bool]:
     that occur are mapped, so the horizon costs nothing here.
     """
     names = {}
+    # the parser and the compiler each give up on deep nesting in their own
+    # way: MemoryError from the parser's stack, RecursionError from compile
+    too_deep = "bad target expression: nested too deeply"
     try:
         tree = pyast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise FormatError(f"bad target expression: {exc.msg}") from None
+    except (MemoryError, RecursionError):
+        raise FormatError(too_deep) from None
     for node in pyast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise FormatError(f"target expression uses forbidden syntax: {type(node).__name__}")
@@ -240,7 +245,10 @@ def compile_target_expr(source: str, n_rounds: int) -> Callable[[tuple], bool]:
             if pos is None:
                 raise FormatError(f"unknown move name {node.id!r} in target expression")
             names[node.id] = pos
-    code = compile(tree, "<target>", "eval")
+    try:
+        code = compile(tree, "<target>", "eval")
+    except (MemoryError, RecursionError):
+        raise FormatError(too_deep) from None
 
     def predicate(play: tuple) -> bool:
         env = {name: play[pos] for name, pos in names.items()}

@@ -28,14 +28,8 @@ from .derivation import (
     level_judgment,
     node,
 )
-from .errors import (
-    AxiomRequiredError,
-    LevelOverflowError,
-    SignAnnotationMissingError,
-    UnboundedScheduleError,
-    depth_limited,
-)
-from .formatter import format_func, format_schedule, format_set, format_space, format_statement
+from .errors import VERDICT_ERRORS, AxiomRequiredError, SignAnnotationMissingError, depth_limited
+from .formatter import format_func, format_schedule, format_set, format_statement
 from .pointclass import (
     Kind,
     PointClass,
@@ -52,7 +46,7 @@ from .pointclass import (
     sigma_lift,
 )
 from .rules import UM_REFUSAL
-from .sema import Env, is_nonneg, set_carrier
+from .sema import Env, func_signature, is_nonneg
 
 
 @dataclass(frozen=True)
@@ -307,104 +301,41 @@ class Engine:
             lvl = fl.level + klevel + 2
             return FuncLevel(lvl), self._func_node("F-INT", [fd, kleaf], self._func_text(e), lvl)
         if isinstance(e, ast.Select):
-            cert = self._select(e)
-            lvl = cert.derivation.conclusion.judgment.level
-            return FuncLevel(lvl), cert.derivation
+            c, d = self.set_class(e.operand)
+            # the least stage m with c <= pi(2m+1) is t // 2, for t the least
+            # k with c <= pi(k)
+            m = (c.level + 1 if c.kind is Kind.SIGMA else c.level) // 2
+            if m >= 1 and self.mode != ZFC_PD:
+                raise AxiomRequiredError(
+                    "F-SELECT", f"selection for {c} needs stage m={m}; only stage 0 is available outright"
+                )
+            # F-UNGRAPH over the selector's graph (F-SELECT) and domain (S-PROJ)
+            subject = self._func_text(e)
+            graph_cls, dom_cls = pi(2 * m + 1), projection_class(c)
+            sel = self._set_node("F-SELECT", [d], f"graph({subject})", graph_cls)
+            dom = self._set_node("S-PROJ", [d], f"proj[1]({format_set(e.operand, self.texts)})", dom_cls)
+            lvl = max(delta_lift(graph_cls).level, delta_lift(dom_cls).level) + 1
+            return FuncLevel(lvl), self._func_node("F-UNGRAPH", [sel, dom], subject, lvl)
         if isinstance(e, ast.EpsSelector):
-            cert = self._eps_select(e)
-            lvl = cert.derivation.conclusion.judgment.level
-            return FuncLevel(lvl), cert.derivation
+            if self.mode != ZFC_PD:
+                raise AxiomRequiredError("F-EPS", "eps-optimal selection is determinacy-gated")
+            fl, fd = self.func_level(e.func)
+            dc, dd = self.set_class(e.dom)
+            q = max(fl.level, delta_lift(dc).level)
+            # the near-optimal and escape bands around the sectionwise
+            # optimum (level q+1) make a delta q+1 target; F-UNGRAPH over its
+            # selector's pi 2m+1 graph and its sigma q+1 projection gives the
+            # level.  Both classes are built so that a level past the cap
+            # raises LevelOverflowError.
+            m = delta(q + 1).level // 2
+            lvl = delta(max(2 * m + 2, q + 2)).level + 1
+            return FuncLevel(lvl), self._func_node("F-EPS", [fd, dd], self._func_text(e), lvl)
         if isinstance(e, ast.FromGraph):
             gc, gd = self.set_class(e.graph)
             dc, dd = self.set_class(e.dom)
             lvl = max(delta_lift(gc).level, delta_lift(dc).level) + 1
             return FuncLevel(lvl), self._func_node("F-UNGRAPH", [gd, dd], self._func_text(e), lvl)
         raise TypeError(f"not a function expression: {e!r}")
-
-    # -- selection chains
-
-    def _uniformize(self, d: Derivation, operand_text: str, subject: str) -> Derivation:
-        """F-UNGRAPH over a selector's graph (F-SELECT) and domain (S-PROJ)."""
-        c = d.conclusion.judgment.cls
-        # the least stage m with c <= pi(2m+1) is t // 2, for t the least k
-        # with c <= pi(k)
-        m = (c.level + 1 if c.kind is Kind.SIGMA else c.level) // 2
-        if m >= 1 and self.mode != ZFC_PD:
-            raise AxiomRequiredError(
-                "F-SELECT", f"selection for {c} needs stage m={m}; only stage 0 is available outright"
-            )
-        graph_cls = pi(2 * m + 1)
-        sel = self._set_node("F-SELECT", [d], f"graph({subject})", graph_cls)
-        dom_cls = projection_class(c)
-        dom = self._set_node("S-PROJ", [d], f"proj[1]({operand_text})", dom_cls)
-        lvl = max(delta_lift(graph_cls).level, delta_lift(dom_cls).level) + 1
-        return self._func_node("F-UNGRAPH", [sel, dom], subject, lvl)
-
-    def _select(self, e: ast.Select) -> Certificate:
-        d = self.set_class(e.operand)[1]
-        subject = self._func_text(e)
-        root = self._uniformize(d, format_set(e.operand, self.texts), subject)
-        lvl = root.conclusion.judgment.level
-        return Certificate(subject, f"level delta {lvl}", self.mode, root, note="derived bound")
-
-    def _eps_select(self, e: ast.EpsSelector) -> Certificate:
-        if self.mode != ZFC_PD:
-            raise AxiomRequiredError("F-EPS", "eps-optimal selection is determinacy-gated")
-        fl, fd = self.func_level(e.func)
-        dc, dd = self.set_class(e.dom)
-        subject = self._func_text(e)
-        q = max(fl.level, delta_lift(dc).level)
-        space = set_carrier(e.dom, self.env)
-        inf_side = e.direction == "inf"
-
-        # the sectionwise optimum and its cylinder back over the product
-        ext_expr = (ast.PartialInf if inf_side else ast.PartialSup)(e.func, e.dom)
-        ext = self._func_text(ext_expr)
-        fstar = self._func_node("F-PARTIAL", [fd, dd], ext, q + 1)
-        cyl_expr = ast.CylinderExtend(ext_expr, space.right)
-        cyl = self._func_node("F-CYL", [fstar], self._func_text(cyl_expr), q + 1)
-        gap_expr = ast.Sum(e.func, ast.Neg(cyl_expr))
-        gap = self._func_node("F-ARITH", [fd, cyl], self._func_text(gap_expr), max(fl.level, q + 1))
-
-        # near-optimal band and the escape band for an infinite optimum
-        cmp_op = "<" if inf_side else ">"
-        band1 = self._set_node(
-            "S-SUBLEV", [gap],
-            format_set(ast.Sublevel(gap_expr, cmp_op, e.eps if inf_side else -e.eps), self.texts),
-            delta(max(fl.level, q + 1)),
-        )
-        far_bound = -1 / e.eps if inf_side else 1 / e.eps
-        band2 = self._set_node(
-            "S-SUBLEV", [fd],
-            format_set(ast.Sublevel(e.func, cmp_op, Fraction(far_bound)), self.texts),
-            delta(fl.level),
-        )
-        finite_side = self._set_node(
-            "S-SUBLEV", [fstar], f"prod(finite({ext}), {format_space(space.right)})",
-            delta(q + 1),
-        )
-        infinite_side = self._set_node(
-            "S-SUBLEV", [fstar], f"prod(infinite({ext}), {format_space(space.right)})",
-            delta(q + 1),
-        )
-        dom = format_set(e.dom, self.texts)
-        a1 = self._set_node("S-CI", [dd, band1], f"inter({dom}, near-optimal band)",
-                            join(dc, delta(max(fl.level, q + 1))))
-        a2 = self._set_node("S-CI", [dd, band2], f"inter({dom}, escape band)",
-                            join(dc, delta(fl.level)))
-        g1 = self._set_node("S-CI", [a1, finite_side], "near-optimal branch",
-                            join(a1.conclusion.judgment.cls, delta(q + 1)))
-        g2 = self._set_node("S-CI", [a2, infinite_side], "escape branch",
-                            join(a2.conclusion.judgment.cls, delta(q + 1)))
-        target = self._set_node("S-CU", [g1, g2], "eps-selection target",
-                                join(g1.conclusion.judgment.cls, g2.conclusion.judgment.cls))
-
-        # uniformize the target and read the level off the graph and domain
-        un = self._uniformize(target, "eps-selection target", subject)
-        lvl = un.conclusion.judgment.level
-        root = self._func_node("F-EPS", [un], subject, lvl)
-        return Certificate(subject, f"level delta {lvl}", self.mode, root, note="derived bound")
-
 
 @depth_limited
 def infer_set(e: ast.SetExpr, env: Env, mode: str = ZFC) -> tuple[PointClass, Derivation]:
@@ -417,7 +348,7 @@ def infer_func(e: ast.FuncExpr, env: Env, mode: str = ZFC) -> tuple[FuncLevel, D
 
 
 def select_certificate(operand: ast.SetExpr, env: Env, mode: str = ZFC) -> Certificate:
-    return Engine(env, mode)._select(ast.Select(operand))
+    return _certificate(ast.Select(operand), env, mode)
 
 
 def eps_selector_certificate(
@@ -432,7 +363,15 @@ def eps_selector_certificate(
         raise ValueError(f"direction must be 'inf' or 'sup', got {direction!r}")
     if isinstance(eps, float):
         raise TypeError(f"eps must be exact (int or Fraction), got {eps!r}")
-    return Engine(env, mode)._eps_select(ast.EpsSelector(dom, func, Fraction(eps), direction))
+    return _certificate(ast.EpsSelector(dom, func, Fraction(eps), direction), env, mode)
+
+
+def _certificate(e: ast.FuncExpr, env: Env, mode: str) -> Certificate:
+    """A selector's derived bound; ``e`` is signature-checked first, as ``bind`` checks a program's."""
+    engine = Engine(env, mode)
+    func_signature(e, env)
+    fl, d = engine.func_level(e)
+    return Certificate(d.conclusion.subject, f"level delta {fl.level}", mode, d, note="derived bound")
 
 
 @dataclass(frozen=True)
@@ -484,12 +423,7 @@ def evaluate_assertions(
                 d = verdict.derivation
             else:
                 raise TypeError(f"unknown assertion {stmt!r}")
-        except (
-            AxiomRequiredError,
-            LevelOverflowError,
-            SignAnnotationMissingError,
-            UnboundedScheduleError,
-        ) as exc:
+        except VERDICT_ERRORS as exc:
             results.append(AssertionResult(stmt.line, text, False, str(exc), None))
             continue
         results.append(AssertionResult(stmt.line, text, ok, detail, d))

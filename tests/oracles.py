@@ -17,7 +17,9 @@ second route to the same answers.
 - derivation equality: a field-by-field walk over pairs of nodes, not
   serialize's node table;
 - .pjd rows: json.dumps of each row as a dict, not serialize's rows
-  spelled out piece by piece.
+  spelled out piece by piece;
+- eps-selection levels: every class of the bands-and-branches construction
+  joined step by step, not F-EPS's closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import re
 
 from projcalc.errors import ParseError
 from projcalc.parser import Token
-from projcalc.pointclass import Kind, PointClass, delta, pi, sigma
+from projcalc.pointclass import Kind, PointClass, delta, delta_lift, join, pi, projection_class, sigma
 from projcalc.xreal import fin
 
 
@@ -279,3 +281,25 @@ def reference_serialize(d) -> str:
         )
         row_of[id(n)] = rows.setdefault(line, len(rows))
     return '{"nodes": [\n' + ",\n".join(rows) + '\n], "schema": "projcalc/2"}\n'
+
+
+def reference_eps_level(p: int, c: PointClass) -> int:
+    """Level of eps_inf/eps_sup for a level-p objective over a class-c constraint set.
+
+    Builds each class of the construction in turn, raising LevelOverflowError
+    at the first one past the cap: the sectionwise optimum f* sits at level
+    q + 1; the near-optimal band {f - f* < eps} and the escape band
+    {f < -1/eps} meet the constraint set and the finite / infinite parts of
+    f*, and their union is the selection target, which is uniformized.
+    """
+    q = max(p, delta_lift(c).level)
+    near_band, escape_band = delta(max(p, q + 1)), delta(p)
+    finite_side = infinite_side = delta(q + 1)
+    near = join(join(c, near_band), finite_side)
+    escape = join(join(c, escape_band), infinite_side)
+    target = join(near, escape)
+    # least stage m with target <= pi(2m+1), then the selector's graph and
+    # the target's projection
+    m = (target.level + 1 if target.kind is Kind.SIGMA else target.level) // 2
+    graph, dom = pi(2 * m + 1), projection_class(target)
+    return max(delta_lift(graph).level, delta_lift(dom).level) + 1

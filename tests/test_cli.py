@@ -156,7 +156,7 @@ def test_derivations_frozen(tmp_path, capsys):
             h.update(f"{rc}\n{stdout}".encode())
             for pjd in sorted(out_dir.iterdir()):
                 h.update(pjd.name.encode() + b"\n" + pjd.read_bytes())
-    assert h.hexdigest() == "2a407ca0fa3d435a16b256e62ef0dc20edd31bfa2c20e8ae7e9632128b3126ed"
+    assert h.hexdigest() == "19a99145fc2e2fc451b58eb1a615a899e9b47d777c228df82b25b3811933f2ce"
 
 
 def _fresh_run(argv, text, tmp_path):
@@ -386,6 +386,17 @@ def test_game_nested_json_exits_two(tmp_path, capsys):
     assert main(["game", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [1000, 10_000])
+def test_game_nested_target_exits_two(depth, tmp_path):
+    # the compiler gives up with RecursionError, the parser with MemoryError;
+    # both are a malformed game, not a program past the stack
+    doc = {"schema": "projcalc/1", "k": 2, "N": 0, "target": {"expr": "-" * depth + "a0 == 0"}}
+    run = _fresh_run(["game"], json.dumps(doc), tmp_path)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr == "error: bad target expression: nested too deeply\n"
+    assert run.stdout == ""
 
 
 def test_game_budget_exit(tmp_path, monkeypatch):

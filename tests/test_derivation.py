@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from projcalc import ast, derivation
+from projcalc.cli import main
 from projcalc.derivation import (
     ZFC,
     ZFC_PD,
@@ -19,8 +20,9 @@ from projcalc.derivation import (
     node,
     serialize,
 )
-from projcalc.errors import CheckError, FormatError
+from projcalc.errors import CheckError, FormatError, LevelOverflowError
 from projcalc.infer import (
+    Engine,
     eps_selector_certificate,
     evaluate_assertions,
     infer_func,
@@ -31,7 +33,7 @@ from projcalc.parser import parse
 from projcalc.formatter import format_schedule
 from projcalc.pointclass import BoundedBy, Unbounded, delta, pi, sigma
 
-from .oracles import reference_serialize, same_derivation
+from .oracles import reference_eps_level, reference_serialize, same_derivation
 from .progen import corpus, doubling_chain
 
 SRC = """\
@@ -419,3 +421,114 @@ def test_rows_match_json_dumps_on_awkward_text():
     assert text == reference_serialize(sigma_pre)
     assert "F-PRE-Δ" in text and '\\"quoted\\"' in text
     assert same_derivation(deserialize(text), sigma_pre)
+
+
+# --- eps-selection: one F-EPS row over the objective and the constraint set ------
+
+
+def _check_rows(tmp_path, capsys, rows) -> tuple[int, str]:
+    """projcalc check on a .pjd of (rule, premise rows, subject, judgment) rows over SRC."""
+    built: list[Derivation] = []
+    for rule, premises, subject, judgment in rows:
+        built.append(node(rule, tuple(built[i] for i in premises), subject, Judgment.parse(judgment), ZFC_PD))
+    program, pjd = tmp_path / "p.pjc", tmp_path / "d.pjd"
+    program.write_text(SRC, encoding="utf-8")
+    pjd.write_text(serialize(built[-1]), encoding="utf-8")
+    rc = main(["check", str(pjd), str(program)])
+    return rc, capsys.readouterr().out
+
+
+def test_eps_row_over_its_objective_alone_is_rejected(tmp_path, capsys):
+    # the objective alone says nothing of the constraint set the selector
+    # must stay inside
+    rc, out = _check_rows(tmp_path, capsys, [
+        ("DECL", [], "f", "level delta 2"),
+        ("F-EPS", [0], "eps_inf(D, f, 1/4)", "level delta 2"),
+    ])
+    assert rc == 1 and out.startswith("check failed at /: rule expects (2,) premises"), out
+
+
+@pytest.mark.parametrize("level,rc", [(4, 1), (5, 0), (6, 1)])
+def test_eps_row_level_is_recomputed(tmp_path, capsys, level, rc):
+    got, out = _check_rows(tmp_path, capsys, [
+        ("DECL", [], "f", "level delta 2"),
+        ("DECL", [], "D", "class delta 2"),
+        ("F-EPS", [0, 1], "eps_inf(D, f, 1/4)", f"level delta {level}"),
+    ])
+    assert got == rc, out
+
+
+def test_level_past_the_cap_fails_the_check():
+    # a premise at the cap makes the recomputed class overflow: the row does
+    # not follow, which is a failed check, not malformed input
+    _, cap_env = parse(SRC + "func top : prod(X, Y) -> reals : delta 65535\n")
+    top = node("DECL", (), "top", Judgment("level", level=65535), ZFC_PD)
+    dom = node("DECL", (), "D", Judgment("class", cls=delta(2)), ZFC_PD)
+    for d in (
+        node("F-EPS", (top, dom), "eps_inf(D, top, 1/4)", Judgment("level", level=3), ZFC_PD),
+        node("F-GRAPH", (top,), "graph(top)", Judgment("class", cls=delta(3)), ZFC_PD),
+    ):
+        with pytest.raises(CheckError) as exc:
+            check(d, cap_env)
+        assert str(exc.value) == "/: LevelOverflow: level 65536 exceeds cap 65535"
+
+
+def test_eps_level_matches_the_construction():
+    # (objective level, constraint class): every class up to level 11, and
+    # the edges of the level cap
+    classes = [k(n) for n in range(1, 12) for k in (sigma, pi, delta)]
+    cases = [(p, c) for p in range(1, 12) for c in classes]
+    cases += [(p, delta(1)) for p in range(65532, 65536)]
+    cases += [(1, c) for c in (sigma(65534), pi(65534), delta(65535))]
+    header = "space X = baire\nspace Y = cantor\n"
+    header += "".join(f"func f{p} : prod(X, Y) -> reals : delta {p}\n" for p in sorted({p for p, _ in cases}))
+    header += "".join(f"set D{c.kind}{c.level} in prod(X, Y) : {c}\n" for c in sorted({c for _, c in cases}, key=str))
+    _, sweep_env = parse(header)
+    compared = 0
+    for p, c in cases:
+        try:
+            want = reference_eps_level(p, c)
+        except LevelOverflowError as exc:
+            want = str(exc)
+        for direction in ("inf", "sup"):
+            try:
+                cert = eps_selector_certificate(
+                    ast.NamedSet(f"D{c.kind}{c.level}"), ast.NamedFunc(f"f{p}"),
+                    Fraction(1, 4), direction, sweep_env, ZFC_PD,
+                )
+            except LevelOverflowError as exc:
+                assert str(exc) == want, (p, c, direction)
+            else:
+                assert cert.derivation.conclusion.judgment.level == want, (p, c, direction)
+                check(cert.derivation, sweep_env)
+            compared += 1
+    assert compared == 2 * (11 * 33 + 7)
+
+
+def test_engine_subjects_parse_as_expressions():
+    # every non-leaf subject is an expression of its program: read as the
+    # body of one more let, it parses and binds
+    count = 0
+    for text in corpus():
+        program, prog_env = parse(text)
+        engine = Engine(prog_env, ZFC_PD)
+        stack = [r.derivation for r in evaluate_assertions(program, prog_env, ZFC_PD, engine) if r.derivation]
+        for stmt in program.statements:
+            if isinstance(stmt, ast.LetSet):
+                stack.append(engine.set_class(ast.NamedSet(stmt.name))[1])
+            elif isinstance(stmt, ast.LetFunc):
+                stack.append(engine.func_level(ast.NamedFunc(stmt.name))[1])
+        subjects, seen = set(), set()
+        while stack:
+            d = stack.pop()
+            if id(d) not in seen and d.premises:
+                seen.add(id(d))
+                subjects.add(d.conclusion.subject)
+                stack.extend(d.premises)
+        lets = "".join(f"let Subject{i} = {s}\n" for i, s in enumerate(sorted(subjects)))
+        try:
+            parse(text + lets)
+        except Exception as exc:
+            pytest.fail(f"{exc}\n{lets}")
+        count += len(subjects)
+    assert count >= 200

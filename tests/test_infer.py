@@ -10,11 +10,12 @@ from fractions import Fraction
 import pytest
 
 from projcalc import ast, formatter, infer
-from projcalc.derivation import ZFC, ZFC_PD, check, serialize
+from projcalc.derivation import ZFC, ZFC_PD, check
 from projcalc.errors import (
     AxiomRequiredError,
     DepthLimitError,
     SignAnnotationMissingError,
+    SignatureError,
     UnboundedScheduleError,
 )
 from projcalc.infer import (
@@ -232,7 +233,28 @@ def test_eps_selector_rejects_float_eps(env):
     with pytest.raises(TypeError):
         eps_selector_certificate(N("D"), F("f"), 0.1, "inf", env, ZFC_PD)
     cert = eps_selector_certificate(N("D"), F("f"), Fraction(1, 10), "inf", env, ZFC_PD)
-    assert "sublevel(f, <, -10)" in serialize(cert.derivation)
+    assert cert.derivation.conclusion.subject == "eps_inf(D, f, 1/10)"
+
+
+@pytest.mark.parametrize("build,text", [
+    (lambda env: eps_selector_certificate(N("D"), F("f"), Fraction(0), "inf", env, ZFC_PD),
+     "eps_inf(D, f, 0)"),
+    (lambda env: eps_selector_certificate(N("D"), F("f"), Fraction(-1), "inf", env, ZFC_PD),
+     "eps_inf(D, f, -1)"),
+    (lambda env: eps_selector_certificate(N("A"), F("f"), Fraction(1, 4), "inf", env, ZFC_PD),
+     "eps_inf(A, f, 1/4)"),
+    (lambda env: eps_selector_certificate(N("D"), F("g"), Fraction(1, 4), "sup", env, ZFC_PD),
+     "eps_sup(D, g, 1/4)"),
+    (lambda env: select_certificate(N("A"), env, ZFC_PD), "select(A)"),
+], ids=["eps-zero", "eps-negative", "constraint-off-product", "objective-off-carrier", "select-off-product"])
+def test_certificates_check_signatures(env, build, text):
+    # the public certificate functions refuse what a program's binder refuses,
+    # with the same message
+    with pytest.raises(SignatureError) as bound:
+        parse(BASE + f"let T = {text}\n")
+    with pytest.raises(SignatureError) as built:
+        build(env)
+    assert str(built.value) == str(bound.value)
 
 
 def test_unbounded_schedule(env):
