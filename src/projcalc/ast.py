@@ -7,17 +7,21 @@ resolved against carriers at bind time.  Statement line numbers are carried
 for diagnostics but excluded from equality so that parse(format(p)) == p.
 
 The keyword form of each fixed-arity constructor is written down once, in
-SET_FORMS and FUNC_FORMS (SPACE_ATOMS for the argument-free spaces); the
-parser reads and the formatter writes every such form from its entry.  A new
-one is its class and one entry here plus its rules in sema, infer and
-derivation; an irregular form is also spelled by hand in parser.set_expr or
-func_expr and in formatter.format_set or format_func.
+SET_FORMS and FUNC_FORMS (EPS_FORM for eps_inf/eps_sup, SPACE_ATOMS for the
+argument-free spaces); the parser reads and the formatter writes every such
+form from its entry, and children() reads a node's subexpressions from it.
+The binder, the engine and the formatter walk expressions through fold(),
+the parser with a stack of its own, so expressions nest as deep as memory
+allows.  A new constructor is its class and one entry here plus its rules
+in sema, infer and derivation; an irregular form is also named in
+children() and spelled by hand in parser.expr and formatter.spell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .pointclass import LevelSchedule, PointClass
 
@@ -358,6 +362,18 @@ FUNC_FORMS = {
     "from_graph": (FromGraph, None, (("graph", "set_expr"), ("dom", "set_expr"))),
 }
 
+# one class for two keywords, eps_inf and eps_sup, so not in FUNC_FORMS
+EPS_FORM = (EpsSelector, None, (("dom", "set_expr"), ("func", "func_expr"), ("eps", "rational")))
+
+# keyword -> (node of "keyword(member, member, ...)" or None, node of
+# "keyword i in nat of base_i ... with levels ...")
+FAMILIES = {
+    "union": (FiniteUnion, CountableUnion),
+    "inter": (FiniteIntersection, CountableIntersection),
+    "sup": (None, CountableSup),
+    "inf": (None, CountableInf),
+}
+
 SPACE_ATOMS = {"reals": Reals, "nat": Naturals, "baire": Baire, "cantor": Cantor, "xreal": XRealLine}
 
 
@@ -367,6 +383,50 @@ def slot_steps(bracket, slots) -> tuple[tuple[str, str, str], ...]:
     order = (bracket, *slots) if bracket else slots
     leads += (", ",) * (len(order) - len(leads))
     return tuple((lead, field, kind) for lead, (field, kind) in zip(leads, order))
+
+
+# node class -> the fields that hold its subexpressions, in reading order,
+# and a getter of them (of one field, it returns the value, not a 1-tuple)
+_CHILD_FIELDS = {
+    c: tuple(f for _, f, k in slot_steps(b, s) if k in ("set_expr", "func_expr"))
+    for c, b, s in (*SET_FORMS.values(), *FUNC_FORMS.values(), EPS_FORM)
+}
+_CHILD_GETTERS = {c: attrgetter(*fields) for c, fields in _CHILD_FIELDS.items()}
+_CHILD_GETTERS[FiniteUnion] = _CHILD_GETTERS[FiniteIntersection] = attrgetter("members")
+_ONE_CHILD = {c for c, fields in _CHILD_FIELDS.items() if len(fields) == 1}
+
+
+def children(e) -> tuple:
+    """The set and function subexpressions of e, in the order its text spells them."""
+    get = _CHILD_GETTERS.get(type(e))
+    if get is None:
+        return ()
+    return (get(e),) if type(e) in _ONE_CHILD else get(e)
+
+
+def fold(root, combine, kids=children):
+    """combine(e, values of kids(e)) for root and every node below it, children first.
+
+    kids(e) is asked for when e is reached, after every node before e in
+    post-order is combined.  The stack is a list, not interpreter frames.
+    """
+    e, below, done = root, kids(root), []  # a node, its kids, their values so far
+    stack = []  # the same for each node above e
+    while True:
+        if len(done) < len(below):
+            child = below[len(done)]
+            grand = kids(child)
+            if grand:
+                stack.append((e, below, done))
+                e, below, done = child, grand, []
+            else:
+                done.append(combine(child, ()))
+            continue
+        value = combine(e, done)
+        if not stack:
+            return value
+        e, below, done = stack.pop()
+        done.append(value)
 
 
 # --- declarations and statements --------------------------------------------

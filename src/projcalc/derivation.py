@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring as _str
 
 from .errors import CheckError, FormatError, LevelOverflowError
-from .pointclass import Kind, PointClass, delta, leq, parse_class_token, pi, sigma
+from .pointclass import LEVEL_CAP, Kind, PointClass, delta, leq, parse_class_token, pi, sigma
 from .rules import ALWAYS_GATED, CITATIONS
 from .sema import Env
 
@@ -477,6 +477,9 @@ def check(d: Derivation, env: Env) -> None:
 
 def _check_own(d: Derivation, env: Env, path: str) -> None:
     """The node's own checks, run once all of its premises have passed."""
+    level = d.conclusion.judgment.level
+    if level is not None and level > LEVEL_CAP:
+        raise CheckError(path, f"level {level} exceeds cap {LEVEL_CAP}")
     if d.rule == "DECL":
         if d.premises:
             raise CheckError(path, "declaration leaves have no premises")

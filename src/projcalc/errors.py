@@ -113,20 +113,18 @@ class ResourceLimitError(ProjcalcError):
 
 
 class DepthLimitError(ResourceLimitError):
-    """A program nests deeper than the interpreter stack allows.
+    """A space value nests deeper than the interpreter stack allows.
 
-    The parser, binder, inference engine and formatter recurse into nested
-    expressions, so a deep enough nest runs out of stack.  So does one
-    inference call that unfolds a long chain of lets, such as ``infer_set``
-    on the last name of the chain.  ``projcalc infer`` does not: its one
-    engine infers a program's lets in order, each on top of the one before.
+    Set and function expressions are walked with explicit stacks at any
+    depth, but space values (``prod(...)``, ``measures(...)`` and the
+    carriers derived from them) are read, compared and written recursively.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
         ProjcalcError.__init__(
             self,
-            f"DepthLimit: program nests or chains deeper than the interpreter "
+            f"DepthLimit: a space value nests deeper than the interpreter "
             f"stack allows (recursion limit {limit})",
         )
 

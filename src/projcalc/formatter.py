@@ -3,8 +3,12 @@
 parse(format(p)) == p for every well-formed program: keywords come out
 lowercase, spacing is fixed, space declarations keep their names but later
 references are printed structurally (names are resolved at parse time).
-Keyword forms are written from the tables in ast, which the parser reads too;
-only the irregular ones (union/inter, countable families, eps_*) are here.
+Keyword forms are written from the tables in ast, which the parser and
+ast.children read too; only the irregular ones (union/inter, countable
+families, eps_*) are spelled here, and a new one is also named in
+ast.children.  spell() writes one node from its children's texts, so
+format_expr and the inference engine, which records each node's subject as
+it builds it, both walk an expression once, children first, through ast.fold.
 """
 
 from __future__ import annotations
@@ -13,8 +17,11 @@ from . import ast
 from .pointclass import BoundedBy, ConstantClass, ExplicitList, LevelSchedule, Unbounded
 
 # node class -> (keyword, slot steps) for the forms of ast.SET_FORMS/FUNC_FORMS
-_SET_BY_CLASS = {c: (w, ast.slot_steps(b, s)) for w, (c, b, s) in ast.SET_FORMS.items()}
-_FUNC_BY_CLASS = {c: (w, ast.slot_steps(b, s)) for w, (c, b, s) in ast.FUNC_FORMS.items()}
+_BY_CLASS = {
+    c: (w, ast.slot_steps(b, s)) for w, (c, b, s) in (*ast.SET_FORMS.items(), *ast.FUNC_FORMS.items())
+}
+_LISTS = {finite: w for w, (finite, _) in ast.FAMILIES.items() if finite is not None}
+_FAMILIES = {countable: w for w, (_, countable) in ast.FAMILIES.items()}
 _ATOM_NAMES = {c: w for w, c in ast.SPACE_ATOMS.items()}
 
 
@@ -41,88 +48,41 @@ def format_schedule(s: LevelSchedule) -> str:
     raise TypeError(f"not a schedule: {s!r}")
 
 
-def _family(word: str, e) -> str:
-    carrier = f" in {format_space(e.carrier)}" if e.carrier is not None else ""
-    return f"{word} {e.index} in nat of {e.base}_{e.index}{carrier} with levels {format_schedule(e.schedule)}"
-
-
-def format_set(e: ast.SetExpr, memo: dict | None = None) -> str:
-    """Canonical text of a set expression.
-
-    ``memo`` maps ``id(node)`` to ``(node, text)`` for subexpressions a
-    caller has already rendered; a hit stands for the whole subtree.  A
-    caller that renders children before parents and records each text
-    spells every node from its children's, in time linear in its text.
-    """
-    if isinstance(e, ast.NamedSet):
+def spell(e, parts) -> str:
+    """Canonical text of e, given the texts of its children (ast.children order)."""
+    if type(e) is ast.NamedSet or type(e) is ast.NamedFunc:
         return e.name
-    if memo is not None:
-        hit = memo.get(id(e))
-        # an entry counts only for this very node: a freed node's id is reused
-        if hit is not None and hit[0] is e:
-            return hit[1]
-    form = _SET_BY_CLASS.get(type(e))
+    form = _BY_CLASS.get(type(e))
     if form is not None:
         word, steps = form
-        text = word
-        # inline, not in a helper: one frame per nesting level (as format_func)
+        text, i = word, 0
         for lead, name, kind in steps:
-            value = getattr(e, name)
-            if kind == "set_expr":
-                text += lead + format_set(value, memo)
-            elif kind == "func_expr":
-                text += lead + format_func(value, memo)
+            if kind == "set_expr" or kind == "func_expr":
+                text += lead + parts[i]
+                i += 1
             elif kind == "space_expr":
-                text += lead + format_space(value)
+                text += lead + format_space(getattr(e, name))
             elif kind == "point" and e.at is not None:
-                text += f"{lead}{value} @ {e.at}"
+                text += f"{lead}{e.axis} @ {e.at}"
             else:
-                text += lead + str(value)
+                text += lead + str(getattr(e, name))
         return text + ")"
-    if isinstance(e, ast.FiniteUnion):
-        return "union(" + ", ".join(format_set(m, memo) for m in e.members) + ")"
-    if isinstance(e, ast.FiniteIntersection):
-        return "inter(" + ", ".join(format_set(m, memo) for m in e.members) + ")"
-    if isinstance(e, ast.CountableUnion):
-        return _family("union", e)
-    if isinstance(e, ast.CountableIntersection):
-        return _family("inter", e)
-    raise TypeError(f"not a set expression: {e!r}")
-
-
-def format_func(e: ast.FuncExpr, memo: dict | None = None) -> str:
-    """Canonical text of a function expression; ``memo`` as in ``format_set``."""
-    if isinstance(e, ast.NamedFunc):
-        return e.name
-    if memo is not None:
-        hit = memo.get(id(e))
-        if hit is not None and hit[0] is e:
-            return hit[1]
-    form = _FUNC_BY_CLASS.get(type(e))
-    if form is not None:
-        word, steps = form
-        text = word
-        for lead, name, kind in steps:
-            value = getattr(e, name)
-            if kind == "set_expr":
-                text += lead + format_set(value, memo)
-            elif kind == "func_expr":
-                text += lead + format_func(value, memo)
-            elif kind == "space_expr":
-                text += lead + format_space(value)
-            elif kind == "point" and e.at is not None:
-                text += f"{lead}{value} @ {e.at}"
-            else:
-                text += lead + str(value)
-        return text + ")"
-    if isinstance(e, ast.CountableSup):
-        return _family("sup", e)
-    if isinstance(e, ast.CountableInf):
-        return _family("inf", e)
+    word = _LISTS.get(type(e))
+    if word is not None:
+        return word + "(" + ", ".join(parts) + ")"
     if isinstance(e, ast.EpsSelector):
-        word = "eps_inf" if e.direction == "inf" else "eps_sup"
-        return f"{word}({format_set(e.dom, memo)}, {format_func(e.func, memo)}, {e.eps})"
-    raise TypeError(f"not a function expression: {e!r}")
+        return f"eps_{e.direction}({parts[0]}, {parts[1]}, {e.eps})"
+    word = _FAMILIES.get(type(e))
+    if word is not None:
+        carrier = f" in {format_space(e.carrier)}" if e.carrier is not None else ""
+        levels = format_schedule(e.schedule)
+        return f"{word} {e.index} in nat of {e.base}_{e.index}{carrier} with levels {levels}"
+    raise TypeError(f"not a set or function expression: {e!r}")
+
+
+def format_expr(e) -> str:
+    """Canonical text of a set or function expression."""
+    return ast.fold(e, spell)
 
 
 def format_statement(stmt: ast.Statement) -> str:
@@ -142,14 +102,12 @@ def format_statement(stmt: ast.Statement) -> str:
             f"kernel {stmt.name} : {format_space(stmt.src)} ~> "
             f"{format_space(stmt.dst)} : delta {stmt.level}"
         )
-    if isinstance(stmt, ast.LetSet):
-        return f"let {stmt.name} = {format_set(stmt.expr)}"
-    if isinstance(stmt, ast.LetFunc):
-        return f"let {stmt.name} = {format_func(stmt.expr)}"
+    if isinstance(stmt, (ast.LetSet, ast.LetFunc)):
+        return f"let {stmt.name} = {format_expr(stmt.expr)}"
     if isinstance(stmt, ast.AssertClass):
-        return f"assert class({format_set(stmt.expr)}) {stmt.op} {stmt.cls}"
+        return f"assert class({format_expr(stmt.expr)}) {stmt.op} {stmt.cls}"
     if isinstance(stmt, ast.AssertLevel):
-        return f"assert level({format_func(stmt.expr)}) {stmt.op} delta {stmt.level}"
+        return f"assert level({format_expr(stmt.expr)}) {stmt.op} delta {stmt.level}"
     if isinstance(stmt, ast.AssertUM):
         return f"assert um({stmt.name})"
     raise TypeError(f"not a statement: {stmt!r}")

@@ -28,9 +28,10 @@ from .derivation import (
     level_judgment,
     node,
 )
-from .errors import VERDICT_ERRORS, AxiomRequiredError, SignAnnotationMissingError, depth_limited
-from .formatter import format_func, format_schedule, format_set, format_statement
+from .errors import VERDICT_ERRORS, AxiomRequiredError, LevelOverflowError, SignAnnotationMissingError
+from .formatter import format_expr, format_schedule, format_statement, spell
 from .pointclass import (
+    LEVEL_CAP,
     Kind,
     PointClass,
     complement_class,
@@ -46,7 +47,7 @@ from .pointclass import (
     sigma_lift,
 )
 from .rules import UM_REFUSAL
-from .sema import Env, func_signature, is_nonneg
+from .sema import Env, is_nonneg, signature
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,10 @@ class FuncLevel:
     """Measurability level delta(level)."""
 
     level: int
+
+    def __post_init__(self):
+        if self.level > LEVEL_CAP:
+            raise LevelOverflowError(self.level, LEVEL_CAP)
 
     def __str__(self) -> str:
         return f"delta {self.level}"
@@ -85,34 +90,24 @@ class Engine:
 
     Each set, function and kernel name is inferred once per engine, and
     every later use of it, in any expression the engine is given, shares
-    that derivation.  Each node's subject is spelled from the subjects the
-    engine already rendered for the node's children.
+    that derivation.  An expression is walked once, children first, and
+    each node's subject is spelled from its children's as the node is built.
     """
 
     def __init__(self, env: Env, mode: str):
         _check_mode(mode)
         self.env = env
         self.mode = mode
-        # name -> (class or level, derivation) of every set, function and
-        # kernel inferred so far; sets, functions and kernels share one
-        # namespace
+        # name -> (class or level, derivation, name) of every set, function
+        # and kernel inferred so far, in one namespace
         self.named: dict[str, tuple] = {}
-        # id(expr) -> (expr, subject) of every expression rendered so far:
-        # the formatter's memo, keyed by identity since hashing a frozen
-        # AST node walks its whole subtree
-        self.texts: dict[int, tuple] = {}
 
-    def _set_text(self, e: ast.SetExpr) -> str:
-        """e's subject, spelled from its children's and recorded for its parent's."""
-        text = format_set(e, self.texts)
-        self.texts[id(e)] = e, text
-        return text
+    def infer(self, e) -> tuple[PointClass | FuncLevel, Derivation]:
+        """The class of set expression e, or the level of function expression e, with its derivation."""
+        value, d, _ = ast.fold(e, self._combine, self._enter)
+        return value, d
 
-    def _func_text(self, e: ast.FuncExpr) -> str:
-        """As ``_set_text``, for a function expression."""
-        text = format_func(e, self.texts)
-        self.texts[id(e)] = e, text
-        return text
+    set_class = func_level = infer
 
     # -- node builders
 
@@ -126,182 +121,187 @@ class Engine:
         bound = schedule_bound(schedule)  # raises UnboundedScheduleError
         return node("SCHED", (), f"levels {format_schedule(schedule)}", class_judgment(bound), self.mode)
 
-    # -- sets
+    # -- the walk
 
-    def set_class(self, e: ast.SetExpr) -> tuple[PointClass, Derivation]:
+    def _enter(self, e) -> tuple:
+        """The nodes e is built from: a name not inferred yet is built from
+        its let body or, for a partial function, its domain set.  Refusals
+        that come before any premise are raised here."""
         if isinstance(e, ast.NamedSet):
-            # memoized inline: a helper method here would double the
-            # frames per nesting level
-            hit = self.named.get(e.name)
-            if hit is None:
+            if e.name not in self.named:
                 entry = self.env.set_entry(e.name)
                 if entry.expr is not None:
-                    hit = self.set_class(entry.expr)
+                    return (entry.expr,)
+            return ()
+        if isinstance(e, ast.NamedFunc):
+            if e.name not in self.named:
+                entry = self.env.func_entry(e.name)
+                if entry.expr is not None:
+                    return (entry.expr,)
+                if entry.domain_set is not None:
+                    return (ast.NamedSet(entry.domain_set),)
+            return ()
+        if isinstance(e, ast.BorelImage):
+            domain_set = self.env.func_entry(e.func).domain_set
+            if domain_set is not None:
+                return e.operand, ast.NamedSet(domain_set)
+        elif isinstance(e, ast.Power):
+            if not is_nonneg(e.operand, self.env):
+                raise SignAnnotationMissingError(
+                    f"pow({format_expr(e.operand)}, {e.exponent}): operand needs a nonneg annotation"
+                )
+        elif isinstance(e, ast.EpsSelector):
+            if self.mode != ZFC_PD:
+                raise AxiomRequiredError("F-EPS", "eps-optimal selection is determinacy-gated")
+            return e.func, e.dom  # in premise order
+        return ast.children(e)
+
+    def _combine(self, e, kids: list) -> tuple:
+        """(class or level, derivation, text) of e from those of the nodes
+        ``_enter`` gave it; a name's text is the name, any other node's its subject."""
+        if isinstance(e, ast.NamedSet):
+            hit = self.named.get(e.name)
+            if hit is None:
+                if kids:
+                    hit = kids[0][0], kids[0][1], e.name
                 else:
-                    hit = entry.cls, self._set_node("DECL", (), e.name, entry.cls)
+                    cls = self.env.set_entry(e.name).cls
+                    hit = cls, self._set_node("DECL", (), e.name, cls), e.name
                 self.named[e.name] = hit
             return hit
-        if isinstance(e, ast.Complement):
-            c, d = self.set_class(e.operand)
-            out = complement_class(c)
-            return out, self._set_node("S-COMPL", [d], self._set_text(e), out)
-        if isinstance(e, (ast.FiniteUnion, ast.FiniteIntersection)):
-            rule = "S-CU" if isinstance(e, ast.FiniteUnion) else "S-CI"
-            # no comprehension here: it would add a frame per nesting level
-            out, premises = None, []
-            for m in e.members:
-                c, d = self.set_class(m)
-                out = c if out is None else join(out, c)
-                premises.append(d)
-            return out, self._set_node(rule, premises, self._set_text(e), out)
-        if isinstance(e, (ast.CountableUnion, ast.CountableIntersection)):
-            rule = "S-CU" if isinstance(e, ast.CountableUnion) else "S-CI"
-            leaf = self._sched_leaf(e.schedule)
-            out = leaf.conclusion.judgment.cls
-            return out, self._set_node(rule, [leaf], self._set_text(e), out)
-        if isinstance(e, ast.Product):
-            (a, da), (b, db) = self.set_class(e.left), self.set_class(e.right)
-            out = product_class(a, b)
-            return out, self._set_node("S-PROD", [da, db], self._set_text(e), out)
-        if isinstance(e, ast.Projection):
-            c, d = self.set_class(e.operand)
-            out = projection_class(c)
-            return out, self._set_node("S-PROJ", [d], self._set_text(e), out)
-        if isinstance(e, ast.BorelImage):
-            # the image rule wants the bare level-1 declaration, not an
-            # F-DOM lift; a partial domain restricts the operand instead
-            entry = self.env.func_entry(e.func)
-            leaf = self._func_node("DECL", (), e.func, entry.annot.level)
-            c, d = self.set_class(e.operand)
-            if entry.domain_set is not None:
-                dc, dd = self.set_class(ast.NamedSet(entry.domain_set))
-                c = join(c, dc)
-                text = f"inter({format_set(e.operand, self.texts)}, {entry.domain_set})"
-                d = self._set_node("S-CI", [d, dd], text, c)
-            out = projection_class(c)
-            return out, self._set_node("S-BIMG", [leaf, d], self._set_text(e), out)
-        if isinstance(e, ast.Preimage):
-            return self._preimage(e)
-        if isinstance(e, ast.Section):
-            c, d = self.set_class(e.operand)
-            return c, self._set_node("S-BPRE", [d], self._set_text(e), c)
-        if isinstance(e, ast.Graph):
-            fl, fd = self.func_level(e.func)
-            out = delta(fl.level + 1)
-            return out, self._set_node("F-GRAPH", [fd], self._set_text(e), out)
-        if isinstance(e, ast.Sublevel):
-            fl, fd = self.func_level(e.func)
-            out = delta(fl.level)
-            return out, self._set_node("S-SUBLEV", [fd], self._set_text(e), out)
-        if isinstance(e, ast.MeasureThreshold):
-            c, d = self.set_class(e.operand)
-            out = sigma_lift(c)
-            if out.level >= 2 and self.mode != ZFC_PD:
-                raise AxiomRequiredError("S-WR", f"threshold sets above level 1 (here {out})")
-            return out, self._set_node("S-WR", [d], self._set_text(e), out)
-        raise TypeError(f"not a set expression: {e!r}")
-
-    def _preimage(self, e: ast.Preimage) -> tuple[PointClass, Derivation]:
-        fl, fd = self.func_level(e.func)
-        c, d = self.set_class(e.operand)
-        text = self._set_text(e)
-        if fl.level == 1:
-            return c, self._set_node("S-BPRE", [fd, d], text, c)
-        if c.kind is Kind.DELTA:
-            out = delta(fl.level + c.level)
-            return out, self._set_node("F-PRE-Δ", [fd, d], text, out)
-        if c.kind is Kind.SIGMA:
-            out = sigma(c.level + fl.level - 1)
-            return out, self._set_node("F-PRE-Σ", [fd, d], text, out)
-        # pi target: complement, pull back the sigma side, complement again
-        func, operand = format_func(e.func, self.texts), format_set(e.operand, self.texts)
-        flip = self._set_node("S-COMPL", [d], f"compl({operand})", complement_class(c))
-        pulled = sigma(c.level + fl.level - 1)
-        inner = self._set_node("F-PRE-Σ", [fd, flip], f"pre[{func}](compl({operand}))", pulled)
-        out = complement_class(pulled)
-        return out, self._set_node("S-COMPL", [inner], text, out)
-
-    # -- functions
-
-    def func_level(self, e: ast.FuncExpr) -> tuple[FuncLevel, Derivation]:
         if isinstance(e, ast.NamedFunc):
             hit = self.named.get(e.name)
             if hit is None:
                 entry = self.env.func_entry(e.name)
                 if entry.expr is not None:
-                    hit = self.func_level(entry.expr)
+                    hit = kids[0][0], kids[0][1], e.name
                 else:
                     lvl = entry.annot.level
                     leaf = self._func_node("DECL", (), e.name, lvl)
-                    hit = FuncLevel(lvl), leaf
+                    hit = FuncLevel(lvl), leaf, e.name
                     if entry.domain_set is not None:
-                        dc, dd = self.set_class(ast.NamedSet(entry.domain_set))
+                        dc, dd, _ = kids[0]
                         lvl = max(lvl, delta_lift(dc).level)
-                        hit = FuncLevel(lvl), self._func_node("F-DOM", [leaf, dd], e.name, lvl)
+                        hit = FuncLevel(lvl), self._func_node("F-DOM", [leaf, dd], e.name, lvl), e.name
                 self.named[e.name] = hit
             return hit
+        parts = [k[2] for k in kids]
+        if isinstance(e, ast.EpsSelector):
+            parts.reverse()  # _enter gave (func, dom), the premise order
+        text = spell(e, parts)
+        # -- sets
+        if isinstance(e, ast.Complement):
+            c, d, _ = kids[0]
+            out = complement_class(c)
+            return out, self._set_node("S-COMPL", [d], text, out), text
+        if isinstance(e, (ast.FiniteUnion, ast.FiniteIntersection)):
+            rule = "S-CU" if isinstance(e, ast.FiniteUnion) else "S-CI"
+            out = kids[0][0]
+            for c, _, _ in kids[1:]:
+                out = join(out, c)
+            return out, self._set_node(rule, [d for _, d, _ in kids], text, out), text
+        if isinstance(e, (ast.CountableUnion, ast.CountableIntersection)):
+            rule = "S-CU" if isinstance(e, ast.CountableUnion) else "S-CI"
+            leaf = self._sched_leaf(e.schedule)
+            out = leaf.conclusion.judgment.cls
+            return out, self._set_node(rule, [leaf], text, out), text
+        if isinstance(e, ast.Product):
+            (a, da, _), (b, db, _) = kids
+            out = product_class(a, b)
+            return out, self._set_node("S-PROD", [da, db], text, out), text
+        if isinstance(e, ast.Projection):
+            c, d, _ = kids[0]
+            out = projection_class(c)
+            return out, self._set_node("S-PROJ", [d], text, out), text
+        if isinstance(e, ast.BorelImage):
+            # the image rule wants the bare level-1 declaration, not an
+            # F-DOM lift; a partial domain restricts the operand instead
+            leaf = self._func_node("DECL", (), e.func, self.env.func_entry(e.func).annot.level)
+            c, d, operand = kids[0]
+            if len(kids) == 2:
+                dc, dd, domain_set = kids[1]
+                c = join(c, dc)
+                d = self._set_node("S-CI", [d, dd], f"inter({operand}, {domain_set})", c)
+            out = projection_class(c)
+            return out, self._set_node("S-BIMG", [leaf, d], text, out), text
+        if isinstance(e, ast.Preimage):
+            (fl, fd, func), (c, d, operand) = kids
+            if fl.level == 1:
+                return c, self._set_node("S-BPRE", [fd, d], text, c), text
+            if c.kind is Kind.DELTA:
+                out = delta(fl.level + c.level)
+                return out, self._set_node("F-PRE-Δ", [fd, d], text, out), text
+            if c.kind is Kind.SIGMA:
+                out = sigma(c.level + fl.level - 1)
+                return out, self._set_node("F-PRE-Σ", [fd, d], text, out), text
+            # pi target: complement, pull back the sigma side, complement again
+            flip = self._set_node("S-COMPL", [d], f"compl({operand})", complement_class(c))
+            pulled = sigma(c.level + fl.level - 1)
+            inner = self._set_node("F-PRE-Σ", [fd, flip], f"pre[{func}](compl({operand}))", pulled)
+            out = complement_class(pulled)
+            return out, self._set_node("S-COMPL", [inner], text, out), text
+        if isinstance(e, ast.Section):
+            c, d, _ = kids[0]
+            return c, self._set_node("S-BPRE", [d], text, c), text
+        if isinstance(e, ast.Graph):
+            fl, fd, _ = kids[0]
+            out = delta(fl.level + 1)
+            return out, self._set_node("F-GRAPH", [fd], text, out), text
+        if isinstance(e, ast.Sublevel):
+            fl, fd, _ = kids[0]
+            out = delta(fl.level)
+            return out, self._set_node("S-SUBLEV", [fd], text, out), text
+        if isinstance(e, ast.MeasureThreshold):
+            c, d, _ = kids[0]
+            out = sigma_lift(c)
+            if out.level >= 2 and self.mode != ZFC_PD:
+                raise AxiomRequiredError("S-WR", f"threshold sets above level 1 (here {out})")
+            return out, self._set_node("S-WR", [d], text, out), text
+        # -- functions
         if isinstance(e, ast.PairFunc):
-            (l, dl), (r, dr) = self.func_level(e.left), self.func_level(e.right)
-            lvl = max(l.level, r.level)
-            return FuncLevel(lvl), self._func_node("F-PAIR", [dl, dr], self._func_text(e), lvl)
+            (l, dl, _), (r, dr, _) = kids
+            out = FuncLevel(max(l.level, r.level))
+            return out, self._func_node("F-PAIR", [dl, dr], text, out.level), text
         if isinstance(e, ast.CylinderExtend):
-            fl, fd = self.func_level(e.func)
-            return FuncLevel(fl.level), self._func_node("F-CYL", [fd], self._func_text(e), fl.level)
+            fl, fd, _ = kids[0]
+            return fl, self._func_node("F-CYL", [fd], text, fl.level), text
         if isinstance(e, ast.Compose):
-            (o, do), (i, di) = self.func_level(e.outer), self.func_level(e.inner)
+            (o, do, _), (i, di, _) = kids
             if i.level == 1:
                 # inner Borel: preimages of the outer function's targets
                 # pull back without cost
-                return FuncLevel(o.level), self._func_node(
-                    "F-COMP-B", [do, di], self._func_text(e), o.level
-                )
-            lvl = o.level + i.level
-            return FuncLevel(lvl), self._func_node("F-COMP", [do, di], self._func_text(e), lvl)
+                return o, self._func_node("F-COMP-B", [do, di], text, o.level), text
+            out = FuncLevel(o.level + i.level)
+            return out, self._func_node("F-COMP", [do, di], text, out.level), text
         if isinstance(e, ast.SectionOf):
-            fl, fd = self.func_level(e.func)
-            lvl = fl.level + 1
-            return FuncLevel(lvl), self._func_node("F-SECT", [fd], self._func_text(e), lvl)
-        if isinstance(e, (ast.Sum, ast.Neg, ast.ProdOp, ast.MinOp, ast.MaxOp, ast.InnerProduct)):
-            # no comprehension here: it would add a frame per nesting level
-            if isinstance(e, ast.Neg):
-                pairs = [self.func_level(e.operand)]
-            else:
-                pairs = [self.func_level(e.left), self.func_level(e.right)]
-            lvl = max(fl.level for fl, _ in pairs)
-            premises = [d for _, d in pairs]
-            return FuncLevel(lvl), self._func_node("F-ARITH", premises, self._func_text(e), lvl)
-        if isinstance(e, ast.Power):
-            if not is_nonneg(e.operand, self.env):
-                raise SignAnnotationMissingError(
-                    f"pow({format_func(e.operand)}, {e.exponent}): operand needs a nonneg annotation"
-                )
-            fl, fd = self.func_level(e.operand)
-            return FuncLevel(fl.level), self._func_node(
-                "F-ARITH", [fd], self._func_text(e), fl.level
-            )
+            fl, fd, _ = kids[0]
+            out = FuncLevel(fl.level + 1)
+            return out, self._func_node("F-SECT", [fd], text, out.level), text
+        if isinstance(e, (ast.Sum, ast.Neg, ast.ProdOp, ast.MinOp, ast.MaxOp, ast.InnerProduct, ast.Power)):
+            out = FuncLevel(max(fl.level for fl, _, _ in kids))
+            return out, self._func_node("F-ARITH", [d for _, d, _ in kids], text, out.level), text
         if isinstance(e, (ast.CountableSup, ast.CountableInf)):
             rule = "F-CSUP" if isinstance(e, ast.CountableSup) else "F-CINF"
             leaf = self._sched_leaf(e.schedule)
-            lvl = delta_lift(leaf.conclusion.judgment.cls).level
-            return FuncLevel(lvl), self._func_node(rule, [leaf], self._func_text(e), lvl)
+            out = FuncLevel(delta_lift(leaf.conclusion.judgment.cls).level)
+            return out, self._func_node(rule, [leaf], text, out.level), text
         if isinstance(e, (ast.PartialInf, ast.PartialSup)):
-            fl, fd = self.func_level(e.func)
-            dc, dd = self.set_class(e.dom)
-            lvl = max(fl.level, delta_lift(dc).level) + 1
-            return FuncLevel(lvl), self._func_node("F-PARTIAL", [fd, dd], self._func_text(e), lvl)
+            (fl, fd, _), (dc, dd, _) = kids
+            out = FuncLevel(max(fl.level, delta_lift(dc).level) + 1)
+            return out, self._func_node("F-PARTIAL", [fd, dd], text, out.level), text
         if isinstance(e, ast.IntegralKernel):
-            fl, fd = self.func_level(e.func)
+            fl, fd, _ = kids[0]
             hit = self.named.get(e.kernel)
             if hit is None:
-                kentry = self.env.kernel_entry(e.kernel)
-                hit = self.named[e.kernel] = kentry.level, self._func_node("DECL", (), e.kernel, kentry.level)
+                klevel = self.env.kernel_entry(e.kernel).level
+                hit = self.named[e.kernel] = klevel, self._func_node("DECL", (), e.kernel, klevel), e.kernel
             if self.mode != ZFC_PD:
                 raise AxiomRequiredError("F-INT", "kernel integration is determinacy-gated")
-            klevel, kleaf = hit
-            lvl = fl.level + klevel + 2
-            return FuncLevel(lvl), self._func_node("F-INT", [fd, kleaf], self._func_text(e), lvl)
+            klevel, kleaf, _ = hit
+            out = FuncLevel(fl.level + klevel + 2)
+            return out, self._func_node("F-INT", [fd, kleaf], text, out.level), text
         if isinstance(e, ast.Select):
-            c, d = self.set_class(e.operand)
+            c, d, operand = kids[0]
             # the least stage m with c <= pi(2m+1) is t // 2, for t the least
             # k with c <= pi(k)
             m = (c.level + 1 if c.kind is Kind.SIGMA else c.level) // 2
@@ -310,17 +310,13 @@ class Engine:
                     "F-SELECT", f"selection for {c} needs stage m={m}; only stage 0 is available outright"
                 )
             # F-UNGRAPH over the selector's graph (F-SELECT) and domain (S-PROJ)
-            subject = self._func_text(e)
             graph_cls, dom_cls = pi(2 * m + 1), projection_class(c)
-            sel = self._set_node("F-SELECT", [d], f"graph({subject})", graph_cls)
-            dom = self._set_node("S-PROJ", [d], f"proj[1]({format_set(e.operand, self.texts)})", dom_cls)
-            lvl = max(delta_lift(graph_cls).level, delta_lift(dom_cls).level) + 1
-            return FuncLevel(lvl), self._func_node("F-UNGRAPH", [sel, dom], subject, lvl)
+            sel = self._set_node("F-SELECT", [d], f"graph({text})", graph_cls)
+            dom = self._set_node("S-PROJ", [d], f"proj[1]({operand})", dom_cls)
+            out = FuncLevel(max(delta_lift(graph_cls).level, delta_lift(dom_cls).level) + 1)
+            return out, self._func_node("F-UNGRAPH", [sel, dom], text, out.level), text
         if isinstance(e, ast.EpsSelector):
-            if self.mode != ZFC_PD:
-                raise AxiomRequiredError("F-EPS", "eps-optimal selection is determinacy-gated")
-            fl, fd = self.func_level(e.func)
-            dc, dd = self.set_class(e.dom)
+            (fl, fd, _), (dc, dd, _) = kids
             q = max(fl.level, delta_lift(dc).level)
             # the near-optimal and escape bands around the sectionwise
             # optimum (level q+1) make a delta q+1 target; F-UNGRAPH over its
@@ -328,21 +324,18 @@ class Engine:
             # level.  Both classes are built so that a level past the cap
             # raises LevelOverflowError.
             m = delta(q + 1).level // 2
-            lvl = delta(max(2 * m + 2, q + 2)).level + 1
-            return FuncLevel(lvl), self._func_node("F-EPS", [fd, dd], self._func_text(e), lvl)
+            out = FuncLevel(delta(max(2 * m + 2, q + 2)).level + 1)
+            return out, self._func_node("F-EPS", [fd, dd], text, out.level), text
         if isinstance(e, ast.FromGraph):
-            gc, gd = self.set_class(e.graph)
-            dc, dd = self.set_class(e.dom)
-            lvl = max(delta_lift(gc).level, delta_lift(dc).level) + 1
-            return FuncLevel(lvl), self._func_node("F-UNGRAPH", [gd, dd], self._func_text(e), lvl)
-        raise TypeError(f"not a function expression: {e!r}")
+            (gc, gd, _), (dc, dd, _) = kids
+            out = FuncLevel(max(delta_lift(gc).level, delta_lift(dc).level) + 1)
+            return out, self._func_node("F-UNGRAPH", [gd, dd], text, out.level), text
+        raise TypeError(f"not a set or function expression: {e!r}")
 
-@depth_limited
 def infer_set(e: ast.SetExpr, env: Env, mode: str = ZFC) -> tuple[PointClass, Derivation]:
     return Engine(env, mode).set_class(e)
 
 
-@depth_limited
 def infer_func(e: ast.FuncExpr, env: Env, mode: str = ZFC) -> tuple[FuncLevel, Derivation]:
     return Engine(env, mode).func_level(e)
 
@@ -369,7 +362,7 @@ def eps_selector_certificate(
 def _certificate(e: ast.FuncExpr, env: Env, mode: str) -> Certificate:
     """A selector's derived bound; ``e`` is signature-checked first, as ``bind`` checks a program's."""
     engine = Engine(env, mode)
-    func_signature(e, env)
+    signature(e, env)
     fl, d = engine.func_level(e)
     return Certificate(d.conclusion.subject, f"level delta {fl.level}", mode, d, note="derived bound")
 
@@ -383,7 +376,6 @@ class AssertionResult:
     derivation: Derivation | None = None
 
 
-@depth_limited
 def evaluate_assertions(
     program: ast.Program, env: Env, mode: str = ZFC, engine: Engine | None = None
 ) -> list[AssertionResult]:

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the line-oriented DSL.
+"""Parser for the line-oriented DSL.
 
 One statement per line; '#' starts a comment.  Keywords are matched
 case-insensitively, identifiers are case-sensitive.  Space names resolve
@@ -6,19 +6,25 @@ eagerly (programs have no forward references), so parsed declarations carry
 structural space values.  parse() also binds, reporting undeclared names as
 ResolutionError and carrier mismatches as SignatureError.
 
-Keyword forms are read from the tables in ast (edit those to add one); only
-the irregular ones (union/inter, countable families, eps_*) are spelled here.
+Keyword forms are read from the tables in ast (edit those to add one; the
+formatter and ast.children read them too); only the irregular ones
+(union/inter, countable families) are spelled here, and a new one is also
+named in ast.children.  Expressions are read by one loop over a stack of
+partly read forms (_LineParser.expr), so they nest as deep as memory allows;
+space values are still read recursively.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ast
-from .errors import ParseError, ResolutionError, depth_limited
+from .errors import LevelOverflowError, ParseError, ResolutionError, depth_limited
 from .pointclass import (
+    LEVEL_CAP,
     BoundedBy,
     ConstantClass,
     ExplicitList,
@@ -48,13 +54,22 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# keyword -> (node class, slot steps) for the forms of ast.SET_FORMS/FUNC_FORMS
+# keyword -> (node builder, slot steps) for the forms of ast.SET_FORMS/FUNC_FORMS/EPS_FORM
 _SET_FORMS = {w: (c, ast.slot_steps(b, s)) for w, (c, b, s) in ast.SET_FORMS.items()}
 _FUNC_FORMS = {w: (c, ast.slot_steps(b, s)) for w, (c, b, s) in ast.FUNC_FORMS.items()}
+_EPS_STEPS = ast.slot_steps(*ast.EPS_FORM[1:])
+_FUNC_FORMS["eps_inf"] = (functools.partial(ast.EpsSelector, direction="inf"), _EPS_STEPS)
+_FUNC_FORMS["eps_sup"] = (functools.partial(ast.EpsSelector, direction="sup"), _EPS_STEPS)
 
 SET_KEYWORDS = set(ast.SET_FORMS) | {"union", "inter"}
-FUNC_KEYWORDS = set(ast.FUNC_FORMS) | {"sup", "inf", "eps_inf", "eps_sup"}
+FUNC_KEYWORDS = set(_FUNC_FORMS) | {"sup", "inf"}
 SPACE_KEYWORDS = set(ast.SPACE_ATOMS) | {"prod", "measures"}
+
+# expression kind -> (keyword forms, family keywords, node, kind and noun of a name)
+_READS = {
+    "set_expr": (_SET_FORMS, ("union", "inter"), ast.NamedSet, "set", "set"),
+    "func_expr": (_FUNC_FORMS, ("sup", "inf"), ast.NamedFunc, "func", "function"),
+}
 
 
 @dataclass(slots=True)
@@ -146,18 +161,28 @@ class _LineParser:
         q = Fraction(num, den)
         return -q if neg else q
 
+    def level(self) -> int:
+        """A hierarchy level, 1 up to LEVEL_CAP."""
+        tok = self.take("int")
+        level = int(tok.text)
+        if level < 1:
+            raise ParseError("level must be at least 1", self.lineno, tok.col)
+        if level > LEVEL_CAP:
+            raise LevelOverflowError(level, LEVEL_CAP)
+        return level
+
     def set_class(self) -> PointClass:
         word = self.keyword("sigma", "pi", "delta", "borel", "analytic")
         if word == "borel":
             return PointClass(Kind.DELTA, 1)
         if word == "analytic":
             return PointClass(Kind.SIGMA, 1)
-        return PointClass(Kind(word), self.integer())
+        return PointClass(Kind(word), self.level())
 
     def func_annot(self) -> ast.FuncAnnot:
         word = self.keyword("delta", "borel", "lsa", "usa")
         if word == "delta":
-            return ast.FuncAnnot("declared", self.integer())
+            return ast.FuncAnnot("declared", self.level())
         if word == "borel":
             return ast.FuncAnnot("borel", 1)
         return ast.FuncAnnot(word, 2)  # semianalytic envelopes sit at level 2
@@ -252,61 +277,85 @@ class _LineParser:
     def any_expr(self):
         """A set or function expression, decided by the leading token."""
         tok = self.peek()
-        if tok is None:
-            self.error(("expression",))
-        word = tok.text.lower() if tok.kind == "ident" else None
-        if word in SET_KEYWORDS:
-            return self.set_expr(), "set"
-        if word in FUNC_KEYWORDS:
-            return self.func_expr(), "func"
-        if tok.kind == "ident":
-            kind = self.expr_kind_of(tok.text)
-            if kind == "set":
-                return self.set_expr(), "set"
-            if kind == "func":
-                return self.func_expr(), "func"
-            raise ResolutionError(f"{tok.text!r} names a {kind}, not a set or function")
-        self.error(("expression",))
-
-    def set_expr(self) -> ast.SetExpr:
-        tok = self.peek()
         if tok is None or tok.kind != "ident":
-            self.error(tuple(sorted(SET_KEYWORDS)) + ("set name",))
+            self.error(("expression",))
         word = tok.text.lower()
-        form = _SET_FORMS.get(word)
-        if form is not None:
-            self._advance()
-            node, steps = form
-            args = {}
-            # inline, not in a helper: one frame per nesting level (as func_expr)
-            for lead, name, kind in steps:
-                for punct in lead.rstrip():
-                    self.take(punct)
-                if kind == "point":
-                    args["axis"], args["at"] = self.point()
-                else:  # set_expr, func_expr and every other kind is a method
-                    args[name] = getattr(self, kind)()
-            self.take(")")
-            return node(**args)
-        if word in ("union", "inter"):
-            self._advance()
-            if self.peek() is not None and self.peek().kind == "(":
-                self.take("(")
-                members = [self.set_expr()]
-                while self.peek() is not None and self.peek().kind == ",":
-                    self._advance()
-                    members.append(self.set_expr())
-                self.take(")")
-                if len(members) < 2:
-                    self.error((",",))
-                node = ast.FiniteUnion if word == "union" else ast.FiniteIntersection
-                return node(tuple(members))
-            return self._countable(ast.CountableUnion if word == "union" else ast.CountableIntersection)
-        # named set
-        self._advance()
-        if self.expr_kind_of(tok.text) != "set":
-            raise ResolutionError(f"{tok.text!r} is not a set")
-        return ast.NamedSet(tok.text)
+        kind = "set" if word in SET_KEYWORDS else "func" if word in FUNC_KEYWORDS else self.expr_kind_of(tok.text)
+        if kind not in ("set", "func"):
+            raise ResolutionError(f"{tok.text!r} names a {kind}, not a set or function")
+        return self.expr("set_expr" if kind == "set" else "func_expr"), kind
+
+    def expr(self, kind: str):
+        """One expression of ``kind``, set_expr or func_expr, read with a stack
+        of partly read forms: a form waits on the stack while the expression
+        in its open slot is read, then takes that expression's value."""
+        stack = []  # [build, slot steps or None for a member list, next step, args]
+        while True:
+            forms, families, named, name_kind, noun = _READS[kind]
+            tok = self.peek()
+            if tok is None or tok.kind != "ident":
+                self.error(tuple(sorted({*forms, *families})) + (f"{noun} name",))
+            self.i += 1
+            word = tok.text.lower()
+            form = forms.get(word)
+            frame = value = None
+            if form is not None:
+                frame = [form[0], form[1], 0, {}]
+                stack.append(frame)
+            elif word in families:
+                finite, countable = ast.FAMILIES[word]
+                if finite is not None and self.peek() is not None and self.peek().kind == "(":
+                    self.i += 1
+                    frame = [finite, None, 0, []]
+                    stack.append(frame)
+                else:
+                    value = self._countable(countable)
+            elif self.expr_kind_of(tok.text) == name_kind:
+                value = named(tok.text)
+            else:
+                raise ResolutionError(f"{tok.text!r} is not a {noun}")
+            # hand each finished value to its form; read on until one opens an expression slot
+            while True:
+                if frame is None:
+                    if not stack:
+                        return value
+                    frame = stack[-1]
+                build, steps, i, args = frame
+                if value is not None:  # the value of the slot that was open
+                    if steps is None:
+                        args.append(value)
+                    else:
+                        args[steps[i - 1][1]] = value
+                if steps is None:  # union/inter members, after the "("
+                    if not args or (self.peek() is not None and self.peek().kind == ","):
+                        if args:
+                            self._advance()
+                        kind = "set_expr"
+                        break
+                    self.take(")")
+                    if len(args) < 2:
+                        self.error((",",))
+                    value, frame = build(tuple(args)), None
+                    stack.pop()
+                    continue
+                while i < len(steps):
+                    lead, name, slot = steps[i]
+                    i += 1
+                    for punct in lead.rstrip():
+                        self.take(punct)
+                    if slot == "set_expr" or slot == "func_expr":
+                        break
+                    if slot == "point":
+                        args["axis"], args["at"] = self.point()
+                    else:  # every other kind is a method
+                        args[name] = getattr(self, slot)()
+                else:
+                    self.take(")")
+                    value, frame = build(**args), None
+                    stack.pop()
+                    continue
+                frame[2], kind = i, slot
+                break
 
     def _countable(self, node):
         """The family clause after union/inter/sup/inf, as a ``node``."""
@@ -322,44 +371,6 @@ class _LineParser:
         self.keyword("with")
         self.keyword("levels")
         return node(index, base, carrier, self.schedule())
-
-    def func_expr(self) -> ast.FuncExpr:
-        tok = self.peek()
-        if tok is None or tok.kind != "ident":
-            self.error(tuple(sorted(FUNC_KEYWORDS)) + ("function name",))
-        word = tok.text.lower()
-        form = _FUNC_FORMS.get(word)
-        if form is not None:
-            self._advance()
-            node, steps = form
-            args = {}
-            for lead, name, kind in steps:
-                for punct in lead.rstrip():
-                    self.take(punct)
-                if kind == "point":
-                    args["axis"], args["at"] = self.point()
-                else:  # set_expr, func_expr and every other kind is a method
-                    args[name] = getattr(self, kind)()
-            self.take(")")
-            return node(**args)
-        if word in ("sup", "inf"):
-            self._advance()
-            return self._countable(ast.CountableSup if word == "sup" else ast.CountableInf)
-        if word in ("eps_inf", "eps_sup"):
-            self._advance()
-            self.take("(")
-            dom = self.set_expr()
-            self.take(",")
-            fn = self.func_expr()
-            self.take(",")
-            eps = self.rational()
-            self.take(")")
-            return ast.EpsSelector(dom, fn, eps, "inf" if word == "eps_inf" else "sup")
-        # named function
-        self._advance()
-        if self.expr_kind_of(tok.text) != "func":
-            raise ResolutionError(f"{tok.text!r} is not a function")
-        return ast.NamedFunc(tok.text)
 
     # -- statements
 
@@ -413,7 +424,7 @@ class _LineParser:
         dst = self.space_expr()
         self.take(":")
         word = self.keyword("delta", "borel")
-        level = self.integer() if word == "delta" else 1
+        level = self.level() if word == "delta" else 1
         self._register(name, "kernel")
         return ast.KernelDecl(name, src, dst, level, line=self.lineno)
 
@@ -437,16 +448,16 @@ class _LineParser:
             return ast.AssertUM(name, line=self.lineno)
         self.take("(")
         if word == "class":
-            expr = self.set_expr()
+            expr = self.expr("set_expr")
             self.take(")")
             op = self._assert_cmp()
             cls = self.set_class()
             return ast.AssertClass(expr, op, cls, line=self.lineno)
-        expr = self.func_expr()
+        expr = self.expr("func_expr")
         self.take(")")
         op = self._assert_cmp()
         self.keyword("delta")
-        level = self.integer()
+        level = self.level()
         return ast.AssertLevel(expr, op, level, line=self.lineno)
 
     def _assert_cmp(self) -> str:

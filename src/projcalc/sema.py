@@ -9,6 +9,7 @@ bound program can be assumed well-typed downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import ast
 from .errors import ResolutionError, SignatureError
@@ -115,98 +116,87 @@ def family_carrier(base: str, carrier: ast.SpaceExpr | None, env: Env, want: str
     )
 
 
-def set_carrier(e: ast.SetExpr, env: Env) -> ast.SpaceExpr:
-    """Carrier space of a set expression; raises on any mismatch."""
+def signature(e, env: Env):
+    """Carrier of set expression e, or (domain, codomain) of function expression e."""
+    return ast.fold(e, partial(_typed, env))
+
+
+def _typed(env: Env, e, kids: list):
+    """e's signature from its children's: a mismatch inside a child is raised first."""
     if isinstance(e, ast.NamedSet):
         return env.set_entry(e.name).space
     if isinstance(e, ast.Complement):
-        return set_carrier(e.operand, env)
+        return kids[0]
     if isinstance(e, (ast.FiniteUnion, ast.FiniteIntersection)):
-        # no comprehension here: it would add a frame per nesting level
-        spaces = []
-        for m in e.members:
-            spaces.append(set_carrier(m, env))
-        if any(s != spaces[0] for s in spaces):
+        if any(s != kids[0] for s in kids):
             raise SignatureError("members of a finite union/intersection must share a carrier")
-        return spaces[0]
+        return kids[0]
     if isinstance(e, (ast.CountableUnion, ast.CountableIntersection)):
         return family_carrier(e.base, e.carrier, env, "set")
     if isinstance(e, ast.Product):
-        return ast.ProductSpace(set_carrier(e.left, env), set_carrier(e.right, env))
+        return ast.ProductSpace(kids[0], kids[1])
     if isinstance(e, ast.Projection):
-        space = set_carrier(e.operand, env)
+        space = kids[0]
         k = resolve_axis(space, e.axis, env)
         return space.left if k == 1 else space.right
     if isinstance(e, ast.BorelImage):
         entry = env.func_entry(e.func)
         if entry.annot is None or entry.annot.level != 1:
             raise SignatureError(f"img[{e.func}] needs a level-1 (Borel) function")
-        if entry.dom != set_carrier(e.operand, env):
+        if entry.dom != kids[0]:
             raise SignatureError(f"img[{e.func}]: function domain differs from operand carrier")
         return entry.cod
     if isinstance(e, ast.Preimage):
-        dom, cod = func_signature(e.func, env)
-        if cod != set_carrier(e.operand, env):
+        (dom, cod), space = kids
+        if cod != space:
             raise SignatureError("pre[f](B): codomain of f differs from the carrier of B")
         return dom
     if isinstance(e, ast.Section):
-        space = set_carrier(e.operand, env)
+        space = kids[0]
         k = resolve_axis(space, e.axis, env)
         return space.right if k == 1 else space.left
     if isinstance(e, ast.Graph):
-        dom, cod = func_signature(e.func, env)
+        dom, cod = kids[0]
         return ast.ProductSpace(dom, cod)
     if isinstance(e, ast.Sublevel):
-        dom, cod = func_signature(e.func, env)
+        dom, cod = kids[0]
         if not is_numeric(cod):
             raise SignatureError("sublevel sets need a real or extended-real valued function")
         return dom
     if isinstance(e, ast.MeasureThreshold):
-        return ast.MeasureSpace(set_carrier(e.operand, env))
-    raise TypeError(f"not a set expression: {e!r}")
-
-
-def func_signature(e: ast.FuncExpr, env: Env) -> tuple[ast.SpaceExpr, ast.SpaceExpr]:
-    """(domain, codomain) of a function expression; raises on mismatch."""
+        return ast.MeasureSpace(kids[0])
     if isinstance(e, ast.NamedFunc):
         entry = env.func_entry(e.name)
         return entry.dom, entry.cod
     if isinstance(e, ast.PairFunc):
-        ld, lc = func_signature(e.left, env)
-        rd, rc = func_signature(e.right, env)
+        (ld, lc), (rd, rc) = kids
         if ld != rd:
             raise SignatureError("pair(f, g): domains differ")
         return ld, ast.ProductSpace(lc, rc)
     if isinstance(e, ast.CylinderExtend):
-        d, c = func_signature(e.func, env)
+        d, c = kids[0]
         return ast.ProductSpace(d, e.factor), c
     if isinstance(e, ast.Compose):
-        od, oc = func_signature(e.outer, env)
-        idm, ic = func_signature(e.inner, env)
+        (od, oc), (idm, ic) = kids
         if ic != od:
             raise SignatureError("compose(f, g): codomain of g differs from domain of f")
         return idm, oc
     if isinstance(e, ast.SectionOf):
-        d, c = func_signature(e.func, env)
+        d, c = kids[0]
         k = resolve_axis(d, e.axis, env)
         return (d.right if k == 1 else d.left), c
     if isinstance(e, (ast.Sum, ast.Neg)):
-        # no comprehension here: it would add a frame per nesting level
-        sigs = []
-        for f in ((e.operand,) if isinstance(e, ast.Neg) else (e.left, e.right)):
-            sigs.append(func_signature(f, env))
-        if any(s[0] != sigs[0][0] for s in sigs):
+        if any(s[0] != kids[0][0] for s in kids):
             raise SignatureError("pointwise arithmetic needs a shared domain")
-        cods = [s[1] for s in sigs]
+        cods = [s[1] for s in kids]
         if all(c == cods[0] and is_real_vector(c) for c in cods):
-            return sigs[0][0], cods[0]
+            return kids[0][0], cods[0]
         if all(is_numeric(c) for c in cods):
             merged = ast.XRealLine() if any(isinstance(c, ast.XRealLine) for c in cods) else ast.Reals()
-            return sigs[0][0], merged
+            return kids[0][0], merged
         raise SignatureError("sum/neg needs matching real-vector or scalar codomains")
     if isinstance(e, (ast.ProdOp, ast.MinOp, ast.MaxOp)):
-        ld, lc = func_signature(e.left, env)
-        rd, rc = func_signature(e.right, env)
+        (ld, lc), (rd, rc) = kids
         if ld != rd:
             raise SignatureError("pointwise arithmetic needs a shared domain")
         if not (is_numeric(lc) and is_numeric(rc)):
@@ -214,15 +204,14 @@ def func_signature(e: ast.FuncExpr, env: Env) -> tuple[ast.SpaceExpr, ast.SpaceE
         merged = ast.XRealLine() if any(isinstance(c, ast.XRealLine) for c in (lc, rc)) else ast.Reals()
         return ld, merged
     if isinstance(e, ast.InnerProduct):
-        ld, lc = func_signature(e.left, env)
-        rd, rc = func_signature(e.right, env)
+        (ld, lc), (rd, rc) = kids
         if ld != rd or lc != rc or not is_real_vector(lc):
             raise SignatureError("inner(f, g) needs a shared domain and equal real-vector codomains")
         return ld, ast.Reals()
     if isinstance(e, ast.Power):
         if e.exponent <= 0:
             raise SignatureError("pow exponent must be positive")
-        d, c = func_signature(e.operand, env)
+        d, c = kids[0]
         if not is_numeric(c):
             raise SignatureError("pow needs a scalar codomain")
         return d, c
@@ -230,16 +219,16 @@ def func_signature(e: ast.FuncExpr, env: Env) -> tuple[ast.SpaceExpr, ast.SpaceE
         dom = family_carrier(e.base, e.carrier, env, "func")
         return dom, ast.XRealLine()
     if isinstance(e, (ast.PartialInf, ast.PartialSup)):
-        d, c = func_signature(e.func, env)
+        (d, c), space = kids
         if not isinstance(d, ast.ProductSpace):
             raise SignatureError("inf_over/sup_over need a function on a product space")
         if not is_numeric(c):
             raise SignatureError("inf_over/sup_over need a scalar codomain")
-        if set_carrier(e.dom, env) != d:
+        if space != d:
             raise SignatureError("inf_over/sup_over: constraint set lives on a different product")
         return d.left, ast.XRealLine()
     if isinstance(e, ast.IntegralKernel):
-        d, c = func_signature(e.func, env)
+        d, c = kids[0]
         k = env.kernel_entry(e.kernel)
         if not isinstance(d, ast.ProductSpace) or d != ast.ProductSpace(k.src, k.dst):
             raise SignatureError("integral(f, q): f must live on the product of the kernel's spaces")
@@ -247,44 +236,43 @@ def func_signature(e: ast.FuncExpr, env: Env) -> tuple[ast.SpaceExpr, ast.SpaceE
             raise SignatureError("integral needs a scalar integrand")
         return k.src, ast.XRealLine()
     if isinstance(e, ast.Select):
-        space = set_carrier(e.operand, env)
+        space = kids[0]
         if not isinstance(space, ast.ProductSpace):
             raise SignatureError("select(A) needs A on a product space")
         return space.left, space.right
     if isinstance(e, ast.EpsSelector):
         if e.eps <= 0:
             raise SignatureError("eps must be positive")
-        space = set_carrier(e.dom, env)
+        space, (fd, fc) = kids
         if not isinstance(space, ast.ProductSpace):
             raise SignatureError("eps selection needs a constraint set on a product space")
-        fd, fc = func_signature(e.func, env)
         if fd != space:
             raise SignatureError("eps selection: objective domain differs from the constraint carrier")
         if not is_numeric(fc):
             raise SignatureError("eps selection needs a scalar objective")
         return space.left, space.right
     if isinstance(e, ast.FromGraph):
-        g = set_carrier(e.graph, env)
+        g, space = kids
         if not isinstance(g, ast.ProductSpace):
             raise SignatureError("from_graph(G, D): G must live on a product space")
-        if set_carrier(e.dom, env) != g.left:
+        if space != g.left:
             raise SignatureError("from_graph(G, D): D must live on the first factor of G's carrier")
         return g.left, g.right
-    raise TypeError(f"not a function expression: {e!r}")
+    raise TypeError(f"not a set or function expression: {e!r}")
 
 
 def is_nonneg(e: ast.FuncExpr, env: Env) -> bool:
     """Conservative syntactic nonnegativity, seeded by declarations."""
+    return ast.fold(e, partial(_nonneg, env))
+
+
+def _nonneg(env: Env, e, signs: list) -> bool:
     if isinstance(e, ast.NamedFunc):
         return env.func_entry(e.name).nonneg
-    if isinstance(e, ast.Power):
-        return is_nonneg(e.operand, env)
+    if isinstance(e, (ast.Power, ast.CylinderExtend, ast.SectionOf, ast.Compose)):
+        return signs[0]  # the operand, or compose's outer function
     if isinstance(e, (ast.Sum, ast.ProdOp, ast.MinOp, ast.MaxOp)):
-        return is_nonneg(e.left, env) and is_nonneg(e.right, env)
-    if isinstance(e, (ast.CylinderExtend, ast.SectionOf)):
-        return is_nonneg(e.func, env)
-    if isinstance(e, ast.Compose):
-        return is_nonneg(e.outer, env)
+        return signs[0] and signs[1]
     return False
 
 
@@ -317,18 +305,16 @@ def bind(program: ast.Program) -> Env:
         elif isinstance(stmt, ast.KernelDecl):
             env.declare(stmt.name, "kernels", KernelEntry(src=stmt.src, dst=stmt.dst, level=stmt.level))
         elif isinstance(stmt, ast.LetSet):
-            space = set_carrier(stmt.expr, env)
+            space = signature(stmt.expr, env)
             env.declare(stmt.name, "sets", SetEntry(space=space, expr=stmt.expr))
         elif isinstance(stmt, ast.LetFunc):
             # a let's signature and sign are computed once, here; every use
             # of the name reads them back from its entry
-            dom, cod = func_signature(stmt.expr, env)
+            dom, cod = signature(stmt.expr, env)
             entry = FuncEntry(dom=dom, cod=cod, expr=stmt.expr, nonneg=is_nonneg(stmt.expr, env))
             env.declare(stmt.name, "funcs", entry)
-        elif isinstance(stmt, ast.AssertClass):
-            set_carrier(stmt.expr, env)
-        elif isinstance(stmt, ast.AssertLevel):
-            func_signature(stmt.expr, env)
+        elif isinstance(stmt, (ast.AssertClass, ast.AssertLevel)):
+            signature(stmt.expr, env)
         elif isinstance(stmt, ast.AssertUM):
             if stmt.name not in env.sets and stmt.name not in env.funcs:
                 raise ResolutionError(f"undeclared subject {stmt.name!r} in um assertion")

@@ -121,6 +121,12 @@ def compl_nest(depth: int) -> str:
     return f"space X = baire\nset A0 in X : sigma 1\nlet N = {expr}\n"
 
 
+def neg_nest(depth: int) -> str:
+    """One let whose expression is depth nested negations of a function."""
+    expr = "neg(" * depth + "u" + ")" * depth
+    return f"space X = baire\nfunc u : X -> reals : delta 1\nlet N = {expr}\n"
+
+
 # (k, N) of the bitset games; each gets a sparse and a dense target so that
 # both players win somewhere for every k
 MASK_SHAPES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4),

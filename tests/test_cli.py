@@ -14,9 +14,10 @@ import pytest
 from projcalc import cli
 from projcalc.cli import build_parser, main
 from projcalc.games import BUDGET_ENV, FiniteGame, compile_target_expr, dumps_game
+from projcalc.rules import CITATIONS
 
 from .oracles import brute_force_winner, reference_solve
-from .progen import compl_nest, corpus, doubling_chain, game_corpus, linear_chain
+from .progen import compl_nest, corpus, doubling_chain, game_corpus, linear_chain, neg_nest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,6 +85,50 @@ def test_infer_resolution_error(tmp_path):
     path = tmp_path / "p.pjc"
     path.write_text("space X = baire\nassert class(ghost) <= sigma 1\n", encoding="utf-8")
     assert main(["infer", str(path)]) == 2
+
+
+@pytest.mark.parametrize("line,error", [
+    ("set A in X : delta 0", "error: 2:20: level must be at least 1"),
+    ("set A in X : sigma 1\nassert class(A) <= sigma 0", "error: 3:26: level must be at least 1"),
+    ("let U = union i in nat of A_i in X with levels bounded sigma 0", "error: 2:62: level must be at least 1"),
+    ("func f : X -> X : delta 0", "error: 2:25: level must be at least 1"),
+    ("func f : X -> X : delta 70000", "error: LevelOverflow: level 70000 exceeds cap 65535"),
+    ("kernel q : X ~> X : delta 65536", "error: LevelOverflow: level 65536 exceeds cap 65535"),
+    ("func f : X -> X : delta 1\nassert level(f) <= delta 0", "error: 3:26: level must be at least 1"),
+])
+def test_level_token_out_of_range_exits_two(line, error, tmp_path, capsys):
+    path = tmp_path / "p.pjc"
+    path.write_text(f"space X = baire\n{line}\n", encoding="utf-8")
+    assert main(["infer", str(path)]) == 2
+    assert capsys.readouterr().err == error + "\n"
+
+
+def test_function_level_past_the_cap(tmp_path, capsys):
+    # a derived level past the cap is a failed verdict, and a row that claims
+    # one fails the check
+    path = tmp_path / "cap.pjc"
+    path.write_text(
+        "space X = baire\nfunc f : X -> X : delta 40000\nfunc g : X -> X : delta 40000\n"
+        "let h = compose(f, g)\n",
+        encoding="utf-8",
+    )
+    assert main(["infer", str(path), "--json"]) == 1
+    [row] = json.loads(capsys.readouterr().out)["bindings"]
+    assert row["detail"] == "LevelOverflow: level 80000 exceeds cap 65535"
+    rows = [
+        ("DECL", [], "f", 40000),
+        ("DECL", [], "g", 40000),
+        ("F-COMP", [0, 1], "compose(f, g)", 80000),
+    ]
+    nodes = [
+        {"cite": CITATIONS[rule], "premises": premises, "rule": rule,
+         "conclusion": {"judgment": f"level delta {level}", "mode": "ZFC", "subject": subject}}
+        for rule, premises, subject, level in rows
+    ]
+    forged = tmp_path / "h.pjd"
+    forged.write_text(json.dumps({"nodes": nodes, "schema": "projcalc/2"}), encoding="utf-8")
+    assert main(["check", str(forged), str(path)]) == 1
+    assert capsys.readouterr().out == "check failed at /: level 80000 exceeds cap 65535\n"
 
 
 def test_infer_missing_file(capsys):
@@ -171,12 +216,33 @@ def _fresh_run(argv, text, tmp_path):
     )
 
 
-@pytest.mark.parametrize("argv,text", [
-    (["infer"], compl_nest(2000)),
-    (["fmt"], compl_nest(2000)),
-], ids=["infer-nest-2000", "fmt-nest-2000"])
-def test_past_the_stack_exits_three(argv, text, tmp_path):
-    run = _fresh_run(argv, text, tmp_path)
+@pytest.mark.parametrize("command,text", [
+    ("infer", compl_nest(2000)),
+    ("infer", neg_nest(2000)),
+    ("fmt", compl_nest(2000)),
+    ("fmt", compl_nest(100_000)),
+], ids=["infer-nest-2000", "infer-neg-nest-2000", "fmt-nest-2000", "fmt-nest-100000"])
+def test_deep_nest_runs(command, text, tmp_path, capsys):
+    # expressions are walked with explicit stacks, so nesting depth is free
+    out_dir = tmp_path / "d"
+    flags = ["--json", "--emit-derivations", str(out_dir)] if command == "infer" else []
+    run = _fresh_run([command, *flags], text, tmp_path)
+    assert run.returncode == 0, run.stderr
+    if command == "fmt":
+        assert run.stdout == text.replace(" in X ", " in baire ")  # spaces print structurally
+        return
+    assert json.loads(run.stdout)["ok"] is True
+    emitted = sorted(out_dir.iterdir())
+    assert [p.name for p in emitted] == ["let_N.pjd"]
+    assert main(["check", str(emitted[0]), str(tmp_path / "deep.pjc")]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
+
+
+@pytest.mark.parametrize("command", ["infer", "fmt"])
+def test_past_the_stack_exits_three(command, tmp_path):
+    # space values are still read, compared and written recursively
+    space = "prod(reals, " * 2000 + "reals" + ")" * 2000
+    run = _fresh_run([command], f"space S = {space}\n", tmp_path)
     assert run.returncode == 3, run.stderr
     assert run.stderr.startswith("error: DepthLimit: ")
     assert run.stdout == ""

@@ -11,7 +11,7 @@ import pytest
 
 from projcalc import ast
 from projcalc.errors import ParseError, ResolutionError, SignatureError
-from projcalc.formatter import format_program, format_set, format_statement
+from projcalc.formatter import format_expr, format_program, format_statement
 from projcalc.parser import (
     FUNC_KEYWORDS,
     SET_KEYWORDS,
@@ -299,7 +299,7 @@ class TestFormatter:
 
     def test_set_expr_text(self):
         prog, env = parse(BASE + "let P = pre[g](B)\n")
-        assert format_set(env.sets["P"].expr) == "pre[g](B)"
+        assert format_expr(env.sets["P"].expr) == "pre[g](B)"
 
 
 # -- the syntax digests: every keyword form of the DSL, frozen
@@ -351,8 +351,8 @@ def test_syntax_lines_spell_every_keyword():
 
 @pytest.mark.parametrize("word", ["compl", "neg"])
 def test_deep_nest_formats_in_process(word):
-    # one parser frame and one formatter frame per nesting level
-    depth = 600
+    # read and written with explicit stacks: deeper than the interpreter's recursion limit
+    depth = 5000
     inner = "A" if word == "compl" else "u"
     nest = f"{word}(" * depth + inner + ")" * depth
     text = f"space X = baire\nset A in X : sigma 1\nfunc u : X -> reals : delta 1\nlet N = {nest}\n"

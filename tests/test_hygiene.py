@@ -1,9 +1,12 @@
-"""Source hygiene: every name a package module imports is used there.
+"""Source hygiene, by stdlib ``ast`` only, so it runs wherever the suite runs.
 
-Stdlib ``ast`` only, so it runs wherever the suite runs.  A name counts as
-used if it is read anywhere in the module, listed in its ``__all__``, or
-imported on a line marked ``# noqa: F401`` (a re-export that another module
-looks up by name); ``from __future__`` imports are exempt.
+Every name a package module imports is used there: a name counts as used if
+it is read anywhere in the module, listed in its ``__all__``, or imported on
+a line marked ``# noqa: F401`` (a re-export that another module looks up by
+name); ``from __future__`` imports are exempt.
+
+No expression walker recurses: in the modules that read, bind, infer and
+write expressions, no function reaches itself through calls by name.
 """
 
 import ast
@@ -48,11 +51,79 @@ def test_unused_import_is_flagged():
     source = (
         "from __future__ import annotations\n"
         "import os, sys\n"
-        "from .sema import Env, set_carrier\n"
+        "from .sema import Env, signature\n"
         "from .infer import infer_set  # noqa: F401\n"
         "from .pointclass import delta\n"
         "__all__ = ['delta']\n"
         "def f(env: Env):\n"
         "    return sys.argv\n"
     )
-    assert unused_imports(source) == [(2, "os"), (3, "set_carrier")]
+    assert unused_imports(source) == [(2, "os"), (3, "signature")]
+
+
+# the modules that walk set and function expressions
+WALKERS = ("ast", "parser", "sema", "infer", "formatter")
+# space values are still read, compared and written recursively; a program
+# that nests one too deep is a DepthLimitError
+RECURSIVE_SPACE_FUNCTIONS = {"parser.space_expr", "sema.is_real_vector", "formatter.format_space"}
+
+
+def recursive_functions(source: str) -> list[str]:
+    """Every function that reaches itself through calls ``f(...)`` or
+    ``self.f(...)`` to functions of the same module."""
+    calls: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = calls.setdefault(node.name, set())
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+                    called.add(sub.func.id)
+                elif (
+                    isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Attribute)
+                    and isinstance(sub.func.value, ast.Name)
+                    and sub.func.value.id == "self"
+                ):
+                    called.add(sub.func.attr)
+    out = []
+    for name in calls:
+        seen, stack = set(), list(calls[name])
+        while stack:
+            callee = stack.pop()
+            if callee == name:
+                out.append(name)
+                break
+            if callee in calls and callee not in seen:
+                seen.add(callee)
+                stack.extend(calls[callee])
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", WALKERS)
+def test_expression_walkers_do_not_recurse(module):
+    found = recursive_functions((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert {f"{module}.{name}" for name in found} <= RECURSIVE_SPACE_FUNCTIONS
+
+
+def test_recursion_is_flagged():
+    source = (
+        "def set_carrier(e):\n"
+        "    return func_signature(e.func) if e.func else set_carrier(e.operand)\n"
+        "def func_signature(e):\n"
+        "    return set_carrier(e.dom)\n"
+        "class P:\n"
+        "    def set_expr(self):\n"
+        "        return [self.set_expr()]\n"
+        "    def leaf(self):\n"
+        "        return set_carrier(self)\n"
+    )
+    assert recursive_functions(source) == ["func_signature", "set_carrier", "set_expr"]
+
+
+def test_depth_limit_guards_only_the_front_door():
+    # parse and cli.main map a too-deep space value to DepthLimitError
+    uses = {
+        path.stem: path.read_text(encoding="utf-8").count("depth_limited")
+        for path in PACKAGE.glob("*.py")
+    }
+    assert {stem: n for stem, n in uses.items() if n} == {"errors": 1, "parser": 2, "cli": 2}

@@ -38,7 +38,7 @@ from projcalc.pointclass import (
     sigma,
 )
 
-from .progen import compl_nest
+from .progen import compl_nest, linear_chain
 
 BASE = """\
 space X = baire
@@ -293,33 +293,45 @@ def test_union_let_chain_infers():
 
 
 def test_past_the_stack_is_a_depth_limit():
+    # only space values still nest on the interpreter stack
+    space = "prod(reals, " * 5000 + "reals" + ")" * 5000
     with pytest.raises(DepthLimitError):
-        parse(compl_nest(2000))
+        parse(f"space S = {space}\n")
+
+
+def test_deep_nests_infer_in_process():
+    parse(compl_nest(5000))
     _, e = parse(compl_nest(1))
     deep = N("A0")
     for _ in range(5000):
         deep = ast.Complement(deep)
-    with pytest.raises(DepthLimitError):
-        infer_set(deep, e, ZFC)
+    cls, d = infer_set(deep, e, ZFC)
+    assert cls == sigma(1)
+    check(d, e)
+    _, e = parse(linear_chain(3000))
+    cls, d = infer_set(N("A3000"), e, ZFC)
+    assert cls == sigma(1)
+    check(d, e)
 
 
 def test_nest_subjects_render_in_linear_calls(monkeypatch):
-    # each node's subject is spelled from its child's, not by re-rendering the subtree
+    # each node's subject is spelled once, from its child's, not by
+    # re-rendering the subtree
     depth = 400
     _, e = parse(compl_nest(depth))
     calls = 0
-    original = formatter.format_set
+    original = formatter.spell
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(formatter, "format_set", counted)
-    monkeypatch.setattr(infer, "format_set", counted)
+    monkeypatch.setattr(formatter, "spell", counted)
+    monkeypatch.setattr(infer, "spell", counted)
     cls, d = infer_set(N("N"), e, ZFC)
     assert cls == sigma(1) and d.conclusion.subject.count("compl(") == depth
-    assert calls <= 3 * depth
+    assert 0 < calls <= 3 * depth
 
 
 def test_power_sign_through_lets():
