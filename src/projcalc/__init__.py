@@ -24,6 +24,7 @@ from .derivation import (
     Judgment,
     check,
     deserialize,
+    expand,
     serialize,
 )
 from .errors import (
@@ -122,6 +123,7 @@ __all__ = [
     "Judgment",
     "check",
     "deserialize",
+    "expand",
     "serialize",
     "AxiomRequiredError",
     "CheckError",

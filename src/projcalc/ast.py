@@ -14,7 +14,7 @@ The binder, the engine and the formatter walk expressions through fold(),
 the parser with a stack of its own, so expressions nest as deep as memory
 allows.  A new constructor is its class and one entry here plus its rules
 in sema, infer and derivation; an irregular form is also named in
-children() and spelled by hand in parser.expr and formatter.spell.
+children() and spelled by hand in parser.expr and formatter.pieces.
 """
 
 from __future__ import annotations

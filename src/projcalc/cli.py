@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from .derivation import ZFC, ZFC_PD, check, deserialize, serialize
+from .derivation import ZFC, ZFC_PD, check, deserialize, expand, serialize
 from .errors import (
     VERDICT_ERRORS,
     CheckError,
@@ -162,7 +162,7 @@ def cmd_check(args) -> int:
     except CheckError as exc:
         print(f"check failed at {exc.path or '/'}: {exc.reason}")
         return 1
-    print(f"ok: {d.conclusion.subject} : {d.conclusion.judgment.render()} [{d.conclusion.mode}]")
+    print(f"ok: {expand(d)} : {d.conclusion.judgment.render()} [{d.conclusion.mode}]")
     return 0
 
 

@@ -2,7 +2,10 @@
 
 A derivation node is {rule, cite, premises, conclusion}; the conclusion is
 a rendered judgment (subject, class or level, axiom mode).  Premises may be
-shared, so a derivation is a DAG of node objects.  check() visits each
+shared, so a derivation is a DAG of node objects.  A node's subject spells
+only its own constructor and points at its subexpressions' premises with
+#i.j... paths, so a derivation's text is linear in its size; expand()
+writes a subject out in full.  check() visits each
 distinct node once and recomputes its conclusion from its premises with
 its own copy of the rule arithmetic: it shares the lattice primitives and
 the parser with the engine but none of the engine's rule-application
@@ -12,10 +15,12 @@ code, so an engine that emits a wrong level is caught here.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _str
 
 from .errors import CheckError, FormatError, LevelOverflowError
+from .formatter import write
 from .pointclass import LEVEL_CAP, Kind, PointClass, delta, leq, parse_class_token, pi, sigma
 from .rules import ALWAYS_GATED, CITATIONS
 from .sema import Env
@@ -88,8 +93,18 @@ def node(rule: str, premises: tuple[Derivation, ...], subject: str, judgment: Ju
 #
 # A .pjd document is a node table in the style of LRAT proof files: one row
 # per distinct node, premises named by the ids of earlier rows, root last.
+# A row's subject spells only its own constructor: each subexpression with
+# a row of its own is the path #i.j... to it through the premises (the
+# row's i-th premise, that premise's j-th, ...), and a name stays a name.
+# The mode is written once, in the header, and each row's cite follows
+# from its rule.
 
-SCHEMA = "projcalc/2"
+SCHEMA = "projcalc/3"
+
+# rows whose subject is plain text: a name, a schedule or a class token
+LEAF_RULES = frozenset({"DECL", "SCHED", "P-UM"})
+
+_REF = re.compile(r"#(\d+(?:\.\d+)*)")
 
 
 def serialize(d: Derivation) -> str:
@@ -97,7 +112,9 @@ def serialize(d: Derivation) -> str:
 
     Rows come in first post-order visit order and structurally equal nodes
     share one row, so the text depends only on the derivation's structure.
+    Every node must be in the root's mode.
     """
+    mode = d.conclusion.mode
     rows: dict[str, int] = {}  # rendered row -> row id
     row_of: dict[int, int] = {}  # id(node) -> row id
     stack = [d]
@@ -112,46 +129,57 @@ def serialize(d: Derivation) -> str:
             continue
         stack.pop()
         c = n.conclusion
+        if c.mode != mode:
+            raise ValueError(f"a {c.mode} node inside a {mode} derivation")
         # the row json.dumps(..., sort_keys=True, ensure_ascii=False) would
         # write, spelled out: keys in sorted order, default separators
         premises = ", ".join([str(row_of[id(p)]) for p in n.premises])
         line = (
-            f'{{"cite": {_str(n.cite)}, "conclusion": {{"judgment": {_str(c.judgment.render())}, '
-            f'"mode": {_str(c.mode)}, "subject": {_str(c.subject)}}}, '
-            f'"premises": [{premises}], "rule": {_str(n.rule)}}}'
+            f'{{"judgment": {_str(c.judgment.render())}, "premises": [{premises}], '
+            f'"rule": {_str(n.rule)}, "subject": {_str(c.subject)}}}'
         )
         row_of[id(n)] = rows.setdefault(line, len(rows))
-    return '{"nodes": [\n' + ",\n".join(rows) + f'\n], "schema": "{SCHEMA}"}}\n'
+    return f'{{"mode": {_str(mode)}, "nodes": [\n' + ",\n".join(rows) + f'\n], "schema": "{SCHEMA}"}}\n'
 
 
-def _from_row(obj, where: str, built: list[Derivation]) -> tuple[Derivation, list[int]]:
+def _from_row(obj, where: str, built: list[Derivation], mode: str) -> tuple[Derivation, list[int]]:
     if not isinstance(obj, dict):
         raise FormatError(f"derivation row {where} is not an object")
     try:
         rule = obj["rule"]
-        cite = obj["cite"]
         premises = obj["premises"]
-        conclusion = obj["conclusion"]
+        subject = obj["subject"]
+        judgment = obj["judgment"]
     except KeyError as exc:
         raise FormatError(f"missing field {exc} at {where}") from None
-    if not isinstance(rule, str) or not isinstance(cite, str) or not isinstance(premises, list):
+    if not (isinstance(rule, str) and isinstance(premises, list) and isinstance(subject, str)):
         raise FormatError(f"bad field types at {where}")
-    if not isinstance(conclusion, dict):
-        raise FormatError(f"conclusion at {where} is not an object")
     try:
-        subject = conclusion["subject"]
-        judgment = Judgment.parse(conclusion["judgment"])
-        mode = conclusion["mode"]
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise FormatError(f"bad conclusion at {where}: {exc}") from None
-    if mode not in MODES:
-        raise FormatError(f"unknown mode {mode!r} at {where}")
+        judgment = Judgment.parse(judgment)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise FormatError(f"bad judgment at {where}: {exc}") from None
     for p in premises:
         # bool is an int subclass; only genuine ints name rows
         if type(p) is not int or not 0 <= p < len(built):
             raise FormatError(f"premise {p!r} at {where} does not name an earlier row")
     kids = tuple(built[p] for p in premises)
-    return Derivation(rule, cite, kids, Conclusion(subject, judgment, mode)), premises
+    d = Derivation(rule, CITATIONS.get(rule, ""), kids, Conclusion(subject, judgment, mode))
+    if rule not in LEAF_RULES and "#" in subject:
+        for path in _REF.findall(subject):
+            if _follow(d, path) is None:
+                raise FormatError(f"#{path} at {where} names no premise")
+    return d, premises
+
+
+def _follow(d: Derivation, path: str) -> Derivation | None:
+    """The node the path i.j... reaches from d through premises, if any."""
+    for step in path.split("."):
+        # a step too long to be an index names no premise either
+        i = int(step) if len(step) < 10 else len(d.premises)
+        if i >= len(d.premises):
+            return None
+        d = d.premises[i]
+    return d
 
 
 def deserialize(text: str) -> Derivation:
@@ -161,17 +189,22 @@ def deserialize(text: str) -> Derivation:
         raise FormatError(f"malformed JSON: {exc.msg}", offset=exc.pos) from None
     except RecursionError:
         raise FormatError("malformed JSON: nested too deeply") from None
+    except ValueError:  # an integer past int()'s limit on digits
+        raise FormatError("malformed JSON: an integer has too many digits") from None
     if not isinstance(doc, dict):
         raise FormatError("derivation document is not an object")
     if doc.get("schema") != SCHEMA:
         raise FormatError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA!r}")
+    mode = doc.get("mode")
+    if mode not in MODES:
+        raise FormatError(f"unknown mode {mode!r} at /mode")
     table = doc.get("nodes")
     if not isinstance(table, list) or not table:
         raise FormatError("derivation document needs a non-empty 'nodes' list")
     built: list[Derivation] = []
     premise_ids: list[list[int]] = []
     for i, obj in enumerate(table):
-        d, ids = _from_row(obj, f"/nodes/{i}", built)
+        d, ids = _from_row(obj, f"/nodes/{i}", built, mode)
         built.append(d)
         premise_ids.append(ids)
     # later rows name earlier ones only, so one backward sweep finds every
@@ -184,6 +217,23 @@ def deserialize(text: str) -> Derivation:
         for p in premise_ids[i]:
             reached[p] = True
     return built[-1]
+
+
+def _subject_pieces(d: Derivation) -> list:
+    """d's subject as text and, for each #path in it, the node it names
+    (a path that names none, which no file that loads has, stays text)."""
+    if "#" not in d.conclusion.subject or d.rule in LEAF_RULES:
+        return [d.conclusion.subject]
+    parts = _REF.split(d.conclusion.subject)
+    for i in range(1, len(parts), 2):
+        parts[i] = _follow(d, parts[i]) or f"#{parts[i]}"
+    return parts
+
+
+def expand(d: Derivation) -> str:
+    """The full text of d's subject, each #path replaced by the full text of
+    the subject it names, in one pass at any depth."""
+    return write((d,), _subject_pieces)
 
 
 # --- independent checking -----------------------------------------------------
@@ -451,28 +501,40 @@ def check(d: Derivation, env: Env) -> None:
 
     Each distinct node object is checked once, on its first visit in
     depth-first premise order, and errors carry that visit's path.  The walk
-    keeps its own stack, so depth is bounded by memory, not by recursion.
+    keeps its own stack, so depth is bounded by memory, not by recursion,
+    and a path is spelled only for an error: each node's own checks see
+    the path "" and the error they raise is moved below the node's path.
     """
     mode = d.conclusion.mode
     seen: set[int] = set()
-    stack: list[tuple[Derivation, str, bool]] = [(d, "", False)]
-    while stack:
-        n, path, premises_done = stack.pop()
-        if premises_done:
-            _check_own(n, env, path)
-            continue
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if n.conclusion.mode != mode:
-            raise CheckError(path, f"mode mismatch: {n.conclusion.mode} inside a {mode} derivation")
-        if n.rule not in CITATIONS:
-            raise CheckError(path, f"unknown rule id {n.rule!r}")
-        stack.append((n, path, True))
-        for i in range(len(n.premises) - 1, -1, -1):
-            p = n.premises[i]
-            if id(p) not in seen:
-                stack.append((p, f"{path}/premises/{i}", False))
+    up: list[tuple[int, int]] = []  # per visit: (its parent's visit or -1, premise position)
+    stack: list[tuple[Derivation, int, int, bool]] = [(d, -1, 0, False)]
+    try:
+        while stack:
+            n, v, i, premises_done = stack.pop()
+            if premises_done:
+                _check_own(n, env, "")
+                continue
+            if id(n) in seen:
+                continue
+            seen.add(id(n))
+            up.append((v, i))
+            v = len(up) - 1
+            if n.conclusion.mode != mode:
+                raise CheckError("", f"mode mismatch: {n.conclusion.mode} inside a {mode} derivation")
+            if n.rule not in CITATIONS:
+                raise CheckError("", f"unknown rule id {n.rule!r}")
+            stack.append((n, v, 0, True))
+            for i in range(len(n.premises) - 1, -1, -1):
+                p = n.premises[i]
+                if id(p) not in seen:
+                    stack.append((p, v, i, False))
+    except CheckError as exc:
+        steps = []
+        while up[v][0] >= 0:
+            v, i = up[v]
+            steps.append(f"/premises/{i}")
+        raise CheckError("".join(reversed(steps)) + exc.path, exc.reason) from None
 
 
 def _check_own(d: Derivation, env: Env, path: str) -> None:

@@ -15,9 +15,9 @@ class ProjcalcError(Exception):
 
 
 class LevelOverflowError(ProjcalcError):
-    """A hierarchy level exceeded LEVEL_CAP."""
+    """A hierarchy level exceeded LEVEL_CAP (a level token may give its digits)."""
 
-    def __init__(self, level: int, cap: int):
+    def __init__(self, level: int | str, cap: int):
         self.level = level
         self.cap = cap
         super().__init__(f"LevelOverflow: level {level} exceeds cap {cap}")

@@ -6,9 +6,11 @@ references are printed structurally (names are resolved at parse time).
 Keyword forms are written from the tables in ast, which the parser and
 ast.children read too; only the irregular ones (union/inter, countable
 families, eps_*) are spelled here, and a new one is also named in
-ast.children.  spell() writes one node from its children's texts, so
-format_expr and the inference engine, which records each node's subject as
-it builds it, both walk an expression once, children first, through ast.fold.
+ast.children.  pieces() gives one node's text with its subexpressions left
+in place, and write() expands such pieces on an explicit stack, appending
+each token to one list, so an expression's text costs time linear in its
+length at any depth.  The inference engine spells each node with spell(),
+putting a short reference in place of each subexpression.
 """
 
 from __future__ import annotations
@@ -48,41 +50,71 @@ def format_schedule(s: LevelSchedule) -> str:
     raise TypeError(f"not a schedule: {s!r}")
 
 
-def spell(e, parts) -> str:
-    """Canonical text of e, given the texts of its children (ast.children order)."""
+def pieces(e) -> list:
+    """e's text as strings and, in ast.children order, its subexpressions."""
     if type(e) is ast.NamedSet or type(e) is ast.NamedFunc:
-        return e.name
+        return [e.name]
     form = _BY_CLASS.get(type(e))
     if form is not None:
         word, steps = form
-        text, i = word, 0
+        out = [word]
         for lead, name, kind in steps:
             if kind == "set_expr" or kind == "func_expr":
-                text += lead + parts[i]
-                i += 1
+                out += lead, getattr(e, name)
             elif kind == "space_expr":
-                text += lead + format_space(getattr(e, name))
+                out.append(lead + format_space(getattr(e, name)))
             elif kind == "point" and e.at is not None:
-                text += f"{lead}{e.axis} @ {e.at}"
+                out.append(f"{lead}{e.axis} @ {e.at}")
             else:
-                text += lead + str(getattr(e, name))
-        return text + ")"
+                out.append(lead + str(getattr(e, name)))
+        out.append(")")
+        return out
     word = _LISTS.get(type(e))
     if word is not None:
-        return word + "(" + ", ".join(parts) + ")"
+        out = [word + "("]
+        for m in e.members:
+            out += m, ", "
+        if e.members:
+            out.pop()
+        out.append(")")
+        return out
     if isinstance(e, ast.EpsSelector):
-        return f"eps_{e.direction}({parts[0]}, {parts[1]}, {e.eps})"
+        return [f"eps_{e.direction}(", e.dom, ", ", e.func, f", {e.eps})"]
     word = _FAMILIES.get(type(e))
     if word is not None:
         carrier = f" in {format_space(e.carrier)}" if e.carrier is not None else ""
         levels = format_schedule(e.schedule)
-        return f"{word} {e.index} in nat of {e.base}_{e.index}{carrier} with levels {levels}"
+        return [f"{word} {e.index} in nat of {e.base}_{e.index}{carrier} with levels {levels}"]
     raise TypeError(f"not a set or function expression: {e!r}")
+
+
+def spell(e, parts) -> str:
+    """e's text with parts[i] written in place of its i-th subexpression."""
+    rest = iter(parts)
+    return "".join([p if type(p) is str else next(rest) for p in pieces(e)])
+
+
+def write(top, pieces_of) -> str:
+    """The text of the pieces top, each string as it is and each other
+    piece x replaced by the text of the pieces pieces_of(x), on a stack of
+    iterators rather than interpreter frames."""
+    out: list[str] = []
+    stack = [iter(top)]
+    while stack:
+        for p in stack[-1]:
+            if type(p) is str:
+                out.append(p)
+            else:
+                stack.append(iter(pieces_of(p)))
+                break
+        else:
+            stack.pop()
+    return "".join(out)
 
 
 def format_expr(e) -> str:
     """Canonical text of a set or function expression."""
-    return ast.fold(e, spell)
+    return write((e,), pieces)
 
 
 def format_statement(stmt: ast.Statement) -> str:
@@ -103,11 +135,11 @@ def format_statement(stmt: ast.Statement) -> str:
             f"{format_space(stmt.dst)} : delta {stmt.level}"
         )
     if isinstance(stmt, (ast.LetSet, ast.LetFunc)):
-        return f"let {stmt.name} = {format_expr(stmt.expr)}"
+        return write((f"let {stmt.name} = ", stmt.expr), pieces)
     if isinstance(stmt, ast.AssertClass):
-        return f"assert class({format_expr(stmt.expr)}) {stmt.op} {stmt.cls}"
+        return write(("assert class(", stmt.expr, f") {stmt.op} {stmt.cls}"), pieces)
     if isinstance(stmt, ast.AssertLevel):
-        return f"assert level({format_expr(stmt.expr)}) {stmt.op} delta {stmt.level}"
+        return write(("assert level(", stmt.expr, f") {stmt.op} delta {stmt.level}"), pieces)
     if isinstance(stmt, ast.AssertUM):
         return f"assert um({stmt.name})"
     raise TypeError(f"not a statement: {stmt!r}")

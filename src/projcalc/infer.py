@@ -8,6 +8,11 @@ two-rule node is composition, where an inner level-1 function upgrades
 F-COMP to F-COMP-B).  All results are upper bounds by construction; nothing
 here claims minimality.
 
+Each node's subject spells only its own constructor: a name is written as
+the name, and any other subexpression as the #i.j... path through the
+node's premises to the row that derives it, so building a subject costs
+the same at any depth.  derivation.expand writes a subject out in full.
+
 Determinacy gating: F-INT and F-EPS always need ZFC_PD; F-SELECT needs it
 beyond stage 0; S-WR needs it beyond level 1.  A gated step in plain ZFC
 raises AxiomRequiredError naming the rule.
@@ -25,6 +30,7 @@ from .derivation import (
     Derivation,
     Judgment,
     class_judgment,
+    expand,
     level_judgment,
     node,
 )
@@ -47,7 +53,7 @@ from .pointclass import (
     sigma_lift,
 )
 from .rules import UM_REFUSAL
-from .sema import Env, is_nonneg, signature
+from .sema import Env, signature
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,9 @@ class Engine:
 
     Each set, function and kernel name is inferred once per engine, and
     every later use of it, in any expression the engine is given, shares
-    that derivation.  An expression is walked once, children first, and
-    each node's subject is spelled from its children's as the node is built.
+    that derivation.  An expression is walked once, children first; each
+    node's subject, and the sign that pow needs, are worked out from its
+    children's names and signs as the node is built.
     """
 
     def __init__(self, env: Env, mode: str):
@@ -104,7 +111,7 @@ class Engine:
 
     def infer(self, e) -> tuple[PointClass | FuncLevel, Derivation]:
         """The class of set expression e, or the level of function expression e, with its derivation."""
-        value, d, _ = ast.fold(e, self._combine, self._enter)
+        value, d, _, _ = ast.fold(e, self._combine, self._enter)
         return value, d
 
     set_class = func_level = infer
@@ -145,11 +152,6 @@ class Engine:
             domain_set = self.env.func_entry(e.func).domain_set
             if domain_set is not None:
                 return e.operand, ast.NamedSet(domain_set)
-        elif isinstance(e, ast.Power):
-            if not is_nonneg(e.operand, self.env):
-                raise SignAnnotationMissingError(
-                    f"pow({format_expr(e.operand)}, {e.exponent}): operand needs a nonneg annotation"
-                )
         elif isinstance(e, ast.EpsSelector):
             if self.mode != ZFC_PD:
                 raise AxiomRequiredError("F-EPS", "eps-optimal selection is determinacy-gated")
@@ -157,16 +159,18 @@ class Engine:
         return ast.children(e)
 
     def _combine(self, e, kids: list) -> tuple:
-        """(class or level, derivation, text) of e from those of the nodes
-        ``_enter`` gave it; a name's text is the name, any other node's its subject."""
+        """(class or level, derivation, name, nonneg) of e from those of the
+        nodes ``_enter`` gave it.  The name is None but for a name, which
+        stays a name in its parents' subjects; any other child is written
+        there as the path #i.j... through the premises to its own row."""
         if isinstance(e, ast.NamedSet):
             hit = self.named.get(e.name)
             if hit is None:
                 if kids:
-                    hit = kids[0][0], kids[0][1], e.name
+                    hit = kids[0][0], kids[0][1], e.name, False
                 else:
                     cls = self.env.set_entry(e.name).cls
-                    hit = cls, self._set_node("DECL", (), e.name, cls), e.name
+                    hit = cls, self._set_node("DECL", (), e.name, cls), e.name, False
                 self.named[e.name] = hit
             return hit
         if isinstance(e, ast.NamedFunc):
@@ -174,134 +178,129 @@ class Engine:
             if hit is None:
                 entry = self.env.func_entry(e.name)
                 if entry.expr is not None:
-                    hit = kids[0][0], kids[0][1], e.name
+                    fl, d = kids[0][0], kids[0][1]
                 else:
                     lvl = entry.annot.level
-                    leaf = self._func_node("DECL", (), e.name, lvl)
-                    hit = FuncLevel(lvl), leaf, e.name
+                    d = self._func_node("DECL", (), e.name, lvl)
                     if entry.domain_set is not None:
-                        dc, dd, _ = kids[0]
+                        dc, dd, _, _ = kids[0]
                         lvl = max(lvl, delta_lift(dc).level)
-                        hit = FuncLevel(lvl), self._func_node("F-DOM", [leaf, dd], e.name, lvl), e.name
-                self.named[e.name] = hit
+                        d = self._func_node("F-DOM", [d, dd], e.name, lvl)
+                    fl = FuncLevel(lvl)
+                hit = self.named[e.name] = fl, d, e.name, entry.nonneg
             return hit
-        parts = [k[2] for k in kids]
+        # the i-th kid is the i-th premise, but where a case below says otherwise
+        refs = [name or f"#{i}" for i, (_, _, name, _) in enumerate(kids)]
         if isinstance(e, ast.EpsSelector):
-            parts.reverse()  # _enter gave (func, dom), the premise order
-        text = spell(e, parts)
+            refs.reverse()  # _enter gave (func, dom), the premise order
         # -- sets
         if isinstance(e, ast.Complement):
-            c, d, _ = kids[0]
-            out = complement_class(c)
-            return out, self._set_node("S-COMPL", [d], text, out), text
+            c, d, _, _ = kids[0]
+            return self._set(e, "S-COMPL", [d], refs, complement_class(c))
         if isinstance(e, (ast.FiniteUnion, ast.FiniteIntersection)):
             rule = "S-CU" if isinstance(e, ast.FiniteUnion) else "S-CI"
             out = kids[0][0]
-            for c, _, _ in kids[1:]:
-                out = join(out, c)
-            return out, self._set_node(rule, [d for _, d, _ in kids], text, out), text
+            for k in kids[1:]:
+                out = join(out, k[0])
+            return self._set(e, rule, [k[1] for k in kids], refs, out)
         if isinstance(e, (ast.CountableUnion, ast.CountableIntersection)):
             rule = "S-CU" if isinstance(e, ast.CountableUnion) else "S-CI"
             leaf = self._sched_leaf(e.schedule)
-            out = leaf.conclusion.judgment.cls
-            return out, self._set_node(rule, [leaf], text, out), text
+            return self._set(e, rule, [leaf], refs, leaf.conclusion.judgment.cls)
         if isinstance(e, ast.Product):
-            (a, da, _), (b, db, _) = kids
-            out = product_class(a, b)
-            return out, self._set_node("S-PROD", [da, db], text, out), text
+            (a, da, _, _), (b, db, _, _) = kids
+            return self._set(e, "S-PROD", [da, db], refs, product_class(a, b))
         if isinstance(e, ast.Projection):
-            c, d, _ = kids[0]
-            out = projection_class(c)
-            return out, self._set_node("S-PROJ", [d], text, out), text
+            c, d, _, _ = kids[0]
+            return self._set(e, "S-PROJ", [d], refs, projection_class(c))
         if isinstance(e, ast.BorelImage):
             # the image rule wants the bare level-1 declaration, not an
             # F-DOM lift; a partial domain restricts the operand instead
             leaf = self._func_node("DECL", (), e.func, self.env.func_entry(e.func).annot.level)
-            c, d, operand = kids[0]
+            c, d, operand, _ = kids[0]
             if len(kids) == 2:
-                dc, dd, domain_set = kids[1]
+                dc, dd, domain_set, _ = kids[1]
                 c = join(c, dc)
-                d = self._set_node("S-CI", [d, dd], f"inter({operand}, {domain_set})", c)
-            out = projection_class(c)
-            return out, self._set_node("S-BIMG", [leaf, d], text, out), text
+                d = self._set_node("S-CI", [d, dd], f"inter({operand or '#0'}, {domain_set})", c)
+                return self._set(e, "S-BIMG", [leaf, d], [operand or "#1.0"], projection_class(c))
+            return self._set(e, "S-BIMG", [leaf, d], [operand or "#1"], projection_class(c))
         if isinstance(e, ast.Preimage):
-            (fl, fd, func), (c, d, operand) = kids
+            (fl, fd, func, _), (c, d, operand, _) = kids
             if fl.level == 1:
-                return c, self._set_node("S-BPRE", [fd, d], text, c), text
+                return self._set(e, "S-BPRE", [fd, d], refs, c)
             if c.kind is Kind.DELTA:
-                out = delta(fl.level + c.level)
-                return out, self._set_node("F-PRE-Δ", [fd, d], text, out), text
+                return self._set(e, "F-PRE-Δ", [fd, d], refs, delta(fl.level + c.level))
             if c.kind is Kind.SIGMA:
-                out = sigma(c.level + fl.level - 1)
-                return out, self._set_node("F-PRE-Σ", [fd, d], text, out), text
+                return self._set(e, "F-PRE-Σ", [fd, d], refs, sigma(c.level + fl.level - 1))
             # pi target: complement, pull back the sigma side, complement again
-            flip = self._set_node("S-COMPL", [d], f"compl({operand})", complement_class(c))
+            flip = self._set_node("S-COMPL", [d], f"compl({operand or '#0'})", complement_class(c))
             pulled = sigma(c.level + fl.level - 1)
-            inner = self._set_node("F-PRE-Σ", [fd, flip], f"pre[{func}](compl({operand}))", pulled)
-            out = complement_class(pulled)
-            return out, self._set_node("S-COMPL", [inner], text, out), text
+            inner = self._set_node("F-PRE-Σ", [fd, flip], f"pre[{func or '#0'}](#1)", pulled)
+            return self._set(e, "S-COMPL", [inner], [func or "#0.0", operand or "#0.1.0"], complement_class(pulled))
         if isinstance(e, ast.Section):
-            c, d, _ = kids[0]
-            return c, self._set_node("S-BPRE", [d], text, c), text
+            c, d, _, _ = kids[0]
+            return self._set(e, "S-BPRE", [d], refs, c)
         if isinstance(e, ast.Graph):
-            fl, fd, _ = kids[0]
-            out = delta(fl.level + 1)
-            return out, self._set_node("F-GRAPH", [fd], text, out), text
+            fl, fd, _, _ = kids[0]
+            return self._set(e, "F-GRAPH", [fd], refs, delta(fl.level + 1))
         if isinstance(e, ast.Sublevel):
-            fl, fd, _ = kids[0]
-            out = delta(fl.level)
-            return out, self._set_node("S-SUBLEV", [fd], text, out), text
+            fl, fd, _, _ = kids[0]
+            return self._set(e, "S-SUBLEV", [fd], refs, delta(fl.level))
         if isinstance(e, ast.MeasureThreshold):
-            c, d, _ = kids[0]
+            c, d, _, _ = kids[0]
             out = sigma_lift(c)
             if out.level >= 2 and self.mode != ZFC_PD:
                 raise AxiomRequiredError("S-WR", f"threshold sets above level 1 (here {out})")
-            return out, self._set_node("S-WR", [d], text, out), text
+            return self._set(e, "S-WR", [d], refs, out)
         # -- functions
         if isinstance(e, ast.PairFunc):
-            (l, dl, _), (r, dr, _) = kids
-            out = FuncLevel(max(l.level, r.level))
-            return out, self._func_node("F-PAIR", [dl, dr], text, out.level), text
+            (l, dl, _, _), (r, dr, _, _) = kids
+            return self._func(e, "F-PAIR", [dl, dr], refs, max(l.level, r.level))
         if isinstance(e, ast.CylinderExtend):
-            fl, fd, _ = kids[0]
-            return fl, self._func_node("F-CYL", [fd], text, fl.level), text
+            fl, fd, _, nonneg = kids[0]
+            return self._func(e, "F-CYL", [fd], refs, fl.level, nonneg)
         if isinstance(e, ast.Compose):
-            (o, do, _), (i, di, _) = kids
+            (o, do, _, nonneg), (i, di, _, _) = kids
             if i.level == 1:
                 # inner Borel: preimages of the outer function's targets
                 # pull back without cost
-                return o, self._func_node("F-COMP-B", [do, di], text, o.level), text
-            out = FuncLevel(o.level + i.level)
-            return out, self._func_node("F-COMP", [do, di], text, out.level), text
+                return self._func(e, "F-COMP-B", [do, di], refs, o.level, nonneg)
+            return self._func(e, "F-COMP", [do, di], refs, o.level + i.level, nonneg)
         if isinstance(e, ast.SectionOf):
-            fl, fd, _ = kids[0]
-            out = FuncLevel(fl.level + 1)
-            return out, self._func_node("F-SECT", [fd], text, out.level), text
-        if isinstance(e, (ast.Sum, ast.Neg, ast.ProdOp, ast.MinOp, ast.MaxOp, ast.InnerProduct, ast.Power)):
-            out = FuncLevel(max(fl.level for fl, _, _ in kids))
-            return out, self._func_node("F-ARITH", [d for _, d, _ in kids], text, out.level), text
+            fl, fd, _, nonneg = kids[0]
+            return self._func(e, "F-SECT", [fd], refs, fl.level + 1, nonneg)
+        if isinstance(e, ast.Power):
+            fl, fd, _, nonneg = kids[0]
+            if not nonneg:
+                raise SignAnnotationMissingError(
+                    f"pow({format_expr(e.operand)}, {e.exponent}): operand needs a nonneg annotation"
+                )
+            return self._func(e, "F-ARITH", [fd], refs, fl.level, True)
+        if isinstance(e, (ast.Sum, ast.ProdOp, ast.MinOp, ast.MaxOp)):
+            (l, dl, _, ln), (r, dr, _, rn) = kids
+            return self._func(e, "F-ARITH", [dl, dr], refs, max(l.level, r.level), ln and rn)
+        if isinstance(e, (ast.Neg, ast.InnerProduct)):
+            return self._func(e, "F-ARITH", [k[1] for k in kids], refs, max(k[0].level for k in kids))
         if isinstance(e, (ast.CountableSup, ast.CountableInf)):
             rule = "F-CSUP" if isinstance(e, ast.CountableSup) else "F-CINF"
             leaf = self._sched_leaf(e.schedule)
-            out = FuncLevel(delta_lift(leaf.conclusion.judgment.cls).level)
-            return out, self._func_node(rule, [leaf], text, out.level), text
+            return self._func(e, rule, [leaf], refs, delta_lift(leaf.conclusion.judgment.cls).level)
         if isinstance(e, (ast.PartialInf, ast.PartialSup)):
-            (fl, fd, _), (dc, dd, _) = kids
-            out = FuncLevel(max(fl.level, delta_lift(dc).level) + 1)
-            return out, self._func_node("F-PARTIAL", [fd, dd], text, out.level), text
+            (fl, fd, _, _), (dc, dd, _, _) = kids
+            return self._func(e, "F-PARTIAL", [fd, dd], refs, max(fl.level, delta_lift(dc).level) + 1)
         if isinstance(e, ast.IntegralKernel):
-            fl, fd, _ = kids[0]
+            fl, fd, _, _ = kids[0]
             hit = self.named.get(e.kernel)
             if hit is None:
                 klevel = self.env.kernel_entry(e.kernel).level
-                hit = self.named[e.kernel] = klevel, self._func_node("DECL", (), e.kernel, klevel), e.kernel
+                kleaf = self._func_node("DECL", (), e.kernel, klevel)
+                hit = self.named[e.kernel] = klevel, kleaf, e.kernel, False
             if self.mode != ZFC_PD:
                 raise AxiomRequiredError("F-INT", "kernel integration is determinacy-gated")
-            klevel, kleaf, _ = hit
-            out = FuncLevel(fl.level + klevel + 2)
-            return out, self._func_node("F-INT", [fd, kleaf], text, out.level), text
+            klevel, kleaf, _, _ = hit
+            return self._func(e, "F-INT", [fd, kleaf], refs, fl.level + klevel + 2)
         if isinstance(e, ast.Select):
-            c, d, operand = kids[0]
+            c, d, operand, _ = kids[0]
             # the least stage m with c <= pi(2m+1) is t // 2, for t the least
             # k with c <= pi(k)
             m = (c.level + 1 if c.kind is Kind.SIGMA else c.level) // 2
@@ -311,12 +310,13 @@ class Engine:
                 )
             # F-UNGRAPH over the selector's graph (F-SELECT) and domain (S-PROJ)
             graph_cls, dom_cls = pi(2 * m + 1), projection_class(c)
-            sel = self._set_node("F-SELECT", [d], f"graph({text})", graph_cls)
-            dom = self._set_node("S-PROJ", [d], f"proj[1]({operand})", dom_cls)
-            out = FuncLevel(max(delta_lift(graph_cls).level, delta_lift(dom_cls).level) + 1)
-            return out, self._func_node("F-UNGRAPH", [sel, dom], text, out.level), text
+            ref = operand or "#0"
+            sel = self._set_node("F-SELECT", [d], f"graph(select({ref}))", graph_cls)
+            dom = self._set_node("S-PROJ", [d], f"proj[1]({ref})", dom_cls)
+            level = max(delta_lift(graph_cls).level, delta_lift(dom_cls).level) + 1
+            return self._func(e, "F-UNGRAPH", [sel, dom], [operand or "#0.0"], level)
         if isinstance(e, ast.EpsSelector):
-            (fl, fd, _), (dc, dd, _) = kids
+            (fl, fd, _, _), (dc, dd, _, _) = kids
             q = max(fl.level, delta_lift(dc).level)
             # the near-optimal and escape bands around the sectionwise
             # optimum (level q+1) make a delta q+1 target; F-UNGRAPH over its
@@ -324,13 +324,20 @@ class Engine:
             # level.  Both classes are built so that a level past the cap
             # raises LevelOverflowError.
             m = delta(q + 1).level // 2
-            out = FuncLevel(delta(max(2 * m + 2, q + 2)).level + 1)
-            return out, self._func_node("F-EPS", [fd, dd], text, out.level), text
+            return self._func(e, "F-EPS", [fd, dd], refs, delta(max(2 * m + 2, q + 2)).level + 1)
         if isinstance(e, ast.FromGraph):
-            (gc, gd, _), (dc, dd, _) = kids
-            out = FuncLevel(max(delta_lift(gc).level, delta_lift(dc).level) + 1)
-            return out, self._func_node("F-UNGRAPH", [gd, dd], text, out.level), text
+            (gc, gd, _, _), (dc, dd, _, _) = kids
+            level = max(delta_lift(gc).level, delta_lift(dc).level) + 1
+            return self._func(e, "F-UNGRAPH", [gd, dd], refs, level)
         raise TypeError(f"not a set or function expression: {e!r}")
+
+    def _set(self, e, rule: str, premises, refs, cls: PointClass) -> tuple:
+        return cls, self._set_node(rule, premises, spell(e, refs), cls), None, False
+
+    def _func(self, e, rule: str, premises, refs, level: int, nonneg: bool = False) -> tuple:
+        out = FuncLevel(level)
+        return out, self._func_node(rule, premises, spell(e, refs), level), None, nonneg
+
 
 def infer_set(e: ast.SetExpr, env: Env, mode: str = ZFC) -> tuple[PointClass, Derivation]:
     return Engine(env, mode).set_class(e)
@@ -364,7 +371,7 @@ def _certificate(e: ast.FuncExpr, env: Env, mode: str) -> Certificate:
     engine = Engine(env, mode)
     signature(e, env)
     fl, d = engine.func_level(e)
-    return Certificate(d.conclusion.subject, f"level delta {fl.level}", mode, d, note="derived bound")
+    return Certificate(expand(d), f"level delta {fl.level}", mode, d, note="derived bound")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,6 +65,7 @@ _FUNC_FORMS["eps_sup"] = (functools.partial(ast.EpsSelector, direction="sup"), _
 SET_KEYWORDS = set(ast.SET_FORMS) | {"union", "inter"}
 FUNC_KEYWORDS = set(_FUNC_FORMS) | {"sup", "inf"}
 SPACE_KEYWORDS = set(ast.SPACE_ATOMS) | {"prod", "measures"}
+_CAP_DIGITS = len(str(LEVEL_CAP))
 
 # expression kind -> (keyword forms, family keywords, node, kind and noun of a name)
 _READS = {
@@ -144,7 +146,14 @@ class _LineParser:
     # -- terminals
 
     def integer(self) -> int:
-        return int(self.take("int").text)
+        return self.int_value(self.take("int"))
+
+    def int_value(self, tok: Token) -> int:
+        """An int token's value; int() refuses more digits than the interpreter's limit."""
+        limit = sys.get_int_max_str_digits()
+        if limit and len(tok.text) > limit:
+            raise ParseError(f"integer of {len(tok.text)} digits is too long", self.lineno, tok.col)
+        return int(tok.text)
 
     def rational(self) -> Fraction:
         neg = False
@@ -164,7 +173,13 @@ class _LineParser:
     def level(self) -> int:
         """A hierarchy level, 1 up to LEVEL_CAP."""
         tok = self.take("int")
-        level = int(tok.text)
+        text = tok.text
+        if len(text) > _CAP_DIGITS:
+            text = text.lstrip("0") or "0"
+            if len(text) > _CAP_DIGITS:
+                # past the cap, and perhaps too long for int(): report the digits
+                raise LevelOverflowError(text, LEVEL_CAP)
+        level = int(text)
         if level < 1:
             raise ParseError("level must be at least 1", self.lineno, tok.col)
         if level > LEVEL_CAP:
@@ -244,7 +259,7 @@ class _LineParser:
         tok = self.peek()
         if tok is not None and tok.kind == "int":
             self._advance()
-            return int(tok.text)
+            return self.int_value(tok)
         if tok is not None and tok.kind == "ident":
             self._advance()
             return tok.text

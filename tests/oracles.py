@@ -272,15 +272,16 @@ def reference_serialize(d) -> str:
         line = json.dumps(
             {
                 "rule": n.rule,
-                "cite": n.cite,
                 "premises": [row_of[id(p)] for p in n.premises],
-                "conclusion": {"subject": c.subject, "judgment": c.judgment.render(), "mode": c.mode},
+                "subject": c.subject,
+                "judgment": c.judgment.render(),
             },
             sort_keys=True,
             ensure_ascii=False,
         )
         row_of[id(n)] = rows.setdefault(line, len(rows))
-    return '{"nodes": [\n' + ",\n".join(rows) + '\n], "schema": "projcalc/2"}\n'
+    mode = json.dumps(d.conclusion.mode, ensure_ascii=False)
+    return f'{{"mode": {mode}, "nodes": [\n' + ",\n".join(rows) + '\n], "schema": "projcalc/3"}\n'
 
 
 def reference_eps_level(p: int, c: PointClass) -> int:

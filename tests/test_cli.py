@@ -14,7 +14,6 @@ import pytest
 from projcalc import cli
 from projcalc.cli import build_parser, main
 from projcalc.games import BUDGET_ENV, FiniteGame, compile_target_expr, dumps_game
-from projcalc.rules import CITATIONS
 
 from .oracles import brute_force_winner, reference_solve
 from .progen import compl_nest, corpus, doubling_chain, game_corpus, linear_chain, neg_nest
@@ -103,6 +102,23 @@ def test_level_token_out_of_range_exits_two(line, error, tmp_path, capsys):
     assert capsys.readouterr().err == error + "\n"
 
 
+@pytest.mark.parametrize("line,rc,error", [
+    (f"set A in X : sigma {'9' * 5000}", 2, f"error: LevelOverflow: level {'9' * 5000} exceeds cap 65535\n"),
+    (f"set A in X : sigma {'9' * 4300}", 2, f"error: LevelOverflow: level {'9' * 4300} exceeds cap 65535\n"),
+    (f"func u : X -> reals : delta 1\nlet S = sublevel(u, <, {'9' * 5000})", 2,
+     "error: 3:24: integer of 5000 digits is too long\n"),
+    (f"set A in prod(X, X) : sigma 1\nlet P = proj[{'9' * 5000}](A)", 2,
+     "error: 3:14: integer of 5000 digits is too long\n"),
+    (f"set A in X : sigma {'0' * 5000}1\nassert class(A) == sigma 1", 0, ""),
+], ids=["level", "level-4300", "rational", "axis", "leading-zeros"])
+def test_huge_integer_tokens(line, rc, error, tmp_path, capsys):
+    # int() refuses strings of more than 4300 digits; the parser checks first
+    path = tmp_path / "p.pjc"
+    path.write_text(f"space X = baire\n{line}\n", encoding="utf-8")
+    assert main(["infer", str(path), "--json"]) == rc
+    assert capsys.readouterr().err == error
+
+
 def test_function_level_past_the_cap(tmp_path, capsys):
     # a derived level past the cap is a failed verdict, and a row that claims
     # one fails the check
@@ -121,12 +137,11 @@ def test_function_level_past_the_cap(tmp_path, capsys):
         ("F-COMP", [0, 1], "compose(f, g)", 80000),
     ]
     nodes = [
-        {"cite": CITATIONS[rule], "premises": premises, "rule": rule,
-         "conclusion": {"judgment": f"level delta {level}", "mode": "ZFC", "subject": subject}}
+        {"judgment": f"level delta {level}", "premises": premises, "rule": rule, "subject": subject}
         for rule, premises, subject, level in rows
     ]
     forged = tmp_path / "h.pjd"
-    forged.write_text(json.dumps({"nodes": nodes, "schema": "projcalc/2"}), encoding="utf-8")
+    forged.write_text(json.dumps({"mode": "ZFC", "nodes": nodes, "schema": "projcalc/3"}), encoding="utf-8")
     assert main(["check", str(forged), str(path)]) == 1
     assert capsys.readouterr().out == "check failed at /: level 80000 exceeds cap 65535\n"
 
@@ -187,9 +202,11 @@ def test_emit_derivations_onto_a_file_exits_two(gated, tmp_path, capsys):
 
 
 def test_derivations_frozen(tmp_path, capsys):
-    # every verdict, report byte and emitted .pjd of the corpus and three
-    # chains, frozen: refactoring the engine must not move any of them
-    h = hashlib.sha256()
+    # over the corpus and three chains, in both modes: every infer report and
+    # exit code, and every emitted file's check output and exit code, frozen
+    # before subjects became references and unchanged by it; and the .pjd
+    # bytes themselves, frozen for schema projcalc/3
+    reports, checks, files = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     texts = corpus() + [doubling_chain(12), linear_chain(200), compl_nest(150)]
     for i, text in enumerate(texts):
         path = tmp_path / f"p{i}.pjc"
@@ -198,10 +215,14 @@ def test_derivations_frozen(tmp_path, capsys):
             out_dir = tmp_path / f"d{i}{''.join(flags)}"
             rc = main(["infer", str(path), "--json", "--emit-derivations", str(out_dir), *flags])
             stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
-            h.update(f"{rc}\n{stdout}".encode())
+            reports.update(f"{rc}\n{stdout}".encode())
             for pjd in sorted(out_dir.iterdir()):
-                h.update(pjd.name.encode() + b"\n" + pjd.read_bytes())
-    assert h.hexdigest() == "19a99145fc2e2fc451b58eb1a615a899e9b47d777c228df82b25b3811933f2ce"
+                files.update(pjd.name.encode() + b"\n" + pjd.read_bytes())
+                rc = main(["check", str(pjd), str(path)])
+                checks.update(f"{pjd.name}\n{rc}\n{capsys.readouterr().out}".encode())
+    assert reports.hexdigest() == "084c1d671b6cbfb1de6a8ecb09fa8557af9664dcf1af7f3ebab4107896d34ce1"
+    assert checks.hexdigest() == "bcfabb71d5d7d8eaa46a6eaabdd83342ab459a4ab84d56e6ed1de80596b44a50"
+    assert files.hexdigest() == "2b2108805d167e0ecb4df3db50c7fa2f68dab3faf769c5784b77d0707dd1e8ca"
 
 
 def _fresh_run(argv, text, tmp_path):
@@ -219,9 +240,10 @@ def _fresh_run(argv, text, tmp_path):
 @pytest.mark.parametrize("command,text", [
     ("infer", compl_nest(2000)),
     ("infer", neg_nest(2000)),
+    ("infer", compl_nest(100_000)),
     ("fmt", compl_nest(2000)),
     ("fmt", compl_nest(100_000)),
-], ids=["infer-nest-2000", "infer-neg-nest-2000", "fmt-nest-2000", "fmt-nest-100000"])
+], ids=["infer-nest-2000", "infer-neg-nest-2000", "infer-nest-100000", "fmt-nest-2000", "fmt-nest-100000"])
 def test_deep_nest_runs(command, text, tmp_path, capsys):
     # expressions are walked with explicit stacks, so nesting depth is free
     out_dir = tmp_path / "d"
@@ -236,6 +258,20 @@ def test_deep_nest_runs(command, text, tmp_path, capsys):
     assert [p.name for p in emitted] == ["let_N.pjd"]
     assert main(["check", str(emitted[0]), str(tmp_path / "deep.pjc")]) == 0
     assert capsys.readouterr().out.startswith("ok: ")
+
+
+def test_nest_derivations_grow_linearly(tmp_path, capsys):
+    # each row names its subexpression's row instead of spelling it, so a
+    # nest twice as deep writes about twice the bytes
+    sizes = {}
+    for depth in (750, 1500, 3000):
+        path = tmp_path / f"nest{depth}.pjc"
+        path.write_text(compl_nest(depth), encoding="utf-8")
+        out_dir = tmp_path / f"d{depth}"
+        assert main(["infer", str(path), "--emit-derivations", str(out_dir)]) == 0
+        sizes[depth] = (out_dir / "let_N.pjd").stat().st_size
+    assert sizes[1500] < 2.2 * sizes[750] and sizes[3000] < 2.2 * sizes[1500]
+    assert sizes[3000] < 1_000_000
 
 
 @pytest.mark.parametrize("command", ["infer", "fmt"])
@@ -320,8 +356,7 @@ def test_check_malformed_document(gated, tmp_path):
 
 @pytest.mark.parametrize("text", [
     # the tree-shaped layout that preceded the node table
-    '{"cite": "", "conclusion": {"judgment": "class sigma 1", "mode": "ZFC", "subject": "A"},'
-    ' "premises": [], "rule": "DECL"}',
+    '{"judgment": "class sigma 1", "premises": [], "rule": "DECL", "subject": "A"}',
     "[" * 200_000,
 ], ids=["tree-format", "nested-200k"])
 def test_check_unreadable_document_exits_two(text, gated, tmp_path, capsys):
@@ -330,6 +365,25 @@ def test_check_unreadable_document_exits_two(text, gated, tmp_path, capsys):
     assert main(["check", str(bad), gated]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda doc: doc["nodes"][-1].update(subject="union(A, #2)"),
+     "error: #2 at /nodes/3 names no premise\n"),
+    (lambda doc: doc["nodes"][-1].update(subject="union(A, #1.0.0)"),
+     "error: #1.0.0 at /nodes/3 names no premise\n"),
+    (lambda doc: doc.update(schema="projcalc/2"),
+     "error: unsupported schema 'projcalc/2'; expected 'projcalc/3'\n"),
+], ids=["past-the-premises", "below-a-leaf", "schema-2"])
+def test_check_unreadable_reference_exits_two(edit, error, derivation, gated, tmp_path, capsys):
+    doc = json.loads(open(derivation, encoding="utf-8").read())
+    assert doc["nodes"][-1]["subject"] == "union(A, #1)"
+    edit(doc)
+    bad = tmp_path / "bad.pjd"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(bad), gated]) == 2
+    assert capsys.readouterr() == ("", error)
 
 
 def test_check_tampered_shared_row(tmp_path, capsys):
@@ -344,7 +398,7 @@ def test_check_tampered_shared_row(tmp_path, capsys):
         for p in row["premises"]:
             uses[p] += 1
     shared = max(i for i, n in enumerate(uses) if n >= 2 and doc["nodes"][i]["rule"] == "S-CU")
-    doc["nodes"][shared]["conclusion"]["judgment"] = "class delta 3"
+    doc["nodes"][shared]["judgment"] = "class delta 3"
     path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert main(["check", str(path), str(program)]) == 1

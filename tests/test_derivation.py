@@ -17,10 +17,11 @@ from projcalc.derivation import (
     Judgment,
     check,
     deserialize,
+    expand,
     node,
     serialize,
 )
-from projcalc.errors import CheckError, FormatError, LevelOverflowError
+from projcalc.errors import VERDICT_ERRORS, CheckError, FormatError, LevelOverflowError
 from projcalc.infer import (
     Engine,
     eps_selector_certificate,
@@ -30,11 +31,11 @@ from projcalc.infer import (
     select_certificate,
 )
 from projcalc.parser import parse
-from projcalc.formatter import format_schedule
+from projcalc.formatter import format_expr, format_schedule
 from projcalc.pointclass import BoundedBy, Unbounded, delta, pi, sigma
 
 from .oracles import reference_eps_level, reference_serialize, same_derivation
-from .progen import corpus, doubling_chain
+from .progen import compl_nest, corpus, doubling_chain, linear_chain
 
 SRC = """\
 space X = baire
@@ -81,13 +82,14 @@ def test_serialized_shape(env):
     text = serialize(d)
     assert text.endswith("\n")
     obj = json.loads(text)
-    assert sorted(obj) == ["nodes", "schema"]
-    assert obj["schema"] == "projcalc/2"
+    assert sorted(obj) == ["mode", "nodes", "schema"]
+    assert obj["schema"] == "projcalc/3"
+    assert obj["mode"] == "ZFC"
     root = obj["nodes"][-1]
-    assert sorted(root) == ["cite", "conclusion", "premises", "rule"]
+    assert sorted(root) == ["judgment", "premises", "rule", "subject"]
     assert root["rule"] == "S-COMPL"
-    assert root["conclusion"]["judgment"] == "class pi 1"
-    assert root["conclusion"]["mode"] == "ZFC"
+    assert root["judgment"] == "class pi 1"
+    assert root["subject"] == "compl(A)"  # a name stays a name
     assert obj["nodes"][root["premises"][0]]["rule"] == "DECL"
     # one canonical row per line, between the header and the footer
     lines = text.splitlines()
@@ -235,14 +237,13 @@ def test_pum_subject_must_be_class_token(env):
     check(node("P-UM", (), "sigma 2", Judgment("prop", text="universally measurable: sigma 2"), ZFC_PD), env)
 
 
-def _row(rule="DECL", premises=(), subject="A", judgment="class sigma 1", mode="ZFC"):
-    return {"rule": rule, "cite": "", "premises": list(premises),
-            "conclusion": {"subject": subject, "judgment": judgment, "mode": mode}}
+def _row(rule="DECL", premises=(), subject="A", judgment="class sigma 1"):
+    return {"rule": rule, "premises": list(premises), "subject": subject, "judgment": judgment}
 
 
 def _doc(*rows, **top) -> str:
     """A node-table document; the keyword arguments replace or add top-level keys."""
-    doc = {"nodes": list(rows), "schema": "projcalc/2"}
+    doc = {"mode": "ZFC", "nodes": list(rows), "schema": "projcalc/3"}
     doc.update(top)
     return json.dumps(doc)
 
@@ -263,11 +264,20 @@ BAD_DOCUMENTS = [
     ("row not an object", _doc(DECL_A, [1, 2]), "row /nodes/1 is not an object"),
     ("missing rule", _doc(DECL_A, _without(COMPL_A, "rule")), "missing field 'rule' at /nodes/1"),
     ("premises not a list", _doc(DECL_A, dict(COMPL_A, premises=3)), "bad field types at /nodes/1"),
-    ("bad judgment", _doc(_row(judgment="klass sigma 1"), COMPL_A), "bad conclusion at /nodes/0"),
+    ("subject not a string", _doc(DECL_A, dict(COMPL_A, subject=["compl(A)"])), "bad field types at /nodes/1"),
+    ("bad judgment", _doc(_row(judgment="klass sigma 1"), COMPL_A), "bad judgment at /nodes/0"),
     ("bad level judgment", _doc(_row(subject="g", judgment="level delta x"), COMPL_A),
-     "bad conclusion at /nodes/0"),
-    ("unknown mode", _doc(DECL_A, _row("S-COMPL", [0], "compl(A)", "class pi 1", mode="ZFC+V=L")),
-     "unknown mode 'ZFC\\+V=L' at /nodes/1"),
+     "bad judgment at /nodes/0"),
+    ("unknown mode", _doc(DECL_A, COMPL_A, mode="ZFC+V=L"), "unknown mode 'ZFC\\+V=L' at /mode"),
+    ("missing mode", json.dumps({"nodes": [DECL_A, COMPL_A], "schema": "projcalc/3"}), "unknown mode None"),
+    ("reference past the premises", _doc(DECL_A, _row("S-COMPL", [0], "compl(#1)", "class pi 1")),
+     "#1 at /nodes/1 names no premise"),
+    ("reference below a leaf", _doc(DECL_A, _row("S-COMPL", [0], "compl(#0.0)", "class pi 1")),
+     "#0.0 at /nodes/1 names no premise"),
+    ("reference with no premises", _doc(_row("S-COMPL", [], "compl(#0)", "class pi 1")),
+     "#0 at /nodes/0 names no premise"),
+    ("reference too long", _doc(DECL_A, _row("S-COMPL", [0], "compl(#" + "9" * 5000 + ")", "class pi 1")),
+     "names no premise"),
     ("forward premise", _doc(_row(premises=[1]), COMPL_A), "premise 1 at /nodes/0"),
     ("self premise", _doc(DECL_A, _row("S-COMPL", [1], "compl(A)", "class pi 1")), "premise 1 at /nodes/1"),
     ("negative premise", _doc(DECL_A, _row("S-COMPL", [-1], "compl(A)", "class pi 1")),
@@ -283,9 +293,14 @@ BAD_DOCUMENTS = [
      "row /nodes/0 is not reachable"),
     ("missing schema", json.dumps({"nodes": [DECL_A, COMPL_A]}), "unsupported schema None"),
     ("wrong schema", _doc(DECL_A, COMPL_A, schema="projcalc/1"), "unsupported schema 'projcalc/1'"),
-    ("tree format", json.dumps({"rule": "S-COMPL", "cite": "", "premises": [DECL_A],
-                                "conclusion": COMPL_A["conclusion"]}), "unsupported schema None"),
+    ("schema 2", json.dumps({"nodes": [
+        {"cite": "", "conclusion": {"judgment": "class sigma 1", "mode": "ZFC", "subject": "A"},
+         "premises": [], "rule": "DECL"},
+    ], "schema": "projcalc/2"}), "unsupported schema 'projcalc/2'"),
+    ("tree format", json.dumps({"rule": "S-COMPL", "premises": [DECL_A], "subject": "compl(A)",
+                                "judgment": "class pi 1"}), "unsupported schema None"),
     ("nested too deeply", "[" * 200_000, "nested too deeply"),
+    ("huge premise id", GOOD_DOCUMENT.replace("[0]", "[" + "9" * 5000 + "]"), "an integer has too many digits"),
 ]
 
 
@@ -355,7 +370,7 @@ def test_same_derivation_sees_a_deep_difference():
     _, chain_env = parse(doubling_chain(6))
     d = infer_set(ast.NamedSet("A6"), chain_env, ZFC)[1]
     doc = json.loads(serialize(d))
-    doc["nodes"][0]["conclusion"]["subject"] = "A_other"
+    doc["nodes"][0]["subject"] = "A_other"
     assert not same_derivation(d, deserialize(json.dumps(doc)))
 
 
@@ -414,13 +429,21 @@ def test_rows_match_json_dumps_on_awkward_text():
     # quotes and backslashes as an unbounded "witness" schedule spells them,
     # control characters, and the non-ASCII rule ids, written as they are
     sched = format_schedule(Unbounded('a "quoted" \\ witness\twith\x01 é'))
-    leaf = node("SCHED", (), f"levels {sched}", Judgment("class", cls=sigma(2)), ZFC)
-    delta_pre = node("F-PRE-Δ", (leaf, leaf), 'pre[f](\\"x\n")', Judgment("class", cls=delta(3)), ZFC)
+    leaf = node("SCHED", (), f"levels {sched}", Judgment("class", cls=sigma(2)), ZFC_PD)
+    delta_pre = node("F-PRE-Δ", (leaf, leaf), 'pre[f](\\"x\n")', Judgment("class", cls=delta(3)), ZFC_PD)
     sigma_pre = node("F-PRE-Σ", (delta_pre, leaf), "Σ ∪ Δ", Judgment("class", cls=sigma(4)), ZFC_PD)
     text = serialize(sigma_pre)
     assert text == reference_serialize(sigma_pre)
     assert "F-PRE-Δ" in text and '\\"quoted\\"' in text
     assert same_derivation(deserialize(text), sigma_pre)
+
+
+def test_mixed_modes_are_not_written():
+    # the mode is written once, for the whole document
+    leaf = node("DECL", (), "A", Judgment("class", cls=sigma(1)), ZFC)
+    root = node("S-COMPL", (leaf,), "compl(A)", Judgment("class", cls=pi(1)), ZFC_PD)
+    with pytest.raises(ValueError, match="a ZFC node inside a ZFC_PD derivation"):
+        serialize(root)
 
 
 # --- eps-selection: one F-EPS row over the objective and the constraint set ------
@@ -505,25 +528,37 @@ def test_eps_level_matches_the_construction():
     assert compared == 2 * (11 * 33 + 7)
 
 
+def _roots(text):
+    """(program, env, engine, [(statement, derivation)]) of every let and assertion of text."""
+    program, prog_env = parse(text)
+    engine = Engine(prog_env, ZFC_PD)
+    roots = []
+    for stmt in program.statements:
+        try:
+            if isinstance(stmt, ast.LetSet):
+                roots.append((stmt, engine.set_class(ast.NamedSet(stmt.name))[1]))
+            elif isinstance(stmt, ast.LetFunc):
+                roots.append((stmt, engine.func_level(ast.NamedFunc(stmt.name))[1]))
+        except VERDICT_ERRORS:
+            pass
+    results = evaluate_assertions(program, prog_env, ZFC_PD, engine)
+    roots += [(stmt, r.derivation) for stmt, r in zip(program.assertions, results) if r.derivation]
+    return program, prog_env, engine, roots
+
+
 def test_engine_subjects_parse_as_expressions():
-    # every non-leaf subject is an expression of its program: read as the
-    # body of one more let, it parses and binds
+    # every non-leaf subject, written out in full, is an expression of its
+    # program: read as the body of one more let, it parses and binds
     count = 0
     for text in corpus():
-        program, prog_env = parse(text)
-        engine = Engine(prog_env, ZFC_PD)
-        stack = [r.derivation for r in evaluate_assertions(program, prog_env, ZFC_PD, engine) if r.derivation]
-        for stmt in program.statements:
-            if isinstance(stmt, ast.LetSet):
-                stack.append(engine.set_class(ast.NamedSet(stmt.name))[1])
-            elif isinstance(stmt, ast.LetFunc):
-                stack.append(engine.func_level(ast.NamedFunc(stmt.name))[1])
+        _, _, _, roots = _roots(text)
+        stack = [d for _, d in roots]
         subjects, seen = set(), set()
         while stack:
             d = stack.pop()
             if id(d) not in seen and d.premises:
                 seen.add(id(d))
-                subjects.add(d.conclusion.subject)
+                subjects.add(expand(d))
                 stack.extend(d.premises)
         lets = "".join(f"let Subject{i} = {s}\n" for i, s in enumerate(sorted(subjects)))
         try:
@@ -532,3 +567,33 @@ def test_engine_subjects_parse_as_expressions():
             pytest.fail(f"{exc}\n{lets}")
         count += len(subjects)
     assert count >= 200
+
+
+def _unfolded(e, prog_env):
+    """e, or for a let name the body it stands for, through any chain of lets."""
+    while isinstance(e, (ast.NamedSet, ast.NamedFunc)):
+        entry = prog_env.set_entry(e.name) if isinstance(e, ast.NamedSet) else prog_env.func_entry(e.name)
+        if entry.expr is None:
+            break
+        e = entry.expr
+    return e
+
+
+def test_expanded_roots_are_the_formatted_expressions():
+    # every root written out in full is its let body or assertion
+    # expression, with a let name taken as its body, as the formatter spells it
+    count = 0
+    for text in corpus() + [doubling_chain(6), linear_chain(50), compl_nest(50)]:
+        _, prog_env, _, roots = _roots(text)
+        for stmt, d in roots:
+            if d.rule == "P-UM":
+                continue  # an um certificate's subject is the class it certifies
+            if isinstance(stmt, ast.AssertUM):
+                e = ast.NamedSet(stmt.name) if stmt.name in prog_env.sets else ast.NamedFunc(stmt.name)
+            else:
+                e = stmt.expr
+            want = format_expr(_unfolded(e, prog_env))
+            assert expand(d) == want, stmt
+            assert expand(deserialize(serialize(d))) == want
+            count += 1
+    assert count >= 250

@@ -1,5 +1,6 @@
 """DSL front end: parsing, binding, canonical formatting."""
 
+import gc
 import hashlib
 import itertools
 import re
@@ -24,7 +25,7 @@ from projcalc.pointclass import BoundedBy, ExplicitList, Unbounded, delta, pi, s
 from projcalc.sema import bind
 
 from .oracles import reference_lex_line
-from .progen import ASSERTS, HEADER, SYNTAX_EXTRAS, TEMPLATES, corpus
+from .progen import ASSERTS, HEADER, SYNTAX_EXTRAS, TEMPLATES, compl_nest, corpus
 
 BASE = """\
 space X = baire
@@ -357,3 +358,22 @@ def test_deep_nest_formats_in_process(word):
     nest = f"{word}(" * depth + inner + ")" * depth
     text = f"space X = baire\nset A in X : sigma 1\nfunc u : X -> reals : delta 1\nlet N = {nest}\n"
     assert format_program(parse_program(text)).endswith(f"\nlet N = {nest}\n")
+
+
+def test_deep_nest_formats_in_linear_time():
+    # one writer appends every token to one list: doubling the depth about
+    # doubles the time, where copying each child's finished text quadruples it
+    def best(program):
+        times = []
+        gc.disable()  # a collection scans the whole tree, at either depth
+        try:
+            for _ in range(3):
+                started = time.perf_counter()
+                format_program(program)
+                times.append(time.perf_counter() - started)
+        finally:
+            gc.enable()
+        return min(times)
+
+    small, large = (parse_program(compl_nest(depth)) for depth in (20_000, 40_000))
+    assert best(large) < 3 * best(small)

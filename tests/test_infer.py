@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from projcalc import ast, formatter, infer
-from projcalc.derivation import ZFC, ZFC_PD, check
+from projcalc import ast, sema
+from projcalc.derivation import ZFC, ZFC_PD, check, expand
 from projcalc.errors import (
     AxiomRequiredError,
     DepthLimitError,
@@ -314,24 +314,52 @@ def test_deep_nests_infer_in_process():
     check(d, e)
 
 
-def test_nest_subjects_render_in_linear_calls(monkeypatch):
-    # each node's subject is spelled once, from its child's, not by
-    # re-rendering the subtree
-    depth = 400
-    _, e = parse(compl_nest(depth))
+def test_nest_subjects_render_in_linear_calls():
+    # each node spells only its own constructor, so the engine writes a
+    # constant number of characters per level, and expand writes the whole
+    # text once
+    for depth in (400, 800):
+        text = compl_nest(depth)
+        _, e = parse(text)
+        cls, d = infer_set(N("N"), e, ZFC)
+        written, node = 0, d
+        while node.premises:
+            written += len(node.conclusion.subject)
+            (node,) = node.premises
+        assert cls == sigma(1) and written == len("compl(#0)") * (depth - 1) + len("compl(A0)")
+        assert expand(d) == text.split(" = ")[-1].strip()
+
+
+def _pow_nest(depth: int, sign: str) -> str:
+    expr = "pow(" * depth + "u" + ", 2)" * depth
+    return f"space X = baire\nfunc u : X -> reals : delta 1{sign}\nlet N = {expr}\n"
+
+
+def test_pow_nest_signs_in_linear_work(monkeypatch):
+    # each node's sign travels up the engine's walk with its level, so no
+    # pow walks its operand again: bind's one sign walk of the let body is all
+    depth = 2000
     calls = 0
-    original = formatter.spell
+    original = sema._nonneg
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(formatter, "spell", counted)
-    monkeypatch.setattr(infer, "spell", counted)
-    cls, d = infer_set(N("N"), e, ZFC)
-    assert cls == sigma(1) and d.conclusion.subject.count("compl(") == depth
-    assert 0 < calls <= 3 * depth
+    monkeypatch.setattr(sema, "_nonneg", counted)
+    _, e = parse(_pow_nest(depth, " nonneg"))
+    fl, d = infer_func(F("N"), e, ZFC)
+    assert fl.level == 1 and calls == depth + 1
+    check(d, e)
+
+
+def test_pow_sign_failure_names_the_innermost_pow():
+    # signs are settled children first, so the first pow over an unsigned
+    # operand is the innermost one
+    _, e = parse(_pow_nest(3, ""))
+    with pytest.raises(SignAnnotationMissingError, match=r"^pow\(u, 2\): operand needs a nonneg annotation$"):
+        infer_func(F("N"), e, ZFC)
 
 
 def test_power_sign_through_lets():
