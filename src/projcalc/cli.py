@@ -152,8 +152,9 @@ def cmd_infer(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        _, env = _load_program(args.program)
-        d = deserialize(_read(args.derivation))
+        program, env = _load_program(args.program)
+        text = _read(args.derivation)
+        d = deserialize(text)
     except (ParseError, ResolutionError, SignatureError, FormatError) as exc:
         _fail(str(exc))
         return 2
@@ -162,7 +163,18 @@ def cmd_check(args) -> int:
     except CheckError as exc:
         print(f"check failed at {exc.path or '/'}: {exc.reason}")
         return 1
-    print(f"ok: {expand(d)} : {d.conclusion.judgment.render()} [{d.conclusion.mode}]")
+    # check recomputes judgments, not subjects.  A subject the engine wrote
+    # restates an expression of the program, so its text is no longer than
+    # the document or, where equal rows were merged, the program's canonical
+    # text; a longer one comes from rows that name their premises over and
+    # over, and could take time and memory exponential in the document's size.
+    subject = expand(d, len(text))
+    if subject is None:
+        subject = expand(d, len(format_program(program)))
+    if subject is None:
+        _fail("the derivation's subject is longer than the program's own text")
+        return 2
+    print(f"ok: {subject} : {d.conclusion.judgment.render()} [{d.conclusion.mode}]")
     return 0
 
 

@@ -230,10 +230,35 @@ def _subject_pieces(d: Derivation) -> list:
     return parts
 
 
-def expand(d: Derivation) -> str:
+class _PastLimit(Exception):
+    pass
+
+
+def expand(d: Derivation, limit: int | None = None) -> str | None:
     """The full text of d's subject, each #path replaced by the full text of
-    the subject it names, in one pass at any depth."""
-    return write((d,), _subject_pieces)
+    the subject it names, in one pass at any depth.
+
+    Rows that each name the row before twice expand to text exponential in
+    the table's size, so a table read from outside should come with a
+    limit: each node written costs its own characters, and at least one,
+    and past the limit the answer is None, after work linear in the limit.
+    """
+    if limit is None:
+        return write((d,), _subject_pieces)
+    left = limit
+
+    def pieces_of(n: Derivation) -> list:
+        nonlocal left
+        parts = _subject_pieces(n)
+        left -= max(1, sum([len(p) for p in parts if type(p) is str]))
+        if left < 0:
+            raise _PastLimit
+        return parts
+
+    try:
+        return write((d,), pieces_of)
+    except _PastLimit:
+        return None
 
 
 # --- independent checking -----------------------------------------------------
@@ -271,39 +296,39 @@ def _selector_stage(c: PointClass) -> int:
     return m
 
 
-def _classes(premises, path) -> list[PointClass]:
+def _classes(premises) -> list[PointClass]:
     out = []
     for i, p in enumerate(premises):
         j = p.conclusion.judgment
         if j.kind != "class":
-            raise CheckError(f"{path}/premises/{i}", "expected a class judgment")
+            raise CheckError(f"/premises/{i}", "expected a class judgment")
         out.append(j.cls)
     return out
 
 
-def _levels(premises, path) -> list[int]:
+def _levels(premises) -> list[int]:
     out = []
     for i, p in enumerate(premises):
         j = p.conclusion.judgment
         if j.kind != "level":
-            raise CheckError(f"{path}/premises/{i}", "expected a level judgment")
+            raise CheckError(f"/premises/{i}", "expected a level judgment")
         out.append(j.level)
     return out
 
 
-def _arity(premises, path, *allowed: int):
+def _arity(premises, *allowed: int):
     if len(premises) not in allowed:
-        raise CheckError(path, f"rule expects {allowed} premises, got {len(premises)}")
+        raise CheckError("", f"rule expects {allowed} premises, got {len(premises)}")
 
 
-def _check_leaf(d: Derivation, env: Env, path: str) -> None:
+def _check_leaf(d: Derivation, env: Env) -> None:
     name = d.conclusion.subject
     j = d.conclusion.judgment
     if j.kind == "class":
         if name not in env.sets or env.sets[name].cls is None:
-            raise CheckError(path, f"no declared set named {name!r}")
+            raise CheckError("", f"no declared set named {name!r}")
         if env.sets[name].cls != j.cls:
-            raise CheckError(path, f"declared class of {name!r} is {env.sets[name].cls}, not {j.cls}")
+            raise CheckError("", f"declared class of {name!r} is {env.sets[name].cls}, not {j.cls}")
         return
     if j.kind == "level":
         if name in env.funcs and env.funcs[name].annot is not None:
@@ -311,189 +336,189 @@ def _check_leaf(d: Derivation, env: Env, path: str) -> None:
         elif name in env.kernels:
             declared = env.kernels[name].level
         else:
-            raise CheckError(path, f"no declared function or kernel named {name!r}")
+            raise CheckError("", f"no declared function or kernel named {name!r}")
         if declared != j.level:
-            raise CheckError(path, f"declared level of {name!r} is {declared}, not {j.level}")
+            raise CheckError("", f"declared level of {name!r} is {declared}, not {j.level}")
         return
-    raise CheckError(path, "declaration leaves carry class or level judgments")
+    raise CheckError("", "declaration leaves carry class or level judgments")
 
 
-def _check_sched(d: Derivation, path: str) -> None:
+def _check_sched(d: Derivation) -> None:
     from .parser import parse_schedule  # local import: parser pulls in sema
 
     subject = d.conclusion.subject
     if not subject.startswith("levels "):
-        raise CheckError(path, "schedule leaf subject must start with 'levels '")
+        raise CheckError("", "schedule leaf subject must start with 'levels '")
     try:
         sched = parse_schedule(subject[len("levels "):])
     except Exception as exc:
-        raise CheckError(path, f"unreadable schedule: {exc}") from None
+        raise CheckError("", f"unreadable schedule: {exc}") from None
     from .pointclass import schedule_bound
 
     try:
         bound = schedule_bound(sched)
     except Exception:
-        raise CheckError(path, "unbounded schedule cannot conclude a class") from None
+        raise CheckError("", "unbounded schedule cannot conclude a class") from None
     if d.conclusion.judgment != class_judgment(bound):
-        raise CheckError(path, f"schedule bound is {bound}, not {d.conclusion.judgment.render()}")
+        raise CheckError("", f"schedule bound is {bound}, not {d.conclusion.judgment.render()}")
 
 
-def _expected_judgment(d: Derivation, env: Env, path: str) -> Judgment:
+def _expected_judgment(d: Derivation) -> Judgment:
     """Recompute the node's conclusion judgment from its premises."""
     rule = d.rule
     prem = d.premises
     if rule == "S-COMPL":
-        _arity(prem, path, 1)
-        (c,) = _classes(prem, path)
+        _arity(prem, 1)
+        (c,) = _classes(prem)
         flipped = {Kind.SIGMA: pi(c.level), Kind.PI: sigma(c.level), Kind.DELTA: c}[c.kind]
         return class_judgment(flipped)
     if rule in ("S-CU", "S-CI"):
         if not prem:
-            raise CheckError(path, "countable combination needs premises")
-        cs = _classes(prem, path)
+            raise CheckError("", "countable combination needs premises")
+        cs = _classes(prem)
         out = cs[0]
         for c in cs[1:]:
             out = _join(out, c)
         return class_judgment(out)
     if rule == "S-PROD":
-        _arity(prem, path, 2)
-        a, b = _classes(prem, path)
+        _arity(prem, 2)
+        a, b = _classes(prem)
         if a.kind is b.kind or Kind.DELTA in (a.kind, b.kind):
             return class_judgment(_join(a, b))
         return class_judgment(delta(max(a.level, b.level) + 1))
     if rule in ("S-PROJ", "S-BIMG"):
         if rule == "S-BIMG":
-            _arity(prem, path, 2)
-            lv = _levels(prem[:1], path)
+            _arity(prem, 2)
+            lv = _levels(prem[:1])
             if lv[0] != 1:
-                raise CheckError(path, "image rule needs a level-1 function premise")
-            (c,) = _classes(prem[1:], path)
+                raise CheckError("", "image rule needs a level-1 function premise")
+            (c,) = _classes(prem[1:])
         else:
-            _arity(prem, path, 1)
-            (c,) = _classes(prem, path)
+            _arity(prem, 1)
+            (c,) = _classes(prem)
         out = sigma(c.level + 1) if c.kind is Kind.PI else sigma(c.level)
         return class_judgment(out)
     if rule == "S-BPRE":
         if len(prem) == 1:
-            (c,) = _classes(prem, path)
+            (c,) = _classes(prem)
             return class_judgment(c)
-        _arity(prem, path, 2)
-        (p,) = _levels(prem[:1], path)
+        _arity(prem, 2)
+        (p,) = _levels(prem[:1])
         if p != 1:
-            raise CheckError(path, "Borel preimage needs a level-1 function premise")
-        (c,) = _classes(prem[1:], path)
+            raise CheckError("", "Borel preimage needs a level-1 function premise")
+        (c,) = _classes(prem[1:])
         return class_judgment(c)
     if rule == "S-SUBLEV":
-        _arity(prem, path, 1)
-        (p,) = _levels(prem, path)
+        _arity(prem, 1)
+        (p,) = _levels(prem)
         return class_judgment(delta(p))
     if rule == "S-WR":
-        _arity(prem, path, 1)
-        (c,) = _classes(prem, path)
+        _arity(prem, 1)
+        (c,) = _classes(prem)
         return class_judgment(_sigma_of(c))
     if rule == "F-DOM":
-        _arity(prem, path, 2)
-        (p,) = _levels(prem[:1], path)
-        (c,) = _classes(prem[1:], path)
+        _arity(prem, 2)
+        (p,) = _levels(prem[:1])
+        (c,) = _classes(prem[1:])
         return level_judgment(max(p, _delta_level(c)))
     if rule == "F-PAIR":
-        _arity(prem, path, 2)
-        p, q = _levels(prem, path)
+        _arity(prem, 2)
+        p, q = _levels(prem)
         return level_judgment(max(p, q))
     if rule == "F-CYL":
-        _arity(prem, path, 1)
-        (p,) = _levels(prem, path)
+        _arity(prem, 1)
+        (p,) = _levels(prem)
         return level_judgment(p)
     if rule == "F-COMP":
-        _arity(prem, path, 2)
-        p, q = _levels(prem, path)
+        _arity(prem, 2)
+        p, q = _levels(prem)
         return level_judgment(p + q)
     if rule == "F-COMP-B":
-        _arity(prem, path, 2)
-        p, q = _levels(prem, path)
+        _arity(prem, 2)
+        p, q = _levels(prem)
         if q != 1:
-            raise CheckError(path, "inner function must have level 1")
+            raise CheckError("", "inner function must have level 1")
         return level_judgment(p)
     if rule == "F-PRE-Δ":
-        _arity(prem, path, 2)
-        (p,) = _levels(prem[:1], path)
-        (c,) = _classes(prem[1:], path)
+        _arity(prem, 2)
+        (p,) = _levels(prem[:1])
+        (c,) = _classes(prem[1:])
         if c.kind is not Kind.DELTA:
-            raise CheckError(path, "delta-preimage rule needs a delta target")
+            raise CheckError("", "delta-preimage rule needs a delta target")
         return class_judgment(delta(p + c.level))
     if rule == "F-PRE-Σ":
-        _arity(prem, path, 2)
-        (p,) = _levels(prem[:1], path)
-        (c,) = _classes(prem[1:], path)
+        _arity(prem, 2)
+        (p,) = _levels(prem[:1])
+        (c,) = _classes(prem[1:])
         if c.kind is not Kind.SIGMA:
-            raise CheckError(path, "sigma-preimage rule needs a sigma target")
+            raise CheckError("", "sigma-preimage rule needs a sigma target")
         return class_judgment(sigma(c.level + p - 1))
     if rule == "F-GRAPH":
-        _arity(prem, path, 1)
-        (p,) = _levels(prem, path)
+        _arity(prem, 1)
+        (p,) = _levels(prem)
         return class_judgment(delta(p + 1))
     if rule == "F-UNGRAPH":
-        _arity(prem, path, 2)
-        g, dcls = _classes(prem, path)
+        _arity(prem, 2)
+        g, dcls = _classes(prem)
         return level_judgment(max(_delta_level(g), _delta_level(dcls)) + 1)
     if rule == "F-SECT":
-        _arity(prem, path, 1)
-        (p,) = _levels(prem, path)
+        _arity(prem, 1)
+        (p,) = _levels(prem)
         return level_judgment(p + 1)
     if rule == "F-ARITH":
         if not prem:
-            raise CheckError(path, "arithmetic needs operands")
-        return level_judgment(max(_levels(prem, path)))
+            raise CheckError("", "arithmetic needs operands")
+        return level_judgment(max(_levels(prem)))
     if rule in ("F-CSUP", "F-CINF"):
-        _arity(prem, path, 1)
-        (c,) = _classes(prem, path)
+        _arity(prem, 1)
+        (c,) = _classes(prem)
         return level_judgment(_delta_level(c))
     if rule == "F-PARTIAL":
-        _arity(prem, path, 2)
-        (p,) = _levels(prem[:1], path)
-        (c,) = _classes(prem[1:], path)
+        _arity(prem, 2)
+        (p,) = _levels(prem[:1])
+        (c,) = _classes(prem[1:])
         return level_judgment(max(p, _delta_level(c)) + 1)
     if rule == "F-INT":
-        _arity(prem, path, 2)
-        p, r = _levels(prem, path)
+        _arity(prem, 2)
+        p, r = _levels(prem)
         return level_judgment(p + r + 2)
     if rule == "F-SELECT":
-        _arity(prem, path, 1)
-        (c,) = _classes(prem, path)
+        _arity(prem, 1)
+        (c,) = _classes(prem)
         m = _selector_stage(c)
         return class_judgment(pi(2 * m + 1))
     if rule == "F-EPS":
         # objective at level p, constraint set in class c: the eps-optimal
         # target lies in delta q+1, and its selector is recovered from a
         # pi 2m+1 graph over the target's sigma q+1 projection
-        _arity(prem, path, 2)
-        (p,) = _levels(prem[:1], path)
-        (c,) = _classes(prem[1:], path)
+        _arity(prem, 2)
+        (p,) = _levels(prem[:1])
+        (c,) = _classes(prem[1:])
         q = max(p, _delta_level(c))
         m = _selector_stage(delta(q + 1))
         return level_judgment(max(2 * m + 2, q + 2) + 1)
-    raise CheckError(path, f"unknown rule id {rule!r}")
+    raise CheckError("", f"unknown rule id {rule!r}")
 
 
-def _check_gate(d: Derivation, path: str) -> None:
+def _check_gate(d: Derivation) -> None:
     mode = d.conclusion.mode
     if d.rule in ALWAYS_GATED and mode != ZFC_PD:
-        raise CheckError(path, f"axiom gate: {d.rule} requires mode {ZFC_PD}")
+        raise CheckError("", f"axiom gate: {d.rule} requires mode {ZFC_PD}")
     if d.rule == "F-SELECT":
-        (c,) = _classes(d.premises, path)
+        (c,) = _classes(d.premises)
         if _selector_stage(c) >= 1 and mode != ZFC_PD:
-            raise CheckError(path, f"axiom gate: F-SELECT beyond stage 0 requires mode {ZFC_PD}")
+            raise CheckError("", f"axiom gate: F-SELECT beyond stage 0 requires mode {ZFC_PD}")
     if d.rule == "S-WR":
-        (c,) = _classes(d.premises, path)
+        (c,) = _classes(d.premises)
         if _sigma_of(c).level >= 2 and mode != ZFC_PD:
-            raise CheckError(path, f"axiom gate: S-WR beyond level 1 requires mode {ZFC_PD}")
+            raise CheckError("", f"axiom gate: S-WR beyond level 1 requires mode {ZFC_PD}")
     if d.rule == "P-UM":
         try:
             subject_cls = parse_class_token(d.conclusion.subject)
         except ValueError:
-            raise CheckError(path, "P-UM subject must be a class or level token") from None
+            raise CheckError("", "P-UM subject must be a class or level token") from None
         if subject_cls.level >= 2 and mode != ZFC_PD:
-            raise CheckError(path, f"axiom gate: P-UM beyond level 1 requires mode {ZFC_PD}")
+            raise CheckError("", f"axiom gate: P-UM beyond level 1 requires mode {ZFC_PD}")
 
 
 def check(d: Derivation, env: Env) -> None:
@@ -502,8 +527,9 @@ def check(d: Derivation, env: Env) -> None:
     Each distinct node object is checked once, on its first visit in
     depth-first premise order, and errors carry that visit's path.  The walk
     keeps its own stack, so depth is bounded by memory, not by recursion,
-    and a path is spelled only for an error: each node's own checks see
-    the path "" and the error they raise is moved below the node's path.
+    and a path is spelled only for an error: each node's own checks raise
+    with a path relative to the node ("" or /premises/i), which is then
+    put below the node's own path.
     """
     mode = d.conclusion.mode
     seen: set[int] = set()
@@ -513,7 +539,7 @@ def check(d: Derivation, env: Env) -> None:
         while stack:
             n, v, i, premises_done = stack.pop()
             if premises_done:
-                _check_own(n, env, "")
+                _check_own(n, env)
                 continue
             if id(n) in seen:
                 continue
@@ -537,42 +563,42 @@ def check(d: Derivation, env: Env) -> None:
         raise CheckError("".join(reversed(steps)) + exc.path, exc.reason) from None
 
 
-def _check_own(d: Derivation, env: Env, path: str) -> None:
+def _check_own(d: Derivation, env: Env) -> None:
     """The node's own checks, run once all of its premises have passed."""
     level = d.conclusion.judgment.level
     if level is not None and level > LEVEL_CAP:
-        raise CheckError(path, f"level {level} exceeds cap {LEVEL_CAP}")
+        raise CheckError("", f"level {level} exceeds cap {LEVEL_CAP}")
     if d.rule == "DECL":
         if d.premises:
-            raise CheckError(path, "declaration leaves have no premises")
-        _check_leaf(d, env, path)
+            raise CheckError("", "declaration leaves have no premises")
+        _check_leaf(d, env)
     elif d.rule == "SCHED":
         if d.premises:
-            raise CheckError(path, "schedule leaves have no premises")
-        _check_sched(d, path)
+            raise CheckError("", "schedule leaves have no premises")
+        _check_sched(d)
     elif d.rule == "P-UM":
         if d.premises:
-            raise CheckError(path, "P-UM nodes have no premises")
+            raise CheckError("", "P-UM nodes have no premises")
         if d.conclusion.judgment.kind != "prop":
-            raise CheckError(path, "P-UM concludes a proposition")
+            raise CheckError("", "P-UM concludes a proposition")
         restated = f"universally measurable: {d.conclusion.subject}"
         if d.conclusion.judgment.text != restated:
             raise CheckError(
-                path,
+                "",
                 f"proposition {d.conclusion.judgment.text!r} does not restate "
                 f"the subject; expected {restated!r}",
             )
-        _check_gate(d, path)
+        _check_gate(d)
     else:
         try:
-            expected = _expected_judgment(d, env, path)
+            expected = _expected_judgment(d)
         except LevelOverflowError as exc:
             # premises at the cap: no engine run concludes this row
-            raise CheckError(path, str(exc)) from None
+            raise CheckError("", str(exc)) from None
         if d.conclusion.judgment != expected:
             raise CheckError(
-                path,
+                "",
                 f"conclusion {d.conclusion.judgment.render()!r} does not match "
                 f"recomputed {expected.render()!r} for rule {d.rule}",
             )
-        _check_gate(d, path)
+        _check_gate(d)

@@ -53,7 +53,7 @@ from .pointclass import (
     sigma_lift,
 )
 from .rules import UM_REFUSAL
-from .sema import Env, signature
+from .sema import Env, nonneg_rule, signature
 
 
 @dataclass(frozen=True)
@@ -163,14 +163,22 @@ class Engine:
         nodes ``_enter`` gave it.  The name is None but for a name, which
         stays a name in its parents' subjects; any other child is written
         there as the path #i.j... through the premises to its own row."""
+        if isinstance(e, ast.Power) and not kids[0][3]:
+            raise SignAnnotationMissingError(
+                f"pow({format_expr(e.operand)}, {e.exponent}): operand needs a nonneg annotation"
+            )
+        return (*self._build(e, kids), nonneg_rule(self.env, e, [k[3] for k in kids]))
+
+    def _build(self, e, kids: list) -> tuple:
+        """(class or level, derivation, name) of e, as ``_combine`` describes."""
         if isinstance(e, ast.NamedSet):
             hit = self.named.get(e.name)
             if hit is None:
                 if kids:
-                    hit = kids[0][0], kids[0][1], e.name, False
+                    hit = kids[0][0], kids[0][1], e.name
                 else:
                     cls = self.env.set_entry(e.name).cls
-                    hit = cls, self._set_node("DECL", (), e.name, cls), e.name, False
+                    hit = cls, self._set_node("DECL", (), e.name, cls), e.name
                 self.named[e.name] = hit
             return hit
         if isinstance(e, ast.NamedFunc):
@@ -187,7 +195,7 @@ class Engine:
                         lvl = max(lvl, delta_lift(dc).level)
                         d = self._func_node("F-DOM", [d, dd], e.name, lvl)
                     fl = FuncLevel(lvl)
-                hit = self.named[e.name] = fl, d, e.name, entry.nonneg
+                hit = self.named[e.name] = fl, d, e.name
             return hit
         # the i-th kid is the i-th premise, but where a case below says otherwise
         refs = [name or f"#{i}" for i, (_, _, name, _) in enumerate(kids)]
@@ -257,29 +265,19 @@ class Engine:
             (l, dl, _, _), (r, dr, _, _) = kids
             return self._func(e, "F-PAIR", [dl, dr], refs, max(l.level, r.level))
         if isinstance(e, ast.CylinderExtend):
-            fl, fd, _, nonneg = kids[0]
-            return self._func(e, "F-CYL", [fd], refs, fl.level, nonneg)
+            fl, fd, _, _ = kids[0]
+            return self._func(e, "F-CYL", [fd], refs, fl.level)
         if isinstance(e, ast.Compose):
-            (o, do, _, nonneg), (i, di, _, _) = kids
+            (o, do, _, _), (i, di, _, _) = kids
             if i.level == 1:
                 # inner Borel: preimages of the outer function's targets
                 # pull back without cost
-                return self._func(e, "F-COMP-B", [do, di], refs, o.level, nonneg)
-            return self._func(e, "F-COMP", [do, di], refs, o.level + i.level, nonneg)
+                return self._func(e, "F-COMP-B", [do, di], refs, o.level)
+            return self._func(e, "F-COMP", [do, di], refs, o.level + i.level)
         if isinstance(e, ast.SectionOf):
-            fl, fd, _, nonneg = kids[0]
-            return self._func(e, "F-SECT", [fd], refs, fl.level + 1, nonneg)
-        if isinstance(e, ast.Power):
-            fl, fd, _, nonneg = kids[0]
-            if not nonneg:
-                raise SignAnnotationMissingError(
-                    f"pow({format_expr(e.operand)}, {e.exponent}): operand needs a nonneg annotation"
-                )
-            return self._func(e, "F-ARITH", [fd], refs, fl.level, True)
-        if isinstance(e, (ast.Sum, ast.ProdOp, ast.MinOp, ast.MaxOp)):
-            (l, dl, _, ln), (r, dr, _, rn) = kids
-            return self._func(e, "F-ARITH", [dl, dr], refs, max(l.level, r.level), ln and rn)
-        if isinstance(e, (ast.Neg, ast.InnerProduct)):
+            fl, fd, _, _ = kids[0]
+            return self._func(e, "F-SECT", [fd], refs, fl.level + 1)
+        if isinstance(e, (ast.Sum, ast.Neg, ast.ProdOp, ast.MinOp, ast.MaxOp, ast.InnerProduct, ast.Power)):
             return self._func(e, "F-ARITH", [k[1] for k in kids], refs, max(k[0].level for k in kids))
         if isinstance(e, (ast.CountableSup, ast.CountableInf)):
             rule = "F-CSUP" if isinstance(e, ast.CountableSup) else "F-CINF"
@@ -294,10 +292,10 @@ class Engine:
             if hit is None:
                 klevel = self.env.kernel_entry(e.kernel).level
                 kleaf = self._func_node("DECL", (), e.kernel, klevel)
-                hit = self.named[e.kernel] = klevel, kleaf, e.kernel, False
+                hit = self.named[e.kernel] = klevel, kleaf, e.kernel
             if self.mode != ZFC_PD:
                 raise AxiomRequiredError("F-INT", "kernel integration is determinacy-gated")
-            klevel, kleaf, _, _ = hit
+            klevel, kleaf, _ = hit
             return self._func(e, "F-INT", [fd, kleaf], refs, fl.level + klevel + 2)
         if isinstance(e, ast.Select):
             c, d, operand, _ = kids[0]
@@ -332,11 +330,10 @@ class Engine:
         raise TypeError(f"not a set or function expression: {e!r}")
 
     def _set(self, e, rule: str, premises, refs, cls: PointClass) -> tuple:
-        return cls, self._set_node(rule, premises, spell(e, refs), cls), None, False
+        return cls, self._set_node(rule, premises, spell(e, refs), cls), None
 
-    def _func(self, e, rule: str, premises, refs, level: int, nonneg: bool = False) -> tuple:
-        out = FuncLevel(level)
-        return out, self._func_node(rule, premises, spell(e, refs), level), None, nonneg
+    def _func(self, e, rule: str, premises, refs, level: int) -> tuple:
+        return FuncLevel(level), self._func_node(rule, premises, spell(e, refs), level), None
 
 
 def infer_set(e: ast.SetExpr, env: Env, mode: str = ZFC) -> tuple[PointClass, Derivation]:

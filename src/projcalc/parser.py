@@ -150,7 +150,8 @@ class _LineParser:
 
     def int_value(self, tok: Token) -> int:
         """An int token's value; int() refuses more digits than the interpreter's limit."""
-        limit = sys.get_int_max_str_digits()
+        # the limit and its getter came in 3.11 and 3.10.7; without them there is none
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and len(tok.text) > limit:
             raise ParseError(f"integer of {len(tok.text)} digits is too long", self.lineno, tok.col)
         return int(tok.text)

@@ -263,10 +263,11 @@ def _typed(env: Env, e, kids: list):
 
 def is_nonneg(e: ast.FuncExpr, env: Env) -> bool:
     """Conservative syntactic nonnegativity, seeded by declarations."""
-    return ast.fold(e, partial(_nonneg, env))
+    return ast.fold(e, partial(nonneg_rule, env))
 
 
-def _nonneg(env: Env, e, signs: list) -> bool:
+def nonneg_rule(env: Env, e, signs: list) -> bool:
+    """e's sign from its children's signs, in ast.children order."""
     if isinstance(e, ast.NamedFunc):
         return env.func_entry(e.name).nonneg
     if isinstance(e, (ast.Power, ast.CylinderExtend, ast.SectionOf, ast.Compose)):

@@ -119,6 +119,19 @@ def test_huge_integer_tokens(line, rc, error, tmp_path, capsys):
     assert capsys.readouterr().err == error
 
 
+def test_integer_tokens_without_a_digit_limit(monkeypatch, tmp_path, capsys):
+    # interpreters before 3.10.7 have neither the limit nor its getter
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    path = tmp_path / "p.pjc"
+    path.write_text(
+        "space X = baire\nset A in prod(X, X) : sigma 1\nfunc u : X -> reals : delta 1\n"
+        "let P = proj[1](A)\nlet S = sublevel(u, <, 3/2)\nassert class(P) <= sigma 1\n",
+        encoding="utf-8",
+    )
+    assert main(["infer", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_function_level_past_the_cap(tmp_path, capsys):
     # a derived level past the cap is a failed verdict, and a row that claims
     # one fails the check
@@ -384,6 +397,44 @@ def test_check_unreadable_reference_exits_two(edit, error, derivation, gated, tm
     capsys.readouterr()
     assert main(["check", str(bad), gated]) == 2
     assert capsys.readouterr() == ("", error)
+
+
+@pytest.mark.parametrize("bottom,subject", [
+    ("f", "add(#0, #1)"),
+    ("", "#0#1"),
+], ids=["doubling-text", "doubling-visits"])
+def test_check_refuses_a_subject_that_doubles_per_row(bottom, subject, program, tmp_path, capsys):
+    # every row names the row before it twice, so the root's subject spells
+    # 2**60 copies of the bottom row's; each judgment re-derives, so check
+    # passes, and writing the ok line stops within the document's length
+    rows = [
+        {"judgment": "level delta 2", "premises": [], "rule": "DECL", "subject": "f"},
+        {"judgment": "level delta 2", "premises": [0], "rule": "F-ARITH", "subject": bottom},
+    ]
+    rows += [
+        {"judgment": "level delta 2", "premises": [i, i], "rule": "F-ARITH", "subject": subject}
+        for i in range(1, 61)
+    ]
+    bad = tmp_path / "doubling.pjd"
+    bad.write_text(json.dumps({"mode": "ZFC", "nodes": rows, "schema": "projcalc/3"}), encoding="utf-8")
+    assert main(["check", str(bad), program]) == 2
+    assert capsys.readouterr() == ("", "error: the derivation's subject is longer than the program's own text\n")
+
+
+def test_check_prints_a_shared_subject_the_program_spells(tmp_path, capsys):
+    # the engine merges equal rows, so a balanced tree of equal halves
+    # writes one row a level while the program spells every leaf
+    expr = "A"
+    for _ in range(12):
+        expr = f"union({expr}, {expr})"
+    program = tmp_path / "balanced.pjc"
+    program.write_text(f"space X = baire\nset A in X : sigma 1\nlet U = {expr}\n", encoding="utf-8")
+    assert main(["infer", str(program), "--emit-derivations", str(tmp_path / "d")]) == 0
+    path = tmp_path / "d" / "let_U.pjd"
+    assert len(path.read_text(encoding="utf-8")) < len(expr)
+    capsys.readouterr()
+    assert main(["check", str(path), str(program)]) == 0
+    assert capsys.readouterr().out == f"ok: {expr} : class sigma 1 [ZFC]\n"
 
 
 def test_check_tampered_shared_row(tmp_path, capsys):

@@ -381,9 +381,9 @@ def test_check_recomputes_each_row_once(monkeypatch):
     calls = []
     original = derivation._expected_judgment
 
-    def counting(d, env, path):
-        calls.append(path)
-        return original(d, env, path)
+    def counting(d):
+        calls.append(d)
+        return original(d)
 
     monkeypatch.setattr(derivation, "_expected_judgment", counting)
     check(deserialize(text), chain_env)
@@ -581,7 +581,8 @@ def _unfolded(e, prog_env):
 
 def test_expanded_roots_are_the_formatted_expressions():
     # every root written out in full is its let body or assertion
-    # expression, with a let name taken as its body, as the formatter spells it
+    # expression, with a let name taken as its body, as the formatter spells
+    # it; a limit of its length is just enough to write it out
     count = 0
     for text in corpus() + [doubling_chain(6), linear_chain(50), compl_nest(50)]:
         _, prog_env, _, roots = _roots(text)
@@ -595,5 +596,6 @@ def test_expanded_roots_are_the_formatted_expressions():
             want = format_expr(_unfolded(e, prog_env))
             assert expand(d) == want, stmt
             assert expand(deserialize(serialize(d))) == want
+            assert expand(d, len(want)) == want and expand(d, len(want) - 1) is None
             count += 1
     assert count >= 250

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from projcalc import ast, sema
+from projcalc import ast, infer, sema
 from projcalc.derivation import ZFC, ZFC_PD, check, expand
 from projcalc.errors import (
     AxiomRequiredError,
@@ -337,20 +337,22 @@ def _pow_nest(depth: int, sign: str) -> str:
 
 def test_pow_nest_signs_in_linear_work(monkeypatch):
     # each node's sign travels up the engine's walk with its level, so no
-    # pow walks its operand again: bind's one sign walk of the let body is all
+    # pow walks its operand again: bind's sign walk of the let body visits
+    # u and the depth pows, and the engine's walk those and N once more
     depth = 2000
     calls = 0
-    original = sema._nonneg
+    original = sema.nonneg_rule
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(sema, "_nonneg", counted)
+    monkeypatch.setattr(sema, "nonneg_rule", counted)
+    monkeypatch.setattr(infer, "nonneg_rule", counted)
     _, e = parse(_pow_nest(depth, " nonneg"))
     fl, d = infer_func(F("N"), e, ZFC)
-    assert fl.level == 1 and calls == depth + 1
+    assert fl.level == 1 and calls == (depth + 1) + (depth + 2)
     check(d, e)
 
 
