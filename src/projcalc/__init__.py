@@ -14,7 +14,12 @@ The package has four largely independent layers:
 - games: finite alternating-move determinacy with strategy extraction
   (`games`);
 - plumbing: the `projcalc` command line (`cli`).
+
+The concrete layer loads on first use of one of its names, so a process
+that only infers and checks never imports it.
 """
+
+import importlib
 
 from .derivation import (
     ZFC,
@@ -42,20 +47,6 @@ from .errors import (
     UnboundedScheduleError,
     UnsupportedConstructorError,
 )
-from .finitemodel import (
-    XREAL,
-    FiniteModel,
-    FuncData,
-    KernelData,
-    MeasureData,
-    Prod,
-    SetData,
-    dumps_model,
-    eval_set,
-    func_data,
-    loads_model,
-    measure_of,
-)
 from .games import (
     FiniteGame,
     compile_target_expr,
@@ -63,15 +54,6 @@ from .games import (
     loads_game,
     solve,
     verify_strategy,
-)
-from .identities import (
-    IDENTITIES,
-    Counterexample,
-    IdentityCase,
-    case_seed,
-    check_identity,
-    generate_case,
-    run_suite,
 )
 from .infer import (
     AssertionResult,
@@ -100,20 +82,37 @@ from .pointclass import (
     projection_class,
     sigma,
 )
-from .selectors import eps_select_enumerate, sectionwise_optimum
 from .sema import Env, bind
-from .xreal import (
-    NEG_INF,
-    POS_INF,
-    XReal,
-    fin,
-    format_xreal,
-    integral_lower,
-    integral_upper,
-    parse_xreal,
-)
 
 __version__ = "0.1.0"
+
+# the concrete layer's names, by the module that defines them
+_LAZY = {
+    "finitemodel": (
+        "XREAL", "FiniteModel", "FuncData", "KernelData", "MeasureData", "Prod", "SetData",
+        "dumps_model", "eval_set", "func_data", "loads_model", "measure_of",
+    ),
+    "identities": (
+        "IDENTITIES", "Counterexample", "IdentityCase", "case_seed", "check_identity",
+        "generate_case", "run_suite",
+    ),
+    "selectors": ("eps_select_enumerate", "sectionwise_optimum"),
+    "xreal": (
+        "NEG_INF", "POS_INF", "XReal", "fin", "format_xreal", "integral_lower", "integral_upper",
+        "parse_xreal",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ZFC",

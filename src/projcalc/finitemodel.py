@@ -313,6 +313,8 @@ def loads_model(text: str) -> FiniteModel:
         raise FormatError(f"malformed JSON: {exc.msg}", offset=exc.pos) from None
     except RecursionError:
         raise FormatError("malformed JSON: nested too deeply") from None
+    except ValueError:  # an integer past int()'s limit on digits
+        raise FormatError("malformed JSON: an integer has too many digits") from None
     return model_from_json(obj)
 
 

@@ -326,4 +326,6 @@ def loads_game(text: str) -> FiniteGame:
         raise FormatError(f"malformed JSON: {exc.msg}", offset=exc.pos) from None
     except RecursionError:
         raise FormatError("malformed JSON: nested too deeply") from None
+    except ValueError:  # an integer past int()'s limit on digits
+        raise FormatError("malformed JSON: an integer has too many digits") from None
     return game_from_json(obj)

@@ -16,14 +16,14 @@ from .errors import ResolutionError, SignatureError
 from .formatter import format_space
 
 
-@dataclass
+@dataclass(frozen=True)
 class SetEntry:
     space: ast.SpaceExpr
     cls: object | None = None  # PointClass for declarations
     expr: ast.SetExpr | None = None  # for let-bindings
 
 
-@dataclass
+@dataclass(frozen=True)
 class FuncEntry:
     dom: ast.SpaceExpr
     cod: ast.SpaceExpr
@@ -33,7 +33,7 @@ class FuncEntry:
     nonneg: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelEntry:
     src: ast.SpaceExpr
     dst: ast.SpaceExpr

@@ -1,5 +1,6 @@
 """End-to-end command tests, run in-process through main(argv)."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from projcalc import cli
+from projcalc import cli, parser
 from projcalc.cli import build_parser, main
 from projcalc.games import BUDGET_ENV, FiniteGame, compile_target_expr, dumps_game
 
@@ -551,6 +552,13 @@ def test_game_malformed(tmp_path, capsys):
     assert main(["game", str(path)]) == 2
 
 
+def test_game_huge_integer_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.pjg"
+    path.write_text('{"N": ' + "9" * 5000 + ', "k": 2, "schema": "projcalc/1", "target": "0x1"}', encoding="utf-8")
+    assert main(["game", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed JSON: an integer has too many digits\n"
+
+
 def test_game_nested_json_exits_two(tmp_path, capsys):
     path = tmp_path / "deep.pjg"
     path.write_text('{"a": ' * 200_000, encoding="utf-8")
@@ -681,3 +689,94 @@ def test_shared_parser_keeps_no_state_between_calls(derivation, gated, monkeypat
     assert shared == fresh
     assert [row[0] for row in shared] == [0, 1, 0, ("SystemExit", 2), 1]
     assert shared[0][1] != shared[1][1]  # --assume-pd did not stick
+
+
+# --- one front end per program --------------------------------------------------
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Every text parser.parse_program reads, counted from an empty memo."""
+    seen = []
+    original = parser.parse_program
+
+    def counting(text):
+        seen.append(text)
+        return original(text)
+
+    monkeypatch.setattr(parser, "parse_program", counting)
+    cli._front_end.cache_clear()
+    yield seen
+    cli._front_end.cache_clear()
+
+
+def test_infer_and_its_checks_parse_the_program_once(gated, tmp_path, parses, capsys):
+    assert main(["infer", gated, "--json"]) == 1
+    capsys.readouterr()
+    out_dir = tmp_path / "derivs"
+    assert main(["infer", gated, "--assume-pd", "--json", "--emit-derivations", str(out_dir)]) == 0
+    emitted = json.loads(capsys.readouterr().out)["derivations"]
+    assert len(emitted) >= 2
+    for path in emitted:
+        assert main(["check", path, gated]) == 0
+    assert len(parses) == 1
+
+
+def test_an_edited_program_is_parsed_again(program, parses, capsys):
+    assert main(["infer", program]) == 0
+    Path(program).write_text(PROGRAM + "assert class(B) <= sigma 1\n", encoding="utf-8")
+    assert main(["infer", program]) == 1
+    assert "assert class(B) <= sigma 1 -> FAIL" in capsys.readouterr().out
+    assert len(parses) == 2
+
+
+@pytest.mark.parametrize("text,error", [
+    ("space X = baire\nset Z in\n", "error: 2:"),
+    ("space X = baire\nspace Y = cantor\nset A in X : sigma 1\nset B in Y : sigma 1\n"
+     "let U = union(A, B)\n", "error: members of a finite union/intersection must share a carrier"),
+], ids=["parse", "bind"])
+def test_a_program_that_fails_is_not_remembered(text, error, tmp_path, parses, capsys):
+    path = tmp_path / "broken.pjc"
+    path.write_text(text, encoding="utf-8")
+    errors = []
+    for _ in range(2):
+        assert main(["infer", str(path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith(error)
+    assert len(parses) == 2
+
+
+def test_the_memo_keeps_one_program(program, gated, parses):
+    assert [main(["infer", path]) for path in (program, gated, program, gated)] == [0, 1, 0, 1]
+    assert len(parses) == 4
+
+
+def test_shared_front_end_matches_a_fresh_one(tmp_path, capsys):
+    # infer in both modes, check every emitted file and fmt, all in one
+    # process: the Program and Env they shared are still what a fresh
+    # parse and bind of the same text give
+    for i, text in enumerate([GATED] + corpus(count=12)):
+        path = tmp_path / f"p{i}.pjc"
+        path.write_text(text, encoding="utf-8")
+        for flags in ([], ["--assume-pd"]):
+            out_dir = tmp_path / f"d{i}{''.join(flags)}"
+            main(["infer", str(path), "--json", "--emit-derivations", str(out_dir), *flags])
+            for pjd in sorted(out_dir.iterdir()):
+                assert main(["check", str(pjd), str(path)]) == 0
+        assert main(["fmt", str(path)]) == 0
+        capsys.readouterr()
+        hits = cli._front_end.cache_info().hits
+        shared_program, shared_env = cli._front_end(text)
+        assert cli._front_end.cache_info().hits == hits + 1
+        program, env = parser.parse(text)
+        assert shared_env is not env
+        assert shared_program == program
+        for kind in ("spaces", "sets", "funcs", "kernels"):
+            shared, fresh = getattr(shared_env, kind), getattr(env, kind)
+            assert list(shared) == list(fresh)
+            for name, entry in fresh.items():
+                assert shared[name] == entry, (kind, name)
+        assert shared_env == env
+    for entry in (*shared_env.sets.values(), *shared_env.funcs.values(), *shared_env.kernels.values()):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.space = None

@@ -159,6 +159,13 @@ def test_loads_model_nested_json():
         loads_model('{"schema": "projcalc/1", "spaces": ' + "[" * 200_000)
 
 
+def test_loads_model_huge_integer():
+    # past int()'s 4300-digit limit, json.loads raises a plain ValueError
+    doc = '{"schema": "projcalc/1", "spaces": {"X": [' + "9" * 5000 + "]}}"
+    with pytest.raises(FormatError, match="an integer has too many digits"):
+        loads_model(doc)
+
+
 def test_loads_model_validates():
     # structurally fine, semantically bad: measure mass 2
     doc = (

@@ -280,6 +280,13 @@ def test_loads_game_rejects(doc):
         loads_game(doc)
 
 
+def test_loads_game_huge_integer():
+    # past int()'s 4300-digit limit, json.loads raises a plain ValueError
+    doc = '{"N": ' + "9" * 5000 + ', "k": 2, "schema": "projcalc/1", "target": "0x1"}'
+    with pytest.raises(FormatError, match="an integer has too many digits"):
+        loads_game(doc)
+
+
 def test_from_json_bitset_on_huge_game():
     # 2**82 plays: the bound check must not build a 2**82-bit integer
     g = game_from_json({"schema": "projcalc/1", "k": 2, "N": 40, "target": "0x1"})

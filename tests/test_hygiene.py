@@ -7,9 +7,15 @@ name); ``from __future__`` imports are exempt.
 
 No expression walker recurses: in the modules that read, bind, infer and
 write expressions, no function reaches itself through calls by name.
+
+Importing the command line leaves the concrete layer unloaded.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +133,38 @@ def test_depth_limit_guards_only_the_front_door():
         for path in PACKAGE.glob("*.py")
     }
     assert {stem: n for stem, n in uses.items() if n} == {"errors": 1, "parser": 2, "cli": 2}
+
+
+STARTUP_PROBE = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import projcalc.cli
+unloaded = [m for m in ("finitemodel", "identities", "xreal", "selectors")
+            if "projcalc." + m not in sys.modules]
+import projcalc
+lazy = projcalc.FiniteModel.__module__
+names = {}
+exec("from projcalc import *", names)
+missing = [n for n in projcalc.__all__ if n not in names]
+import tracing
+uncallable = [f"{m}.{a}" for m, a, _ in tracing.TARGETS
+              if not callable(getattr(importlib.import_module(m), a))]
+print(json.dumps({"unloaded": unloaded, "lazy": lazy, "missing": missing, "uncallable": uncallable}))
+"""
+
+
+def test_cli_import_leaves_the_concrete_layer_unloaded():
+    # a fresh interpreter: importing the command line does not load the
+    # finite models or the identity suites, and every public name and every
+    # function the benchmark's tracer wraps still resolves
+    root = PACKAGE.parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(root / "bench")],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    doc = json.loads(done.stdout)
+    assert doc["unloaded"] == ["finitemodel", "identities", "xreal", "selectors"]
+    assert doc["lazy"] == "projcalc.finitemodel"
+    assert doc["missing"] == []
+    assert doc["uncallable"] == []
