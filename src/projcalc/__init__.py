@@ -35,7 +35,6 @@ from .derivation import (
 from .errors import (
     AxiomRequiredError,
     CheckError,
-    DepthLimitError,
     FormatError,
     LevelOverflowError,
     ParseError,
@@ -126,7 +125,6 @@ __all__ = [
     "serialize",
     "AxiomRequiredError",
     "CheckError",
-    "DepthLimitError",
     "FormatError",
     "LevelOverflowError",
     "ParseError",

@@ -1,24 +1,26 @@
 """AST for the line-oriented calculus DSL.
 
-Space expressions are structural values (two product spaces are equal iff
-their factors are).  Set and function expressions are frozen trees; axis
-arguments stay as written (a 1-based position or a space name) and are
-resolved against carriers at bind time.  Statement line numbers are carried
-for diagnostics but excluded from equality so that parse(format(p)) == p.
+Space expressions are hash-consed: two are equal iff they are one object.
+Set and function expressions are frozen trees; axis arguments stay as
+written (a 1-based position or a space name) and are resolved against
+carriers at bind time.  Statement line numbers are carried for diagnostics
+but excluded from equality so that parse(format(p)) == p.
 
 The keyword form of each fixed-arity constructor is written down once, in
-SET_FORMS and FUNC_FORMS (EPS_FORM for eps_inf/eps_sup, SPACE_ATOMS for the
-argument-free spaces); the parser reads and the formatter writes every such
-form from its entry, and children() reads a node's subexpressions from it.
-The binder, the engine and the formatter walk expressions through fold(),
-the parser with a stack of its own, so expressions nest as deep as memory
-allows.  A new constructor is its class and one entry here plus its rules
-in sema, infer and derivation; an irregular form is also named in
-children() and spelled by hand in parser.expr and formatter.pieces.
+SET_FORMS and FUNC_FORMS (EPS_FORM for eps_inf/eps_sup, SPACE_ATOMS and
+SPACE_FORMS for spaces); the parser reads and the formatter writes every
+such form from its entry, and children() reads a node's subexpressions from
+it.  The binder, the engine and the formatter walk expressions through
+fold(), the parser with a stack of its own, so expressions nest as deep as
+memory allows; so do space values, whose factors space_children() gives.
+A new constructor is its class and one entry here plus its rules in sema,
+infer and derivation; an irregular form is also named in children() and
+spelled by hand in parser.expr and formatter.pieces.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
@@ -27,40 +29,54 @@ from .pointclass import LevelSchedule, PointClass
 
 # --- spaces ------------------------------------------------------------------
 
+# (class, *factors) -> the space built from them, for as long as it lives
+_SPACES = weakref.WeakValueDictionary()
 
-@dataclass(frozen=True)
-class Reals:
+
+class _HashConsed:
+    """The one object of this class and factors (Filliatre and Conchon, 2006)."""
+
+    def __new__(cls, *factors):
+        key = (cls, *factors)
+        space = _SPACES.get(key)
+        if space is None:
+            space = _SPACES[key] = object.__new__(cls)
+        return space
+
+
+@dataclass(frozen=True, eq=False)
+class Reals(_HashConsed):
     pass
 
 
-@dataclass(frozen=True)
-class Naturals:
+@dataclass(frozen=True, eq=False)
+class Naturals(_HashConsed):
     pass
 
 
-@dataclass(frozen=True)
-class Baire:
+@dataclass(frozen=True, eq=False)
+class Baire(_HashConsed):
     pass
 
 
-@dataclass(frozen=True)
-class Cantor:
+@dataclass(frozen=True, eq=False)
+class Cantor(_HashConsed):
     pass
 
 
-@dataclass(frozen=True)
-class XRealLine:
+@dataclass(frozen=True, eq=False)
+class XRealLine(_HashConsed):
     pass
 
 
-@dataclass(frozen=True)
-class ProductSpace:
+@dataclass(frozen=True, eq=False)
+class ProductSpace(_HashConsed):
     left: "SpaceExpr"
     right: "SpaceExpr"
 
 
-@dataclass(frozen=True)
-class MeasureSpace:
+@dataclass(frozen=True, eq=False)
+class MeasureSpace(_HashConsed):
     inner: "SpaceExpr"
 
 
@@ -375,6 +391,8 @@ FAMILIES = {
 }
 
 SPACE_ATOMS = {"reals": Reals, "nat": Naturals, "baire": Baire, "cantor": Cantor, "xreal": XRealLine}
+# keyword -> (node class, number of factors) of "keyword(factor, ..., factor)"
+SPACE_FORMS = {"prod": (ProductSpace, 2), "measures": (MeasureSpace, 1)}
 
 
 def slot_steps(bracket, slots) -> tuple[tuple[str, str, str], ...]:
@@ -402,6 +420,11 @@ def children(e) -> tuple:
     if get is None:
         return ()
     return (get(e),) if type(e) in _ONE_CHILD else get(e)
+
+
+def space_children(s) -> tuple:
+    """The factors of space s, in the order its text spells them."""
+    return tuple(vars(s).values())  # a space's fields are its factors, set in order
 
 
 def fold(root, combine, kids=children):

@@ -11,9 +11,10 @@ keeps its parse and bind: a command on identical program text reuses
 them, while any other text, an edited file included, is read afresh.
 Every check still replays every row of its derivation.
 
-Exit codes are a function of verdicts alone.  JSON reports never include
-timing, so identical inputs give byte-identical output; the human-readable
-variants do print elapsed time.
+Exit codes are a function of verdicts alone; 3 means only the game
+solver's node budget, since expressions and space values nest as deep as
+memory allows.  JSON reports never include timing, so identical inputs
+give byte-identical output; the human-readable variants print elapsed time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import (
     ResolutionError,
     ResourceLimitError,
     SignatureError,
-    depth_limited,
 )
 from .formatter import format_program
 from .games import loads_game, solve
@@ -310,7 +310,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return depth_limited(args.run)(args)
+        return args.run(args)
     except ResourceLimitError as exc:
         _fail(str(exc))
         return 3

@@ -1,13 +1,11 @@
 """Exception types shared across the package.
 
 Diagnostic messages carry the short token a caller greps for (e.g. the rule
-id in AxiomRequiredError), so the CLI can surface them verbatim.
+id in AxiomRequiredError), so the CLI can surface them verbatim.  No error
+stands for a nesting depth: ResourceLimitError is the game's node budget.
 """
 
 from __future__ import annotations
-
-import functools
-import sys
 
 
 class ProjcalcError(Exception):
@@ -110,33 +108,3 @@ class ResourceLimitError(ProjcalcError):
     def __init__(self, budget: int):
         self.budget = budget
         super().__init__(f"ResourceLimit: node budget {budget} exhausted")
-
-
-class DepthLimitError(ResourceLimitError):
-    """A space value nests deeper than the interpreter stack allows.
-
-    Set and function expressions are walked with explicit stacks at any
-    depth, but space values (``prod(...)``, ``measures(...)`` and the
-    carriers derived from them) are read, compared and written recursively.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        ProjcalcError.__init__(
-            self,
-            f"DepthLimit: a space value nests deeper than the interpreter "
-            f"stack allows (recursion limit {limit})",
-        )
-
-
-def depth_limited(fn):
-    """``fn``, raising DepthLimitError where it would run out of stack."""
-
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except RecursionError:
-            raise DepthLimitError(sys.getrecursionlimit()) from None
-
-    return call

@@ -9,8 +9,9 @@ families, eps_*) are spelled here, and a new one is also named in
 ast.children.  pieces() gives one node's text with its subexpressions left
 in place, and write() expands such pieces on an explicit stack, appending
 each token to one list, so an expression's text costs time linear in its
-length at any depth.  The inference engine spells each node with spell(),
-putting a short reference in place of each subexpression.
+length at any depth, and a space value's from space_pieces() the same way.
+The inference engine spells each node with spell(), putting a short
+reference in place of each subexpression.
 """
 
 from __future__ import annotations
@@ -25,17 +26,17 @@ _BY_CLASS = {
 _LISTS = {finite: w for w, (finite, _) in ast.FAMILIES.items() if finite is not None}
 _FAMILIES = {countable: w for w, (_, countable) in ast.FAMILIES.items()}
 _ATOM_NAMES = {c: w for w, c in ast.SPACE_ATOMS.items()}
+_SPACE_WORDS = {c: w for w, (c, _) in ast.SPACE_FORMS.items()}
+
+
+def space_pieces(s: ast.SpaceExpr) -> list:
+    """s's text as strings and, in ast.space_children order, its factors."""
+    name = _ATOM_NAMES.get(type(s))
+    return [name] if name is not None else _applied(_SPACE_WORDS[type(s)], ast.space_children(s))
 
 
 def format_space(s: ast.SpaceExpr) -> str:
-    name = _ATOM_NAMES.get(type(s))
-    if name is not None:
-        return name
-    if isinstance(s, ast.ProductSpace):
-        return f"prod({format_space(s.left)}, {format_space(s.right)})"
-    if isinstance(s, ast.MeasureSpace):
-        return f"measures({format_space(s.inner)})"
-    raise TypeError(f"not a space: {s!r}")
+    return write((s,), space_pieces)
 
 
 def format_schedule(s: LevelSchedule) -> str:
@@ -71,13 +72,7 @@ def pieces(e) -> list:
         return out
     word = _LISTS.get(type(e))
     if word is not None:
-        out = [word + "("]
-        for m in e.members:
-            out += m, ", "
-        if e.members:
-            out.pop()
-        out.append(")")
-        return out
+        return _applied(word, e.members)
     if isinstance(e, ast.EpsSelector):
         return [f"eps_{e.direction}(", e.dom, ", ", e.func, f", {e.eps})"]
     word = _FAMILIES.get(type(e))
@@ -86,6 +81,17 @@ def pieces(e) -> list:
         levels = format_schedule(e.schedule)
         return [f"{word} {e.index} in nat of {e.base}_{e.index}{carrier} with levels {levels}"]
     raise TypeError(f"not a set or function expression: {e!r}")
+
+
+def _applied(word: str, args) -> list:
+    """The pieces of word(arg, ..., arg)."""
+    out = [word + "("]
+    for arg in args:
+        out += arg, ", "
+    if args:
+        out.pop()
+    out.append(")")
+    return out
 
 
 def spell(e, parts) -> str:

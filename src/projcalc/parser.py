@@ -9,9 +9,9 @@ ResolutionError and carrier mismatches as SignatureError.
 Keyword forms are read from the tables in ast (edit those to add one; the
 formatter and ast.children read them too); only the irregular ones
 (union/inter, countable families) are spelled here, and a new one is also
-named in ast.children.  Expressions are read by one loop over a stack of
-partly read forms (_LineParser.expr), so they nest as deep as memory allows;
-space values are still read recursively.
+named in ast.children.  Expressions and space values are each read by one
+loop over a stack of partly read forms (_LineParser.expr, space_expr), so
+they nest as deep as memory allows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ast
-from .errors import LevelOverflowError, ParseError, ResolutionError, depth_limited
+from .errors import LevelOverflowError, ParseError, ResolutionError
 from .pointclass import (
     LEVEL_CAP,
     BoundedBy,
@@ -64,7 +64,7 @@ _FUNC_FORMS["eps_sup"] = (functools.partial(ast.EpsSelector, direction="sup"), _
 
 SET_KEYWORDS = set(ast.SET_FORMS) | {"union", "inter"}
 FUNC_KEYWORDS = set(_FUNC_FORMS) | {"sup", "inf"}
-SPACE_KEYWORDS = set(ast.SPACE_ATOMS) | {"prod", "measures"}
+SPACE_KEYWORDS = set(ast.SPACE_ATOMS) | set(ast.SPACE_FORMS)
 _CAP_DIGITS = len(str(LEVEL_CAP))
 
 # expression kind -> (keyword forms, family keywords, node, kind and noun of a name)
@@ -204,33 +204,34 @@ class _LineParser:
         return ast.FuncAnnot(word, 2)  # semianalytic envelopes sit at level 2
 
     def space_expr(self) -> ast.SpaceExpr:
-        tok = self.peek()
-        if tok is None or tok.kind != "ident":
-            self.error(tuple(sorted(SPACE_KEYWORDS)) + ("space name",))
-        word = tok.text.lower()
-        atom = ast.SPACE_ATOMS.get(word)
-        if atom is not None:
-            self._advance()
-            return atom()
-        if word == "prod":
-            self._advance()
-            self.take("(")
-            left = self.space_expr()
-            self.take(",")
-            right = self.space_expr()
-            self.take(")")
-            return ast.ProductSpace(left, right)
-        if word == "measures":
-            self._advance()
-            self.take("(")
-            inner = self.space_expr()
-            self.take(")")
-            return ast.MeasureSpace(inner)
-        # a declared space name, resolved to its value
-        self._advance()
-        if tok.text not in self.spaces:
-            raise ResolutionError(f"undeclared space {tok.text!r}")
-        return self.spaces[tok.text]
+        """One space value, read with a stack of open prod/measures forms."""
+        stack = []  # (node class, number of factors, factors read so far)
+        while True:
+            tok = self.peek()
+            if tok is None or tok.kind != "ident":
+                self.error(tuple(sorted(SPACE_KEYWORDS)) + ("space name",))
+            self.i += 1
+            word = tok.text.lower()
+            if word in ast.SPACE_FORMS:
+                self.take("(")
+                stack.append((*ast.SPACE_FORMS[word], []))
+                continue
+            if word in ast.SPACE_ATOMS:
+                value = ast.SPACE_ATOMS[word]()
+            elif tok.text in self.spaces:  # a declared space name, resolved to its value
+                value = self.spaces[tok.text]
+            else:
+                raise ResolutionError(f"undeclared space {tok.text!r}")
+            while stack:  # hand the value to its form; read on if the form wants more
+                node, arity, factors = stack[-1]
+                factors.append(value)
+                if len(factors) < arity:
+                    self.take(",")
+                    break
+                self.take(")")
+                value = node(*stack.pop()[2])
+            else:
+                return value
 
     def schedule(self):
         word = self.keyword("bounded", "constant", "from", "unbounded")
@@ -512,7 +513,6 @@ def parse_program(text: str) -> ast.Program:
     return ast.Program(tuple(statements))
 
 
-@depth_limited
 def parse(text: str) -> tuple[ast.Program, Env]:
     """Full front end: parse, resolve, and carrier-check a program."""
     program = parse_program(text)

@@ -77,11 +77,16 @@ def is_numeric(space: ast.SpaceExpr) -> bool:
 
 
 def is_real_vector(space: ast.SpaceExpr) -> bool:
-    if isinstance(space, ast.Reals):
-        return True
-    if isinstance(space, ast.ProductSpace):
-        return is_real_vector(space.left) and is_real_vector(space.right)
-    return False
+    """Reals or a product of real vector spaces; each distinct factor is looked at once."""
+    stack, seen = [space], set()
+    while stack:
+        s = stack.pop()
+        if isinstance(s, ast.ProductSpace) and s not in seen:
+            seen.add(s)
+            stack += s.left, s.right
+        elif not isinstance(s, (ast.Reals, ast.ProductSpace)):
+            return False
+    return True
 
 
 def resolve_axis(space: ast.SpaceExpr, axis: ast.Axis, env: Env) -> int:

@@ -121,6 +121,15 @@ def compl_nest(depth: int) -> str:
     return f"space X = baire\nset A0 in X : sigma 1\nlet N = {expr}\n"
 
 
+def space_nest(word: str, depth: int) -> str:
+    """One let whose carriers are depth nested prod(reals, ...) or measures(...) forms."""
+    space = ("prod(reals, " if word == "prod" else f"{word}(") * depth + "reals" + ")" * depth
+    return (
+        f"set B in {space} : sigma 1\nfunc u : reals -> {space} : delta 1\n"
+        f"let N = pre[cyl[{space}](u)](B)\n"
+    )
+
+
 def neg_nest(depth: int) -> str:
     """One let whose expression is depth nested negations of a function."""
     expr = "neg(" * depth + "u" + ")" * depth

@@ -17,7 +17,7 @@ from projcalc.cli import build_parser, main
 from projcalc.games import BUDGET_ENV, FiniteGame, compile_target_expr, dumps_game
 
 from .oracles import brute_force_winner, reference_solve
-from .progen import compl_nest, corpus, doubling_chain, game_corpus, linear_chain, neg_nest
+from .progen import compl_nest, corpus, doubling_chain, game_corpus, linear_chain, neg_nest, space_nest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -239,16 +239,20 @@ def test_derivations_frozen(tmp_path, capsys):
     assert files.hexdigest() == "2b2108805d167e0ecb4df3db50c7fa2f68dab3faf769c5784b77d0707dd1e8ca"
 
 
-def _fresh_run(argv, text, tmp_path):
+def _fresh_cli(argv):
     # a fresh interpreter, so the stack is as deep as a command-line run gets
-    path = tmp_path / "deep.pjc"
-    path.write_text(text, encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "projcalc.cli", argv[0], str(path), *argv[1:]],
+        [sys.executable, "-m", "projcalc.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def _fresh_run(argv, text, tmp_path):
+    path = tmp_path / "deep.pjc"
+    path.write_text(text, encoding="utf-8")
+    return _fresh_cli([argv[0], str(path), *argv[1:]])
 
 
 @pytest.mark.parametrize("command,text", [
@@ -257,9 +261,17 @@ def _fresh_run(argv, text, tmp_path):
     ("infer", compl_nest(100_000)),
     ("fmt", compl_nest(2000)),
     ("fmt", compl_nest(100_000)),
-], ids=["infer-nest-2000", "infer-neg-nest-2000", "infer-nest-100000", "fmt-nest-2000", "fmt-nest-100000"])
+    ("infer", space_nest("prod", 2000)),
+    ("infer", space_nest("measures", 2000)),
+    ("fmt", space_nest("prod", 2000)),
+    ("fmt", space_nest("measures", 2000)),
+], ids=[
+    "infer-nest-2000", "infer-neg-nest-2000", "infer-nest-100000", "fmt-nest-2000", "fmt-nest-100000",
+    "infer-prod-2000", "infer-measures-2000", "fmt-prod-2000", "fmt-measures-2000",
+])
 def test_deep_nest_runs(command, text, tmp_path, capsys):
-    # expressions are walked with explicit stacks, so nesting depth is free
+    # expressions and space values are walked with explicit stacks, so
+    # nesting depth is free
     out_dir = tmp_path / "d"
     flags = ["--json", "--emit-derivations", str(out_dir)] if command == "infer" else []
     run = _fresh_run([command, *flags], text, tmp_path)
@@ -288,15 +300,21 @@ def test_nest_derivations_grow_linearly(tmp_path, capsys):
     assert sizes[3000] < 1_000_000
 
 
-@pytest.mark.parametrize("command", ["infer", "fmt"])
-def test_past_the_stack_exits_three(command, tmp_path):
-    # space values are still read, compared and written recursively
-    space = "prod(reals, " * 2000 + "reals" + ")" * 2000
-    run = _fresh_run([command], f"space S = {space}\n", tmp_path)
-    assert run.returncode == 3, run.stderr
-    assert run.stderr.startswith("error: DepthLimit: ")
-    assert run.stdout == ""
-    assert "Traceback" not in run.stderr
+def test_doubling_spaces_compare_at_once(tmp_path):
+    # S40 and T40 are declared apart but equal: the carrier checks of union
+    # and proj must not take a step per leaf, 2**40 of them
+    lines = [f"space {c}0 = baire" for c in "ST"]
+    lines += [f"space {c}{i} = prod({c}{i - 1}, {c}{i - 1})" for c in "ST" for i in range(1, 41)]
+    lines += ["set A in S40 : sigma 1", "set B in T40 : sigma 1", "let U = union(A, B)", "let P = proj[1](A)"]
+    out_dir = tmp_path / "d"
+    run = _fresh_run(["infer", "--emit-derivations", str(out_dir)], "\n".join(lines) + "\n", tmp_path)
+    assert run.returncode == 0, run.stderr
+    emitted = sorted(out_dir.iterdir())
+    assert [p.name for p in emitted] == ["let_P.pjd", "let_U.pjd"]
+    for pjd in emitted:
+        done = _fresh_cli(["check", str(pjd), str(tmp_path / "deep.pjc")])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("ok: ")
 
 
 def test_long_let_chain_infers(tmp_path):

@@ -273,6 +273,34 @@ ROUND_TRIP_SOURCES = [
 ]
 
 
+class TestSpaceValues:
+    def test_equal_structures_are_one_object(self):
+        a = ast.ProductSpace(ast.MeasureSpace(ast.Reals()), ast.Baire())
+        b = ast.ProductSpace(ast.MeasureSpace(ast.Reals()), ast.Baire())
+        assert a is b and a == b and hash(a) == hash(b)
+        assert ast.Cantor() is ast.Cantor()
+        _, env = parse("space S = prod(measures(reals), baire)\n")
+        assert env.spaces["S"] is a
+
+    def test_swapped_factors_are_unequal(self):
+        a = ast.ProductSpace(ast.Reals(), ast.Baire())
+        b = ast.ProductSpace(ast.Baire(), ast.Reals())
+        assert a != b and a is not b
+        assert ast.MeasureSpace(a) != ast.MeasureSpace(b)
+        assert ast.Reals() != ast.XRealLine()
+
+    def test_two_parses_share_space_values(self):
+        (_, first), (_, second) = parse(HEADER), parse(HEADER)
+        assert first.spaces.keys() == second.spaces.keys()
+        assert all(first.spaces[name] is second.spaces[name] for name in first.spaces)
+        assert all(first.sets[name].space is second.sets[name].space for name in first.sets)
+
+    def test_corpus_round_trips(self):
+        for text in corpus() + [HEADER + "\n".join(SYNTAX_EXTRAS) + "\n"]:
+            prog = parse_program(text)
+            assert parse_program(format_program(prog)) == prog
+
+
 class TestFormatter:
     @pytest.mark.parametrize("source", ROUND_TRIP_SOURCES, ids=range(len(ROUND_TRIP_SOURCES)))
     def test_parse_format_identity(self, source):

@@ -5,8 +5,9 @@ it is read anywhere in the module, listed in its ``__all__``, or imported on
 a line marked ``# noqa: F401`` (a re-export that another module looks up by
 name); ``from __future__`` imports are exempt.
 
-No expression walker recurses: in the modules that read, bind, infer and
-write expressions, no function reaches itself through calls by name.
+No walker recurses: in the modules that read, bind, infer and write
+expressions and space values, no function reaches itself through calls by
+name.
 
 Importing the command line leaves the concrete layer unloaded.
 """
@@ -67,11 +68,8 @@ def test_unused_import_is_flagged():
     assert unused_imports(source) == [(2, "os"), (3, "signature")]
 
 
-# the modules that walk set and function expressions
+# the modules that walk set and function expressions and space values
 WALKERS = ("ast", "parser", "sema", "infer", "formatter")
-# space values are still read, compared and written recursively; a program
-# that nests one too deep is a DepthLimitError
-RECURSIVE_SPACE_FUNCTIONS = {"parser.space_expr", "sema.is_real_vector", "formatter.format_space"}
 
 
 def recursive_functions(source: str) -> list[str]:
@@ -108,7 +106,7 @@ def recursive_functions(source: str) -> list[str]:
 @pytest.mark.parametrize("module", WALKERS)
 def test_expression_walkers_do_not_recurse(module):
     found = recursive_functions((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    assert {f"{module}.{name}" for name in found} <= RECURSIVE_SPACE_FUNCTIONS
+    assert found == []
 
 
 def test_recursion_is_flagged():
@@ -124,15 +122,6 @@ def test_recursion_is_flagged():
         "        return set_carrier(self)\n"
     )
     assert recursive_functions(source) == ["func_signature", "set_carrier", "set_expr"]
-
-
-def test_depth_limit_guards_only_the_front_door():
-    # parse and cli.main map a too-deep space value to DepthLimitError
-    uses = {
-        path.stem: path.read_text(encoding="utf-8").count("depth_limited")
-        for path in PACKAGE.glob("*.py")
-    }
-    assert {stem: n for stem, n in uses.items() if n} == {"errors": 1, "parser": 2, "cli": 2}
 
 
 STARTUP_PROBE = """

@@ -13,7 +13,6 @@ from projcalc import ast, infer, sema
 from projcalc.derivation import ZFC, ZFC_PD, check, expand
 from projcalc.errors import (
     AxiomRequiredError,
-    DepthLimitError,
     SignAnnotationMissingError,
     SignatureError,
     UnboundedScheduleError,
@@ -292,11 +291,12 @@ def test_union_let_chain_infers():
     check(d, e)
 
 
-def test_past_the_stack_is_a_depth_limit():
-    # only space values still nest on the interpreter stack
-    space = "prod(reals, " * 5000 + "reals" + ")" * 5000
-    with pytest.raises(DepthLimitError):
-        parse(f"space S = {space}\n")
+def test_deep_space_binds_in_process():
+    # space values are read and walked with explicit stacks too
+    for atom, real in (("reals", True), ("baire", False)):
+        space = "prod(reals, " * 5000 + atom + ")" * 5000
+        _, e = parse(f"space S = {space}\n")
+        assert sema.is_real_vector(e.spaces["S"]) is real
 
 
 def test_deep_nests_infer_in_process():
