@@ -5,11 +5,13 @@ a rendered judgment (subject, class or level, axiom mode).  Premises may be
 shared, so a derivation is a DAG of node objects.  A node's subject spells
 only its own constructor and points at its subexpressions' premises with
 #i.j... paths, so a derivation's text is linear in its size; expand()
-writes a subject out in full.  check() visits each
-distinct node once and recomputes its conclusion from its premises with
+writes a subject out in full.  check() makes one pass over the distinct
+nodes, premises first, in the order of the file's rows, and recomputes
+each conclusion from its premises by its rule's entry in one rule table,
 its own copy of the rule arithmetic: it shares the lattice primitives and
 the parser with the engine but none of the engine's rule-application
-code, so an engine that emits a wrong level is caught here.
+code, so an engine that emits a wrong level is caught here.  A failing
+node's path is spelled only then.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import reduce
 from json.encoder import encode_basestring as _str
 
 from .errors import CheckError, FormatError, LevelOverflowError
 from .formatter import write
-from .pointclass import LEVEL_CAP, Kind, PointClass, delta, leq, parse_class_token, pi, sigma
+from .parser import parse_schedule
+from .pointclass import LEVEL_CAP, Kind, PointClass, delta, leq, parse_class_token, pi, schedule_bound, sigma
 from .rules import ALWAYS_GATED, CITATIONS
 from .sema import Env
 
@@ -107,6 +111,27 @@ LEAF_RULES = frozenset({"DECL", "SCHED", "P-UM"})
 _REF = re.compile(r"#(\d+(?:\.\d+)*)")
 
 
+def _postorder(d: Derivation) -> list[Derivation]:
+    """The distinct nodes below d, d included, each after its premises, in
+    first post-order visit order, on an explicit stack."""
+    order: list[Derivation] = []
+    done: set[int] = set()
+    stack = [d]
+    while stack:
+        n = stack[-1]
+        if id(n) in done:
+            stack.pop()
+            continue
+        todo = [p for p in n.premises if id(p) not in done]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        done.add(id(n))
+        order.append(n)
+    return order
+
+
 def serialize(d: Derivation) -> str:
     """Canonical node table, one JSON row per line, with a trailing newline.
 
@@ -117,17 +142,7 @@ def serialize(d: Derivation) -> str:
     mode = d.conclusion.mode
     rows: dict[str, int] = {}  # rendered row -> row id
     row_of: dict[int, int] = {}  # id(node) -> row id
-    stack = [d]
-    while stack:
-        n = stack[-1]
-        if id(n) in row_of:
-            stack.pop()
-            continue
-        todo = [p for p in n.premises if id(p) not in row_of]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
+    for n in _postorder(d):
         c = n.conclusion
         if c.mode != mode:
             raise ValueError(f"a {c.mode} node inside a {mode} derivation")
@@ -142,7 +157,9 @@ def serialize(d: Derivation) -> str:
     return f'{{"mode": {_str(mode)}, "nodes": [\n' + ",\n".join(rows) + f'\n], "schema": "{SCHEMA}"}}\n'
 
 
-def _from_row(obj, where: str, built: list[Derivation], mode: str) -> tuple[Derivation, list[int]]:
+def _from_row(
+    obj, where: str, built: list[Derivation], mode: str, judgments: dict[str, Judgment]
+) -> tuple[Derivation, list[int]]:
     if not isinstance(obj, dict):
         raise FormatError(f"derivation row {where} is not an object")
     try:
@@ -155,15 +172,18 @@ def _from_row(obj, where: str, built: list[Derivation], mode: str) -> tuple[Deri
     if not (isinstance(rule, str) and isinstance(premises, list) and isinstance(subject, str)):
         raise FormatError(f"bad field types at {where}")
     try:
-        judgment = Judgment.parse(judgment)
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise FormatError(f"bad judgment at {where}: {exc}") from None
+        parsed = judgments[judgment]
+    except (KeyError, TypeError):  # a text not read yet, or not a string at all
+        try:
+            parsed = judgments[judgment] = Judgment.parse(judgment)
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise FormatError(f"bad judgment at {where}: {exc}") from None
     for p in premises:
         # bool is an int subclass; only genuine ints name rows
         if type(p) is not int or not 0 <= p < len(built):
             raise FormatError(f"premise {p!r} at {where} does not name an earlier row")
     kids = tuple(built[p] for p in premises)
-    d = Derivation(rule, CITATIONS.get(rule, ""), kids, Conclusion(subject, judgment, mode))
+    d = Derivation(rule, CITATIONS.get(rule, ""), kids, Conclusion(subject, parsed, mode))
     if rule not in LEAF_RULES and "#" in subject:
         for path in _REF.findall(subject):
             if _follow(d, path) is None:
@@ -203,8 +223,9 @@ def deserialize(text: str) -> Derivation:
         raise FormatError("derivation document needs a non-empty 'nodes' list")
     built: list[Derivation] = []
     premise_ids: list[list[int]] = []
+    judgments: dict[str, Judgment] = {}  # a file holds few distinct judgments
     for i, obj in enumerate(table):
-        d, ids = _from_row(obj, f"/nodes/{i}", built, mode)
+        d, ids = _from_row(obj, f"/nodes/{i}", built, mode, judgments)
         built.append(d)
         premise_ids.append(ids)
     # later rows name earlier ones only, so one backward sweep finds every
@@ -296,31 +317,6 @@ def _selector_stage(c: PointClass) -> int:
     return m
 
 
-def _classes(premises) -> list[PointClass]:
-    out = []
-    for i, p in enumerate(premises):
-        j = p.conclusion.judgment
-        if j.kind != "class":
-            raise CheckError(f"/premises/{i}", "expected a class judgment")
-        out.append(j.cls)
-    return out
-
-
-def _levels(premises) -> list[int]:
-    out = []
-    for i, p in enumerate(premises):
-        j = p.conclusion.judgment
-        if j.kind != "level":
-            raise CheckError(f"/premises/{i}", "expected a level judgment")
-        out.append(j.level)
-    return out
-
-
-def _arity(premises, *allowed: int):
-    if len(premises) not in allowed:
-        raise CheckError("", f"rule expects {allowed} premises, got {len(premises)}")
-
-
 def _check_leaf(d: Derivation, env: Env) -> None:
     name = d.conclusion.subject
     j = d.conclusion.judgment
@@ -344,8 +340,6 @@ def _check_leaf(d: Derivation, env: Env) -> None:
 
 
 def _check_sched(d: Derivation) -> None:
-    from .parser import parse_schedule  # local import: parser pulls in sema
-
     subject = d.conclusion.subject
     if not subject.startswith("levels "):
         raise CheckError("", "schedule leaf subject must start with 'levels '")
@@ -353,8 +347,6 @@ def _check_sched(d: Derivation) -> None:
         sched = parse_schedule(subject[len("levels "):])
     except Exception as exc:
         raise CheckError("", f"unreadable schedule: {exc}") from None
-    from .pointclass import schedule_bound
-
     try:
         bound = schedule_bound(sched)
     except Exception:
@@ -363,155 +355,140 @@ def _check_sched(d: Derivation) -> None:
         raise CheckError("", f"schedule bound is {bound}, not {d.conclusion.judgment.render()}")
 
 
+def _complement(c: PointClass) -> Judgment:
+    if c.kind is Kind.DELTA:
+        return class_judgment(c)
+    return class_judgment(pi(c.level) if c.kind is Kind.SIGMA else sigma(c.level))
+
+
+def _countable(*cs: PointClass) -> Judgment:
+    if not cs:
+        raise CheckError("", "countable combination needs premises")
+    return class_judgment(reduce(_join, cs))
+
+
+def _product(a: PointClass, b: PointClass) -> Judgment:
+    if a.kind is b.kind or Kind.DELTA in (a.kind, b.kind):
+        return class_judgment(_join(a, b))
+    return class_judgment(delta(max(a.level, b.level) + 1))
+
+
+def _projection(c: PointClass) -> Judgment:
+    return class_judgment(sigma(c.level + 1) if c.kind is Kind.PI else sigma(c.level))
+
+
+def _borel_image(p: int, c: PointClass) -> Judgment:
+    if p != 1:
+        raise CheckError("", "image rule needs a level-1 function premise")
+    return _projection(c)
+
+
+def _borel_preimage(p: int, c: PointClass) -> Judgment:
+    if p != 1:
+        raise CheckError("", "Borel preimage needs a level-1 function premise")
+    return class_judgment(c)
+
+
+def _borel_inner(p: int, q: int) -> Judgment:
+    if q != 1:
+        raise CheckError("", "inner function must have level 1")
+    return level_judgment(p)
+
+
+def _delta_preimage(p: int, c: PointClass) -> Judgment:
+    if c.kind is not Kind.DELTA:
+        raise CheckError("", "delta-preimage rule needs a delta target")
+    return class_judgment(delta(p + c.level))
+
+
+def _sigma_preimage(p: int, c: PointClass) -> Judgment:
+    if c.kind is not Kind.SIGMA:
+        raise CheckError("", "sigma-preimage rule needs a sigma target")
+    return class_judgment(sigma(c.level + p - 1))
+
+
+def _arithmetic(*ps: int) -> Judgment:
+    if not ps:
+        raise CheckError("", "arithmetic needs operands")
+    return level_judgment(max(ps))
+
+
+def _eps_selection(p: int, c: PointClass) -> Judgment:
+    # objective at level p, constraint set in class c: the eps-optimal
+    # target lies in delta q+1, and its selector is recovered from a
+    # pi 2m+1 graph over the target's sigma q+1 projection
+    q = max(p, _delta_level(c))
+    m = _selector_stage(delta(q + 1))
+    return level_judgment(max(2 * m + 2, q + 2) + 1)
+
+
+# rule -> (premise kinds, conclusion).  The kinds are one letter per
+# premise, c for a class judgment and l for a level judgment, or c* and l*
+# for one or more of that kind; the conclusion is computed from the
+# premises' classes and levels, in premise order.  A one-premise S-BPRE, a
+# section, is the entry under ("S-BPRE", 1).
+_RULES = {
+    "S-COMPL": ("c", _complement),
+    "S-CU": ("c*", _countable),
+    "S-CI": ("c*", _countable),
+    "S-PROD": ("cc", _product),
+    "S-PROJ": ("c", _projection),
+    "S-BIMG": ("lc", _borel_image),
+    "S-BPRE": ("lc", _borel_preimage),
+    ("S-BPRE", 1): ("c", class_judgment),
+    "S-SUBLEV": ("l", lambda p: class_judgment(delta(p))),
+    "S-WR": ("c", lambda c: class_judgment(_sigma_of(c))),
+    "F-DOM": ("lc", lambda p, c: level_judgment(max(p, _delta_level(c)))),
+    "F-PAIR": ("ll", lambda p, q: level_judgment(max(p, q))),
+    "F-CYL": ("l", level_judgment),
+    "F-COMP": ("ll", lambda p, q: level_judgment(p + q)),
+    "F-COMP-B": ("ll", _borel_inner),
+    "F-PRE-Δ": ("lc", _delta_preimage),
+    "F-PRE-Σ": ("lc", _sigma_preimage),
+    "F-GRAPH": ("l", lambda p: class_judgment(delta(p + 1))),
+    "F-UNGRAPH": ("cc", lambda g, dom: level_judgment(max(_delta_level(g), _delta_level(dom)) + 1)),
+    "F-SECT": ("l", lambda p: level_judgment(p + 1)),
+    "F-ARITH": ("l*", _arithmetic),
+    "F-CSUP": ("c", lambda c: level_judgment(_delta_level(c))),
+    "F-CINF": ("c", lambda c: level_judgment(_delta_level(c))),
+    "F-PARTIAL": ("lc", lambda p, c: level_judgment(max(p, _delta_level(c)) + 1)),
+    "F-INT": ("ll", lambda p, r: level_judgment(p + r + 2)),
+    "F-SELECT": ("c", lambda c: class_judgment(pi(2 * _selector_stage(c) + 1))),
+    "F-EPS": ("lc", _eps_selection),
+}
+
+_KINDS = {"c": "class", "l": "level"}
+
+
 def _expected_judgment(d: Derivation) -> Judgment:
     """Recompute the node's conclusion judgment from its premises."""
-    rule = d.rule
     prem = d.premises
-    if rule == "S-COMPL":
-        _arity(prem, 1)
-        (c,) = _classes(prem)
-        flipped = {Kind.SIGMA: pi(c.level), Kind.PI: sigma(c.level), Kind.DELTA: c}[c.kind]
-        return class_judgment(flipped)
-    if rule in ("S-CU", "S-CI"):
-        if not prem:
-            raise CheckError("", "countable combination needs premises")
-        cs = _classes(prem)
-        out = cs[0]
-        for c in cs[1:]:
-            out = _join(out, c)
-        return class_judgment(out)
-    if rule == "S-PROD":
-        _arity(prem, 2)
-        a, b = _classes(prem)
-        if a.kind is b.kind or Kind.DELTA in (a.kind, b.kind):
-            return class_judgment(_join(a, b))
-        return class_judgment(delta(max(a.level, b.level) + 1))
-    if rule in ("S-PROJ", "S-BIMG"):
-        if rule == "S-BIMG":
-            _arity(prem, 2)
-            lv = _levels(prem[:1])
-            if lv[0] != 1:
-                raise CheckError("", "image rule needs a level-1 function premise")
-            (c,) = _classes(prem[1:])
-        else:
-            _arity(prem, 1)
-            (c,) = _classes(prem)
-        out = sigma(c.level + 1) if c.kind is Kind.PI else sigma(c.level)
-        return class_judgment(out)
-    if rule == "S-BPRE":
-        if len(prem) == 1:
-            (c,) = _classes(prem)
-            return class_judgment(c)
-        _arity(prem, 2)
-        (p,) = _levels(prem[:1])
-        if p != 1:
-            raise CheckError("", "Borel preimage needs a level-1 function premise")
-        (c,) = _classes(prem[1:])
-        return class_judgment(c)
-    if rule == "S-SUBLEV":
-        _arity(prem, 1)
-        (p,) = _levels(prem)
-        return class_judgment(delta(p))
-    if rule == "S-WR":
-        _arity(prem, 1)
-        (c,) = _classes(prem)
-        return class_judgment(_sigma_of(c))
-    if rule == "F-DOM":
-        _arity(prem, 2)
-        (p,) = _levels(prem[:1])
-        (c,) = _classes(prem[1:])
-        return level_judgment(max(p, _delta_level(c)))
-    if rule == "F-PAIR":
-        _arity(prem, 2)
-        p, q = _levels(prem)
-        return level_judgment(max(p, q))
-    if rule == "F-CYL":
-        _arity(prem, 1)
-        (p,) = _levels(prem)
-        return level_judgment(p)
-    if rule == "F-COMP":
-        _arity(prem, 2)
-        p, q = _levels(prem)
-        return level_judgment(p + q)
-    if rule == "F-COMP-B":
-        _arity(prem, 2)
-        p, q = _levels(prem)
-        if q != 1:
-            raise CheckError("", "inner function must have level 1")
-        return level_judgment(p)
-    if rule == "F-PRE-Δ":
-        _arity(prem, 2)
-        (p,) = _levels(prem[:1])
-        (c,) = _classes(prem[1:])
-        if c.kind is not Kind.DELTA:
-            raise CheckError("", "delta-preimage rule needs a delta target")
-        return class_judgment(delta(p + c.level))
-    if rule == "F-PRE-Σ":
-        _arity(prem, 2)
-        (p,) = _levels(prem[:1])
-        (c,) = _classes(prem[1:])
-        if c.kind is not Kind.SIGMA:
-            raise CheckError("", "sigma-preimage rule needs a sigma target")
-        return class_judgment(sigma(c.level + p - 1))
-    if rule == "F-GRAPH":
-        _arity(prem, 1)
-        (p,) = _levels(prem)
-        return class_judgment(delta(p + 1))
-    if rule == "F-UNGRAPH":
-        _arity(prem, 2)
-        g, dcls = _classes(prem)
-        return level_judgment(max(_delta_level(g), _delta_level(dcls)) + 1)
-    if rule == "F-SECT":
-        _arity(prem, 1)
-        (p,) = _levels(prem)
-        return level_judgment(p + 1)
-    if rule == "F-ARITH":
-        if not prem:
-            raise CheckError("", "arithmetic needs operands")
-        return level_judgment(max(_levels(prem)))
-    if rule in ("F-CSUP", "F-CINF"):
-        _arity(prem, 1)
-        (c,) = _classes(prem)
-        return level_judgment(_delta_level(c))
-    if rule == "F-PARTIAL":
-        _arity(prem, 2)
-        (p,) = _levels(prem[:1])
-        (c,) = _classes(prem[1:])
-        return level_judgment(max(p, _delta_level(c)) + 1)
-    if rule == "F-INT":
-        _arity(prem, 2)
-        p, r = _levels(prem)
-        return level_judgment(p + r + 2)
-    if rule == "F-SELECT":
-        _arity(prem, 1)
-        (c,) = _classes(prem)
-        m = _selector_stage(c)
-        return class_judgment(pi(2 * m + 1))
-    if rule == "F-EPS":
-        # objective at level p, constraint set in class c: the eps-optimal
-        # target lies in delta q+1, and its selector is recovered from a
-        # pi 2m+1 graph over the target's sigma q+1 projection
-        _arity(prem, 2)
-        (p,) = _levels(prem[:1])
-        (c,) = _classes(prem[1:])
-        q = max(p, _delta_level(c))
-        m = _selector_stage(delta(q + 1))
-        return level_judgment(max(2 * m + 2, q + 2) + 1)
-    raise CheckError("", f"unknown rule id {rule!r}")
+    entry = _RULES.get(("S-BPRE", 1) if d.rule == "S-BPRE" and len(prem) == 1 else d.rule)
+    if entry is None:
+        raise CheckError("", f"unknown rule id {d.rule!r}")
+    kinds, conclude = entry
+    if kinds[-1] == "*":
+        kinds = kinds[0] * len(prem)  # conclude() refuses none
+    elif len(prem) != len(kinds):
+        raise CheckError("", f"rule expects ({len(kinds)},) premises, got {len(prem)}")
+    values = []
+    for i, k in enumerate(kinds):
+        j = prem[i].conclusion.judgment
+        if j.kind != _KINDS[k]:
+            raise CheckError(f"/premises/{i}", f"expected a {_KINDS[k]} judgment")
+        values.append(j.cls if k == "c" else j.level)
+    return conclude(*values)
 
 
 def _check_gate(d: Derivation) -> None:
     mode = d.conclusion.mode
     if d.rule in ALWAYS_GATED and mode != ZFC_PD:
         raise CheckError("", f"axiom gate: {d.rule} requires mode {ZFC_PD}")
-    if d.rule == "F-SELECT":
-        (c,) = _classes(d.premises)
-        if _selector_stage(c) >= 1 and mode != ZFC_PD:
-            raise CheckError("", f"axiom gate: F-SELECT beyond stage 0 requires mode {ZFC_PD}")
-    if d.rule == "S-WR":
-        (c,) = _classes(d.premises)
-        if _sigma_of(c).level >= 2 and mode != ZFC_PD:
-            raise CheckError("", f"axiom gate: S-WR beyond level 1 requires mode {ZFC_PD}")
+    # the premise's kind was checked with the rule's arithmetic
+    if d.rule == "F-SELECT" and _selector_stage(d.premises[0].conclusion.judgment.cls) >= 1 and mode != ZFC_PD:
+        raise CheckError("", f"axiom gate: F-SELECT beyond stage 0 requires mode {ZFC_PD}")
+    if d.rule == "S-WR" and _sigma_of(d.premises[0].conclusion.judgment.cls).level >= 2 and mode != ZFC_PD:
+        raise CheckError("", f"axiom gate: S-WR beyond level 1 requires mode {ZFC_PD}")
     if d.rule == "P-UM":
         try:
             subject_cls = parse_class_token(d.conclusion.subject)
@@ -524,43 +501,41 @@ def _check_gate(d: Derivation) -> None:
 def check(d: Derivation, env: Env) -> None:
     """Raise CheckError unless every node re-derives and every leaf is declared.
 
-    Each distinct node object is checked once, on its first visit in
-    depth-first premise order, and errors carry that visit's path.  The walk
-    keeps its own stack, so depth is bounded by memory, not by recursion,
-    and a path is spelled only for an error: each node's own checks raise
-    with a path relative to the node ("" or /premises/i), which is then
-    put below the node's own path.
+    One pass over the distinct nodes, each after its premises, in the order
+    serialize writes their rows: each is checked once, by its rule's entry
+    in the rule table, against its premises' judgments.  The first node
+    that fails is reported at the path of its first visit in a depth-first
+    walk in premise order, spelled only then; each node's own checks raise
+    with a path relative to the node ("" or /premises/i), which is put
+    below that path.
     """
     mode = d.conclusion.mode
-    seen: set[int] = set()
-    up: list[tuple[int, int]] = []  # per visit: (its parent's visit or -1, premise position)
-    stack: list[tuple[Derivation, int, int, bool]] = [(d, -1, 0, False)]
     try:
-        while stack:
-            n, v, i, premises_done = stack.pop()
-            if premises_done:
-                _check_own(n, env)
-                continue
-            if id(n) in seen:
-                continue
-            seen.add(id(n))
-            up.append((v, i))
-            v = len(up) - 1
+        for n in _postorder(d):
             if n.conclusion.mode != mode:
                 raise CheckError("", f"mode mismatch: {n.conclusion.mode} inside a {mode} derivation")
-            if n.rule not in CITATIONS:
-                raise CheckError("", f"unknown rule id {n.rule!r}")
-            stack.append((n, v, 0, True))
-            for i in range(len(n.premises) - 1, -1, -1):
-                p = n.premises[i]
-                if id(p) not in seen:
-                    stack.append((p, v, i, False))
+            _check_own(n, env)
     except CheckError as exc:
-        steps = []
-        while up[v][0] >= 0:
-            v, i = up[v]
-            steps.append(f"/premises/{i}")
-        raise CheckError("".join(reversed(steps)) + exc.path, exc.reason) from None
+        raise CheckError(_path_to(d, n) + exc.path, exc.reason) from None
+
+
+def _path_to(root: Derivation, target: Derivation) -> str:
+    """The /premises/i... path of target's first visit in a depth-first walk
+    from root in premise order, on a stack of [node, next premise] pairs."""
+    seen = {id(root)}
+    stack = [[root, 0]]
+    while stack[-1][0] is not target:
+        top = stack[-1]
+        n, i = top
+        if i == len(n.premises):
+            stack.pop()
+            continue
+        top[1] = i + 1
+        p = n.premises[i]
+        if id(p) not in seen:
+            seen.add(id(p))
+            stack.append([p, 0])
+    return "".join([f"/premises/{i - 1}" for _, i in stack[:-1]])
 
 
 def _check_own(d: Derivation, env: Env) -> None:

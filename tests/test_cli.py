@@ -472,7 +472,11 @@ def test_check_tampered_shared_row(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert main(["check", str(path), str(program)]) == 1
-    assert "check failed at /premises/" in capsys.readouterr().out
+    # the row is named twice; the path is its first visit in premise order
+    assert capsys.readouterr().out == (
+        "check failed at /premises/0: conclusion 'class delta 3' does not match "
+        "recomputed 'class delta 2' for rule S-CU\n"
+    )
 
 
 def test_deep_nest_derivations_check(tmp_path, capsys):

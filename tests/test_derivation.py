@@ -1,6 +1,7 @@
 """Wire format round trips and checker tamper resistance."""
 
 import dataclasses
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -393,6 +394,51 @@ def test_check_recomputes_each_row_once(monkeypatch):
     assert len(calls) == inner_rows
 
 
+def test_deserialize_parses_each_judgment_text_once(monkeypatch):
+    # a file holds few distinct judgments, however many rows it has
+    _, nest_env = parse(compl_nest(300))
+    text = serialize(infer_set(ast.NamedSet("N"), nest_env, ZFC)[1])
+    texts = []
+    original = Judgment.parse
+
+    def counting(text):
+        texts.append(text)
+        return original(text)
+
+    monkeypatch.setattr(Judgment, "parse", staticmethod(counting))
+    loaded = deserialize(text)
+    assert sorted(texts) == ["class pi 1", "class sigma 1"]
+    check(loaded, nest_env)
+
+
+SECOND_PREMISE_CLASS_RULES = ("S-BIMG", "S-BPRE", "F-DOM", "F-PRE-Δ", "F-PRE-Σ", "F-PARTIAL", "F-EPS")
+
+
+@pytest.mark.parametrize("rule", SECOND_PREMISE_CLASS_RULES)
+def test_wrong_second_premise_kind_names_that_premise(env, rule):
+    # a level premise where the class premise belongs: the fault is at
+    # /premises/1, not at the level premise before it
+    b = node("DECL", (), "b", Judgment("level", level=1), ZFC_PD)
+    bad = node(rule, (b, b), "b", Judgment("class", cls=delta(1)), ZFC_PD)
+    with pytest.raises(CheckError) as exc:
+        check(bad, env)
+    assert (exc.value.path, exc.value.reason) == ("/premises/1", "expected a class judgment")
+
+
+def test_fault_reached_twice_is_reported_at_its_first_visit(env):
+    # union(compl(A), A) with A's class forged: the forged row is reached
+    # at /premises/0/premises/0 before /premises/1
+    forged = node("DECL", (), "A", Judgment("class", cls=sigma(2)), ZFC)
+    inner = node("S-COMPL", (forged,), "compl(A)", Judgment("class", cls=pi(2)), ZFC)
+    root = node("S-CU", (inner, forged), "union(compl(A), A)", Judgment("class", cls=delta(3)), ZFC)
+    with pytest.raises(CheckError) as exc:
+        check(root, env)
+    assert str(exc.value) == "/premises/0/premises/0: declared class of 'A' is sigma 1, not sigma 2"
+    with pytest.raises(CheckError) as exc:
+        check(deserialize(serialize(root)), env)
+    assert str(exc.value) == "/premises/0/premises/0: declared class of 'A' is sigma 1, not sigma 2"
+
+
 def test_equal_nodes_share_one_row():
     a = node("DECL", (), "A", Judgment("class", cls=sigma(1)), ZFC)
     twin = node("DECL", (), "A", Judgment("class", cls=sigma(1)), ZFC)
@@ -471,6 +517,14 @@ def test_eps_row_over_its_objective_alone_is_rejected(tmp_path, capsys):
     assert rc == 1 and out.startswith("check failed at /: rule expects (2,) premises"), out
 
 
+def test_check_names_the_second_premise(tmp_path, capsys):
+    rc, out = _check_rows(tmp_path, capsys, [
+        ("DECL", [], "b", "level delta 1"),
+        ("F-PRE-Δ", [0, 0], "pre[b](b)", "class delta 2"),
+    ])
+    assert (rc, out) == (1, "check failed at /premises/1: expected a class judgment\n")
+
+
 @pytest.mark.parametrize("level,rc", [(4, 1), (5, 0), (6, 1)])
 def test_eps_row_level_is_recomputed(tmp_path, capsys, level, rc):
     got, out = _check_rows(tmp_path, capsys, [
@@ -528,10 +582,10 @@ def test_eps_level_matches_the_construction():
     assert compared == 2 * (11 * 33 + 7)
 
 
-def _roots(text):
+def _roots(text, mode=ZFC_PD):
     """(program, env, engine, [(statement, derivation)]) of every let and assertion of text."""
     program, prog_env = parse(text)
-    engine = Engine(prog_env, ZFC_PD)
+    engine = Engine(prog_env, mode)
     roots = []
     for stmt in program.statements:
         try:
@@ -541,7 +595,7 @@ def _roots(text):
                 roots.append((stmt, engine.func_level(ast.NamedFunc(stmt.name))[1]))
         except VERDICT_ERRORS:
             pass
-    results = evaluate_assertions(program, prog_env, ZFC_PD, engine)
+    results = evaluate_assertions(program, prog_env, mode, engine)
     roots += [(stmt, r.derivation) for stmt, r in zip(program.assertions, results) if r.derivation]
     return program, prog_env, engine, roots
 
@@ -599,3 +653,43 @@ def test_expanded_roots_are_the_formatted_expressions():
             assert expand(d, len(want)) == want and expand(d, len(want) - 1) is None
             count += 1
     assert count >= 250
+
+
+def _one_row_mutants(text):
+    """Each document that differs from text in one row: its judgment one
+    level up, or its rule swapped for F-ARITH, S-CU or an unknown id."""
+    doc = json.loads(text)
+    for row in doc["nodes"]:
+        old_rule, old_judgment = row["rule"], row["judgment"]
+        head, _, rest = old_judgment.rpartition(" ")
+        if not old_judgment.startswith("prop "):
+            row["judgment"] = f"{head} {int(rest) + 1}"
+            yield json.dumps(doc)
+            row["judgment"] = old_judgment
+        for rule in ("F-ARITH", "S-CU", "X-??"):
+            if rule != old_rule:
+                row["rule"] = rule
+                yield json.dumps(doc)
+        row["rule"] = old_rule
+
+
+def test_check_outcomes_frozen():
+    # the (path, reason) that check gives each one-row mutant of every
+    # derivation of the first 34 corpus programs, in both modes: one digest,
+    # taken while check was still a branch per rule over a second walk
+    outcomes = []
+    for text in corpus()[:34]:
+        for mode in (ZFC, ZFC_PD):
+            _, prog_env, _, roots = _roots(text, mode)
+            for _, d in roots:
+                for mutant in _one_row_mutants(serialize(d)):
+                    try:
+                        check(deserialize(mutant), prog_env)
+                    except CheckError as exc:
+                        outcomes.append([exc.path, exc.reason])
+                    else:
+                        outcomes.append(["ok"])
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert (len(outcomes), digest) == (
+        2396, "42f24f54efbd11f26b58a5431ea24ae25de4792050bc1357c0e9278bcacee9db"
+    )

@@ -1,6 +1,5 @@
 """DSL front end: parsing, binding, canonical formatting."""
 
-import gc
 import hashlib
 import itertools
 import re
@@ -10,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from projcalc import ast
+from projcalc import ast, formatter
 from projcalc.errors import ParseError, ResolutionError, SignatureError
 from projcalc.formatter import format_expr, format_program, format_statement
 from projcalc.parser import (
@@ -388,20 +387,24 @@ def test_deep_nest_formats_in_process(word):
     assert format_program(parse_program(text)).endswith(f"\nlet N = {nest}\n")
 
 
-def test_deep_nest_formats_in_linear_time():
-    # one writer appends every token to one list: doubling the depth about
-    # doubles the time, where copying each child's finished text quadruples it
-    def best(program):
-        times = []
-        gc.disable()  # a collection scans the whole tree, at either depth
-        try:
-            for _ in range(3):
-                started = time.perf_counter()
-                format_program(program)
-                times.append(time.perf_counter() - started)
-        finally:
-            gc.enable()
-        return min(times)
+def test_deep_nest_formats_in_linear_time(monkeypatch):
+    # one writer appends every token to one list: pieces() is asked once per
+    # node and hands back short tokens with the subexpression left in place,
+    # where copying each child's finished text makes pieces as long as the
+    # nest below them
+    depth = 40_000
+    program = parse_program(compl_nest(depth))
+    original = formatter.pieces
+    calls, longest = 0, 0
 
-    small, large = (parse_program(compl_nest(depth)) for depth in (20_000, 40_000))
-    assert best(large) < 3 * best(small)
+    def counting(e):
+        nonlocal calls, longest
+        calls += 1
+        out = original(e)
+        longest = max([longest] + [len(p) for p in out if type(p) is str])
+        return out
+
+    monkeypatch.setattr(formatter, "pieces", counting)
+    assert format_program(program).endswith(f"let N = {'compl(' * depth}A0{')' * depth}\n")
+    assert calls == depth + 1
+    assert longest <= len("compl(")
