@@ -10,12 +10,13 @@ The keyword form of each fixed-arity constructor is written down once, in
 SET_FORMS and FUNC_FORMS (EPS_FORM for eps_inf/eps_sup, SPACE_ATOMS and
 SPACE_FORMS for spaces); the parser reads and the formatter writes every
 such form from its entry, and children() reads a node's subexpressions from
-it.  The binder, the engine and the formatter walk expressions through
-fold(), the parser with a stack of its own, so expressions nest as deep as
-memory allows; so do space values, whose factors space_children() gives.
-A new constructor is its class and one entry here plus its rules in sema,
-infer and derivation; an irregular form is also named in children() and
-spelled by hand in parser.expr and formatter.pieces.
+it.  The binder, the engine, the formatter and the finite-model evaluator
+walk expressions through fold(), the parser with a stack of its own, so
+expressions nest as deep as memory allows; so do space values, whose
+factors space_children() gives.  A new constructor is its class and one
+entry here plus its rules in sema, infer and derivation; an irregular form
+is also named in children() and spelled by hand in parser.expr and
+formatter.pieces.
 """
 
 from __future__ import annotations

@@ -5,18 +5,24 @@ function, measure, and kernel names.  Points of a product carrier are
 nested pairs mirroring the binary product structure; all scalar values are
 extended reals with exact rational finite parts.
 
-The evaluators interpret the symbolic AST concretely.  Constructors whose
-meaning is inherently about the hierarchy (measure thresholds, symbolic
-families without concrete members, the selection operators) are rejected
-with UnsupportedConstructorError; countable families evaluate over the
-concretely declared members base_0, base_1, ... .
+The evaluator interprets the symbolic AST concretely in one ast.fold,
+children first.  Each value carries its carrier (a set's SetData, a
+function's FuncData), so a node checks its children's carriers against its
+own rule without walking them again, and expressions nest as deep as
+memory allows.  Constructors whose meaning is inherently about the
+hierarchy (measure thresholds, symbolic families without concrete members,
+the selection operators) are rejected with UnsupportedConstructorError;
+countable families evaluate over the concretely declared members base_0,
+base_1, ... .
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import ast
 from .errors import FormatError, SignatureError, UnsupportedConstructorError
@@ -170,9 +176,14 @@ def parse_carrier(text: str) -> Carrier:
     return out
 
 
+def _product(c: Carrier, what: str) -> Prod:
+    if not isinstance(c, Prod):
+        raise SignatureError(f"{what} needs a product carrier, got {format_carrier(c)}")
+    return c
+
+
 def _axis_index(carrier: Carrier, axis) -> int:
-    if not isinstance(carrier, Prod):
-        raise SignatureError(f"axis selection needs a product carrier, got {format_carrier(carrier)}")
+    _product(carrier, "axis selection")
     if isinstance(axis, int):
         if axis in (1, 2):
             return axis
@@ -296,8 +307,10 @@ def model_from_json(obj) -> FiniteModel:
                 kk["dst"],
                 {x: {y: _frac_from_json(w) for y, w in row.items()} for x, row in kk["rows"].items()},
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # e.g. "sets": []
         raise FormatError(f"malformed model: {exc!r}") from None
+    except RecursionError:  # parse_carrier recurses once per prod(
+        raise FormatError("malformed model: a carrier is nested too deeply") from None
     m.validate()
     return m
 
@@ -321,118 +334,50 @@ def loads_model(text: str) -> FiniteModel:
 # --- evaluation ----------------------------------------------------------------
 
 
-_CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_CMP = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _family_members(m: FiniteModel, base: str, kind: str) -> list[str]:
-    table = m.sets if kind == "set" else m.funcs
-    names = []
-    i = 0
-    while f"{base}_{i}" in table:
-        names.append(f"{base}_{i}")
-        i += 1
-    if not names:
+def _named(table: dict, name: str, what: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise SignatureError(f"model has no {what} {name!r}") from None
+
+
+def _family(table: dict, base: str) -> list:
+    """The data of a family's members base_0, base_1, ... in a model's table."""
+    members = []
+    while f"{base}_{len(members)}" in table:
+        members.append(table[f"{base}_{len(members)}"])
+    if not members:
         raise UnsupportedConstructorError(
             f"symbolic family {base}_* has no concrete members {base}_0, {base}_1, ... in the model"
         )
-    return names
+    return members
 
 
-def set_carrier_of(e: ast.SetExpr, m: FiniteModel) -> Carrier:
-    """Carrier of a set expression over the model's spaces."""
-    if isinstance(e, ast.NamedSet):
-        try:
-            return m.sets[e.name].carrier
-        except KeyError:
-            raise SignatureError(f"model has no set {e.name!r}") from None
-    if isinstance(e, ast.Complement):
-        return set_carrier_of(e.operand, m)
-    if isinstance(e, (ast.FiniteUnion, ast.FiniteIntersection)):
-        return set_carrier_of(e.members[0], m)
-    if isinstance(e, (ast.CountableUnion, ast.CountableIntersection)):
-        return m.sets[_family_members(m, e.base, "set")[0]].carrier
-    if isinstance(e, ast.Product):
-        return Prod(set_carrier_of(e.left, m), set_carrier_of(e.right, m))
-    if isinstance(e, ast.Projection):
-        c = set_carrier_of(e.operand, m)
-        return c.left if _axis_index(c, e.axis) == 1 else c.right
-    if isinstance(e, ast.BorelImage):
-        return m.funcs[e.func].cod
-    if isinstance(e, ast.Preimage):
-        return func_data(e.func, m).dom
-    if isinstance(e, ast.Section):
-        c = set_carrier_of(e.operand, m)
-        return c.right if _axis_index(c, e.axis) == 1 else c.left
-    if isinstance(e, ast.Graph):
-        f = func_data(e.func, m)
-        return Prod(f.dom, f.cod)
-    if isinstance(e, ast.Sublevel):
-        return func_data(e.func, m).dom
-    raise UnsupportedConstructorError(f"no finite semantics for {type(e).__name__}")
+_SET_NODES = frozenset(ast.SetExpr.__args__)
+_FUNC_NODES = frozenset(ast.FuncExpr.__args__)
+# node class -> the class of each child's value, in the order ast.children gives them
+_VALUES = {"set_expr": SetData, "func_expr": FuncData}
+_SLOTS = {
+    c: tuple(_VALUES[k] for _, _, k in ast.slot_steps(b, s) if k in _VALUES)
+    for c, b, s in (*ast.SET_FORMS.values(), *ast.FUNC_FORMS.values())
+}
 
 
-def eval_set(e: ast.SetExpr, m: FiniteModel) -> frozenset:
-    """The subset denoted by e, as a frozenset of points."""
-    if isinstance(e, ast.NamedSet):
-        try:
-            return m.sets[e.name].members
-        except KeyError:
-            raise SignatureError(f"model has no set {e.name!r}") from None
-    if isinstance(e, ast.Complement):
-        pts = frozenset(m.points(set_carrier_of(e.operand, m)))
-        return pts - eval_set(e.operand, m)
-    if isinstance(e, ast.FiniteUnion):
-        return frozenset().union(*(eval_set(x, m) for x in e.members))
-    if isinstance(e, ast.FiniteIntersection):
-        parts = [eval_set(x, m) for x in e.members]
-        return frozenset.intersection(*parts)
-    if isinstance(e, ast.CountableUnion):
-        names = _family_members(m, e.base, "set")
-        return frozenset().union(*(m.sets[n].members for n in names))
-    if isinstance(e, ast.CountableIntersection):
-        names = _family_members(m, e.base, "set")
-        return frozenset.intersection(*(m.sets[n].members for n in names))
-    if isinstance(e, ast.Product):
-        return frozenset((a, b) for a in eval_set(e.left, m) for b in eval_set(e.right, m))
-    if isinstance(e, ast.Projection):
-        k = _axis_index(set_carrier_of(e.operand, m), e.axis)
-        return frozenset(p[k - 1] for p in eval_set(e.operand, m))
-    if isinstance(e, ast.BorelImage):
-        f = m.funcs[e.func]
-        members = eval_set(e.operand, m)
-        return frozenset(f.table[p] for p in members if p in f.table)
-    if isinstance(e, ast.Preimage):
-        f = func_data(e.func, m)
-        target = eval_set(e.operand, m)
-        return frozenset(p for p, v in f.table.items() if v in target)
-    if isinstance(e, ast.Section):
-        if e.at is None:
-            raise UnsupportedConstructorError("sections need a concrete evaluation point '@ atom'")
-        k = _axis_index(set_carrier_of(e.operand, m), e.axis)
-        members = eval_set(e.operand, m)
-        if k == 1:
-            return frozenset(p[1] for p in members if p[0] == e.at)
-        return frozenset(p[0] for p in members if p[1] == e.at)
-    if isinstance(e, ast.Graph):
-        f = func_data(e.func, m)
-        return frozenset((p, v) for p, v in f.table.items())
-    if isinstance(e, ast.Sublevel):
-        f = func_data(e.func, m)
-        if f.cod != XREAL:
-            raise SignatureError("sublevel sets need an extended-real valued function")
-        cmp = _CMP[e.op]
-        bound = fin(e.bound)
-        return frozenset(p for p, v in f.table.items() if cmp(v, bound))
-    if isinstance(e, ast.MeasureThreshold):
+def _enter(e) -> tuple:
+    """The children e is evaluated from; refusals that come before any child are raised here."""
+    t = type(e)
+    if t is ast.MeasureThreshold:
         raise UnsupportedConstructorError(
             "measure-threshold sets live on the measure space; they have no finite-model semantics here"
         )
-    raise UnsupportedConstructorError(f"no finite semantics for {type(e).__name__}")
+    if t is ast.Section and e.at is None:
+        raise UnsupportedConstructorError("sections need a concrete evaluation point '@ atom'")
+    if t is ast.EpsSelector:
+        raise UnsupportedConstructorError("no finite semantics for EpsSelector")
+    return ast.children(e)
 
 
 def _scalar(f: FuncData, what: str) -> None:
@@ -454,15 +399,18 @@ def _iroot(a: int, n: int) -> int:
         x = y
 
 
-def _exact_power(q: Fraction, exponent: Fraction, point) -> Fraction:
-    """q ** exponent as an exact rational; an irrational power is unsupported."""
+def _power(v: XReal, exponent: Fraction, point) -> XReal:
+    """v ** exponent as an exact extended real; an irrational power is unsupported."""
+    if not v.is_finite:
+        return NEG_INF if v == NEG_INF and exponent % 2 else POS_INF
+    q = v.fin
     if exponent.denominator == 1:
-        return q ** exponent.numerator
+        return fin(q**exponent.numerator)
     n = exponent.denominator
     if q >= 0:
         num, den = _iroot(q.numerator, n), _iroot(q.denominator, n)
         if num**n == q.numerator and den**n == q.denominator:
-            return Fraction(num, den) ** exponent.numerator
+            return fin(Fraction(num, den) ** exponent.numerator)
     raise UnsupportedConstructorError(
         f"pow(..., {exponent}) has no exact rational value at {point!r}, where the base is {q}"
     )
@@ -474,6 +422,225 @@ def _dot(u, v) -> XReal:
     return xreal_sum([_dot(u[0], v[0]), _dot(u[1], v[1])])
 
 
+def _vector(c: Carrier) -> bool:
+    """Whether c is the XREAL marker or a product of such factors only."""
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Prod):
+            stack += (c.left, c.right)
+        elif c != XREAL:
+            return False
+    return True
+
+
+# One rule per constructor: rule(model, node, *the values of the node's children).
+
+
+def _named_set(m, e):
+    return _named(m.sets, e.name, "set")
+
+
+def _named_func(m, e):
+    return _named(m.funcs, e.name, "function")
+
+
+def _compl(m, e, s):
+    return SetData(s.carrier, frozenset(m.points(s.carrier)) - s.members)
+
+
+def _finite_join(m, e, *kids):
+    if not kids:
+        raise SignatureError("a finite union/intersection needs a member")
+    for s in kids[1:]:
+        if s.carrier != kids[0].carrier:
+            raise SignatureError("members of a finite union/intersection must share a carrier")
+    join = frozenset.intersection if type(e) is ast.FiniteIntersection else frozenset().union
+    return SetData(kids[0].carrier, join(*(s.members for s in kids)))
+
+
+def _countable_join(m, e):
+    parts = _family(m.sets, e.base)
+    join = frozenset().union if type(e) is ast.CountableUnion else frozenset.intersection
+    return SetData(parts[0].carrier, join(*(s.members for s in parts)))
+
+
+def _prod(m, e, l, r):
+    return SetData(Prod(l.carrier, r.carrier), frozenset((a, b) for a in l.members for b in r.members))
+
+
+def _proj(m, e, s):
+    k = _axis_index(s.carrier, e.axis)
+    return SetData(s.carrier.left if k == 1 else s.carrier.right, frozenset(p[k - 1] for p in s.members))
+
+
+def _img(m, e, s):
+    f = _named(m.funcs, e.func, "function")
+    return SetData(f.cod, frozenset(f.table[p] for p in s.members if p in f.table))
+
+
+def _pre(m, e, f, s):
+    return SetData(f.dom, frozenset(p for p, v in f.table.items() if v in s.members))
+
+
+def _section(m, e, s):
+    if _axis_index(s.carrier, e.axis) == 1:
+        return SetData(s.carrier.right, frozenset(p[1] for p in s.members if p[0] == e.at))
+    return SetData(s.carrier.left, frozenset(p[0] for p in s.members if p[1] == e.at))
+
+
+def _graph(m, e, f):
+    return SetData(Prod(f.dom, f.cod), frozenset(f.table.items()))
+
+
+def _sublevel(m, e, f):
+    if f.cod != XREAL:
+        raise SignatureError("sublevel sets need an extended-real valued function")
+    cmp = _CMP[e.op]
+    bound = fin(e.bound)
+    return SetData(f.dom, frozenset(p for p, v in f.table.items() if cmp(v, bound)))
+
+
+def _pair(m, e, l, r):
+    table = {p: (v, r.table[p]) for p, v in l.table.items() if p in r.table}
+    return FuncData(l.dom, Prod(l.cod, r.cod), table)
+
+
+def _cyl(m, e, f):
+    if not isinstance(e.factor, (str, Prod)):  # a model space name or carrier in this context
+        raise UnsupportedConstructorError("cylinder factors must name model spaces in finite evaluation")
+    extra = m.points(e.factor)
+    return FuncData(Prod(f.dom, e.factor), f.cod, {(p, b): v for p, v in f.table.items() for b in extra})
+
+
+def _compose(m, e, outer, inner):
+    table = {p: outer.table[v] for p, v in inner.table.items() if v in outer.table}
+    return FuncData(inner.dom, outer.cod, table)
+
+
+def _fsection(m, e, f):
+    if e.at is None:
+        raise UnsupportedConstructorError("function sections need a concrete point '@ atom'")
+    if _axis_index(f.dom, e.axis) == 1:
+        return FuncData(f.dom.right, f.cod, {p[1]: v for p, v in f.table.items() if p[0] == e.at})
+    return FuncData(f.dom.left, f.cod, {p[0]: v for p, v in f.table.items() if p[1] == e.at})
+
+
+_ARITH = {
+    ast.Sum: lambda a, b: xreal_sum([a, b]),
+    ast.ProdOp: xreal_prod,
+    ast.MinOp: min,
+    ast.MaxOp: max,
+}
+
+
+def _arith(m, e, l, r):
+    _scalar(l, "pointwise arithmetic"), _scalar(r, "pointwise arithmetic")
+    op = _ARITH[type(e)]
+    return FuncData(l.dom, XREAL, {p: op(v, r.table[p]) for p, v in l.table.items() if p in r.table})
+
+
+def _neg(m, e, f):
+    _scalar(f, "negation")
+    return FuncData(f.dom, XREAL, {p: -v for p, v in f.table.items()})
+
+
+def _inner(m, e, l, r):
+    if l.cod != r.cod or not _vector(l.cod):
+        raise SignatureError("inner products need equal codomains of extended-real factors")
+    return FuncData(l.dom, XREAL, {p: _dot(v, r.table[p]) for p, v in l.table.items() if p in r.table})
+
+
+def _pow(m, e, f):
+    _scalar(f, "powers")
+    return FuncData(f.dom, XREAL, {p: _power(v, e.exponent, p) for p, v in f.table.items()})
+
+
+def _countable_pick(m, e):
+    fams = _family(m.funcs, e.base)
+    for f in fams:
+        _scalar(f, "countable sup/inf")
+    pick = max if type(e) is ast.CountableSup else min
+    common = set(fams[0].table).intersection(*(f.table for f in fams[1:]))
+    return FuncData(fams[0].dom, XREAL, {p: pick(f.table[p] for f in fams) for p in common})
+
+
+def _over(m, e, f, d):
+    _scalar(f, "inf_over/sup_over")
+    dom = _product(f.dom, "inf_over/sup_over")
+    if d.carrier != dom:
+        raise SignatureError("inf_over/sup_over needs its set on the function's domain")
+    direction = "inf" if type(e) is ast.PartialInf else "sup"
+    out = sectionwise_optimum((p for p in d.members if p in f.table), f.table, direction)
+    return FuncData(dom.left, XREAL, out)
+
+
+def _integral(m, e, f):
+    _scalar(f, "integration")
+    k = _named(m.kernels, e.kernel, "kernel")
+    if f.dom != Prod(k.src, k.dst):
+        raise SignatureError(f"integral against {e.kernel!r} needs a function on prod({k.src}, {k.dst})")
+    ys = m.points(k.dst)
+    out = {}
+    for x in m.points(k.src):
+        section = {y: f.table[x, y] for y in ys if (x, y) in f.table}
+        if len(section) == len(ys):  # a partial integrand integrates where its section is whole
+            out[x] = integral_lower(section, k.rows[x])
+    return FuncData(k.src, XREAL, out)
+
+
+def _select(m, e, s):
+    c = _product(s.carrier, "select")
+    return FuncData(c.left, c.right, least_choice(s.members, m.points(c.right)))
+
+
+def _from_graph(m, e, g, d):
+    c = _product(g.carrier, "from_graph")
+    out = least_choice(((x, y) for (x, y) in g.members if x in d.members), m.points(c.right))
+    return FuncData(c.left, c.right, out)
+
+
+_RULES = {
+    ast.NamedSet: _named_set, ast.NamedFunc: _named_func, ast.Complement: _compl,
+    ast.FiniteUnion: _finite_join, ast.FiniteIntersection: _finite_join,
+    ast.CountableUnion: _countable_join, ast.CountableIntersection: _countable_join,
+    ast.Product: _prod, ast.Projection: _proj, ast.BorelImage: _img, ast.Preimage: _pre,
+    ast.Section: _section, ast.Graph: _graph, ast.Sublevel: _sublevel,
+    ast.PairFunc: _pair, ast.CylinderExtend: _cyl, ast.Compose: _compose, ast.SectionOf: _fsection,
+    ast.Sum: _arith, ast.ProdOp: _arith, ast.MinOp: _arith, ast.MaxOp: _arith,
+    ast.Neg: _neg, ast.InnerProduct: _inner, ast.Power: _pow,
+    ast.CountableSup: _countable_pick, ast.CountableInf: _countable_pick,
+    ast.PartialInf: _over, ast.PartialSup: _over, ast.IntegralKernel: _integral,
+    ast.Select: _select, ast.FromGraph: _from_graph,
+}
+
+
+def _combine(m: FiniteModel, e, kids: list) -> SetData | FuncData:
+    """e's value from its children's: a set's SetData or a function's FuncData."""
+    t = type(e)
+    rule = _RULES.get(t)
+    if rule is None:
+        raise UnsupportedConstructorError(f"no finite semantics for {t.__name__}")
+    slots = _SLOTS.get(t) or (SetData,) * len(kids)  # union and inter members are sets
+    for i, value in enumerate(kids):
+        if type(value) is not slots[i]:  # a child of the other kind
+            raise UnsupportedConstructorError(f"no finite semantics for {type(ast.children(e)[i]).__name__}")
+    return rule(m, e, *kids)
+
+
+def evaluate(e, m: FiniteModel) -> SetData | FuncData:
+    """The value of e on m, in one walk, children first: a set expression's
+    SetData (its members on their carrier) or a function expression's FuncData."""
+    return ast.fold(e, partial(_combine, m), _enter)
+
+
+def eval_set(e: ast.SetExpr, m: FiniteModel) -> frozenset:
+    """The subset denoted by e, as a frozenset of points."""
+    if type(e) not in _SET_NODES:
+        raise UnsupportedConstructorError(f"no finite semantics for {type(e).__name__}")
+    return evaluate(e, m).members
+
+
 def func_data(e: ast.FuncExpr, m: FiniteModel) -> FuncData:
     """Evaluate a function expression to an explicit table.
 
@@ -481,112 +648,9 @@ def func_data(e: ast.FuncExpr, m: FiniteModel) -> FuncData:
     are defined only where the underlying picture provides values; their
     tables are partial and downstream nodes evaluate over the defined points.
     """
-    if isinstance(e, ast.NamedFunc):
-        try:
-            return m.funcs[e.name]
-        except KeyError:
-            raise SignatureError(f"model has no function {e.name!r}") from None
-    if isinstance(e, ast.PairFunc):
-        l, r = func_data(e.left, m), func_data(e.right, m)
-        common = [p for p in l.table if p in r.table]
-        return FuncData(l.dom, Prod(l.cod, r.cod), {p: (l.table[p], r.table[p]) for p in common})
-    if isinstance(e, ast.CylinderExtend):
-        f = func_data(e.func, m)
-        factor = e.factor  # a model space name or carrier in this context
-        if isinstance(factor, (str, Prod)):
-            extra = m.points(factor)
-        else:
-            raise UnsupportedConstructorError(
-                "cylinder factors must name model spaces in finite evaluation"
-            )
-        return FuncData(
-            Prod(f.dom, factor),
-            f.cod,
-            {(p, b): v for p, v in f.table.items() for b in extra},
-        )
-    if isinstance(e, ast.Compose):
-        outer, inner = func_data(e.outer, m), func_data(e.inner, m)
-        return FuncData(
-            inner.dom,
-            outer.cod,
-            {p: outer.table[v] for p, v in inner.table.items() if v in outer.table},
-        )
-    if isinstance(e, ast.SectionOf):
-        f = func_data(e.func, m)
-        if e.at is None:
-            raise UnsupportedConstructorError("function sections need a concrete point '@ atom'")
-        k = _axis_index(f.dom, e.axis)
-        if k == 1:
-            return FuncData(f.dom.right, f.cod, {p[1]: v for p, v in f.table.items() if p[0] == e.at})
-        return FuncData(f.dom.left, f.cod, {p[0]: v for p, v in f.table.items() if p[1] == e.at})
-    if isinstance(e, (ast.Sum, ast.ProdOp, ast.MinOp, ast.MaxOp)):
-        l, r = func_data(e.left, m), func_data(e.right, m)
-        _scalar(l, "pointwise arithmetic"), _scalar(r, "pointwise arithmetic")
-        ops = {
-            ast.Sum: lambda a, b: xreal_sum([a, b]),
-            ast.ProdOp: xreal_prod,
-            ast.MinOp: min,
-            ast.MaxOp: max,
-        }
-        op = ops[type(e)]
-        common = [p for p in l.table if p in r.table]
-        return FuncData(l.dom, XREAL, {p: op(l.table[p], r.table[p]) for p in common})
-    if isinstance(e, ast.Neg):
-        f = func_data(e.operand, m)
-        _scalar(f, "negation")
-        return FuncData(f.dom, XREAL, {p: -v for p, v in f.table.items()})
-    if isinstance(e, ast.InnerProduct):
-        l, r = func_data(e.left, m), func_data(e.right, m)
-        common = [p for p in l.table if p in r.table]
-        return FuncData(l.dom, XREAL, {p: _dot(l.table[p], r.table[p]) for p in common})
-    if isinstance(e, ast.Power):
-        f = func_data(e.operand, m)
-        _scalar(f, "powers")
-        out = {}
-        for p, v in f.table.items():
-            if v == POS_INF:
-                out[p] = POS_INF
-            elif v == NEG_INF:
-                out[p] = NEG_INF if e.exponent % 2 else POS_INF
-            else:
-                out[p] = fin(_exact_power(v.fin, e.exponent, p))
-        return FuncData(f.dom, XREAL, out)
-    if isinstance(e, (ast.CountableSup, ast.CountableInf)):
-        names = _family_members(m, e.base, "func")
-        fams = [m.funcs[n] for n in names]
-        for f in fams:
-            _scalar(f, "countable sup/inf")
-        pick = max if isinstance(e, ast.CountableSup) else min
-        common = set(fams[0].table)
-        for f in fams[1:]:
-            common &= set(f.table)
-        return FuncData(fams[0].dom, XREAL, {p: pick(f.table[p] for f in fams) for p in common})
-    if isinstance(e, (ast.PartialInf, ast.PartialSup)):
-        f = func_data(e.func, m)
-        _scalar(f, "inf_over/sup_over")
-        direction = "inf" if isinstance(e, ast.PartialInf) else "sup"
-        out = sectionwise_optimum(eval_set(e.dom, m), f.table, direction)
-        return FuncData(f.dom.left if isinstance(f.dom, Prod) else f.dom, XREAL, out)
-    if isinstance(e, ast.IntegralKernel):
-        f = func_data(e.func, m)
-        _scalar(f, "integration")
-        k = m.kernels[e.kernel]
-        out = {}
-        for x in m.spaces[k.src]:
-            section = {y: f.table[(x, y)] for y in m.spaces[k.dst]}
-            out[x] = integral_lower(section, k.rows[x])
-        return FuncData(k.src, XREAL, out)
-    if isinstance(e, ast.Select):
-        members = eval_set(e.operand, m)
-        carrier = set_carrier_of(e.operand, m)
-        return FuncData(carrier.left, carrier.right, least_choice(members, m.points(carrier.right)))
-    if isinstance(e, ast.FromGraph):
-        g = eval_set(e.graph, m)
-        dom_set = eval_set(e.dom, m)
-        carrier = set_carrier_of(e.graph, m)
-        out = least_choice(((x, y) for (x, y) in g if x in dom_set), m.points(carrier.right))
-        return FuncData(carrier.left, carrier.right, out)
-    raise UnsupportedConstructorError(f"no finite semantics for {type(e).__name__}")
+    if type(e) not in _FUNC_NODES:
+        raise UnsupportedConstructorError(f"no finite semantics for {type(e).__name__}")
+    return evaluate(e, m)
 
 
 def measure_of(m: FiniteModel, measure: str, subset: frozenset) -> Fraction:

@@ -138,8 +138,8 @@ def generate_case(identity: str, seed: int) -> IdentityCase:
 
 def _sectionwise(members, table, pick) -> dict:
     # The oracle's declared second route to the sectionwise optimum, next to
-    # selectors.sectionwise_optimum (which finitemodel.func_data calls): it
-    # must not call eval_set or func_data, or the check compares the
+    # selectors.sectionwise_optimum (which the finite-model evaluator calls):
+    # it must not call eval_set or func_data, or the check compares the
     # evaluator with itself.
     out: dict = {}
     for (x, y) in members:

@@ -1,9 +1,10 @@
 """Name environment and carrier-space checking.
 
 The binder walks a parsed program once, registering declarations and
-validating every expression's carrier spaces.  The same carrier functions
-are reused by the inference engine and the finite-model evaluator, so a
-bound program can be assumed well-typed downstream.
+validating every expression's carrier spaces.  The inference engine reuses
+the same carrier functions, so a bound program can be assumed well-typed
+downstream.  The finite-model evaluator works out carriers of its own, over
+a model's spaces.
 """
 
 from __future__ import annotations

@@ -19,7 +19,12 @@ second route to the same answers.
 - .pjd rows: json.dumps of each row as a dict, not serialize's rows
   spelled out piece by piece;
 - eps-selection levels: every class of the bands-and-branches construction
-  joined step by step, not F-EPS's closed form.
+  joined step by step, not F-EPS's closed form;
+- finite-model evaluation: the three mutually recursive ladders (set
+  members, function tables, set carriers) that finitemodel.evaluate's one
+  fold replaced, kept as they were, each walking its operands again for
+  their carriers.  They share the model's arithmetic helpers with the
+  package, so they pin the walk, not the arithmetic.
 """
 
 from __future__ import annotations
@@ -28,10 +33,24 @@ import itertools
 import json
 import re
 
-from projcalc.errors import ParseError
+from projcalc import ast
+from projcalc.errors import ParseError, SignatureError, UnsupportedConstructorError
+from projcalc.finitemodel import (
+    XREAL,
+    Carrier,
+    FiniteModel,
+    FuncData,
+    Prod,
+    _axis_index,
+    _CMP,
+    _dot,
+    _power,
+    _scalar,
+)
 from projcalc.parser import Token
 from projcalc.pointclass import Kind, PointClass, delta, delta_lift, join, pi, projection_class, sigma
-from projcalc.xreal import fin
+from projcalc.selectors import least_choice, sectionwise_optimum
+from projcalc.xreal import NEG_INF, POS_INF, fin, integral_lower, xreal_prod, xreal_sum
 
 
 def token_universe(max_level: int) -> list[PointClass]:
@@ -304,3 +323,234 @@ def reference_eps_level(p: int, c: PointClass) -> int:
     m = (target.level + 1 if target.kind is Kind.SIGMA else target.level) // 2
     graph, dom = pi(2 * m + 1), projection_class(target)
     return max(delta_lift(graph).level, delta_lift(dom).level) + 1
+
+
+# --- finite-model evaluation: the recursive ladders ---------------------------
+
+
+def _exact_power(q, exponent, point):
+    # the rational power the ladders call, through the package's helper
+    return _power(fin(q), exponent, point).fin
+
+
+def _family_members(m: FiniteModel, base: str, kind: str) -> list[str]:
+    table = m.sets if kind == "set" else m.funcs
+    names = []
+    i = 0
+    while f"{base}_{i}" in table:
+        names.append(f"{base}_{i}")
+        i += 1
+    if not names:
+        raise UnsupportedConstructorError(
+            f"symbolic family {base}_* has no concrete members {base}_0, {base}_1, ... in the model"
+        )
+    return names
+
+
+def reference_set_carrier_of(e: ast.SetExpr, m: FiniteModel) -> Carrier:
+    """Carrier of a set expression over the model's spaces."""
+    if isinstance(e, ast.NamedSet):
+        try:
+            return m.sets[e.name].carrier
+        except KeyError:
+            raise SignatureError(f"model has no set {e.name!r}") from None
+    if isinstance(e, ast.Complement):
+        return reference_set_carrier_of(e.operand, m)
+    if isinstance(e, (ast.FiniteUnion, ast.FiniteIntersection)):
+        return reference_set_carrier_of(e.members[0], m)
+    if isinstance(e, (ast.CountableUnion, ast.CountableIntersection)):
+        return m.sets[_family_members(m, e.base, "set")[0]].carrier
+    if isinstance(e, ast.Product):
+        return Prod(reference_set_carrier_of(e.left, m), reference_set_carrier_of(e.right, m))
+    if isinstance(e, ast.Projection):
+        c = reference_set_carrier_of(e.operand, m)
+        return c.left if _axis_index(c, e.axis) == 1 else c.right
+    if isinstance(e, ast.BorelImage):
+        return m.funcs[e.func].cod
+    if isinstance(e, ast.Preimage):
+        return reference_func_data(e.func, m).dom
+    if isinstance(e, ast.Section):
+        c = reference_set_carrier_of(e.operand, m)
+        return c.right if _axis_index(c, e.axis) == 1 else c.left
+    if isinstance(e, ast.Graph):
+        f = reference_func_data(e.func, m)
+        return Prod(f.dom, f.cod)
+    if isinstance(e, ast.Sublevel):
+        return reference_func_data(e.func, m).dom
+    raise UnsupportedConstructorError(f"no finite semantics for {type(e).__name__}")
+
+
+
+def reference_eval_set(e: ast.SetExpr, m: FiniteModel) -> frozenset:
+    """The subset denoted by e, as a frozenset of points."""
+    if isinstance(e, ast.NamedSet):
+        try:
+            return m.sets[e.name].members
+        except KeyError:
+            raise SignatureError(f"model has no set {e.name!r}") from None
+    if isinstance(e, ast.Complement):
+        pts = frozenset(m.points(reference_set_carrier_of(e.operand, m)))
+        return pts - reference_eval_set(e.operand, m)
+    if isinstance(e, ast.FiniteUnion):
+        return frozenset().union(*(reference_eval_set(x, m) for x in e.members))
+    if isinstance(e, ast.FiniteIntersection):
+        parts = [reference_eval_set(x, m) for x in e.members]
+        return frozenset.intersection(*parts)
+    if isinstance(e, ast.CountableUnion):
+        names = _family_members(m, e.base, "set")
+        return frozenset().union(*(m.sets[n].members for n in names))
+    if isinstance(e, ast.CountableIntersection):
+        names = _family_members(m, e.base, "set")
+        return frozenset.intersection(*(m.sets[n].members for n in names))
+    if isinstance(e, ast.Product):
+        return frozenset((a, b) for a in reference_eval_set(e.left, m) for b in reference_eval_set(e.right, m))
+    if isinstance(e, ast.Projection):
+        k = _axis_index(reference_set_carrier_of(e.operand, m), e.axis)
+        return frozenset(p[k - 1] for p in reference_eval_set(e.operand, m))
+    if isinstance(e, ast.BorelImage):
+        f = m.funcs[e.func]
+        members = reference_eval_set(e.operand, m)
+        return frozenset(f.table[p] for p in members if p in f.table)
+    if isinstance(e, ast.Preimage):
+        f = reference_func_data(e.func, m)
+        target = reference_eval_set(e.operand, m)
+        return frozenset(p for p, v in f.table.items() if v in target)
+    if isinstance(e, ast.Section):
+        if e.at is None:
+            raise UnsupportedConstructorError("sections need a concrete evaluation point '@ atom'")
+        k = _axis_index(reference_set_carrier_of(e.operand, m), e.axis)
+        members = reference_eval_set(e.operand, m)
+        if k == 1:
+            return frozenset(p[1] for p in members if p[0] == e.at)
+        return frozenset(p[0] for p in members if p[1] == e.at)
+    if isinstance(e, ast.Graph):
+        f = reference_func_data(e.func, m)
+        return frozenset((p, v) for p, v in f.table.items())
+    if isinstance(e, ast.Sublevel):
+        f = reference_func_data(e.func, m)
+        if f.cod != XREAL:
+            raise SignatureError("sublevel sets need an extended-real valued function")
+        cmp = _CMP[e.op]
+        bound = fin(e.bound)
+        return frozenset(p for p, v in f.table.items() if cmp(v, bound))
+    if isinstance(e, ast.MeasureThreshold):
+        raise UnsupportedConstructorError(
+            "measure-threshold sets live on the measure space; they have no finite-model semantics here"
+        )
+    raise UnsupportedConstructorError(f"no finite semantics for {type(e).__name__}")
+
+
+
+def reference_func_data(e: ast.FuncExpr, m: FiniteModel) -> FuncData:
+    """Evaluate a function expression to an explicit table.
+
+    Results of partial constructors (inf_over/sup_over, from_graph, select)
+    are defined only where the underlying picture provides values; their
+    tables are partial and downstream nodes evaluate over the defined points.
+    """
+    if isinstance(e, ast.NamedFunc):
+        try:
+            return m.funcs[e.name]
+        except KeyError:
+            raise SignatureError(f"model has no function {e.name!r}") from None
+    if isinstance(e, ast.PairFunc):
+        l, r = reference_func_data(e.left, m), reference_func_data(e.right, m)
+        common = [p for p in l.table if p in r.table]
+        return FuncData(l.dom, Prod(l.cod, r.cod), {p: (l.table[p], r.table[p]) for p in common})
+    if isinstance(e, ast.CylinderExtend):
+        f = reference_func_data(e.func, m)
+        factor = e.factor  # a model space name or carrier in this context
+        if isinstance(factor, (str, Prod)):
+            extra = m.points(factor)
+        else:
+            raise UnsupportedConstructorError(
+                "cylinder factors must name model spaces in finite evaluation"
+            )
+        return FuncData(
+            Prod(f.dom, factor),
+            f.cod,
+            {(p, b): v for p, v in f.table.items() for b in extra},
+        )
+    if isinstance(e, ast.Compose):
+        outer, inner = reference_func_data(e.outer, m), reference_func_data(e.inner, m)
+        return FuncData(
+            inner.dom,
+            outer.cod,
+            {p: outer.table[v] for p, v in inner.table.items() if v in outer.table},
+        )
+    if isinstance(e, ast.SectionOf):
+        f = reference_func_data(e.func, m)
+        if e.at is None:
+            raise UnsupportedConstructorError("function sections need a concrete point '@ atom'")
+        k = _axis_index(f.dom, e.axis)
+        if k == 1:
+            return FuncData(f.dom.right, f.cod, {p[1]: v for p, v in f.table.items() if p[0] == e.at})
+        return FuncData(f.dom.left, f.cod, {p[0]: v for p, v in f.table.items() if p[1] == e.at})
+    if isinstance(e, (ast.Sum, ast.ProdOp, ast.MinOp, ast.MaxOp)):
+        l, r = reference_func_data(e.left, m), reference_func_data(e.right, m)
+        _scalar(l, "pointwise arithmetic"), _scalar(r, "pointwise arithmetic")
+        ops = {
+            ast.Sum: lambda a, b: xreal_sum([a, b]),
+            ast.ProdOp: xreal_prod,
+            ast.MinOp: min,
+            ast.MaxOp: max,
+        }
+        op = ops[type(e)]
+        common = [p for p in l.table if p in r.table]
+        return FuncData(l.dom, XREAL, {p: op(l.table[p], r.table[p]) for p in common})
+    if isinstance(e, ast.Neg):
+        f = reference_func_data(e.operand, m)
+        _scalar(f, "negation")
+        return FuncData(f.dom, XREAL, {p: -v for p, v in f.table.items()})
+    if isinstance(e, ast.InnerProduct):
+        l, r = reference_func_data(e.left, m), reference_func_data(e.right, m)
+        common = [p for p in l.table if p in r.table]
+        return FuncData(l.dom, XREAL, {p: _dot(l.table[p], r.table[p]) for p in common})
+    if isinstance(e, ast.Power):
+        f = reference_func_data(e.operand, m)
+        _scalar(f, "powers")
+        out = {}
+        for p, v in f.table.items():
+            if v == POS_INF:
+                out[p] = POS_INF
+            elif v == NEG_INF:
+                out[p] = NEG_INF if e.exponent % 2 else POS_INF
+            else:
+                out[p] = fin(_exact_power(v.fin, e.exponent, p))
+        return FuncData(f.dom, XREAL, out)
+    if isinstance(e, (ast.CountableSup, ast.CountableInf)):
+        names = _family_members(m, e.base, "func")
+        fams = [m.funcs[n] for n in names]
+        for f in fams:
+            _scalar(f, "countable sup/inf")
+        pick = max if isinstance(e, ast.CountableSup) else min
+        common = set(fams[0].table)
+        for f in fams[1:]:
+            common &= set(f.table)
+        return FuncData(fams[0].dom, XREAL, {p: pick(f.table[p] for f in fams) for p in common})
+    if isinstance(e, (ast.PartialInf, ast.PartialSup)):
+        f = reference_func_data(e.func, m)
+        _scalar(f, "inf_over/sup_over")
+        direction = "inf" if isinstance(e, ast.PartialInf) else "sup"
+        out = sectionwise_optimum(reference_eval_set(e.dom, m), f.table, direction)
+        return FuncData(f.dom.left if isinstance(f.dom, Prod) else f.dom, XREAL, out)
+    if isinstance(e, ast.IntegralKernel):
+        f = reference_func_data(e.func, m)
+        _scalar(f, "integration")
+        k = m.kernels[e.kernel]
+        out = {}
+        for x in m.spaces[k.src]:
+            section = {y: f.table[(x, y)] for y in m.spaces[k.dst]}
+            out[x] = integral_lower(section, k.rows[x])
+        return FuncData(k.src, XREAL, out)
+    if isinstance(e, ast.Select):
+        members = reference_eval_set(e.operand, m)
+        carrier = reference_set_carrier_of(e.operand, m)
+        return FuncData(carrier.left, carrier.right, least_choice(members, m.points(carrier.right)))
+    if isinstance(e, ast.FromGraph):
+        g = reference_eval_set(e.graph, m)
+        dom_set = reference_eval_set(e.dom, m)
+        carrier = reference_set_carrier_of(e.graph, m)
+        out = least_choice(((x, y) for (x, y) in g if x in dom_set), m.points(carrier.right))
+        return FuncData(carrier.left, carrier.right, out)
+    raise UnsupportedConstructorError(f"no finite semantics for {type(e).__name__}")

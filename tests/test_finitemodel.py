@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from projcalc import ast
+from projcalc import ast, finitemodel
 from projcalc.errors import FormatError, SignatureError, UnsupportedConstructorError
 from projcalc.pointclass import ConstantClass, delta
 from projcalc.finitemodel import (
@@ -18,14 +18,16 @@ from projcalc.finitemodel import (
     SetData,
     dumps_model,
     eval_set,
+    evaluate,
     format_carrier,
     func_data,
     loads_model,
     measure_of,
     parse_carrier,
-    set_carrier_of,
 )
 from projcalc.xreal import NEG_INF, POS_INF, fin
+
+from . import oracles
 
 
 def base_model() -> FiniteModel:
@@ -141,6 +143,12 @@ def test_model_disk_round_trip(m, tmp_path):
     '{"schema": "projcalc/1", "spaces": {"X": ["x"]}, "measures": {"m": {"space": "X", "weights": {"x": 0.5}}}}',
     '{"schema": "projcalc/1", "spaces": {"X": ["x"]}, "measures": {"m": {"space": "X", "weights": {"x": "1/0"}}}}',
     '{"schema": "projcalc/1", "spaces": {"X": ["x"]}, "funcs": {"f": {"dom": "X", "cod": "xreal", "table": [["x"]]}}}',
+    '{"schema": "projcalc/1", "sets": []}',  # a section that is not an object
+    pytest.param(
+        '{"schema": "projcalc/1", "spaces": {"X": ["x"]}, "sets": {"A": {"carrier": "'
+        + "prod(" * 3000 + "X" + ", X)" * 3000 + '", "members": []}}}',
+        id="carrier-3000-deep",
+    ),
 ])
 def test_loads_model_rejects(doc):
     with pytest.raises(FormatError):
@@ -225,7 +233,7 @@ def test_eval_images_and_graphs(m):
     assert eval_set(ast.Preimage(ast.NamedFunc("g"), S("B")), m) == {"x1"}
     graph = eval_set(ast.Graph(ast.NamedFunc("g")), m)
     assert graph == {("x1", "y2"), ("x2", "y1")}
-    assert set_carrier_of(ast.Graph(ast.NamedFunc("g")), m) == Prod("X", "Y")
+    assert evaluate(ast.Graph(ast.NamedFunc("g")), m).carrier == Prod("X", "Y")
 
 
 def test_eval_sublevel_ops(m):
@@ -420,3 +428,337 @@ def test_measure_of(m):
     assert measure_of(m, "mu", frozenset({"x1"})) == Fraction(1, 3)
     assert measure_of(m, "mu", frozenset({"x1", "x2"})) == 1
     assert measure_of(m, "mu", frozenset()) == 0
+
+
+# --- the one fold -----------------------------------------------------------------
+#
+# tests/oracles.py keeps the recursive ladders the fold replaced (set members,
+# function tables and set carriers, each walking its operands again); the fold
+# must give what they gave, and the same error where they gave one of ours.
+
+
+def outcome(run):
+    try:
+        return "ok", run()
+    except Exception as exc:  # compared by type and message
+        return "error", type(exc), str(exc)
+
+
+def fold_outcome(e, m):
+    value = evaluate(e, m)
+    if isinstance(value, SetData):
+        return value.members, value.carrier
+    return value.table, value.dom, value.cod
+
+
+def ladder_outcome(e, m):
+    if type(e) in SET_NODES:
+        return oracles.reference_eval_set(e, m), oracles.reference_set_carrier_of(e, m)
+    f = oracles.reference_func_data(e, m)
+    return f.table, f.dom, f.cod
+
+
+SET_NODES = set(ast.SetExpr.__args__)
+FUNC_NODES = set(ast.FuncExpr.__args__)
+EVALUATED = (SET_NODES | FUNC_NODES) - {ast.MeasureThreshold, ast.EpsSelector}
+
+X, Y = "X", "Y"
+CARRIERS = (X, Y, Prod(X, Y), Prod(Y, X))
+OTHER = {X: Y, Y: X}
+VALUES = [NEG_INF, POS_INF] + [fin(Fraction(a, b)) for a in range(-3, 4) for b in (1, 2)]
+
+
+def random_model(rng: random.Random) -> FiniteModel:
+    """Named sets on every carrier, a function for every signature, two
+    families, and a kernel from X to Y, all drawn at random."""
+    m = FiniteModel(spaces={
+        X: tuple(f"x{i}" for i in range(rng.randint(1, 3))),
+        Y: tuple(f"y{i}" for i in range(rng.randint(1, 3))),
+    })
+    for i, c in enumerate(CARRIERS):
+        for j in range(2):
+            m.sets[f"s{i}{j}"] = SetData(c, frozenset(p for p in m.points(c) if rng.randrange(2)))
+        for k, cod in enumerate((*CARRIERS, XREAL)):
+            pick = (lambda: rng.choice(VALUES)) if cod == XREAL else (lambda: rng.choice(m.points(cod)))
+            m.funcs[f"f{i}{k}"] = FuncData(c, cod, {p: pick() for p in m.points(c)})
+    for i in range(rng.randint(1, 3)):
+        m.sets[f"base_{i}"] = SetData(X, frozenset(p for p in m.points(X) if rng.randrange(2)))
+        m.funcs[f"u_{i}"] = FuncData(X, XREAL, {p: rng.choice(VALUES) for p in m.points(X)})
+    rows = {}
+    for x in m.spaces[X]:
+        raw = [rng.randint(0, 3) for _ in m.spaces[Y]]
+        raw[0] += raw == [0] * len(raw)
+        rows[x] = {y: Fraction(w, sum(raw)) for y, w in zip(m.spaces[Y], raw)}
+    m.kernels["q"] = KernelData(X, Y, rows)
+    m.validate()
+    return m
+
+
+def set_name(m, c, rng):
+    return S(rng.choice([n for n, s in sorted(m.sets.items()) if s.carrier == c and "_" not in n]))
+
+
+def func_name(m, dom, cod, rng):
+    names = [n for n, f in sorted(m.funcs.items()) if (f.dom, f.cod) == (dom, cod) and "_" not in n]
+    return rng.choice(names)
+
+
+def random_set(rng, m, c, depth):
+    """A well-typed set expression on carrier c, at most depth nodes deep."""
+    forms = ["name"] + (["family"] if c == X else [])
+    if depth > 1:
+        forms += ["compl", "union", "inter", "pre", "sublevel"]
+        forms += ["prod", "graph"] if isinstance(c, Prod) else ["proj", "img", "section"]
+    form, d = rng.choice(forms), depth - 1
+    o = OTHER.get(c)
+    if form == "name":
+        return set_name(m, c, rng)
+    if form == "family":
+        return rng.choice((ast.CountableUnion, ast.CountableIntersection))("n", "base", None, SCHED)
+    if form == "compl":
+        return ast.Complement(random_set(rng, m, c, d))
+    if form in ("union", "inter"):
+        node = ast.FiniteUnion if form == "union" else ast.FiniteIntersection
+        return node(tuple(random_set(rng, m, c, d) for _ in range(rng.randint(2, 3))))
+    if form == "pre":
+        mid = rng.choice(CARRIERS)
+        return ast.Preimage(random_func(rng, m, c, mid, d), random_set(rng, m, mid, d))
+    if form == "sublevel":
+        bound = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        return ast.Sublevel(random_func(rng, m, c, XREAL, d), rng.choice(("<", "<=", ">", ">=")), bound)
+    if form == "prod":
+        return ast.Product(random_set(rng, m, c.left, d), random_set(rng, m, c.right, d))
+    if form == "graph":
+        return ast.Graph(random_func(rng, m, c.left, c.right, d))
+    if form == "proj":
+        if rng.randrange(2):
+            return ast.Projection(random_set(rng, m, Prod(c, o), d), rng.choice((1, c)))
+        return ast.Projection(random_set(rng, m, Prod(o, c), d), rng.choice((2, c)))
+    if form == "img":
+        dom = rng.choice(CARRIERS)
+        return ast.BorelImage(func_name(m, dom, c, rng), random_set(rng, m, dom, d))
+    at = rng.choice(m.spaces[o])
+    if rng.randrange(2):
+        return ast.Section(random_set(rng, m, Prod(o, c), d), 1, at=at)
+    return ast.Section(random_set(rng, m, Prod(c, o), d), 2, at=at)
+
+
+def random_func(rng, m, dom, cod, depth):
+    """A well-typed function expression from dom to cod, at most depth nodes deep."""
+    if cod == Prod(XREAL, XREAL):  # no model function has it; pair builds it at any depth
+        d = max(depth - 1, 1)
+        return ast.PairFunc(random_func(rng, m, dom, XREAL, d), random_func(rng, m, dom, XREAL, d))
+    forms = ["name"] + (["family"] if (dom, cod) == (X, XREAL) else [])
+    if depth > 1:
+        forms.append("compose")
+        if isinstance(cod, Prod):
+            forms.append("pair")
+        if isinstance(dom, Prod):
+            forms.append("cyl")
+        else:
+            forms.append("fsection")
+            forms += ["select", "from_graph"] if cod == OTHER[dom] else []
+        if cod == XREAL:
+            forms += ["arith", "neg", "inner", "pow"] + (["over"] if dom in (X, Y) else [])
+            forms += ["integral"] if dom == X else []
+    form, d = rng.choice(forms), depth - 1
+    if form == "name":
+        return ast.NamedFunc(func_name(m, dom, cod, rng))
+    if form == "family":
+        return rng.choice((ast.CountableSup, ast.CountableInf))("n", "u", None, SCHED)
+    if form == "compose":
+        mid = rng.choice((X, Y))
+        return ast.Compose(random_func(rng, m, mid, cod, d), random_func(rng, m, dom, mid, d))
+    if form == "pair":
+        return ast.PairFunc(random_func(rng, m, dom, cod.left, d), random_func(rng, m, dom, cod.right, d))
+    if form == "cyl":
+        return ast.CylinderExtend(random_func(rng, m, dom.left, cod, d), dom.right)
+    if form == "fsection":
+        o = OTHER[dom]
+        at = rng.choice(m.spaces[o])
+        if rng.randrange(2):
+            return ast.SectionOf(random_func(rng, m, Prod(o, dom), cod, d), 1, at=at)
+        return ast.SectionOf(random_func(rng, m, Prod(dom, o), cod, d), 2, at=at)
+    if form == "select":
+        return ast.Select(random_set(rng, m, Prod(dom, cod), d))
+    if form == "from_graph":
+        return ast.FromGraph(random_set(rng, m, Prod(dom, cod), d), random_set(rng, m, dom, d))
+    if form == "arith":
+        node = rng.choice((ast.Sum, ast.ProdOp, ast.MinOp, ast.MaxOp))
+        return node(random_func(rng, m, dom, XREAL, d), random_func(rng, m, dom, XREAL, d))
+    if form == "neg":
+        return ast.Neg(random_func(rng, m, dom, XREAL, d))
+    if form == "inner":
+        v = rng.choice((XREAL, Prod(XREAL, XREAL)))
+        return ast.InnerProduct(random_func(rng, m, dom, v, d), random_func(rng, m, dom, v, d))
+    if form == "pow":  # whole exponents: a refused root is pinned by the defect table below
+        return ast.Power(random_func(rng, m, dom, XREAL, d), Fraction(rng.randint(1, 3)))
+    if form == "over":
+        on = Prod(dom, OTHER[dom])
+        node = rng.choice((ast.PartialInf, ast.PartialSup))
+        return node(random_func(rng, m, on, XREAL, d), random_set(rng, m, on, d))
+    return ast.IntegralKernel(random_func(rng, m, Prod(X, Y), XREAL, d), "q")
+
+
+def test_fold_matches_the_recursive_ladders():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(60):
+        m = random_model(rng)
+        for _ in range(25):
+            if rng.randrange(2):
+                e = random_set(rng, m, rng.choice(CARRIERS), rng.randint(2, 4))
+            else:
+                cod = rng.choice((*CARRIERS, XREAL))
+                e = random_func(rng, m, rng.choice(CARRIERS), cod, rng.randint(2, 4))
+            ast.fold(e, lambda node, _: seen.add(type(node)))
+            assert outcome(lambda: fold_outcome(e, m)) == outcome(lambda: ladder_outcome(e, m)), e
+    assert seen == EVALUATED
+
+
+def defect_model() -> FiniteModel:
+    m = base_model()
+    m.funcs["v_0"] = m.funcs["g"]  # a family of functions that are not scalar
+    m.sets["Z"] = SetData("Nowhere", frozenset())  # a set on a space the model lacks
+    return m
+
+
+F = ast.NamedFunc
+# one defect per check a node makes, each reported as the ladders reported it
+SINGLE_DEFECTS = [
+    S("missing"),
+    ast.Complement(F("g")),
+    ast.Complement(S("Z")),
+    ast.FiniteUnion((S("A"), F("g"))),
+    ast.FiniteIntersection((F("g"), S("A"))),
+    ast.CountableUnion("n", "ghost", None, SCHED),
+    ast.CountableIntersection("n", "ghost", None, SCHED),
+    ast.Product(S("A"), F("g")),
+    ast.Projection(S("A"), 1),
+    ast.Projection(S("SQ"), "X"),
+    ast.Projection(S("S"), 3),
+    ast.Projection(S("S"), "Z"),
+    ast.BorelImage("g", F("g")),
+    ast.Preimage(S("A"), S("B")),
+    ast.Preimage(F("missing"), S("B")),
+    ast.Section(S("S"), 1),
+    ast.Section(S("A"), 1, at="x1"),
+    ast.Graph(S("A")),
+    ast.Graph(F("missing")),
+    ast.Sublevel(F("g"), "<", Fraction(1)),
+    ast.MeasureThreshold(S("S"), Fraction(1, 2)),
+    F("missing"),
+    ast.PairFunc(F("g"), S("A")),
+    ast.CylinderExtend(F("s"), ast.Baire()),
+    ast.CylinderExtend(F("s"), "Nowhere"),
+    ast.Compose(F("missing"), F("g")),
+    ast.SectionOf(F("f"), 1),
+    ast.SectionOf(F("s"), 1, at="x1"),
+    ast.Sum(F("g"), F("s")),
+    ast.ProdOp(F("s"), F("g")),
+    ast.MinOp(F("g"), F("s")),
+    ast.MaxOp(F("s"), F("g")),
+    ast.Neg(F("g")),
+    ast.InnerProduct(S("A"), F("s")),
+    ast.Power(F("g"), Fraction(2)),
+    ast.Power(F("s"), Fraction(1, 2)),
+    ast.CountableSup("n", "ghost", None, SCHED),
+    ast.CountableInf("n", "v", None, SCHED),
+    ast.PartialInf(F("g"), S("S")),
+    ast.PartialSup(F("f"), S("missing")),
+    ast.IntegralKernel(F("g"), "q"),
+    ast.Select(F("g")),
+    ast.Select(S("missing")),
+    ast.FromGraph(S("S"), F("g")),
+    ast.EpsSelector(S("S"), F("f"), Fraction(1), "inf"),
+]
+
+
+@pytest.mark.parametrize("e", SINGLE_DEFECTS, ids=lambda e: type(e).__name__)
+def test_single_defects_report_as_before(e):
+    m = defect_model()
+    fold = outcome(lambda: fold_outcome(e, m))
+    assert fold[0] == "error" and issubclass(fold[1], (SignatureError, UnsupportedConstructorError))
+    assert fold == outcome(lambda: ladder_outcome(e, m))
+
+
+def test_expression_of_the_other_kind(m):
+    with pytest.raises(UnsupportedConstructorError, match="no finite semantics for NamedFunc"):
+        eval_set(F("g"), m)
+    with pytest.raises(UnsupportedConstructorError, match="no finite semantics for NamedSet"):
+        func_data(S("A"), m)
+
+
+# each ended in a bare Python error in the ladders; the fold names the defect
+ILL_TYPED = [
+    (ast.BorelImage("nope", S("A")), "model has no function 'nope'"),
+    (ast.IntegralKernel(F("f"), "nope"), "model has no kernel 'nope'"),
+    (ast.IntegralKernel(ast.CylinderExtend(F("s"), "X"), "q"), r"needs a function on prod\(X, Y\)"),
+    (ast.Select(S("A")), "select needs a product carrier"),
+    (ast.FromGraph(S("A"), S("A")), "from_graph needs a product carrier"),
+    (ast.PartialInf(F("s"), S("A")), "inf_over/sup_over needs a product carrier"),
+    (ast.PartialSup(F("s"), S("A")), "inf_over/sup_over needs a product carrier"),
+    (ast.PartialInf(F("f"), S("SQ")), "needs its set on the function's domain"),
+    (ast.InnerProduct(F("g"), F("g")), "inner products need"),
+    (ast.InnerProduct(F("s"), ast.PairFunc(F("s"), F("t"))), "inner products need"),
+    (ast.FiniteIntersection(()), "needs a member"),
+]
+
+
+@pytest.mark.parametrize("e, message", ILL_TYPED, ids=[type(e).__name__ for e, _ in ILL_TYPED])
+def test_ill_typed_expressions_are_signature_errors(m, e, message):
+    bare = (KeyError, AttributeError, ValueError, TypeError, RecursionError)
+    with pytest.raises(bare):
+        ladder_outcome(e, m)
+    with pytest.raises(SignatureError, match=message):
+        fold_outcome(e, m)
+
+
+def test_union_members_share_a_carrier(m):
+    e = ast.FiniteUnion((S("S"), S("A")))
+    # the ladders gave a set with members off its own carrier
+    members = oracles.reference_eval_set(e, m)
+    assert not members <= set(m.points(oracles.reference_set_carrier_of(e, m)))
+    with pytest.raises(SignatureError, match="must share a carrier"):
+        eval_set(e, m)
+
+
+def test_partial_integrands_and_objectives_are_read_where_defined(m):
+    # inf_over(f, S) restricted to x1 is defined at x1 only, and so is its cylinder
+    at_x1 = ast.FiniteIntersection((S("S"), ast.Product(S("A"), S("Yfull"))))
+    cyl = ast.CylinderExtend(ast.PartialInf(F("f"), at_x1), "Y")
+    integral = ast.IntegralKernel(cyl, "q")
+    assert func_data(integral, m).table == {"x1": fin(Fraction(-1, 2))}
+    optimum = ast.PartialSup(cyl, S("S"))
+    assert func_data(optimum, m).table == {"x1": fin(Fraction(-1, 2))}
+    for e in (integral, optimum):  # the ladders read the table at x2
+        with pytest.raises(KeyError):
+            ladder_outcome(e, m)
+
+
+def test_product_evaluates_both_factors(m):
+    # the ladders never evaluated the right factor of an empty left one
+    e = ast.Product(ast.FiniteIntersection((S("A"), ast.Complement(S("A")))), S("missing"))
+    assert oracles.reference_eval_set(e, m) == frozenset()
+    with pytest.raises(SignatureError, match="model has no set 'missing'"):
+        eval_set(e, m)
+
+
+def test_deep_nests_evaluate(m):
+    e, f = S("A"), F("s")
+    for _ in range(5000):
+        e, f = ast.Complement(e), ast.Neg(f)
+    assert eval_set(e, m) == {"x1"}
+    assert func_data(f, m).table == m.funcs["s"].table
+
+
+def test_combine_runs_once_per_node(m, monkeypatch):
+    e = S("A")
+    for _ in range(400):
+        e = ast.Complement(ast.FiniteUnion((e, S("base_0"))))  # 800 deep
+    nodes = ast.fold(e, lambda _, kids: 1 + sum(kids))
+    calls = []
+    combine = finitemodel._combine
+    monkeypatch.setattr(finitemodel, "_combine", lambda *args: calls.append(1) or combine(*args))
+    assert eval_set(e, m) == frozenset()  # compl(X) after an even number of rounds
+    assert len(calls) == nodes == 1201

@@ -7,7 +7,7 @@ name); ``from __future__`` imports are exempt.
 
 No walker recurses: in the modules that read, bind, infer and write
 expressions and space values, no function reaches itself through calls by
-name.
+name, and in the finite-model layer only the carrier and point helpers do.
 
 Importing the command line leaves the concrete layer unloaded.
 """
@@ -107,6 +107,12 @@ def recursive_functions(source: str) -> list[str]:
 def test_expression_walkers_do_not_recurse(module):
     found = recursive_functions((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     assert found == []
+
+
+def test_finite_model_evaluator_does_not_recurse():
+    # the evaluator is one fold; only the model's carrier and point helpers recurse
+    found = recursive_functions((PACKAGE / "finitemodel.py").read_text(encoding="utf-8"))
+    assert found == ["_dot", "_point_from_json", "_point_to_json", "format_carrier", "points", "term"]
 
 
 def test_recursion_is_flagged():
