@@ -11,9 +11,11 @@ keeps its parse and bind: a command on identical program text reuses
 them, while any other text, an edited file included, is read afresh.
 Every check still replays every row of its derivation.
 
-Exit codes are a function of verdicts alone; 3 means only the game
-solver's node budget, since expressions and space values nest as deep as
-memory allows.  JSON reports never include timing, so identical inputs
+A command returns its verdict, 0 or 1, and raises on anything else;
+``main`` alone turns a package error into ``error: ...`` on stderr and an
+exit code: 3 for the game solver's node budget (expressions and space
+values nest as deep as memory allows, so no other limit exists), 2 for
+every other error.  JSON reports never include timing, so identical inputs
 give byte-identical output; the human-readable variants print elapsed time.
 """
 
@@ -27,16 +29,7 @@ import time
 from pathlib import Path
 
 from .derivation import ZFC, ZFC_PD, check, deserialize, expand, serialize
-from .errors import (
-    VERDICT_ERRORS,
-    CheckError,
-    FormatError,
-    ParseError,
-    ProjcalcError,
-    ResolutionError,
-    ResourceLimitError,
-    SignatureError,
-)
+from .errors import VERDICT_ERRORS, CheckError, FormatError, ProjcalcError, ResourceLimitError
 from .formatter import format_program
 from .games import loads_game, solve
 from .infer import Engine, evaluate_assertions
@@ -99,19 +92,11 @@ def _infer_bindings(program, engine: Engine) -> list[dict]:
 
 def cmd_infer(args) -> int:
     started = time.perf_counter()
-    try:
-        program, env = _load_program(args.program)
-    except (ParseError, ResolutionError, SignatureError, FormatError) as exc:
-        _fail(str(exc))
-        return 2
+    program, env = _load_program(args.program)
     mode = ZFC_PD if args.assume_pd else ZFC
-    try:
-        engine = Engine(env, mode)
-        bindings = _infer_bindings(program, engine)
-        results = evaluate_assertions(program, env, mode, engine)
-    except (ResolutionError, SignatureError) as exc:
-        _fail(str(exc))
-        return 2
+    engine = Engine(env, mode)
+    bindings = _infer_bindings(program, engine)
+    results = evaluate_assertions(program, env, mode, engine)
 
     certs = [(f"let_{row['name']}.pjd", row.pop("derivation", None)) for row in bindings]
     certs += [(f"assert_{res.line:03d}.pjd", res.derivation) for res in results]
@@ -126,8 +111,7 @@ def cmd_infer(args) -> int:
                     path.write_text(serialize(cert), encoding="utf-8")
                     emitted.append(str(path))
         except OSError as exc:
-            _fail(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}")
-            return 2
+            raise FormatError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from None
 
     ok = all(r["ok"] for r in bindings) and all(r.ok for r in results)
     if args.json:
@@ -161,13 +145,9 @@ def cmd_infer(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        program, env = _load_program(args.program)
-        text = _read(args.derivation)
-        d = deserialize(text)
-    except (ParseError, ResolutionError, SignatureError, FormatError) as exc:
-        _fail(str(exc))
-        return 2
+    program, env = _load_program(args.program)
+    text = _read(args.derivation)
+    d = deserialize(text)
     try:
         check(d, env)
     except CheckError as exc:
@@ -182,8 +162,7 @@ def cmd_check(args) -> int:
     if subject is None:
         subject = expand(d, len(format_program(program)))
     if subject is None:
-        _fail("the derivation's subject is longer than the program's own text")
-        return 2
+        raise FormatError("the derivation's subject is longer than the program's own text")
     print(f"ok: {subject} : {d.conclusion.judgment.render()} [{d.conclusion.mode}]")
     return 0
 
@@ -194,8 +173,7 @@ def cmd_oracle(args) -> int:
 
     started = time.perf_counter()
     if args.suite != "all" and args.suite not in IDENTITIES:
-        _fail(f"unknown suite {args.suite!r}; choose one of {', '.join(IDENTITIES)} or 'all'")
-        return 2
+        raise ProjcalcError(f"unknown suite {args.suite!r}; choose one of {', '.join(IDENTITIES)} or 'all'")
     rows = list(run_suite(args.suite, args.seed, args.count))
     for row in rows:
         print(json.dumps(row, sort_keys=True, ensure_ascii=False))
@@ -231,11 +209,7 @@ def _game_json(winner: str, strategy: dict, k: int) -> str:
 
 def cmd_game(args) -> int:
     started = time.perf_counter()
-    try:
-        g = loads_game(_read(args.game))
-    except FormatError as exc:
-        _fail(str(exc))
-        return 2
+    g = loads_game(_read(args.game))
     winner, strategy = solve(g)
     if args.json:
         sys.stdout.write(_game_json(winner, strategy, g.k))
@@ -250,11 +224,7 @@ def cmd_game(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    try:
-        program = parse_program(_read(args.program))
-    except (ParseError, FormatError) as exc:
-        _fail(str(exc))
-        return 2
+    program = parse_program(_read(args.program))
     sys.stdout.write(format_program(program))
     return 0
 
@@ -314,7 +284,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         _fail(str(exc))
         return 3
-    except ProjcalcError as exc:  # uncategorized: treat as input error
+    except ProjcalcError as exc:  # every other package error: malformed input
         _fail(str(exc))
         return 2
 

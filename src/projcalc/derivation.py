@@ -16,13 +16,12 @@ node's path is spelled only then.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import reduce
 from json.encoder import encode_basestring as _str
 
-from .errors import CheckError, FormatError, LevelOverflowError
+from .errors import CheckError, FormatError, LevelOverflowError, read_json
 from .formatter import write
 from .parser import parse_schedule
 from .pointclass import LEVEL_CAP, Kind, PointClass, delta, leq, parse_class_token, pi, schedule_bound, sigma
@@ -203,14 +202,7 @@ def _follow(d: Derivation, path: str) -> Derivation | None:
 
 
 def deserialize(text: str) -> Derivation:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed JSON: {exc.msg}", offset=exc.pos) from None
-    except RecursionError:
-        raise FormatError("malformed JSON: nested too deeply") from None
-    except ValueError:  # an integer past int()'s limit on digits
-        raise FormatError("malformed JSON: an integer has too many digits") from None
+    doc = read_json(text)
     if not isinstance(doc, dict):
         raise FormatError("derivation document is not an object")
     if doc.get("schema") != SCHEMA:

@@ -3,9 +3,13 @@
 Diagnostic messages carry the short token a caller greps for (e.g. the rule
 id in AxiomRequiredError), so the CLI can surface them verbatim.  No error
 stands for a nesting depth: ResourceLimitError is the game's node budget.
+read_json is the one JSON reader of the three file formats (.pjd, .pjm,
+.pjg): whatever json.loads refuses becomes a FormatError.
 """
 
 from __future__ import annotations
+
+import json
 
 
 class ProjcalcError(Exception):
@@ -108,3 +112,15 @@ class ResourceLimitError(ProjcalcError):
     def __init__(self, budget: int):
         self.budget = budget
         super().__init__(f"ResourceLimit: node budget {budget} exhausted")
+
+
+def read_json(text: str):
+    """json.loads, with every refusal of malformed text a FormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"malformed JSON: {exc.msg}", offset=exc.pos) from None
+    except RecursionError:
+        raise FormatError("malformed JSON: nested too deeply") from None
+    except ValueError:  # an integer past int()'s limit on digits
+        raise FormatError("malformed JSON: an integer has too many digits") from None

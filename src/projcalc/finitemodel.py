@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import ast
-from .errors import FormatError, SignatureError, UnsupportedConstructorError
+from .errors import FormatError, SignatureError, UnsupportedConstructorError, read_json
 from .selectors import least_choice, sectionwise_optimum
 from .xreal import (
     NEG_INF,
@@ -99,6 +99,15 @@ class FiniteModel:
                 raise FormatError(f"space name {XREAL!r} is reserved for scalar codomains")
             if len(set(atoms)) != len(atoms) or not atoms:
                 raise FormatError(f"space {name!r} must list distinct atoms, at least one")
+        # every space named is declared, so points() below cannot fail
+        uses = [(f"set {name!r}", s.carrier) for name, s in self.sets.items()]
+        uses += [(f"function {name!r}", c) for name, f in self.funcs.items() for c in (f.dom, f.cod) if c != XREAL]
+        uses += [(f"measure {name!r}", m.space) for name, m in self.measures.items()]
+        uses += [(f"kernel {name!r}", c) for name, k in self.kernels.items() for c in (k.src, k.dst)]
+        for what, carrier in uses:
+            for space in _space_names(carrier):
+                if not isinstance(space, str) or space not in self.spaces:
+                    raise FormatError(f"{what} names unknown space {space!r}")
         for name, s in self.sets.items():
             pts = set(self.points(s.carrier))
             if not s.members <= pts:
@@ -174,6 +183,17 @@ def parse_carrier(text: str) -> Carrier:
     if pos != len(text):
         raise FormatError(f"bad carrier {text!r}: trailing text")
     return out
+
+
+def _space_names(c: Carrier):
+    """The space names of a carrier, left to right."""
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Prod):
+            stack += (c.right, c.left)
+        else:
+            yield c
 
 
 def _product(c: Carrier, what: str) -> Prod:
@@ -320,15 +340,7 @@ def dumps_model(m: FiniteModel) -> str:
 
 
 def loads_model(text: str) -> FiniteModel:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed JSON: {exc.msg}", offset=exc.pos) from None
-    except RecursionError:
-        raise FormatError("malformed JSON: nested too deeply") from None
-    except ValueError:  # an integer past int()'s limit on digits
-        raise FormatError("malformed JSON: an integer has too many digits") from None
-    return model_from_json(obj)
+    return model_from_json(read_json(text))
 
 
 # --- evaluation ----------------------------------------------------------------

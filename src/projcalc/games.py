@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import compress, product, repeat
 from typing import Callable
 
-from .errors import FormatError, ResourceLimitError
+from .errors import FormatError, ResourceLimitError, read_json
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV = "PROJCALC_NODE_BUDGET"
@@ -252,7 +252,13 @@ def compile_target_expr(source: str, n_rounds: int) -> Callable[[tuple], bool]:
 
     def predicate(play: tuple) -> bool:
         env = {name: play[pos] for name, pos in names.items()}
-        return bool(eval(code, {"__builtins__": {}}, env))
+        try:
+            return bool(eval(code, {"__builtins__": {}}, env))
+        except ZeroDivisionError:
+            # plays are tried in play-index order, so this names the first one
+            raise FormatError(
+                f"bad target expression: division by zero on play {' '.join(map(str, play))}"
+            ) from None
 
     return predicate
 
@@ -290,11 +296,12 @@ def game_from_json(obj) -> FiniteGame:
     if obj.get("schema") != "projcalc/1":
         raise FormatError(f"unsupported schema {obj.get('schema')!r}")
     try:
-        k = int(obj["k"])
-        n_rounds = int(obj["N"])
-        target = obj["target"]
-    except (KeyError, TypeError, ValueError) as exc:
+        k, n_rounds, target = obj["k"], obj["N"], obj["target"]
+    except KeyError as exc:
         raise FormatError(f"malformed game: {exc!r}") from None
+    for key, value in (("k", k), ("N", n_rounds)):
+        if type(value) is not int:  # not 2.7, true or "3"
+            raise FormatError(f"{key} must be an integer, got {type(value).__name__}")
     if k < 1 or n_rounds < 0:
         raise FormatError(f"need k >= 1 and N >= 0, got k={k}, N={n_rounds}")
     if isinstance(target, str):
@@ -320,12 +327,4 @@ def dumps_game(g: FiniteGame) -> str:
 
 
 def loads_game(text: str) -> FiniteGame:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed JSON: {exc.msg}", offset=exc.pos) from None
-    except RecursionError:
-        raise FormatError("malformed JSON: nested too deeply") from None
-    except ValueError:  # an integer past int()'s limit on digits
-        raise FormatError("malformed JSON: an integer has too many digits") from None
-    return game_from_json(obj)
+    return game_from_json(read_json(text))

@@ -677,6 +677,42 @@ def test_fmt_parse_error(tmp_path):
     assert main(["fmt", str(path)]) == 2
 
 
+# --- one error boundary ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("command,text,error", [
+    ("infer", "set A in X : sigma 1\nlet U = img[f](A)", "undeclared function 'f'"),
+    ("infer", "func h : X -> X on E : delta 2", "undeclared set 'E'"),
+    ("infer", "space Y = cantor\nset D in Y : delta 1\nfunc h : X -> X on D : delta 2",
+     "declared domain set 'D' lives on a different space"),
+    ("check", "space Y = cantor\nset A in X : sigma 1\nset B in Y : sigma 1\nlet U = union(A, B)",
+     "members of a finite union/intersection must share a carrier"),
+    ("fmt", "func f : X -> X : delta 70000", "LevelOverflow: level 70000 exceeds cap 65535"),
+    ("fmt", "func f :",
+     "2:9: unexpected end of line; expected one of: baire, cantor, measures, nat, prod, reals, xreal, space name"),
+], ids=["infer-resolution-img", "infer-resolution-on", "infer-signature", "check-signature", "fmt-level", "fmt-parse"])
+def test_program_errors_exit_two(command, text, error, derivation, tmp_path, capsys):
+    # the command raises and main alone prints the one error line
+    path = tmp_path / "p.pjc"
+    path.write_text(f"space X = baire\n{text}\n", encoding="utf-8")
+    argv = [command, derivation, str(path)] if command == "check" else [command, str(path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("expr,error", [
+    ("a0 % b0 == 0", "error: bad target expression: division by zero on play 0 0 0 0\n"),
+    ("a0 // 0", "error: bad target expression: division by zero on play 0 0 0 0\n"),
+    ("b0 == 0 or a0 % a1 == 0", "error: bad target expression: division by zero on play 0 1 0 0\n"),
+], ids=["mod", "floordiv", "first-failing-play"])
+def test_game_target_dividing_by_zero_exits_two(expr, error, tmp_path, capsys):
+    path = tmp_path / "zero.pjg"
+    path.write_text(json.dumps({"schema": "projcalc/1", "k": 2, "N": 1, "target": {"expr": expr}}), encoding="utf-8")
+    assert main(["game", str(path)]) == 2
+    assert capsys.readouterr() == ("", error)  # one error line, no traceback
+
+
 # --- one parser per process -----------------------------------------------------
 
 

@@ -149,6 +149,11 @@ def test_model_disk_round_trip(m, tmp_path):
         + "prod(" * 3000 + "X" + ", X)" * 3000 + '", "members": []}}}',
         id="carrier-3000-deep",
     ),
+    # every space a carrier, measure or kernel names must be declared
+    '{"schema": "projcalc/1", "funcs": {"f": {"dom": "Z", "cod": "xreal", "table": []}}}',
+    '{"schema": "projcalc/1", "spaces": {"X": ["x"]}, "kernels": {"k": {"src": "Nowhere", "dst": "X", "rows": {}}}}',
+    '{"schema": "projcalc/1", "spaces": {"X": ["x"]}, "measures": {"m": {"space": "Z", "weights": {}}}}',
+    '{"schema": "projcalc/1", "spaces": {"X": ["x"]}, "measures": {"m": {"space": [], "weights": {}}}}',
 ])
 def test_loads_model_rejects(doc):
     with pytest.raises(FormatError):
@@ -172,6 +177,18 @@ def test_loads_model_huge_integer():
     doc = '{"schema": "projcalc/1", "spaces": {"X": [' + "9" * 5000 + "]}}"
     with pytest.raises(FormatError, match="an integer has too many digits"):
         loads_model(doc)
+
+
+@pytest.mark.parametrize("section,error", [
+    ('"funcs": {"f": {"dom": "Z", "cod": "xreal", "table": []}}', "function 'f' names unknown space 'Z'"),
+    ('"sets": {"A": {"carrier": "prod(X, Z)", "members": []}}', "set 'A' names unknown space 'Z'"),
+    ('"kernels": {"k": {"src": "Nowhere", "dst": "X", "rows": {}}}', "kernel 'k' names unknown space 'Nowhere'"),
+    ('"measures": {"m": {"space": "Z", "weights": {}}}', "measure 'm' names unknown space 'Z'"),
+], ids=["func", "set", "kernel", "measure"])
+def test_loads_model_names_the_unknown_space(section, error):
+    with pytest.raises(FormatError) as exc:
+        loads_model('{"schema": "projcalc/1", "spaces": {"X": ["x"]}, ' + section + "}")
+    assert str(exc.value) == error
 
 
 def test_loads_model_validates():

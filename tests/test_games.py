@@ -1,6 +1,7 @@
 """Finite determinacy solver vs the strategy-enumeration oracle."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -274,10 +275,23 @@ def test_game_disk_round_trip(tmp_path):
     '{"schema": "projcalc/1", "k": 2, "N": 0, "target": {"expr": "c0"}}',
     '[1]',
     '{"schema":',
+    '{"schema": "projcalc/1", "k": 2.7, "N": 0, "target": "0x0"}',  # not truncated to 2
+    '{"schema": "projcalc/1", "k": true, "N": 0, "target": "0x0"}',
+    '{"schema": "projcalc/1", "k": 2, "N": "3", "target": "0x0"}',
 ])
 def test_loads_game_rejects(doc):
     with pytest.raises(FormatError):
         loads_game(doc)
+
+
+def test_target_dividing_by_zero_is_a_format_error():
+    # the first play in play-index order whose target divides by zero is named
+    g = loads_game('{"schema": "projcalc/1", "k": 2, "N": 1, "target": {"expr": "b0 == 0 or a0 % a1 == 0"}}')
+    with pytest.raises(FormatError, match=r"^bad target expression: division by zero on play 0 1 0 0$"):
+        solve(g)
+    every_reply = {hist: 0 for depth in (1, 3) for hist in product(range(2), repeat=depth)}
+    with pytest.raises(FormatError, match="division by zero on play 0 1 0 0"):
+        verify_strategy(g, every_reply, "II")
 
 
 def test_loads_game_huge_integer():
