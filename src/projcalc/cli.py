@@ -26,6 +26,7 @@ import functools
 import json
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 from .derivation import ZFC, ZFC_PD, check, deserialize, expand, serialize
@@ -187,37 +188,60 @@ def cmd_oracle(args) -> int:
     return 1 if bad else 0
 
 
-def _game_json(winner: str, strategy: dict, k: int) -> str:
-    """The game report exactly as ``_json_out`` would print it.
+# entries per write: the report is written piece by piece, never held whole
+_CHUNK = 4096
 
-    Spelled out by hand because ``json.dumps`` with ``indent`` falls back to
-    its pure-Python encoder, which dominates on large strategies.  The
-    strategy is never empty (the winner moves at depth 0 or 1) and its
-    entries already come in sorted history order.
+# A report entry is high + low (see ``Strategy.spell``): the high piece opens
+# the entry and closes the history if it ends there; the low piece goes on
+# with the rest of the history and the move.
+
+
+def _json_high(moves: tuple, ends: bool) -> str:
+    shown = ",".join(f"\n        {m}" for m in moves)
+    closed = ("\n      ]" if moves else "]") if ends else ""
+    return f'    {{\n      "history": [{shown}{closed}'
+
+
+def _json_low(moves: tuple, move: int) -> str:
+    shown = "".join(f",\n        {m}" for m in moves)
+    closed = "\n      ]" if moves else ""
+    return f'{shown}{closed},\n      "move": {move}\n    }}'
+
+
+def _text_high(moves: tuple, ends: bool) -> str:
+    return f"  {' '.join(map(str, moves)) or '(start)'}"
+
+
+def _text_low(moves: tuple, move: int) -> str:
+    return "".join(f" {m}" for m in moves) + f" -> {move}\n"
+
+
+def _write_entries(entries, sep: str) -> None:
+    """Write the entries joined by ``sep`` to stdout, ``_CHUNK`` at a time.
+
+    The strategy is never empty (the winner moves at depth 0 or 1) and no
+    entry's text is empty, so an empty chunk means the entries are done.
     """
-    pieces = [f"\n        {m}" for m in range(k)]
-    entries = []
-    for hist, move in strategy.items():
-        shown = f'[{",".join(map(pieces.__getitem__, hist))}\n      ]' if hist else "[]"
-        entries.append(f'    {{\n      "history": {shown},\n      "move": {move}\n    }}')
-    return (
-        f'{{\n  "schema": {json.dumps(SCHEMA)},\n  "strategy": [\n'
-        + ",\n".join(entries)
-        + f'\n  ],\n  "winner": {json.dumps(winner)}\n}}\n'
-    )
+    out = sys.stdout
+    out.write(sep.join(islice(entries, _CHUNK)))
+    while chunk := sep.join(islice(entries, _CHUNK)):
+        out.write(sep)
+        out.write(chunk)
 
 
 def cmd_game(args) -> int:
     started = time.perf_counter()
     g = loads_game(_read(args.game))
     winner, strategy = solve(g)
+    # the report is spelled out by hand: ``json.dumps`` with ``indent``
+    # falls back to its pure-Python encoder, and would need it all in memory
     if args.json:
-        sys.stdout.write(_game_json(winner, strategy, g.k))
+        sys.stdout.write(f'{{\n  "schema": {json.dumps(SCHEMA)},\n  "strategy": [\n')
+        _write_entries(strategy.spell(_json_high, _json_low), ",\n")
+        sys.stdout.write(f'\n  ],\n  "winner": {json.dumps(winner)}\n}}\n')
     else:
         print(f"winner: {winner}")
-        for h, mv in strategy.items():
-            hist = " ".join(map(str, h)) or "(start)"
-            print(f"  {hist} -> {mv}")
+        _write_entries(strategy.spell(_text_high, _text_low), "")
         elapsed = (time.perf_counter() - started) * 1000
         print(f"[{elapsed:.1f} ms]")
     return 0

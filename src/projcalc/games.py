@@ -8,10 +8,18 @@ extracts the winner's strategy, choosing the least winning move at every
 node so results are reproducible.
 
 The induction runs level by level rather than node by node.  The target is
-turned into a table of leaf values once, one byte per play in play-index
-order; each shallower level is then reduced from the one below it by
-k-strided slices, so time is linear in the number of plays and memory is
-at most two bytes per play (the levels shrink by a factor of k).
+turned into a table of leaf values once, one byte (0 or 1) per play in
+play-index order; each shallower level is then the bitwise OR (Player I's
+plies) or AND (Player II's) of the k strided slices of the level below,
+each read as one big integer, so the per-node work runs in C.  Time is
+linear in the number of plays, and the levels take at most two bytes per
+play (they shrink by a factor of k).
+
+``solve`` returns the strategy as a read-only mapping over the levels.
+Its entries are listed in sorted history order from one integer code per
+entry (about 40 bytes each), spelled through tables of about the square
+root of the play count in size, so a report can be written in bounded
+pieces.
 
 Targets come as bitsets over play indices (big-endian base-k encoding of
 the move sequence) or as predicates; game files support a restricted
@@ -24,15 +32,19 @@ import ast as pyast
 import json
 import os
 import re
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cache, cached_property, reduce
 from itertools import compress, product, repeat
-from typing import Callable
+from operator import add, and_, floordiv, mod, or_
+from typing import Any, Callable
 
 from .errors import FormatError, ResourceLimitError, read_json
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV = "PROJCALC_NODE_BUDGET"
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 @dataclass
@@ -78,7 +90,7 @@ def _node_budget(budget: int | None) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
+        raise FormatError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
 def _capped_pow(k: int, e: int, cap: int) -> int:
@@ -106,31 +118,67 @@ def _leaf_values(g: FiniteGame) -> bytes:
 
     Plays are in play-index order, which is ``itertools.product`` order.  A
     bitset is read through its binary string once; a predicate is called
-    once per play.
+    once per play, and a play on which it divides by zero is a malformed
+    target, named in the error as the first such play in play-index order.
     """
     n = g.play_count
     if g.mask is not None:
         bits = format(g.mask, f"0{n}b")[::-1][:n]  # character i is bit i
         return bits.encode("ascii").translate(_BIT_BYTES)
-    return bytes(map(bool, map(g.predicate, product(range(g.k), repeat=g.play_length))))
+    try:
+        return bytes(map(bool, map(g.predicate, product(range(g.k), repeat=g.play_length))))
+    except ZeroDivisionError:
+        for play in product(range(g.k), repeat=g.play_length):
+            try:
+                g.predicate(play)
+            except ZeroDivisionError:
+                shown = " ".join(map(str, play))
+                raise FormatError(f"bad target expression: division by zero on play {shown}") from None
+        raise
 
 
-def solve(g: FiniteGame, budget: int | None = None) -> tuple[str, dict]:
+def _reduce(level: bytes, k: int, op) -> bytes:
+    """The level above: op (``or_`` or ``and_``) of each node's k children.
+
+    Child m of every node lies in the strided slice ``level[m::k]``; the
+    values are 0 and 1 bytes, so one big-integer op combines all the nodes.
+    """
+    size = len(level) // k
+    value = reduce(op, (int.from_bytes(level[m::k], "big") for m in range(k)))
+    return value.to_bytes(size, "big")
+
+
+def _least_ones(good: bytes, k: int) -> bytearray:
+    """1 at each node's least child whose byte in ``good`` is 1, 0 elsewhere."""
+    size = len(good) // k
+    least = bytearray(len(good))
+    seen = 0
+    for m in range(k):
+        mine = int.from_bytes(good[m::k], "big")
+        least[m::k] = (mine & ~seen).to_bytes(size, "big")
+        seen |= mine
+    return least
+
+
+def solve(g: FiniteGame, budget: int | None = None) -> tuple[str, Strategy]:
     """Winner and the winner's strategy (own-turn history -> move).
 
     Backward induction, one ply at a time: level d holds, for each of the
     k**d histories of length d in ``itertools.product`` order, whether
     Player I wins from there.  The leaf level is the target's leaf table;
     the node at index j of level d has its children at j*k .. j*k+k-1 of
-    level d+1, so the level is ``any`` over the k strided slices of the
-    level below on Player I's plies and ``all`` on Player II's.  Time is
-    linear in the number of plays, and the stored levels take at most two
-    bytes per play.
+    level d+1, so the level is the OR of the k strided slices of the level
+    below on Player I's plies and their AND on Player II's, each slice read
+    as one big integer.  Time is linear in the number of plays, and the
+    levels take at most two bytes per play.
 
     The strategy has an entry for every history at which the winner is to
     move and wins, not only the reachable ones, mapping it to the least
-    winning move; entries come in sorted history order.  The cost is
-    checked against the node budget up front.
+    winning move; entries come in sorted history order.  It is a read-only
+    ``Strategy`` over the levels: a lookup reads them directly, and the
+    entry codes that iteration and reports use are built on first use,
+    one Python int (about 40 bytes) per entry.  The cost is checked against
+    the node budget up front.
     """
     limit = _node_budget(budget)
     if _tree_nodes(g.k, g.play_length, limit + 1) > limit:
@@ -138,31 +186,126 @@ def solve(g: FiniteGame, budget: int | None = None) -> tuple[str, dict]:
     k, length = g.k, g.play_length
     levels = [_leaf_values(g)]
     for depth in reversed(range(length)):
-        pick = any if depth % 2 == 0 else all
-        levels.append(bytes(map(pick, _children(levels[-1], k))))
+        levels.append(_reduce(levels[-1], k, or_ if depth % 2 == 0 else and_))
     levels.reverse()
-
-    want = levels[0][0]  # 1 iff Player I wins; also the value of every node the winner wins
-    keys, hists, moves = [], [], []
-    for depth in range(1 - want, length, 2):
-        won = [value == want for value in levels[depth]]
-        # sort key: the history's first play, then its length, so that a
-        # history sorts before its extensions
-        step = k ** (length - depth) * (length + 1)
-        keys.extend(compress(range(depth, k ** depth * step, step), won))
-        hists.extend(compress(product(range(k), repeat=depth), won))
-        moves.extend(map(tuple.index, compress(_children(levels[depth + 1], k), won), repeat(want)))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    strategy = dict(zip(map(hists.__getitem__, order), map(moves.__getitem__, order)))
-    return ("I" if want else "II"), strategy
+    want = levels[0][0]  # 1 iff Player I wins
+    return ("I" if want else "II"), Strategy(k, length, want, levels)
 
 
-def _children(level: bytes, k: int):
-    """The k child values of each node of the level above, as tuples."""
-    return zip(*(level[m::k] for m in range(k)))
+def _shifted(value: int, k: int, width: int) -> tuple:
+    """The moves that ``width`` base-(k+1) digits spell, each digit one more
+    than its move, up to the first 0 digit, which ends the history."""
+    digits = []
+    for _ in range(width):
+        value, digit = divmod(value, k + 1)
+        digits.append(digit - 1)
+    digits.reverse()
+    return tuple(digits[:digits.index(-1)] if -1 in digits else digits)
 
 
-def verify_strategy(g: FiniteGame, strategy: dict, player: str) -> bool:
+class Strategy(Mapping):
+    """The winner's strategy, read from the solver's levels.
+
+    A read-only mapping from each history at which the winner is to move
+    and wins to its least winning move, iterated in sorted history order;
+    it compares equal to the dict with the same entries.
+
+    Each entry also has a code: a history h of length d with move m has
+    ``(sum((h[i] + 1) * (k + 1) ** (L - 1 - i) for i < d)) * k + m`` for a
+    play length L.  Reading the part above the move as L base-(k+1) digits,
+    a digit is one more than its move and 0 past the history's end, so
+    codes sort as their histories do.  ``codes`` lists them in that order.
+    """
+
+    def __init__(self, k: int, length: int, want: int, levels: list[bytes]):
+        self.k, self.length = k, length
+        self._want, self._levels = want, levels
+        self._depths = range(1 - want, length, 2)  # the winner's plies
+
+    def __len__(self) -> int:
+        return sum(self._levels[depth].count(self._want) for depth in self._depths)
+
+    def __getitem__(self, history):
+        k, want = self.k, self._want
+        if not isinstance(history, tuple) or len(history) not in self._depths:
+            raise KeyError(history)
+        index = 0
+        for move in history:
+            if not (isinstance(move, int) and 0 <= move < k):
+                raise KeyError(history)
+            index = index * k + move
+        depth = len(history)
+        if self._levels[depth][index] != want:
+            raise KeyError(history)
+        return self._levels[depth + 1].index(want, index * k, index * k + k) - index * k
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self.spell(lambda moves, ends: moves, lambda moves, move: moves)
+
+    def items(self) -> ItemsView:
+        return _Entries(self)
+
+    @cached_property
+    def codes(self) -> list[int]:
+        """Every entry's code, ascending.
+
+        Per winner ply, the least winning child of each won node is found
+        from the level below with strided slices, and its index c = j*k + m
+        splits into a high and a low part, each looked up in a table of
+        about the square root of the ply's node count.
+        """
+        k, length, want = self.k, self.length, self._want
+        shifted = [[0]]  # shifted[i][x]: x's i base-k digits, each plus one, read in base k+1
+        codes: list[int] = []
+        for depth in self._depths:
+            below = self._levels[depth + 1]
+            good = below if want else below.translate(_FLIP)
+            children = list(compress(range(len(below)), _least_ones(good, k)))
+            low = depth // 2  # moves in the low part, the entry's move below them
+            while len(shifted) <= depth - low:
+                shifted.append([x * (k + 1) + m + 1 for x in shifted[-1] for m in range(k)])
+            scale = (k + 1) ** (length - depth) * k
+            high_scale = (k + 1) ** low * scale
+            high_codes = [x * high_scale for x in shifted[depth - low]]
+            low_codes = [shifted[low][b // k] * scale + b % k for b in range(k ** (low + 1))]
+            split = repeat(k ** (low + 1))
+            codes.extend(map(
+                add,
+                map(high_codes.__getitem__, map(floordiv, children, split)),
+                map(low_codes.__getitem__, map(mod, children, split)),
+            ))
+        codes.sort()  # one ascending run per ply, merged
+        return codes
+
+    def spell(self, high: Callable[[tuple, bool], Any], low: Callable[[tuple, int], Any]) -> Iterator:
+        """``high(moves, ends) + low(moves, move)`` for every entry, in order.
+
+        A code splits at a fixed digit position: ``high`` gets the history's
+        moves above it and whether the history ends there, ``low`` the moves
+        below it and the entry's move.  Each is called once per distinct
+        value, so the work per entry is a few C-level steps, and entries are
+        made one at a time as the iterator is read.  No entry's history ends
+        exactly at the split, so a history ends above it iff ``low`` gets no
+        moves.
+        """
+        k, length = self.k, self.length
+        width = length // 2 + (length // 2 - self._want) % 2  # parity unlike the winner's plies
+        highs = cache(lambda value: high(_shifted(value, k, width), value % (k + 1) == 0))
+        lows = cache(lambda value: low(_shifted(value // k, k, length - width), value % k))
+        split = repeat((k + 1) ** (length - width) * k)
+        return map(add, map(highs, map(floordiv, self.codes, split)), map(lows, map(mod, self.codes, split)))
+
+
+class _Entries(ItemsView):
+    """A strategy's (history, move) pairs, each move read off its entry's
+    code rather than looked up in the levels."""
+
+    def __iter__(self):
+        strategy = self._mapping
+        return zip(strategy, map(mod, strategy.codes, repeat(strategy.k)))
+
+
+def verify_strategy(g: FiniteGame, strategy: Mapping, player: str) -> bool:
     """True iff every opponent completion against the strategy wins.
 
     A history the strategy misses, or a move outside the alphabet, fails.
@@ -222,10 +365,14 @@ def compile_target_expr(source: str, n_rounds: int) -> Callable[[tuple], bool]:
     """Predicate over plays from an arithmetic expression in a0, b0, a1, ...
 
     Only boolean/arithmetic operators, comparisons, integer constants and
-    the move names are allowed; anything else is rejected.  Only the names
-    that occur are mapped, so the horizon costs nothing here.
+    the move names are allowed; anything else is rejected.  Each move name
+    that occurs becomes the subscript ``p[ply]`` of the play ``p``, and the
+    expression compiles once into ``lambda p: ...`` without builtins, so
+    only the names that occur are mapped and the horizon costs nothing.
+    The predicate returns the expression's value, true for plays in the
+    target, and raises ZeroDivisionError on a play where it divides by zero.
     """
-    names = {}
+    plies: dict[str, int] = {}
     # the parser and the compiler each give up on deep nesting in their own
     # way: MemoryError from the parser's stack, RecursionError from compile
     too_deep = "bad target expression: nested too deeply"
@@ -240,27 +387,34 @@ def compile_target_expr(source: str, n_rounds: int) -> Callable[[tuple], bool]:
             raise FormatError(f"target expression uses forbidden syntax: {type(node).__name__}")
         if isinstance(node, pyast.Constant) and not isinstance(node.value, (int, bool)):
             raise FormatError(f"target expression constant {node.value!r} is not an integer")
-        if isinstance(node, pyast.Name) and node.id not in names:
+        if isinstance(node, pyast.Name) and node.id not in plies:
             pos = _move_position(node.id, n_rounds)
             if pos is None:
                 raise FormatError(f"unknown move name {node.id!r} in target expression")
-            names[node.id] = pos
+            plies[node.id] = pos
+    for node in pyast.walk(tree):
+        for field, value in pyast.iter_fields(node):
+            if isinstance(value, pyast.Name):
+                setattr(node, field, _read_move(value, plies[value.id]))
+            elif isinstance(value, list):
+                value[:] = [_read_move(v, plies[v.id]) if isinstance(v, pyast.Name) else v for v in value]
+    at = _location(tree.body)
+    params = pyast.arguments(posonlyargs=[], args=[pyast.arg("p", **at)], kwonlyargs=[], kw_defaults=[], defaults=[])
     try:
-        code = compile(tree, "<target>", "eval")
+        code = compile(pyast.Expression(pyast.Lambda(params, tree.body, **at)), "<target>", "eval")
     except (MemoryError, RecursionError):
         raise FormatError(too_deep) from None
+    return eval(code, {"__builtins__": {}})
 
-    def predicate(play: tuple) -> bool:
-        env = {name: play[pos] for name, pos in names.items()}
-        try:
-            return bool(eval(code, {"__builtins__": {}}, env))
-        except ZeroDivisionError:
-            # plays are tried in play-index order, so this names the first one
-            raise FormatError(
-                f"bad target expression: division by zero on play {' '.join(map(str, play))}"
-            ) from None
 
-    return predicate
+def _location(node: pyast.AST) -> dict:
+    return {key: getattr(node, key) for key in ("lineno", "col_offset", "end_lineno", "end_col_offset")}
+
+
+def _read_move(name: pyast.Name, ply: int) -> pyast.Subscript:
+    """``p[ply]`` in place of a move name, at the name's place in the source."""
+    at = _location(name)
+    return pyast.Subscript(pyast.Name("p", pyast.Load(), **at), pyast.Constant(ply, **at), pyast.Load(), **at)
 
 
 _MOVE_NAME = re.compile(r"([ab])(0|[1-9][0-9]*)")

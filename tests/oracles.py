@@ -10,6 +10,8 @@ second route to the same answers.
   solver's quantifier recursion;
 - game strategies: the node-by-node recursive walk, not the solver's
   level-by-level reduction;
+- game target expressions: evaluated per play with a dict of the move
+  names, not compiled once into a function of the play;
 - tokens: a match for each token and another for each gap between tokens,
   not the lexer's single match per token;
 - SUM-PRE rectangles: every candidate tested at every point, not the
@@ -29,6 +31,7 @@ second route to the same answers.
 
 from __future__ import annotations
 
+import ast as pyast
 import itertools
 import json
 import re
@@ -214,6 +217,30 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+def reference_target(source: str, n_rounds: int):
+    """Predicate over plays that evaluates a target expression per play.
+
+    ``games.compile_target_expr``'s earlier implementation, without the
+    syntax whitelist: a dict from each move name that occurs to its move in
+    the play, and ``eval`` of the compiled expression in it, once per play.
+    A play on which the expression divides by zero raises ZeroDivisionError.
+    """
+    tree = pyast.parse(source, mode="eval")
+    names = {}
+    for node in pyast.walk(tree):
+        if isinstance(node, pyast.Name):
+            player, i = node.id[0], int(node.id[1:])
+            assert player in "ab" and i <= n_rounds, node.id
+            names[node.id] = 2 * i + (player == "b")
+    code = compile(tree, "<target>", "eval")
+
+    def predicate(play: tuple) -> bool:
+        env = {name: play[pos] for name, pos in names.items()}
+        return bool(eval(code, {"__builtins__": {}}, env))
+
+    return predicate
 
 
 def reference_lex_line(line: str, lineno: int) -> list[Token]:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 from projcalc import cli, parser
 from projcalc.cli import build_parser, main
-from projcalc.games import BUDGET_ENV, FiniteGame, compile_target_expr, dumps_game
+from projcalc.games import BUDGET_ENV, FiniteGame, compile_target_expr, dumps_game, solve
 
 from .oracles import brute_force_winner, reference_solve
 from .progen import compl_nest, corpus, doubling_chain, game_corpus, linear_chain, neg_nest, space_nest
@@ -606,6 +607,17 @@ def test_game_budget_exit(tmp_path, monkeypatch):
     assert main(["game", path]) == 3
 
 
+def test_game_bad_budget_exits_two(tmp_path, monkeypatch):
+    # a budget that is not an integer is malformed input: one error line
+    path = game_file(tmp_path, "g.pjg", FiniteGame(2, 0, mask=0))
+    monkeypatch.setenv(BUDGET_ENV, "abc")
+    run = _fresh_cli(["game", path])
+    assert run.returncode == 2
+    assert run.stderr == f"error: {BUDGET_ENV} must be an integer, got 'abc'\n"
+    assert "Traceback" not in run.stderr
+    assert run.stdout == ""
+
+
 def test_game_bitset_past_play_count_budget_exit(tmp_path, capsys):
     # 2**82 plays: loading must not overflow, and the budget refuses the solve
     path = tmp_path / "huge.pjg"
@@ -636,20 +648,39 @@ def test_huge_horizon_game_exits_three_fast(target, tmp_path):
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("game", [pytest.param(g, id=label) for label, g in game_corpus()])
+def _seeded_games(seed: int = 24) -> list[tuple[str, FiniteGame]]:
+    """Games a size past the corpus's, with k = 2, 3 and 4 and an expression target."""
+    rng = random.Random(seed)
+    games = [(f"mask-k{k}-N{n}", FiniteGame(k, n, mask=rng.getrandbits(k ** (2 * n + 2))))
+             for k, n in ((2, 5), (3, 3), (4, 2))]
+    expr = " + ".join(f"{rng.randint(1, 6)}*{p}{i}" for i in range(5) for p in "ab") + " < 20"
+    games.append(("expr-k2-N4", FiniteGame(2, 4, predicate=compile_target_expr(expr, 4), expr=expr)))
+    return games
+
+
+@pytest.mark.parametrize("game", [pytest.param(g, id=label) for label, g in game_corpus() + _seeded_games()])
 def test_game_reports_match_reference(game, tmp_path, capsys):
+    # the report is written from the strategy's codes, not from a dict: it
+    # must list solve's entries in order, as json.dumps would print them,
+    # and solve must agree with the node-by-node reference
     path = game_file(tmp_path, "g.pjg", game)
-    winner, strategy = reference_solve(game)
-    entries = sorted(strategy.items())
+    winner, strategy = solve(game)
+    assert (winner, strategy) == reference_solve(game)
+    as_dict = dict(strategy)
+    assert as_dict == strategy and list(as_dict.items()) == list(strategy.items())
+    entries = list(strategy.items())
+    assert entries == sorted(reference_solve(game)[1].items())
 
     assert main(["game", path, "--json"]) == 0
-    doc = {
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert [(tuple(e["history"]), e["move"]) for e in doc["strategy"]] == entries
+    expected = {
         "schema": "projcalc/1",
         "winner": winner,
         "strategy": [{"history": list(h), "move": mv} for h, mv in entries],
     }
-    expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    assert capsys.readouterr().out == expected
+    assert out == json.dumps(expected, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
     assert main(["game", path]) == 0
     *lines, timing = capsys.readouterr().out.splitlines()

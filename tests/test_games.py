@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projcalc.errors import FormatError, ResourceLimitError
 from projcalc.games import (
@@ -19,7 +21,7 @@ from projcalc.games import (
     _tree_nodes,
 )
 
-from .oracles import brute_force_winner, dual_prefix_holds, reference_solve
+from .oracles import brute_force_winner, dual_prefix_holds, reference_solve, reference_target
 from .progen import game_corpus
 
 
@@ -164,7 +166,7 @@ def test_budget_enforced(monkeypatch):
     with pytest.raises(ResourceLimitError):
         solve(FiniteGame(2, 1, mask=0), budget=30)
     monkeypatch.setenv(BUDGET_ENV, "plenty")
-    with pytest.raises(ValueError, match=BUDGET_ENV):
+    with pytest.raises(FormatError, match=BUDGET_ENV):
         solve(FiniteGame(2, 0, mask=0))
 
 
@@ -292,6 +294,49 @@ def test_target_dividing_by_zero_is_a_format_error():
     every_reply = {hist: 0 for depth in (1, 3) for hist in product(range(2), repeat=depth)}
     with pytest.raises(FormatError, match="division by zero on play 0 1 0 0"):
         verify_strategy(g, every_reply, "II")
+
+
+def _target_exprs(n_rounds: int):
+    """Whitelisted target expressions over the move names of horizon N."""
+    names = [f"{p}{i}" for i in range(n_rounds + 1) for p in "ab"]
+    moves = st.sampled_from(names)
+    leaves = moves | moves | st.integers(-3, 7).map(str) | st.sampled_from(["True", "False"])
+
+    def grow(sub):
+        # % and // come up often, so that plays dividing by zero do too
+        binary = st.tuples(sub, st.sampled_from(["+", "-", "*", "%", "%", "//", "//", "==", "!=", "<", "<=",
+                                                 ">", ">=", "and", "or"]), sub)
+        return (
+            binary.map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+            | st.tuples(st.sampled_from(["not ", "-", "+"]), sub).map(lambda t: f"({t[0]}{t[1]})")
+            | st.tuples(sub, sub, sub).map(lambda t: f"({t[0]} < {t[1]} <= {t[2]})")
+        )
+
+    return st.recursive(leaves, grow, max_leaves=12)
+
+
+def _outcome(predicate, play):
+    try:
+        return bool(predicate(play))
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([0, 1, 2]), st.data())
+def test_compiled_target_matches_env_eval(k, n_rounds, data):
+    # the compiled lambda against a per-play eval of the same text: equal
+    # on every play, or both divide by zero first on the same play
+    expr = data.draw(_target_exprs(n_rounds))
+    compiled, reference = compile_target_expr(expr, n_rounds), reference_target(expr, n_rounds)
+    for play in product(range(k), repeat=2 * n_rounds + 2):
+        outcome = _outcome(compiled, play)
+        assert outcome == _outcome(reference, play), (expr, play)
+        if outcome is ZeroDivisionError:
+            shown = " ".join(map(str, play))
+            with pytest.raises(FormatError, match=f"^bad target expression: division by zero on play {shown}$"):
+                solve(FiniteGame(k, n_rounds, predicate=compiled, expr=expr))
+            break
 
 
 def test_loads_game_huge_integer():

@@ -6,8 +6,9 @@ a line marked ``# noqa: F401`` (a re-export that another module looks up by
 name); ``from __future__`` imports are exempt.
 
 No walker recurses: in the modules that read, bind, infer and write
-expressions and space values, no function reaches itself through calls by
-name, and in the finite-model layer only the carrier and point helpers do.
+expressions and space values, and in the game solver, no function reaches
+itself through calls by name, and in the finite-model layer only the
+carrier and point helpers do.
 
 Importing the command line leaves the concrete layer unloaded.
 """
@@ -68,8 +69,9 @@ def test_unused_import_is_flagged():
     assert unused_imports(source) == [(2, "os"), (3, "signature")]
 
 
-# the modules that walk set and function expressions and space values
-WALKERS = ("ast", "parser", "sema", "infer", "formatter")
+# the modules that walk set and function expressions and space values, and
+# the game solver, whose levels, codes and target rewrite are loops too
+WALKERS = ("ast", "parser", "sema", "infer", "formatter", "games")
 
 
 def recursive_functions(source: str) -> list[str]:
