@@ -5,13 +5,14 @@ a rendered judgment (subject, class or level, axiom mode).  Premises may be
 shared, so a derivation is a DAG of node objects.  A node's subject spells
 only its own constructor and points at its subexpressions' premises with
 #i.j... paths, so a derivation's text is linear in its size; expand()
-writes a subject out in full.  check() makes one pass over the distinct
-nodes, premises first, in the order of the file's rows, and recomputes
-each conclusion from its premises by its rule's entry in one rule table,
-its own copy of the rule arithmetic: it shares the lattice primitives and
-the parser with the engine but none of the engine's rule-application
-code, so an engine that emits a wrong level is caught here.  A failing
-node's path is spelled only then.
+writes a subject out in full.  check() makes one walk over the distinct
+nodes, premises first, in the order of the file's rows, and checks each
+by its rule's entry in one rule table, its own copy of the rule
+arithmetic and the determinacy gates: one entry per rule id, leaves
+included.  It shares the lattice primitives and the parser with the
+engine but none of the engine's rule-application code, so an engine that
+emits a wrong level is caught here.  A failing node's path is spelled
+only then, from the same walk's live frames.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import CheckError, FormatError, LevelOverflowError, read_json
 from .formatter import write
 from .parser import parse_schedule
 from .pointclass import LEVEL_CAP, Kind, PointClass, delta, leq, parse_class_token, pi, schedule_bound, sigma
-from .rules import ALWAYS_GATED, CITATIONS
+from .rules import CITATIONS
 from .sema import Env
 
 ZFC = "ZFC"
@@ -104,31 +105,28 @@ def node(rule: str, premises: tuple[Derivation, ...], subject: str, judgment: Ju
 
 SCHEMA = "projcalc/3"
 
-# rows whose subject is plain text: a name, a schedule or a class token
-LEAF_RULES = frozenset({"DECL", "SCHED", "P-UM"})
-
 _REF = re.compile(r"#(\d+(?:\.\d+)*)")
 
 
-def _postorder(d: Derivation) -> list[Derivation]:
-    """The distinct nodes below d, d included, each after its premises, in
-    first post-order visit order, on an explicit stack."""
-    order: list[Derivation] = []
-    done: set[int] = set()
-    stack = [d]
-    while stack:
-        n = stack[-1]
-        if id(n) in done:
-            stack.pop()
-            continue
-        todo = [p for p in n.premises if id(p) not in done]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        done.add(id(n))
-        order.append(n)
-    return order
+def _walk(d: Derivation):
+    """Each distinct node below d, d included, after its premises, in first
+    post-order visit order, on an explicit stack of [node, next premise]
+    frames.  A node is marked when first reached and yielded with the live
+    frames, whose next-premise counts spell the path of that first visit."""
+    seen = {id(d)}
+    frames = [[d, 0]]
+    while frames:
+        top = frames[-1]
+        n, i = top
+        if i < len(n.premises):
+            top[1] = i + 1
+            p = n.premises[i]
+            if id(p) not in seen:
+                seen.add(id(p))
+                frames.append([p, 0])
+        else:
+            yield n, frames
+            frames.pop()
 
 
 def serialize(d: Derivation) -> str:
@@ -141,7 +139,7 @@ def serialize(d: Derivation) -> str:
     mode = d.conclusion.mode
     rows: dict[str, int] = {}  # rendered row -> row id
     row_of: dict[int, int] = {}  # id(node) -> row id
-    for n in _postorder(d):
+    for n, _ in _walk(d):
         c = n.conclusion
         if c.mode != mode:
             raise ValueError(f"a {c.mode} node inside a {mode} derivation")
@@ -175,7 +173,7 @@ def _from_row(
     except (KeyError, TypeError):  # a text not read yet, or not a string at all
         try:
             parsed = judgments[judgment] = Judgment.parse(judgment)
-        except (ValueError, TypeError, AttributeError) as exc:
+        except (ValueError, TypeError, AttributeError, LevelOverflowError) as exc:
             raise FormatError(f"bad judgment at {where}: {exc}") from None
     for p in premises:
         # bool is an int subclass; only genuine ints name rows
@@ -309,7 +307,9 @@ def _selector_stage(c: PointClass) -> int:
     return m
 
 
-def _check_leaf(d: Derivation, env: Env) -> None:
+def _declared(d: Derivation, env: Env) -> Judgment:
+    if d.premises:
+        raise CheckError("", "declaration leaves have no premises")
     name = d.conclusion.subject
     j = d.conclusion.judgment
     if j.kind == "class":
@@ -317,7 +317,7 @@ def _check_leaf(d: Derivation, env: Env) -> None:
             raise CheckError("", f"no declared set named {name!r}")
         if env.sets[name].cls != j.cls:
             raise CheckError("", f"declared class of {name!r} is {env.sets[name].cls}, not {j.cls}")
-        return
+        return j
     if j.kind == "level":
         if name in env.funcs and env.funcs[name].annot is not None:
             declared = env.funcs[name].annot.level
@@ -327,11 +327,13 @@ def _check_leaf(d: Derivation, env: Env) -> None:
             raise CheckError("", f"no declared function or kernel named {name!r}")
         if declared != j.level:
             raise CheckError("", f"declared level of {name!r} is {declared}, not {j.level}")
-        return
+        return j
     raise CheckError("", "declaration leaves carry class or level judgments")
 
 
-def _check_sched(d: Derivation) -> None:
+def _scheduled(d: Derivation, env: Env) -> Judgment:
+    if d.premises:
+        raise CheckError("", "schedule leaves have no premises")
     subject = d.conclusion.subject
     if not subject.startswith("levels "):
         raise CheckError("", "schedule leaf subject must start with 'levels '")
@@ -345,6 +347,29 @@ def _check_sched(d: Derivation) -> None:
         raise CheckError("", "unbounded schedule cannot conclude a class") from None
     if d.conclusion.judgment != class_judgment(bound):
         raise CheckError("", f"schedule bound is {bound}, not {d.conclusion.judgment.render()}")
+    return d.conclusion.judgment
+
+
+def _measurable(d: Derivation, env: Env) -> Judgment:
+    if d.premises:
+        raise CheckError("", "P-UM nodes have no premises")
+    j = d.conclusion.judgment
+    if j.kind != "prop":
+        raise CheckError("", "P-UM concludes a proposition")
+    restated = f"universally measurable: {d.conclusion.subject}"
+    if j.text != restated:
+        raise CheckError(
+            "", f"proposition {j.text!r} does not restate the subject; expected {restated!r}"
+        )
+    _um_subject(d)  # read in either mode; a level past the cap raises here
+    return j
+
+
+def _um_subject(d: Derivation) -> PointClass:
+    try:
+        return parse_class_token(d.conclusion.subject)
+    except ValueError:
+        raise CheckError("", "P-UM subject must be a class or level token") from None
 
 
 def _complement(c: PointClass) -> Judgment:
@@ -414,158 +439,122 @@ def _eps_selection(p: int, c: PointClass) -> Judgment:
     return level_judgment(max(2 * m + 2, q + 2) + 1)
 
 
-# rule -> (premise kinds, conclusion).  The kinds are one letter per
+# rule -> (premise kinds, conclusion, gate).  The kinds are one letter per
 # premise, c for a class judgment and l for a level judgment, or c* and l*
 # for one or more of that kind; the conclusion is computed from the
 # premises' classes and levels, in premise order.  A one-premise S-BPRE, a
-# section, is the entry under ("S-BPRE", 1).
+# section, is the entry under ("S-BPRE", 1).  A leaf's kinds are None: its
+# conclusion is read off the row and the program, (d, env), and its entry
+# raises its own reason when they disagree.  The gate, asked outside ZFC_PD
+# only and with the same arguments, returns None when the step stands
+# without determinacy, else the words that follow the rule id in the
+# refusal.
 _RULES = {
-    "S-COMPL": ("c", _complement),
-    "S-CU": ("c*", _countable),
-    "S-CI": ("c*", _countable),
-    "S-PROD": ("cc", _product),
-    "S-PROJ": ("c", _projection),
-    "S-BIMG": ("lc", _borel_image),
-    "S-BPRE": ("lc", _borel_preimage),
-    ("S-BPRE", 1): ("c", class_judgment),
-    "S-SUBLEV": ("l", lambda p: class_judgment(delta(p))),
-    "S-WR": ("c", lambda c: class_judgment(_sigma_of(c))),
-    "F-DOM": ("lc", lambda p, c: level_judgment(max(p, _delta_level(c)))),
-    "F-PAIR": ("ll", lambda p, q: level_judgment(max(p, q))),
-    "F-CYL": ("l", level_judgment),
-    "F-COMP": ("ll", lambda p, q: level_judgment(p + q)),
-    "F-COMP-B": ("ll", _borel_inner),
-    "F-PRE-Δ": ("lc", _delta_preimage),
-    "F-PRE-Σ": ("lc", _sigma_preimage),
-    "F-GRAPH": ("l", lambda p: class_judgment(delta(p + 1))),
-    "F-UNGRAPH": ("cc", lambda g, dom: level_judgment(max(_delta_level(g), _delta_level(dom)) + 1)),
-    "F-SECT": ("l", lambda p: level_judgment(p + 1)),
-    "F-ARITH": ("l*", _arithmetic),
-    "F-CSUP": ("c", lambda c: level_judgment(_delta_level(c))),
-    "F-CINF": ("c", lambda c: level_judgment(_delta_level(c))),
-    "F-PARTIAL": ("lc", lambda p, c: level_judgment(max(p, _delta_level(c)) + 1)),
-    "F-INT": ("ll", lambda p, r: level_judgment(p + r + 2)),
-    "F-SELECT": ("c", lambda c: class_judgment(pi(2 * _selector_stage(c) + 1))),
-    "F-EPS": ("lc", _eps_selection),
+    "DECL": (None, _declared, None),
+    "SCHED": (None, _scheduled, None),
+    "P-UM": (None, _measurable, lambda d, env: " beyond level 1" if _um_subject(d).level >= 2 else None),
+    "S-COMPL": ("c", _complement, None),
+    "S-CU": ("c*", _countable, None),
+    "S-CI": ("c*", _countable, None),
+    "S-PROD": ("cc", _product, None),
+    "S-PROJ": ("c", _projection, None),
+    "S-BIMG": ("lc", _borel_image, None),
+    "S-BPRE": ("lc", _borel_preimage, None),
+    ("S-BPRE", 1): ("c", class_judgment, None),
+    "S-SUBLEV": ("l", lambda p: class_judgment(delta(p)), None),
+    "S-WR": (
+        "c",
+        lambda c: class_judgment(_sigma_of(c)),
+        lambda c: " beyond level 1" if _sigma_of(c).level >= 2 else None,
+    ),
+    "F-DOM": ("lc", lambda p, c: level_judgment(max(p, _delta_level(c))), None),
+    "F-PAIR": ("ll", lambda p, q: level_judgment(max(p, q)), None),
+    "F-CYL": ("l", level_judgment, None),
+    "F-COMP": ("ll", lambda p, q: level_judgment(p + q), None),
+    "F-COMP-B": ("ll", _borel_inner, None),
+    "F-PRE-Δ": ("lc", _delta_preimage, None),
+    "F-PRE-Σ": ("lc", _sigma_preimage, None),
+    "F-GRAPH": ("l", lambda p: class_judgment(delta(p + 1)), None),
+    "F-UNGRAPH": ("cc", lambda g, dom: level_judgment(max(_delta_level(g), _delta_level(dom)) + 1), None),
+    "F-SECT": ("l", lambda p: level_judgment(p + 1), None),
+    "F-ARITH": ("l*", _arithmetic, None),
+    "F-CSUP": ("c", lambda c: level_judgment(_delta_level(c)), None),
+    "F-CINF": ("c", lambda c: level_judgment(_delta_level(c)), None),
+    "F-PARTIAL": ("lc", lambda p, c: level_judgment(max(p, _delta_level(c)) + 1), None),
+    "F-INT": ("ll", lambda p, r: level_judgment(p + r + 2), lambda p, r: ""),
+    "F-SELECT": (
+        "c",
+        lambda c: class_judgment(pi(2 * _selector_stage(c) + 1)),
+        lambda c: " beyond stage 0" if _selector_stage(c) >= 1 else None,
+    ),
+    "F-EPS": ("lc", _eps_selection, lambda p, c: ""),
 }
 
+# rows whose subject is plain text: a name, a schedule or a class token
+LEAF_RULES = frozenset([rule for rule, (kinds, _, _) in _RULES.items() if kinds is None])
+
 _KINDS = {"c": "class", "l": "level"}
-
-
-def _expected_judgment(d: Derivation) -> Judgment:
-    """Recompute the node's conclusion judgment from its premises."""
-    prem = d.premises
-    entry = _RULES.get(("S-BPRE", 1) if d.rule == "S-BPRE" and len(prem) == 1 else d.rule)
-    if entry is None:
-        raise CheckError("", f"unknown rule id {d.rule!r}")
-    kinds, conclude = entry
-    if kinds[-1] == "*":
-        kinds = kinds[0] * len(prem)  # conclude() refuses none
-    elif len(prem) != len(kinds):
-        raise CheckError("", f"rule expects ({len(kinds)},) premises, got {len(prem)}")
-    values = []
-    for i, k in enumerate(kinds):
-        j = prem[i].conclusion.judgment
-        if j.kind != _KINDS[k]:
-            raise CheckError(f"/premises/{i}", f"expected a {_KINDS[k]} judgment")
-        values.append(j.cls if k == "c" else j.level)
-    return conclude(*values)
-
-
-def _check_gate(d: Derivation) -> None:
-    mode = d.conclusion.mode
-    if d.rule in ALWAYS_GATED and mode != ZFC_PD:
-        raise CheckError("", f"axiom gate: {d.rule} requires mode {ZFC_PD}")
-    # the premise's kind was checked with the rule's arithmetic
-    if d.rule == "F-SELECT" and _selector_stage(d.premises[0].conclusion.judgment.cls) >= 1 and mode != ZFC_PD:
-        raise CheckError("", f"axiom gate: F-SELECT beyond stage 0 requires mode {ZFC_PD}")
-    if d.rule == "S-WR" and _sigma_of(d.premises[0].conclusion.judgment.cls).level >= 2 and mode != ZFC_PD:
-        raise CheckError("", f"axiom gate: S-WR beyond level 1 requires mode {ZFC_PD}")
-    if d.rule == "P-UM":
-        try:
-            subject_cls = parse_class_token(d.conclusion.subject)
-        except ValueError:
-            raise CheckError("", "P-UM subject must be a class or level token") from None
-        if subject_cls.level >= 2 and mode != ZFC_PD:
-            raise CheckError("", f"axiom gate: P-UM beyond level 1 requires mode {ZFC_PD}")
 
 
 def check(d: Derivation, env: Env) -> None:
     """Raise CheckError unless every node re-derives and every leaf is declared.
 
-    One pass over the distinct nodes, each after its premises, in the order
+    One walk over the distinct nodes, each after its premises, in the order
     serialize writes their rows: each is checked once, by its rule's entry
-    in the rule table, against its premises' judgments.  The first node
-    that fails is reported at the path of its first visit in a depth-first
-    walk in premise order, spelled only then; each node's own checks raise
-    with a path relative to the node ("" or /premises/i), which is put
-    below that path.
+    in the rule table.  The first node that fails is reported at the path of
+    its first visit, spelled from the walk's live frames; each node's own
+    checks raise with a path relative to the node ("" or /premises/i), which
+    is put below that path.
     """
     mode = d.conclusion.mode
     try:
-        for n in _postorder(d):
+        for n, frames in _walk(d):
             if n.conclusion.mode != mode:
                 raise CheckError("", f"mode mismatch: {n.conclusion.mode} inside a {mode} derivation")
             _check_own(n, env)
     except CheckError as exc:
-        raise CheckError(_path_to(d, n) + exc.path, exc.reason) from None
+        raise CheckError(_path_of(frames) + exc.path, exc.reason) from None
 
 
-def _path_to(root: Derivation, target: Derivation) -> str:
-    """The /premises/i... path of target's first visit in a depth-first walk
-    from root in premise order, on a stack of [node, next premise] pairs."""
-    seen = {id(root)}
-    stack = [[root, 0]]
-    while stack[-1][0] is not target:
-        top = stack[-1]
-        n, i = top
-        if i == len(n.premises):
-            stack.pop()
-            continue
-        top[1] = i + 1
-        p = n.premises[i]
-        if id(p) not in seen:
-            seen.add(id(p))
-            stack.append([p, 0])
-    return "".join([f"/premises/{i - 1}" for _, i in stack[:-1]])
+def _path_of(frames: list) -> str:
+    """The /premises/i... path from the root to the top frame's node."""
+    return "".join([f"/premises/{i - 1}" for _, i in frames[:-1]])
 
 
 def _check_own(d: Derivation, env: Env) -> None:
     """The node's own checks, run once all of its premises have passed."""
-    level = d.conclusion.judgment.level
-    if level is not None and level > LEVEL_CAP:
-        raise CheckError("", f"level {level} exceeds cap {LEVEL_CAP}")
-    if d.rule == "DECL":
-        if d.premises:
-            raise CheckError("", "declaration leaves have no premises")
-        _check_leaf(d, env)
-    elif d.rule == "SCHED":
-        if d.premises:
-            raise CheckError("", "schedule leaves have no premises")
-        _check_sched(d)
-    elif d.rule == "P-UM":
-        if d.premises:
-            raise CheckError("", "P-UM nodes have no premises")
-        if d.conclusion.judgment.kind != "prop":
-            raise CheckError("", "P-UM concludes a proposition")
-        restated = f"universally measurable: {d.conclusion.subject}"
-        if d.conclusion.judgment.text != restated:
-            raise CheckError(
-                "",
-                f"proposition {d.conclusion.judgment.text!r} does not restate "
-                f"the subject; expected {restated!r}",
-            )
-        _check_gate(d)
+    j = d.conclusion.judgment
+    if j.level is not None and j.level > LEVEL_CAP:
+        raise CheckError("", f"level {j.level} exceeds cap {LEVEL_CAP}")
+    prem = d.premises
+    entry = _RULES.get(("S-BPRE", 1) if d.rule == "S-BPRE" and len(prem) == 1 else d.rule)
+    if entry is None:
+        raise CheckError("", f"unknown rule id {d.rule!r}")
+    kinds, conclude, gate = entry
+    if kinds is None:
+        args = (d, env)
     else:
-        try:
-            expected = _expected_judgment(d)
-        except LevelOverflowError as exc:
-            # premises at the cap: no engine run concludes this row
-            raise CheckError("", str(exc)) from None
-        if d.conclusion.judgment != expected:
-            raise CheckError(
-                "",
-                f"conclusion {d.conclusion.judgment.render()!r} does not match "
-                f"recomputed {expected.render()!r} for rule {d.rule}",
-            )
-        _check_gate(d)
+        if kinds[-1] == "*":
+            kinds = kinds[0] * len(prem)  # conclude() refuses none
+        elif len(prem) != len(kinds):
+            raise CheckError("", f"rule expects ({len(kinds)},) premises, got {len(prem)}")
+        args = []
+        for i, k in enumerate(kinds):
+            pj = prem[i].conclusion.judgment
+            if pj.kind != _KINDS[k]:
+                raise CheckError(f"/premises/{i}", f"expected a {_KINDS[k]} judgment")
+            args.append(pj.cls if k == "c" else pj.level)
+    try:
+        expected = conclude(*args)
+    except LevelOverflowError as exc:
+        # premises, or a P-UM subject, past the cap: no engine run concludes this row
+        raise CheckError("", str(exc)) from None
+    if j != expected:
+        raise CheckError(
+            "",
+            f"conclusion {j.render()!r} does not match recomputed {expected.render()!r} for rule {d.rule}",
+        )
+    if gate is not None and d.conclusion.mode != ZFC_PD:
+        words = gate(*args)
+        if words is not None:
+            raise CheckError("", f"axiom gate: {d.rule}{words} requires mode {ZFC_PD}")

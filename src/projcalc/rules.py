@@ -2,15 +2,13 @@
 
 Each rule id names one inference step; the cite string is a self-contained
 statement of the mathematical fact the step rests on.  The level
-arithmetic lives at each rule's node in the inference engine; the
-derivation checker deliberately keeps its own copy, so that an engine
-that gets a step wrong is caught on replay.
+arithmetic and the determinacy gates live at each rule's node in the
+inference engine; the derivation checker deliberately keeps its own copy
+of both, one table entry per rule id here, leaves included, so that an
+engine that gets a step wrong is caught on replay.
 """
 
 from __future__ import annotations
-
-# determinacy-gated rules: always, or conditionally (checked structurally)
-ALWAYS_GATED = frozenset({"F-INT", "F-EPS"})
 
 CITATIONS = {
     "DECL": "declared in the program environment",

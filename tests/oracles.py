@@ -20,6 +20,10 @@ second route to the same answers.
   serialize's node table;
 - .pjd rows: json.dumps of each row as a dict, not serialize's rows
   spelled out piece by piece;
+- derivation walks: the node order and the first-visit path of each node
+  as two separate walks, a stack of nodes for the order and a second walk
+  from the root for each path, not the checker's one walk that yields the
+  path with each node;
 - eps-selection levels: every class of the bands-and-branches construction
   joined step by step, not F-EPS's closed form;
 - finite-model evaluation: the three mutually recursive ladders (set
@@ -328,6 +332,46 @@ def reference_serialize(d) -> str:
         row_of[id(n)] = rows.setdefault(line, len(rows))
     mode = json.dumps(d.conclusion.mode, ensure_ascii=False)
     return f'{{"mode": {mode}, "nodes": [\n' + ",\n".join(rows) + '\n], "schema": "projcalc/3"}\n'
+
+
+def reference_postorder(d) -> list:
+    """The distinct nodes below d, d included, each after its premises, in
+    first post-order visit order, on an explicit stack."""
+    order = []
+    done: set[int] = set()
+    stack = [d]
+    while stack:
+        n = stack[-1]
+        if id(n) in done:
+            stack.pop()
+            continue
+        todo = [p for p in n.premises if id(p) not in done]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        done.add(id(n))
+        order.append(n)
+    return order
+
+
+def reference_path_to(root, target) -> str:
+    """The /premises/i... path of target's first visit in a depth-first walk
+    from root in premise order, on a stack of [node, next premise] pairs."""
+    seen = {id(root)}
+    stack = [[root, 0]]
+    while stack[-1][0] is not target:
+        top = stack[-1]
+        n, i = top
+        if i == len(n.premises):
+            stack.pop()
+            continue
+        top[1] = i + 1
+        p = n.premises[i]
+        if id(p) not in seen:
+            seen.add(id(p))
+            stack.append([p, 0])
+    return "".join([f"/premises/{i - 1}" for _, i in stack[:-1]])
 
 
 def reference_eps_level(p: int, c: PointClass) -> int:

@@ -457,6 +457,26 @@ def test_check_prints_a_shared_subject_the_program_spells(tmp_path, capsys):
     assert capsys.readouterr().out == f"ok: {expr} : class sigma 1 [ZFC]\n"
 
 
+PUM_PAST_THE_CAP = {"rule": "P-UM", "subject": "sigma 99999999",
+                    "judgment": "prop universally measurable: sigma 99999999"}
+OVERFLOW = "LevelOverflow: level 99999999 exceeds cap 65535"
+
+
+@pytest.mark.parametrize("mode,row,rc,out,err", [
+    # the P-UM subject is read in both modes: a failed check, not a crash
+    ("ZFC", PUM_PAST_THE_CAP, 1, f"check failed at /: {OVERFLOW}\n", ""),
+    ("ZFC_PD", PUM_PAST_THE_CAP, 1, f"check failed at /: {OVERFLOW}\n", ""),
+    ("ZFC", {"rule": "DECL", "subject": "A", "judgment": "class sigma 99999999"}, 2, "",
+     f"error: bad judgment at /nodes/0: {OVERFLOW}\n"),
+], ids=["pum-zfc", "pum-zfc-pd", "class-judgment"])
+def test_check_level_past_the_cap(mode, row, rc, out, err, gated, tmp_path, capsys):
+    bad = tmp_path / "bad.pjd"
+    bad.write_text(json.dumps({"mode": mode, "nodes": [dict(row, premises=[])], "schema": "projcalc/3"}),
+                   encoding="utf-8")
+    assert main(["check", str(bad), gated]) == rc
+    assert capsys.readouterr() == (out, err)
+
+
 def test_check_tampered_shared_row(tmp_path, capsys):
     program = tmp_path / "doubling.pjc"
     program.write_text(doubling_chain(4), encoding="utf-8")

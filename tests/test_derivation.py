@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -34,8 +35,15 @@ from projcalc.infer import (
 from projcalc.parser import parse
 from projcalc.formatter import format_expr, format_schedule
 from projcalc.pointclass import BoundedBy, Unbounded, delta, pi, sigma
+from projcalc.rules import CITATIONS
 
-from .oracles import reference_eps_level, reference_serialize, same_derivation
+from .oracles import (
+    reference_eps_level,
+    reference_path_to,
+    reference_postorder,
+    reference_serialize,
+    same_derivation,
+)
 from .progen import compl_nest, corpus, doubling_chain, linear_chain
 
 SRC = """\
@@ -238,6 +246,16 @@ def test_pum_subject_must_be_class_token(env):
     check(node("P-UM", (), "sigma 2", Judgment("prop", text="universally measurable: sigma 2"), ZFC_PD), env)
 
 
+@pytest.mark.parametrize("mode", [ZFC, ZFC_PD])
+def test_pum_subject_past_the_cap_fails_the_check(env, mode):
+    # the subject is read in both modes, so both refuse it as a row, not a crash
+    claim = Judgment("prop", text="universally measurable: sigma 99999999")
+    past = node("P-UM", (), "sigma 99999999", claim, mode)
+    with pytest.raises(CheckError) as exc:
+        check(past, env)
+    assert (exc.value.path, exc.value.reason) == ("", "LevelOverflow: level 99999999 exceeds cap 65535")
+
+
 def _row(rule="DECL", premises=(), subject="A", judgment="class sigma 1"):
     return {"rule": rule, "premises": list(premises), "subject": subject, "judgment": judgment}
 
@@ -302,6 +320,8 @@ BAD_DOCUMENTS = [
                                 "judgment": "class pi 1"}), "unsupported schema None"),
     ("nested too deeply", "[" * 200_000, "nested too deeply"),
     ("huge premise id", GOOD_DOCUMENT.replace("[0]", "[" + "9" * 5000 + "]"), "an integer has too many digits"),
+    ("class past the cap", _doc(_row(judgment="class sigma 99999999"), COMPL_A),
+     "^bad judgment at /nodes/0: LevelOverflow: level 99999999 exceeds cap 65535$"),
 ]
 
 
@@ -378,20 +398,70 @@ def test_same_derivation_sees_a_deep_difference():
 def test_check_recomputes_each_row_once(monkeypatch):
     _, chain_env = parse(doubling_chain(12))
     text = serialize(infer_set(ast.NamedSet("A12"), chain_env, ZFC)[1])
-    inner_rows = sum(1 for row in json.loads(text)["nodes"] if row["premises"])
+    rows = json.loads(text)["nodes"]
+    inner_rows = sum(1 for row in rows if row["premises"])
     calls = []
-    original = derivation._expected_judgment
+    original = derivation._check_own
 
-    def counting(d):
+    def counting(d, env):
         calls.append(d)
-        return original(d)
+        return original(d, env)
 
-    monkeypatch.setattr(derivation, "_expected_judgment", counting)
+    monkeypatch.setattr(derivation, "_check_own", counting)
     check(deserialize(text), chain_env)
-    assert len(calls) == inner_rows == 2 * 12
+    inner = [d for d in calls if d.premises]
+    assert len(calls) == len({id(d) for d in calls}) == len(rows)
+    assert len(inner) == inner_rows == 2 * 12
     calls.clear()
     check(infer_set(ast.NamedSet("A12"), chain_env, ZFC)[1], chain_env)
-    assert len(calls) == inner_rows
+    inner = [d for d in calls if d.premises]
+    assert len(inner) == len({id(d) for d in inner}) == inner_rows
+
+
+def _random_dag(rng: random.Random) -> Derivation:
+    """A root over up to 14 nodes, each naming up to three earlier ones,
+    with shared and repeated premises."""
+    built: list[Derivation] = []
+    for i in range(rng.randint(1, 14)):
+        k = rng.randint(0, min(3, len(built)))
+        kids = tuple(rng.choice(built) for _ in range(k))
+        built.append(Derivation("S-CU", "", kids, Conclusion(str(i), Judgment("prop", text=""), ZFC)))
+    return built[-1]
+
+
+def test_walk_matches_reference_order_and_paths():
+    # one walk gives the row order and, at each node, its first-visit path
+    shared = 0
+    for seed in range(400):
+        root = _random_dag(random.Random(seed))
+        walked = [(n, derivation._path_of(frames)) for n, frames in derivation._walk(root)]
+        assert [n for n, _ in walked] == reference_postorder(root)
+        assert [path for _, path in walked] == [reference_path_to(root, n) for n, _ in walked]
+        edges = [id(p) for n, _ in walked for p in n.premises]
+        shared += len(edges) > len(set(edges))
+    assert shared > 50
+
+
+def test_check_walks_once_even_on_failure(monkeypatch, env):
+    walks = []
+    original = derivation._walk
+
+    def counting(d):
+        walks.append(d)
+        return original(d)
+
+    monkeypatch.setattr(derivation, "_walk", counting)
+    leaf = node("DECL", (), "A", Judgment("class", cls=sigma(1)), ZFC)
+    bad = node("S-COMPL", (leaf,), "compl(#0)", Judgment("class", cls=sigma(1)), ZFC)
+    with pytest.raises(CheckError) as exc:
+        check(node("S-CU", (leaf, bad), "union(#0, #1)", Judgment("class", cls=sigma(1)), ZFC), env)
+    assert exc.value.path == "/premises/1"
+    assert len(walks) == 1
+
+
+def test_rule_table_covers_every_rule():
+    assert {k for k in derivation._RULES if isinstance(k, str)} == set(CITATIONS)
+    assert derivation.LEAF_RULES == {"DECL", "SCHED", "P-UM"}
 
 
 def test_deserialize_parses_each_judgment_text_once(monkeypatch):

@@ -69,9 +69,10 @@ def test_unused_import_is_flagged():
     assert unused_imports(source) == [(2, "os"), (3, "signature")]
 
 
-# the modules that walk set and function expressions and space values, and
-# the game solver, whose levels, codes and target rewrite are loops too
-WALKERS = ("ast", "parser", "sema", "infer", "formatter", "games")
+# the modules that walk set and function expressions and space values, the
+# game solver, whose levels, codes and target rewrite are loops too, and the
+# derivation checker, whose one walk 100000-deep compl nests go through
+WALKERS = ("ast", "parser", "sema", "infer", "formatter", "games", "derivation")
 
 
 def recursive_functions(source: str) -> list[str]:
