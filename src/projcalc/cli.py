@@ -9,14 +9,16 @@ program formatting).
 derivation it emits against the same program.  So the last program loaded
 keeps its parse and bind: a command on identical program text reuses
 them, while any other text, an edited file included, is read afresh.
-Every check still replays every row of its derivation.
+``check`` reads a derivation as one table of rows, with no Derivation
+objects, and checks every row in file order, each distinct rule step once.
 
 A command returns its verdict, 0 or 1, and raises on anything else;
 ``main`` alone turns a package error into ``error: ...`` on stderr and an
 exit code: 3 for the game solver's node budget (expressions and space
 values nest as deep as memory allows, so no other limit exists), 2 for
-every other error.  JSON reports never include timing, so identical inputs
-give byte-identical output; the human-readable variants print elapsed time.
+every other error, a full or closed stdout included.  JSON reports never
+include timing, so identical inputs give byte-identical output; the
+human-readable variants print elapsed time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ import time
 from itertools import islice
 from pathlib import Path
 
-from .derivation import ZFC, ZFC_PD, check, deserialize, expand, serialize
+from .derivation import ZFC, ZFC_PD, check, expand, read_table, serialize
+# deserialize is looked up on this module by bench/tracing.py
+from .derivation import deserialize  # noqa: F401
 from .errors import VERDICT_ERRORS, CheckError, FormatError, ProjcalcError, ResourceLimitError
 from .formatter import format_program
 from .games import loads_game, solve
@@ -148,9 +152,9 @@ def cmd_infer(args) -> int:
 def cmd_check(args) -> int:
     program, env = _load_program(args.program)
     text = _read(args.derivation)
-    d = deserialize(text)
+    rows = read_table(text)
     try:
-        check(d, env)
+        check(rows, env)
     except CheckError as exc:
         print(f"check failed at {exc.path or '/'}: {exc.reason}")
         return 1
@@ -159,12 +163,12 @@ def cmd_check(args) -> int:
     # the document or, where equal rows were merged, the program's canonical
     # text; a longer one comes from rows that name their premises over and
     # over, and could take time and memory exponential in the document's size.
-    subject = expand(d, len(text))
+    subject = expand(rows, len(text))
     if subject is None:
-        subject = expand(d, len(format_program(program)))
+        subject = expand(rows, len(format_program(program)))
     if subject is None:
         raise FormatError("the derivation's subject is longer than the program's own text")
-    print(f"ok: {subject} : {d.conclusion.judgment.render()} [{d.conclusion.mode}]")
+    print(f"ok: {subject} : {rows.judgments[-1].render()} [{rows.mode}]")
     return 0
 
 
@@ -301,17 +305,45 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _flush() -> None:
+    if sys.stdout is not None:  # None in a process started with fd 1 closed
+        sys.stdout.flush()
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.run(args)
+        verdict = args.run(args)
+        _flush()  # a full or closed stdout fails here at the latest
+        return verdict
     except ResourceLimitError as exc:
         _fail(str(exc))
         return 3
     except ProjcalcError as exc:  # every other package error: malformed input
         _fail(str(exc))
         return 2
+    except OSError as exc:  # the commands turn every file error of theirs into a FormatError
+        _fail(f"cannot write stdout: {exc.strerror or exc}")
+        return 2
+
+
+def script() -> int:
+    """``main`` as a process: the ``projcalc`` script and ``python -m projcalc.cli``.
+
+    On a closed or full stdout, which ``main`` has reported, fd 1 is pointed
+    at /dev/null, as the Python docs' note on SIGPIPE does, so that the
+    interpreter's last flush of the text still held prints nothing more.
+    """
+    try:
+        return main()
+    finally:
+        try:
+            _flush()
+        except OSError:
+            import os
+
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(script())

@@ -5,14 +5,14 @@ a rendered judgment (subject, class or level, axiom mode).  Premises may be
 shared, so a derivation is a DAG of node objects.  A node's subject spells
 only its own constructor and points at its subexpressions' premises with
 #i.j... paths, so a derivation's text is linear in its size; expand()
-writes a subject out in full.  check() makes one walk over the distinct
-nodes, premises first, in the order of the file's rows, and checks each
-by its rule's entry in one rule table, its own copy of the rule
-arithmetic and the determinacy gates: one entry per rule id, leaves
-included.  It shares the lattice primitives and the parser with the
+writes a subject out in full.  check() takes a table's rows in order, as
+read_table() reads a file, and checks each by its rule's entry in one rule
+table, its own copy of the rule arithmetic and the determinacy gates:
+each leaf against the program, any other step once per distinct rule and
+judgments.  It shares the lattice primitives and the parser with the
 engine but none of the engine's rule-application code, so an engine that
-emits a wrong level is caught here.  A failing node's path is spelled
-only then, from the same walk's live frames.
+emits a wrong level is caught here.  Only a failure walks the table from
+the root, to name the failing row's path.
 """
 
 from __future__ import annotations
@@ -108,22 +108,22 @@ SCHEMA = "projcalc/3"
 _REF = re.compile(r"#(\d+(?:\.\d+)*)")
 
 
-def _walk(d: Derivation):
-    """Each distinct node below d, d included, after its premises, in first
-    post-order visit order, on an explicit stack of [node, next premise]
-    frames.  A node is marked when first reached and yielded with the live
-    frames, whose next-premise counts spell the path of that first visit."""
-    seen = {id(d)}
-    frames = [[d, 0]]
+def _walk(root, premises_of=lambda n: n.premises):
+    """Each distinct node (a Derivation or a row id) below root, root included,
+    after its premises, in first post-order visit order, on a stack of [node,
+    premises, next premise] frames.  A node is marked when first reached and
+    yielded with the live frames, which spell the path of that first visit."""
+    seen = {root}
+    frames = [[root, premises_of(root), 0]]
     while frames:
         top = frames[-1]
-        n, i = top
-        if i < len(n.premises):
-            top[1] = i + 1
-            p = n.premises[i]
-            if id(p) not in seen:
-                seen.add(id(p))
-                frames.append([p, 0])
+        n, premises, i = top
+        if i < len(premises):
+            top[2] = i + 1
+            p = premises[i]
+            if p not in seen:
+                seen.add(p)
+                frames.append([p, premises_of(p), 0])
         else:
             yield n, frames
             frames.pop()
@@ -138,68 +138,35 @@ def serialize(d: Derivation) -> str:
     """
     mode = d.conclusion.mode
     rows: dict[str, int] = {}  # rendered row -> row id
-    row_of: dict[int, int] = {}  # id(node) -> row id
+    row_of: dict[Derivation, int] = {}  # node -> row id
     for n, _ in _walk(d):
         c = n.conclusion
         if c.mode != mode:
             raise ValueError(f"a {c.mode} node inside a {mode} derivation")
         # the row json.dumps(..., sort_keys=True, ensure_ascii=False) would
         # write, spelled out: keys in sorted order, default separators
-        premises = ", ".join([str(row_of[id(p)]) for p in n.premises])
+        premises = ", ".join([str(row_of[p]) for p in n.premises])
         line = (
             f'{{"judgment": {_str(c.judgment.render())}, "premises": [{premises}], '
             f'"rule": {_str(n.rule)}, "subject": {_str(c.subject)}}}'
         )
-        row_of[id(n)] = rows.setdefault(line, len(rows))
+        row_of[n] = rows.setdefault(line, len(rows))
     return f'{{"mode": {_str(mode)}, "nodes": [\n' + ",\n".join(rows) + f'\n], "schema": "{SCHEMA}"}}\n'
 
 
-def _from_row(
-    obj, where: str, built: list[Derivation], mode: str, judgments: dict[str, Judgment]
-) -> tuple[Derivation, list[int]]:
-    if not isinstance(obj, dict):
-        raise FormatError(f"derivation row {where} is not an object")
-    try:
-        rule = obj["rule"]
-        premises = obj["premises"]
-        subject = obj["subject"]
-        judgment = obj["judgment"]
-    except KeyError as exc:
-        raise FormatError(f"missing field {exc} at {where}") from None
-    if not (isinstance(rule, str) and isinstance(premises, list) and isinstance(subject, str)):
-        raise FormatError(f"bad field types at {where}")
-    try:
-        parsed = judgments[judgment]
-    except (KeyError, TypeError):  # a text not read yet, or not a string at all
-        try:
-            parsed = judgments[judgment] = Judgment.parse(judgment)
-        except (ValueError, TypeError, AttributeError, LevelOverflowError) as exc:
-            raise FormatError(f"bad judgment at {where}: {exc}") from None
-    for p in premises:
-        # bool is an int subclass; only genuine ints name rows
-        if type(p) is not int or not 0 <= p < len(built):
-            raise FormatError(f"premise {p!r} at {where} does not name an earlier row")
-    kids = tuple(built[p] for p in premises)
-    d = Derivation(rule, CITATIONS.get(rule, ""), kids, Conclusion(subject, parsed, mode))
-    if rule not in LEAF_RULES and "#" in subject:
-        for path in _REF.findall(subject):
-            if _follow(d, path) is None:
-                raise FormatError(f"#{path} at {where} names no premise")
-    return d, premises
+class RowTable:
+    """Rows as columns, root last: rule, premise row ids, subject, judgment
+    (from read_table, one object per distinct text), and a Derivation's modes."""
+
+    __slots__ = ("mode", "rules", "premises", "subjects", "judgments", "modes")
+
+    def __init__(self, mode: str, rules: list, premises: list, subjects: list, judgments: list, modes=None):
+        self.mode, self.rules, self.premises, self.modes = mode, rules, premises, modes
+        self.subjects, self.judgments = subjects, judgments
 
 
-def _follow(d: Derivation, path: str) -> Derivation | None:
-    """The node the path i.j... reaches from d through premises, if any."""
-    for step in path.split("."):
-        # a step too long to be an index names no premise either
-        i = int(step) if len(step) < 10 else len(d.premises)
-        if i >= len(d.premises):
-            return None
-        d = d.premises[i]
-    return d
-
-
-def deserialize(text: str) -> Derivation:
+def read_table(text: str) -> RowTable:
+    """A .pjd document's rows, each validated as it is read, all reached from the root."""
     doc = read_json(text)
     if not isinstance(doc, dict):
         raise FormatError("derivation document is not an object")
@@ -211,63 +178,109 @@ def deserialize(text: str) -> Derivation:
     table = doc.get("nodes")
     if not isinstance(table, list) or not table:
         raise FormatError("derivation document needs a non-empty 'nodes' list")
-    built: list[Derivation] = []
-    premise_ids: list[list[int]] = []
-    judgments: dict[str, Judgment] = {}  # a file holds few distinct judgments
-    for i, obj in enumerate(table):
-        d, ids = _from_row(obj, f"/nodes/{i}", built, mode, judgments)
-        built.append(d)
-        premise_ids.append(ids)
-    # later rows name earlier ones only, so one backward sweep finds every
-    # row the root reaches
-    reached = [False] * len(built)
-    reached[-1] = True
-    for i in range(len(built) - 1, -1, -1):
+    rules, premises, subjects, judgments = [], [], [], []
+    parsed: dict[str, Judgment] = {}  # a file holds few distinct judgments
+    for i, row in enumerate(table):
+        if not isinstance(row, dict):
+            raise FormatError(f"derivation row /nodes/{i} is not an object")
+        try:
+            rule, prem, subject, judgment = row["rule"], row["premises"], row["subject"], row["judgment"]
+        except KeyError as exc:
+            raise FormatError(f"missing field {exc} at /nodes/{i}") from None
+        if not (isinstance(rule, str) and isinstance(prem, list) and isinstance(subject, str)):
+            raise FormatError(f"bad field types at /nodes/{i}")
+        try:
+            j = parsed[judgment]
+        except (KeyError, TypeError):  # a text not read yet, or not a string at all
+            try:
+                j = parsed[judgment] = Judgment.parse(judgment)
+            except (ValueError, TypeError, AttributeError, LevelOverflowError) as exc:
+                raise FormatError(f"bad judgment at /nodes/{i}: {exc}") from None
+        for p in prem:
+            # bool is an int subclass; only genuine ints name rows
+            if type(p) is not int or not 0 <= p < i:
+                raise FormatError(f"premise {p!r} at /nodes/{i} does not name an earlier row")
+        rules.append(rule)
+        premises.append(prem)
+        subjects.append(subject)
+        judgments.append(j)
+        if "#" in subject and rule not in LEAF_RULES:
+            for path in _REF.findall(subject):
+                if _follow(premises, i, path) is None:
+                    raise FormatError(f"#{path} at /nodes/{i} names no premise")
+    # rows name earlier rows only, so one backward sweep finds all the root reaches
+    reached = [False] * (len(table) - 1) + [True]
+    for i in range(len(table) - 1, -1, -1):
         if not reached[i]:
             raise FormatError(f"row /nodes/{i} is not reachable from the root")
-        for p in premise_ids[i]:
+        for p in premises[i]:
             reached[p] = True
+    return RowTable(mode, rules, premises, subjects, judgments)
+
+
+def _follow(premises: list, i: int, path: str) -> int | None:
+    """The row the path i.j... reaches from row i through premises, if any."""
+    for step in path.split("."):
+        ids = premises[i]
+        k = int(step) if len(step) < 10 else len(ids)  # a longer step names no premise either
+        if k >= len(ids):
+            return None
+        i = ids[k]
+    return i
+
+
+def deserialize(text: str) -> Derivation:
+    """A .pjd document's root as Derivation objects, one per row."""
+    t = read_table(text)
+    built: list[Derivation] = []
+    for rule, ids, subject, j in zip(t.rules, t.premises, t.subjects, t.judgments):
+        kids = tuple([built[p] for p in ids])
+        built.append(Derivation(rule, CITATIONS.get(rule, ""), kids, Conclusion(subject, j, t.mode)))
     return built[-1]
 
 
-def _subject_pieces(d: Derivation) -> list:
-    """d's subject as text and, for each #path in it, the node it names
-    (a path that names none, which no file that loads has, stays text)."""
-    if "#" not in d.conclusion.subject or d.rule in LEAF_RULES:
-        return [d.conclusion.subject]
-    parts = _REF.split(d.conclusion.subject)
-    for i in range(1, len(parts), 2):
-        parts[i] = _follow(d, parts[i]) or f"#{parts[i]}"
-    return parts
+def _table_of(d: Derivation | RowTable) -> RowTable:
+    """d's rows; a Derivation's are its distinct nodes in serialize's order."""
+    if isinstance(d, RowTable):
+        return d
+    row_of = {n: i for i, (n, _) in enumerate(_walk(d))}
+    return RowTable(
+        d.conclusion.mode, [n.rule for n in row_of], [[row_of[p] for p in n.premises] for n in row_of],
+        [n.conclusion.subject for n in row_of], [n.conclusion.judgment for n in row_of],
+        [n.conclusion.mode for n in row_of],
+    )
 
 
 class _PastLimit(Exception):
     pass
 
 
-def expand(d: Derivation, limit: int | None = None) -> str | None:
-    """The full text of d's subject, each #path replaced by the full text of
-    the subject it names, in one pass at any depth.
+def expand(d: Derivation | RowTable, limit: int | None = None) -> str | None:
+    """The root's subject in full, each #path replaced by the full text of
+    the subject it names, if any, in one pass at any depth.
 
     Rows that each name the row before twice expand to text exponential in
-    the table's size, so a table read from outside should come with a
-    limit: each node written costs its own characters, and at least one,
-    and past the limit the answer is None, after work linear in the limit.
-    """
-    if limit is None:
-        return write((d,), _subject_pieces)
-    left = limit
+    the table's size, so a table read from outside should come with a limit:
+    each row written costs its own characters, and at least one, and past
+    the limit the answer is None, after work linear in the limit."""
+    t = _table_of(d)
+    left = float("inf") if limit is None else limit
 
-    def pieces_of(n: Derivation) -> list:
+    def pieces_of(i: int) -> list:
         nonlocal left
-        parts = _subject_pieces(n)
+        parts = [t.subjects[i]]
+        if "#" in parts[0] and t.rules[i] not in LEAF_RULES:
+            parts = _REF.split(parts[0])
+            for k in range(1, len(parts), 2):
+                row = _follow(t.premises, i, parts[k])
+                parts[k] = f"#{parts[k]}" if row is None else row
         left -= max(1, sum([len(p) for p in parts if type(p) is str]))
         if left < 0:
             raise _PastLimit
         return parts
 
     try:
-        return write((d,), pieces_of)
+        return write((len(t.rules) - 1,), pieces_of)
     except _PastLimit:
         return None
 
@@ -307,11 +320,9 @@ def _selector_stage(c: PointClass) -> int:
     return m
 
 
-def _declared(d: Derivation, env: Env) -> Judgment:
-    if d.premises:
+def _declared(premises: list, name: str, j: Judgment, env: Env) -> Judgment:
+    if premises:
         raise CheckError("", "declaration leaves have no premises")
-    name = d.conclusion.subject
-    j = d.conclusion.judgment
     if j.kind == "class":
         if name not in env.sets or env.sets[name].cls is None:
             raise CheckError("", f"no declared set named {name!r}")
@@ -331,10 +342,9 @@ def _declared(d: Derivation, env: Env) -> Judgment:
     raise CheckError("", "declaration leaves carry class or level judgments")
 
 
-def _scheduled(d: Derivation, env: Env) -> Judgment:
-    if d.premises:
+def _scheduled(premises: list, subject: str, j: Judgment, env: Env) -> Judgment:
+    if premises:
         raise CheckError("", "schedule leaves have no premises")
-    subject = d.conclusion.subject
     if not subject.startswith("levels "):
         raise CheckError("", "schedule leaf subject must start with 'levels '")
     try:
@@ -345,29 +355,28 @@ def _scheduled(d: Derivation, env: Env) -> Judgment:
         bound = schedule_bound(sched)
     except Exception:
         raise CheckError("", "unbounded schedule cannot conclude a class") from None
-    if d.conclusion.judgment != class_judgment(bound):
-        raise CheckError("", f"schedule bound is {bound}, not {d.conclusion.judgment.render()}")
-    return d.conclusion.judgment
+    if j != class_judgment(bound):
+        raise CheckError("", f"schedule bound is {bound}, not {j.render()}")
+    return j
 
 
-def _measurable(d: Derivation, env: Env) -> Judgment:
-    if d.premises:
+def _measurable(premises: list, subject: str, j: Judgment, env: Env) -> Judgment:
+    if premises:
         raise CheckError("", "P-UM nodes have no premises")
-    j = d.conclusion.judgment
     if j.kind != "prop":
         raise CheckError("", "P-UM concludes a proposition")
-    restated = f"universally measurable: {d.conclusion.subject}"
+    restated = f"universally measurable: {subject}"
     if j.text != restated:
         raise CheckError(
             "", f"proposition {j.text!r} does not restate the subject; expected {restated!r}"
         )
-    _um_subject(d)  # read in either mode; a level past the cap raises here
+    _um_subject(subject)  # read in either mode; a level past the cap raises here
     return j
 
 
-def _um_subject(d: Derivation) -> PointClass:
+def _um_subject(subject: str) -> PointClass:
     try:
-        return parse_class_token(d.conclusion.subject)
+        return parse_class_token(subject)
     except ValueError:
         raise CheckError("", "P-UM subject must be a class or level token") from None
 
@@ -444,7 +453,8 @@ def _eps_selection(p: int, c: PointClass) -> Judgment:
 # for one or more of that kind; the conclusion is computed from the
 # premises' classes and levels, in premise order.  A one-premise S-BPRE, a
 # section, is the entry under ("S-BPRE", 1).  A leaf's kinds are None: its
-# conclusion is read off the row and the program, (d, env), and its entry
+# conclusion is read off the row and the program, (premise ids, subject,
+# judgment, env), and its entry
 # raises its own reason when they disagree.  The gate, asked outside ZFC_PD
 # only and with the same arguments, returns None when the step stands
 # without determinacy, else the words that follow the rule id in the
@@ -452,7 +462,7 @@ def _eps_selection(p: int, c: PointClass) -> Judgment:
 _RULES = {
     "DECL": (None, _declared, None),
     "SCHED": (None, _scheduled, None),
-    "P-UM": (None, _measurable, lambda d, env: " beyond level 1" if _um_subject(d).level >= 2 else None),
+    "P-UM": (None, _measurable, lambda p, s, j, env: " beyond level 1" if _um_subject(s).level >= 2 else None),
     "S-COMPL": ("c", _complement, None),
     "S-CU": ("c*", _countable, None),
     "S-CI": ("c*", _countable, None),
@@ -496,54 +506,63 @@ LEAF_RULES = frozenset([rule for rule, (kinds, _, _) in _RULES.items() if kinds 
 _KINDS = {"c": "class", "l": "level"}
 
 
-def check(d: Derivation, env: Env) -> None:
-    """Raise CheckError unless every node re-derives and every leaf is declared.
+def check(d: Derivation | RowTable, env: Env) -> None:
+    """Raise CheckError unless every row re-derives and every leaf is declared.
 
-    One walk over the distinct nodes, each after its premises, in the order
-    serialize writes their rows: each is checked once, by its rule's entry
-    in the rule table.  The first node that fails is reported at the path of
-    its first visit, spelled from the walk's live frames; each node's own
-    checks raise with a path relative to the node ("" or /premises/i), which
-    is put below that path.
-    """
-    mode = d.conclusion.mode
+    The rows are checked in table order, each step once: a step is a leaf
+    row, or a rule over a row's own and its premises' judgments.  If one
+    fails, a walk from the root checks the rows afresh in first post-order
+    visit order and reports the first to fail at the path of its first
+    visit, with the path its own checks raise ("" or /premises/i) below."""
+    t = _table_of(d)
+    judgments, premises = t.judgments, t.premises
+    each_row = LEAF_RULES if t.modes is None else _RULES  # steps hold no mode; a Derivation's rows do
+    passed = set()  # the steps that passed: leaf row ids, and (rule, judgment ids...)
     try:
-        for n, frames in _walk(d):
-            if n.conclusion.mode != mode:
-                raise CheckError("", f"mode mismatch: {n.conclusion.mode} inside a {mode} derivation")
-            _check_own(n, env)
-    except CheckError as exc:
-        raise CheckError(_path_of(frames) + exc.path, exc.reason) from None
+        for i, rule in enumerate(t.rules):
+            step = i if rule in each_row else (rule, id(judgments[i]), *[id(judgments[p]) for p in premises[i]])
+            if step not in passed:
+                _check_row(t, i, env)
+                passed.add(step)
+        return
+    except CheckError:
+        pass
+    for i, frames in _walk(len(t.rules) - 1, premises.__getitem__):
+        try:
+            _check_row(t, i, env)
+        except CheckError as exc:
+            raise CheckError(_path_of(frames) + exc.path, exc.reason) from None
 
 
 def _path_of(frames: list) -> str:
     """The /premises/i... path from the root to the top frame's node."""
-    return "".join([f"/premises/{i - 1}" for _, i in frames[:-1]])
+    return "".join([f"/premises/{i - 1}" for _, _, i in frames[:-1]])
 
 
-def _check_own(d: Derivation, env: Env) -> None:
-    """The node's own checks, run once all of its premises have passed."""
-    j = d.conclusion.judgment
+def _check_row(t: RowTable, i: int, env: Env) -> None:
+    """Row i's own checks, against its premises' judgments."""
+    rule, prem, j = t.rules[i], t.premises[i], t.judgments[i]
+    if t.modes is not None and t.modes[i] != t.mode:
+        raise CheckError("", f"mode mismatch: {t.modes[i]} inside a {t.mode} derivation")
     if j.level is not None and j.level > LEVEL_CAP:
         raise CheckError("", f"level {j.level} exceeds cap {LEVEL_CAP}")
-    prem = d.premises
-    entry = _RULES.get(("S-BPRE", 1) if d.rule == "S-BPRE" and len(prem) == 1 else d.rule)
+    entry = _RULES.get(("S-BPRE", 1) if rule == "S-BPRE" and len(prem) == 1 else rule)
     if entry is None:
-        raise CheckError("", f"unknown rule id {d.rule!r}")
+        raise CheckError("", f"unknown rule id {rule!r}")
     kinds, conclude, gate = entry
     if kinds is None:
-        args = (d, env)
+        args = (prem, t.subjects[i], j, env)
     else:
         if kinds[-1] == "*":
             kinds = kinds[0] * len(prem)  # conclude() refuses none
         elif len(prem) != len(kinds):
             raise CheckError("", f"rule expects ({len(kinds)},) premises, got {len(prem)}")
         args = []
-        for i, k in enumerate(kinds):
-            pj = prem[i].conclusion.judgment
-            if pj.kind != _KINDS[k]:
-                raise CheckError(f"/premises/{i}", f"expected a {_KINDS[k]} judgment")
-            args.append(pj.cls if k == "c" else pj.level)
+        for k, kind in enumerate(kinds):
+            pj = t.judgments[prem[k]]
+            if pj.kind != _KINDS[kind]:
+                raise CheckError(f"/premises/{k}", f"expected a {_KINDS[kind]} judgment")
+            args.append(pj.cls if kind == "c" else pj.level)
     try:
         expected = conclude(*args)
     except LevelOverflowError as exc:
@@ -552,9 +571,9 @@ def _check_own(d: Derivation, env: Env) -> None:
     if j != expected:
         raise CheckError(
             "",
-            f"conclusion {j.render()!r} does not match recomputed {expected.render()!r} for rule {d.rule}",
+            f"conclusion {j.render()!r} does not match recomputed {expected.render()!r} for rule {rule}",
         )
-    if gate is not None and d.conclusion.mode != ZFC_PD:
+    if gate is not None and t.mode != ZFC_PD:
         words = gate(*args)
         if words is not None:
-            raise CheckError("", f"axiom gate: {d.rule}{words} requires mode {ZFC_PD}")
+            raise CheckError("", f"axiom gate: {rule}{words} requires mode {ZFC_PD}")

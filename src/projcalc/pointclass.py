@@ -47,7 +47,7 @@ class PointClass:
             raise LevelOverflowError(self.level, LEVEL_CAP)
 
     def __str__(self) -> str:
-        return f"{self.kind} {self.level}"
+        return f"{self.kind.value} {self.level}"
 
 
 def sigma(n: int) -> PointClass:

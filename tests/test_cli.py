@@ -668,6 +668,42 @@ def test_huge_horizon_game_exits_three_fast(target, tmp_path):
     assert elapsed < 1.0
 
 
+def _cli_to(stdout, argv):
+    """A fresh ``python -m projcalc.cli`` run whose stdout is the given file descriptor."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "projcalc.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_a_full_stdout_is_one_error_line(program):
+    # at the interpreter's exit the text still held goes to /dev/null, not
+    # into a second error
+    with open("/dev/full", "w") as full:
+        run = _cli_to(full, ["infer", program, "--json"])
+    assert (run.returncode, run.stderr) == (2, "error: cannot write stdout: No space left on device\n")
+
+
+def test_a_closed_stdout_is_one_error_line():
+    # the reader of the pipe is gone before the first write, as with
+    # ``projcalc game ... --json | head -c 10`` once head has its bytes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = _cli_to(write_end, ["game", str(ROOT / "demos" / "games" / "parity.pjg"), "--json"])
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (2, "error: cannot write stdout: Broken pipe\n")
+
+
+def test_the_console_script_is_the_process_boundary():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'projcalc = "projcalc.cli:script"' in text and callable(cli.script)
+
+
 def _seeded_games(seed: int = 24) -> list[tuple[str, FiniteGame]]:
     """Games a size past the corpus's, with k = 2, 3 and 4 and an expression target."""
     rng = random.Random(seed)

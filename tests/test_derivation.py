@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -395,27 +396,47 @@ def test_same_derivation_sees_a_deep_difference():
     assert not same_derivation(d, deserialize(json.dumps(doc)))
 
 
-def test_check_recomputes_each_row_once(monkeypatch):
+def _counting(monkeypatch, name):
+    """The arguments of every call to derivation.<name> from now on."""
+    calls = []
+    original = getattr(derivation, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(derivation, name, counting)
+    return calls
+
+
+def test_check_works_out_each_step_once(monkeypatch):
+    # A12's 25 rows hold 4 distinct steps and one leaf: 5 row checks, and
+    # a file that passes is never walked
     _, chain_env = parse(doubling_chain(12))
     text = serialize(infer_set(ast.NamedSet("A12"), chain_env, ZFC)[1])
     rows = json.loads(text)["nodes"]
-    inner_rows = sum(1 for row in rows if row["premises"])
-    calls = []
-    original = derivation._check_own
+    steps = {(r["rule"], r["judgment"], *[rows[p]["judgment"] for p in r["premises"]]) for r in rows if r["premises"]}
+    leaves = [i for i, r in enumerate(rows) if not r["premises"]]
+    table = derivation.read_table(text)
+    checked = _counting(monkeypatch, "_check_row")
+    walks = _counting(monkeypatch, "_walk")
+    check(table, chain_env)
+    assert (len(rows), len(steps), len(leaves), len(checked)) == (25, 4, 1, 5)
+    assert [i for _, i, _ in checked if i in leaves] == leaves
+    checked_steps = [(rows[i]["rule"], rows[i]["judgment"], *[rows[p]["judgment"] for p in rows[i]["premises"]])
+                     for _, i, _ in checked if i not in leaves]
+    assert sorted(checked_steps) == sorted(steps)
+    assert walks == []
 
-    def counting(d, env):
-        calls.append(d)
-        return original(d, env)
 
-    monkeypatch.setattr(derivation, "_check_own", counting)
-    check(deserialize(text), chain_env)
-    inner = [d for d in calls if d.premises]
-    assert len(calls) == len({id(d) for d in calls}) == len(rows)
-    assert len(inner) == inner_rows == 2 * 12
-    calls.clear()
-    check(infer_set(ast.NamedSet("A12"), chain_env, ZFC)[1], chain_env)
-    inner = [d for d in calls if d.premises]
-    assert len(inner) == len({id(d) for d in inner}) == inner_rows
+def test_check_checks_every_leaf_row():
+    # a leaf is checked against the program on each of its rows: a second
+    # DECL row of equal judgment but another name is not taken as checked
+    text = _doc(DECL_A, _row(subject="Z"), _row("S-CU", [0, 1], "union(A, Z)", "class sigma 1"))
+    _, prog_env = parse(SRC)
+    with pytest.raises(CheckError) as exc:
+        check(derivation.read_table(text), prog_env)
+    assert (exc.value.path, exc.value.reason) == ("/premises/1", "no declared set named 'Z'")
 
 
 def _random_dag(rng: random.Random) -> Derivation:
@@ -442,21 +463,16 @@ def test_walk_matches_reference_order_and_paths():
     assert shared > 50
 
 
-def test_check_walks_once_even_on_failure(monkeypatch, env):
-    walks = []
-    original = derivation._walk
-
-    def counting(d):
-        walks.append(d)
-        return original(d)
-
-    monkeypatch.setattr(derivation, "_walk", counting)
+def test_check_walks_the_row_ids_once_on_failure(monkeypatch, env):
     leaf = node("DECL", (), "A", Judgment("class", cls=sigma(1)), ZFC)
     bad = node("S-COMPL", (leaf,), "compl(#0)", Judgment("class", cls=sigma(1)), ZFC)
+    root = node("S-CU", (leaf, bad), "union(#0, #1)", Judgment("class", cls=sigma(1)), ZFC)
+    table = derivation.read_table(serialize(root))
+    walks = _counting(monkeypatch, "_walk")
     with pytest.raises(CheckError) as exc:
-        check(node("S-CU", (leaf, bad), "union(#0, #1)", Judgment("class", cls=sigma(1)), ZFC), env)
+        check(table, env)
     assert exc.value.path == "/premises/1"
-    assert len(walks) == 1
+    assert walks == [(2, table.premises.__getitem__)]
 
 
 def test_rule_table_covers_every_rule():
@@ -725,22 +741,43 @@ def test_expanded_roots_are_the_formatted_expressions():
     assert count >= 250
 
 
-def _one_row_mutants(text):
-    """Each document that differs from text in one row: its judgment one
-    level up, or its rule swapped for F-ARITH, S-CU or an unknown id."""
-    doc = json.loads(text)
-    for row in doc["nodes"]:
-        old_rule, old_judgment = row["rule"], row["judgment"]
-        head, _, rest = old_judgment.rpartition(" ")
-        if not old_judgment.startswith("prop "):
-            row["judgment"] = f"{head} {int(rest) + 1}"
-            yield json.dumps(doc)
-            row["judgment"] = old_judgment
-        for rule in ("F-ARITH", "S-CU", "X-??"):
-            if rule != old_rule:
-                row["rule"] = rule
-                yield json.dumps(doc)
-        row["rule"] = old_rule
+def _mutations(row: dict) -> list[dict]:
+    """The one-field changes of a row: its judgment one level up, or its
+    rule swapped for F-ARITH, S-CU or an unknown id."""
+    head, _, rest = row["judgment"].rpartition(" ")
+    bumped = [] if row["judgment"].startswith("prop ") else [{"judgment": f"{head} {int(rest) + 1}"}]
+    return bumped + [{"rule": rule} for rule in ("F-ARITH", "S-CU", "X-??") if rule != row["rule"]]
+
+
+def _mutants(doc: dict, copies: list[list[int]]):
+    """(row, mutation, text) for each mutation of each row of doc, where
+    copies[k] lists the row ids that stand for row k, every one changed."""
+    for k, ids in enumerate(copies):
+        for change in _mutations(doc["nodes"][ids[0]]):
+            rows = list(doc["nodes"])
+            for i in ids:
+                rows[i] = dict(rows[i], **change)
+            yield k, change, json.dumps(dict(doc, nodes=rows))
+
+
+def _frozen_cases():
+    """(program text, env, canonical document, its one-row mutants) for
+    every derivation of the first 34 corpus programs, in both modes."""
+    for text in corpus()[:34]:
+        for mode in (ZFC, ZFC_PD):
+            _, prog_env, _, roots = _roots(text, mode)
+            for _, d in roots:
+                doc = json.loads(serialize(d))
+                yield text, prog_env, doc, list(_mutants(doc, [[i] for i in range(len(doc["nodes"]))]))
+
+
+def _outcome(run) -> list:
+    """[path, reason] of the CheckError that run() raises, or ["ok"]."""
+    try:
+        run()
+    except CheckError as exc:
+        return [exc.path, exc.reason]
+    return ["ok"]
 
 
 def test_check_outcomes_frozen():
@@ -748,18 +785,98 @@ def test_check_outcomes_frozen():
     # derivation of the first 34 corpus programs, in both modes: one digest,
     # taken while check was still a branch per rule over a second walk
     outcomes = []
-    for text in corpus()[:34]:
-        for mode in (ZFC, ZFC_PD):
-            _, prog_env, _, roots = _roots(text, mode)
-            for _, d in roots:
-                for mutant in _one_row_mutants(serialize(d)):
-                    try:
-                        check(deserialize(mutant), prog_env)
-                    except CheckError as exc:
-                        outcomes.append([exc.path, exc.reason])
-                    else:
-                        outcomes.append(["ok"])
+    for _, prog_env, _, mutants in _frozen_cases():
+        for _, _, mutant in mutants:
+            outcomes.append(_outcome(lambda: check(deserialize(mutant), prog_env)))
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert (len(outcomes), digest) == (
         2396, "42f24f54efbd11f26b58a5431ea24ae25de4792050bc1357c0e9278bcacee9db"
     )
+
+
+def test_cli_check_reports_what_the_tree_check_does(tmp_path, capsys):
+    # projcalc check reads the file as rows; check(deserialize(...)) goes
+    # through Derivation objects: on every frozen mutant they agree
+    program, pjd = tmp_path / "p.pjc", tmp_path / "d.pjd"
+    compared = 0
+    for text, prog_env, _, mutants in _frozen_cases():
+        program.write_text(text, encoding="utf-8")
+        for _, _, mutant in mutants:
+            pjd.write_text(mutant, encoding="utf-8")
+            rc = main(["check", str(pjd), str(program)])
+            out = capsys.readouterr().out
+            want = _outcome(lambda: check(deserialize(mutant), prog_env))
+            if want == ["ok"]:
+                assert rc == 0 and out.startswith("ok: "), out
+            else:
+                assert (rc, out) == (1, f"check failed at {want[0] or '/'}: {want[1]}\n")
+            compared += 1
+    assert compared == 2396
+
+
+def _reordered(doc: dict, rng: random.Random) -> tuple[dict, list[list[int]]]:
+    """doc's rows in a random premises-first order, with one row that is
+    cited more than once given a copy that some of those citations name
+    instead; and, for each row of doc, the ids of the rows that stand for it."""
+    rows = [dict(r, premises=list(r["premises"])) for r in doc["nodes"]]
+    twice = sorted(p for p, n in Counter(p for r in rows for p in r["premises"]).items() if n > 1)
+    if twice:
+        d = rng.choice(twice)
+        sites = [(c, q) for c, r in enumerate(rows) for q, p in enumerate(r["premises"]) if p == d]
+        rows.append(dict(rows[d], premises=list(rows[d]["premises"])))
+        for c, q in rng.sample(sites, rng.randint(1, len(sites) - 1)):
+            rows[c]["premises"][q] = len(rows) - 1
+    # a random topological order: the root, cited by none, comes last
+    waiting = [len(r["premises"]) for r in rows]
+    users = [[] for _ in rows]
+    for c, r in enumerate(rows):
+        for p in r["premises"]:
+            users[p].append(c)
+    ready, order = [i for i, w in enumerate(waiting) if w == 0], []
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        order.append(i)
+        for c in users[i]:
+            waiting[c] -= 1
+            if waiting[c] == 0:
+                ready.append(c)
+    assert order[-1] == len(doc["nodes"]) - 1
+    new_id = {old: new for new, old in enumerate(order)}
+    nodes = [dict(rows[old], premises=[new_id[p] for p in rows[old]["premises"]]) for old in order]
+    copies = [[new_id[k]] for k in range(len(doc["nodes"]))]
+    if twice:
+        copies[d].append(new_id[len(rows) - 1])
+    return dict(doc, nodes=nodes), copies
+
+
+def _file_order_outcome(text: str, prog_env) -> list:
+    """The first row to fail in file order, at its first visit: not what
+    check reports."""
+    t = derivation.read_table(text)
+    for i in range(len(t.rules)):
+        try:
+            derivation._check_row(t, i, prog_env)
+        except CheckError as exc:
+            walk = derivation._walk(len(t.rules) - 1, t.premises.__getitem__)
+            return [next(derivation._path_of(f) for n, f in walk if n == i) + exc.path, exc.reason]
+    return ["ok"]
+
+
+def test_reordered_and_duplicated_rows_report_what_the_canonical_file_does():
+    # each row mutation, made in the canonical file and in a seeded
+    # premises-first reordering with one row duplicated (to every copy of
+    # the row), gives the same path and reason; reporting the first failure
+    # in file order would not
+    compared = file_order_wrong = duplicated = 0
+    for n, (_, prog_env, doc, mutants) in enumerate(_frozen_cases()):
+        other, copies = _reordered(doc, random.Random(n))
+        duplicated += len(other["nodes"]) > len(doc["nodes"])
+        for (k, change, mutant), (k2, change2, moved) in zip(mutants, _mutants(other, copies), strict=True):
+            assert (k, change) == (k2, change2)
+            want = _outcome(lambda: check(derivation.read_table(mutant), prog_env))
+            assert _outcome(lambda: check(derivation.read_table(moved), prog_env)) == want, (mutant, moved)
+            assert _outcome(lambda: check(deserialize(moved), prog_env)) == want
+            file_order_wrong += _file_order_outcome(moved, prog_env) != want
+            compared += 1
+    assert compared == 2396
+    assert duplicated > 30 and file_order_wrong > 50
