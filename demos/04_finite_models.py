@@ -2,7 +2,9 @@
 
 The model file pins two base spaces, a planar constraint set, a partial
 scalar function with infinite values, a measure, and a kernel; everything
-below evaluates in exact rational arithmetic.
+below evaluates in exact rational arithmetic.  A carrier is the DSL's own
+space value: the file spells D's carrier "prod(X, Y)", which reads as the
+hash-consed ast.ProductSpace("X", "Y") of the two model spaces.
 
 Run:  python3 demos/04_finite_models.py
 """
@@ -12,13 +14,15 @@ from fractions import Fraction
 
 import projcalc.ast as ast
 from projcalc import eval_set, func_data, loads_model, measure_of, run_suite
-from projcalc.finitemodel import Prod
+from projcalc.formatter import format_space
 from projcalc.xreal import format_xreal
 
 path = pathlib.Path(__file__).parent / "models" / "two_by_three.pjm"
 m = loads_model(path.read_text())
 print(f"loaded model: spaces {dict((k, len(v)) for k, v in m.spaces.items())}, "
       f"sets {sorted(m.sets)}, funcs {sorted(m.funcs)}")
+assert m.sets["D"].carrier is ast.ProductSpace("X", "Y")
+print("carrier of D:", format_space(m.sets["D"].carrier))
 
 D = ast.NamedSet("D")
 print("\n== set operators ==")

@@ -88,7 +88,7 @@ __version__ = "0.1.0"
 # the concrete layer's names, by the module that defines them
 _LAZY = {
     "finitemodel": (
-        "XREAL", "FiniteModel", "FuncData", "KernelData", "MeasureData", "Prod", "SetData",
+        "XREAL", "FiniteModel", "FuncData", "KernelData", "MeasureData", "SetData",
         "dumps_model", "eval_set", "func_data", "loads_model", "measure_of",
     ),
     "identities": (
@@ -140,7 +140,6 @@ __all__ = [
     "FuncData",
     "KernelData",
     "MeasureData",
-    "Prod",
     "SetData",
     "dumps_model",
     "eval_set",

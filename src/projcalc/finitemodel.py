@@ -1,9 +1,11 @@
 """Exact semantics on finite models.
 
 A model assigns finite atom sets to space names and explicit data to set,
-function, measure, and kernel names.  Points of a product carrier are
-nested pairs mirroring the binary product structure; all scalar values are
-extended reals with exact rational finite parts.
+function, measure, and kernel names.  A carrier is a space name or a
+hash-consed ast.ProductSpace of carriers, spelled in .pjm files in the DSL's
+own space syntax.  Points of a product carrier are nested pairs mirroring
+the binary product structure; all scalar values are extended reals with
+exact rational finite parts.
 
 The evaluator interprets the symbolic AST concretely in one ast.fold,
 children first.  Each value carries its carrier (a set's SetData, a
@@ -19,13 +21,16 @@ base_1, ... .
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
 from . import ast
-from .errors import FormatError, SignatureError, UnsupportedConstructorError, read_json
+from .errors import FormatError, ParseError, SignatureError, UnsupportedConstructorError, read_json
+from .formatter import format_space
+from .parser import IDENTIFIER, SPACE_KEYWORDS, parse_space
 from .selectors import least_choice, sectionwise_optimum
 from .xreal import (
     NEG_INF,
@@ -34,20 +39,18 @@ from .xreal import (
     fin,
     format_xreal,
     integral_lower,
+    parse_rational,
     parse_xreal,
     xreal_prod,
     xreal_sum,
 )
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: "Carrier"
-    right: "Carrier"
-
-
-Carrier = "str | Prod"
+Carrier = "str | ast.ProductSpace"
 XREAL = "xreal"  # codomain marker for scalar-valued tables
+# the deepest carrier a .pjm file may give: its points nest as deep, and
+# points(), the point readers and writers and tuple hashing recurse on them
+MAX_CARRIER_DEPTH = 500
 
 
 @dataclass
@@ -95,11 +98,11 @@ class FiniteModel:
 
     def validate(self) -> None:
         for name, atoms in self.spaces.items():
-            if name == XREAL:
-                raise FormatError(f"space name {XREAL!r} is reserved for scalar codomains")
+            if name.lower() in SPACE_KEYWORDS:  # a carrier would read it as the keyword
+                raise FormatError(f"space name {name!r} is reserved: it is a keyword of the space syntax")
             if len(set(atoms)) != len(atoms) or not atoms:
                 raise FormatError(f"space {name!r} must list distinct atoms, at least one")
-        # every space named is declared, so points() below cannot fail
+        # every space named is declared, so the carriers below are all names and products
         uses = [(f"set {name!r}", s.carrier) for name, s in self.sets.items()]
         uses += [(f"function {name!r}", c) for name, f in self.funcs.items() for c in (f.dom, f.cod) if c != XREAL]
         uses += [(f"measure {name!r}", m.space) for name, m in self.measures.items()]
@@ -107,20 +110,20 @@ class FiniteModel:
         for what, carrier in uses:
             for space in _space_names(carrier):
                 if not isinstance(space, str) or space not in self.spaces:
-                    raise FormatError(f"{what} names unknown space {space!r}")
+                    shown = format_space(space) if isinstance(space, ast.SpaceExpr) else space
+                    raise FormatError(f"{what} names unknown space {shown!r}")
+        # points are tested against their carrier's structure, never listed
+        atoms = {name: frozenset(a) for name, a in self.spaces.items()}
         for name, s in self.sets.items():
-            pts = set(self.points(s.carrier))
-            if not s.members <= pts:
+            if not all(_on(atoms, s.carrier, p) for p in s.members):
                 raise FormatError(f"set {name!r} has members outside its carrier")
         for name, f in self.funcs.items():
-            pts = set(self.points(f.dom))
-            if set(f.table) != pts:
+            size = math.prod(len(atoms[space]) for space in _space_names(f.dom))
+            if len(f.table) != size or not all(_on(atoms, f.dom, p) for p in f.table):
                 raise FormatError(f"function {name!r} must be total on its domain")
-            if f.cod != XREAL:
-                cod_pts = set(self.points(f.cod))
-                if not set(f.table.values()) <= cod_pts:
-                    raise FormatError(f"function {name!r} has values outside its codomain")
-            elif not all(isinstance(v, XReal) for v in f.table.values()):
+            if f.cod != XREAL and not all(_on(atoms, f.cod, v) for v in f.table.values()):
+                raise FormatError(f"function {name!r} has values outside its codomain")
+            if f.cod == XREAL and not all(isinstance(v, XReal) for v in f.table.values()):
                 raise FormatError(f"function {name!r} must take extended-real values")
         for name, m in self.measures.items():
             if set(m.weights) != set(self.spaces.get(m.space, ())):
@@ -138,51 +141,7 @@ class FiniteModel:
                     raise FormatError(f"kernel {name!r} row {x!r} must be a probability vector")
 
 
-# --- carrier notation ----------------------------------------------------------
-
-
-def format_carrier(c: Carrier) -> str:
-    if isinstance(c, str):
-        return c
-    return f"prod({format_carrier(c.left)}, {format_carrier(c.right)})"
-
-
-def parse_carrier(text: str) -> Carrier:
-    pos = 0
-
-    def ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def term() -> Carrier:
-        nonlocal pos
-        ws()
-        if text.startswith("prod(", pos):
-            pos += len("prod(")
-            left = term()
-            ws()
-            if not text.startswith(",", pos):
-                raise FormatError(f"bad carrier {text!r}: expected ','")
-            pos += 1
-            right = term()
-            ws()
-            if not text.startswith(")", pos):
-                raise FormatError(f"bad carrier {text!r}: expected ')'")
-            pos += 1
-            return Prod(left, right)
-        start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        if start == pos:
-            raise FormatError(f"bad carrier {text!r}: expected a space name")
-        return text[start:pos]
-
-    out = term()
-    ws()
-    if pos != len(text):
-        raise FormatError(f"bad carrier {text!r}: trailing text")
-    return out
+# --- carriers ------------------------------------------------------------------
 
 
 def _space_names(c: Carrier):
@@ -190,15 +149,30 @@ def _space_names(c: Carrier):
     stack = [c]
     while stack:
         c = stack.pop()
-        if isinstance(c, Prod):
+        if type(c) is ast.ProductSpace:
             stack += (c.right, c.left)
         else:
             yield c
 
 
-def _product(c: Carrier, what: str) -> Prod:
-    if not isinstance(c, Prod):
-        raise SignatureError(f"{what} needs a product carrier, got {format_carrier(c)}")
+def _on(atoms: dict, c: Carrier, p) -> bool:
+    """Whether p is a point of carrier c, whose names all key atoms."""
+    stack = [(c, p)]
+    while stack:
+        c, p = stack.pop()
+        if type(c) is not ast.ProductSpace:
+            if p not in atoms[c]:
+                return False
+        elif type(p) is tuple and len(p) == 2:
+            stack += (c.left, p[0]), (c.right, p[1])
+        else:
+            return False
+    return True
+
+
+def _product(c: Carrier, what: str) -> ast.ProductSpace:
+    if type(c) is not ast.ProductSpace:
+        raise SignatureError(f"{what} needs a product carrier, got {format_space(c)}")
     return c
 
 
@@ -210,7 +184,7 @@ def _axis_index(carrier: Carrier, axis) -> int:
         raise SignatureError(f"axis must be 1 or 2, got {axis}")
     hits = [i for i, side in ((1, carrier.left), (2, carrier.right)) if side == axis]
     if not hits:
-        raise SignatureError(f"space {axis!r} is not a factor of {format_carrier(carrier)}")
+        raise SignatureError(f"space {axis!r} is not a factor of {format_space(carrier)}")
     if len(hits) == 2:
         raise SignatureError(f"axis {axis!r} is ambiguous on a square product; use 1 or 2")
     return hits[0]
@@ -241,9 +215,29 @@ def _frac_from_json(text) -> Fraction:
     if not isinstance(text, str):
         raise FormatError(f"rationals are strings, got {text!r}")
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"bad rational {text!r}") from None
+
+
+def _carrier_from_json(text) -> Carrier:
+    """A carrier from its text, each identifier in it standing for its own name."""
+    try:
+        carrier = parse_space(text, {name: name for name in IDENTIFIER.findall(text)})
+    except ParseError as exc:
+        raise FormatError(f"bad carrier {text!r}: {exc}") from None
+    level = [carrier]  # the factors one product deeper at each round
+    for _ in range(MAX_CARRIER_DEPTH + 1):
+        level = [f for c in level if type(c) is ast.ProductSpace for f in (c.left, c.right)]
+        if not level:
+            return carrier
+    raise FormatError("malformed model: a carrier is nested too deeply")
+
+
+def _list(obj, what: str) -> list:
+    if type(obj) is not list:
+        raise FormatError(f"{what} must be a list, got {obj!r}")
+    return obj
 
 
 def model_to_json(m: FiniteModel) -> dict:
@@ -252,15 +246,15 @@ def model_to_json(m: FiniteModel) -> dict:
         "spaces": {k: list(v) for k, v in sorted(m.spaces.items())},
         "sets": {
             k: {
-                "carrier": format_carrier(s.carrier),
+                "carrier": format_space(s.carrier),
                 "members": sorted((_point_to_json(p) for p in s.members), key=json.dumps),
             }
             for k, s in sorted(m.sets.items())
         },
         "funcs": {
             k: {
-                "dom": format_carrier(f.dom),
-                "cod": XREAL if f.cod == XREAL else format_carrier(f.cod),
+                "dom": format_space(f.dom),
+                "cod": format_space(f.cod),  # the XREAL marker spells itself
                 "table": sorted(
                     (
                         [
@@ -300,15 +294,14 @@ def model_from_json(obj) -> FiniteModel:
     try:
         m = FiniteModel()
         for name, atoms in obj.get("spaces", {}).items():
-            m.spaces[name] = tuple(str(a) for a in atoms)
+            m.spaces[name] = tuple(str(a) for a in _list(atoms, f"space {name!r} atoms"))
         for name, s in obj.get("sets", {}).items():
             m.sets[name] = SetData(
-                parse_carrier(s["carrier"]),
-                frozenset(_point_from_json(p) for p in s["members"]),
+                _carrier_from_json(s["carrier"]),
+                frozenset(_point_from_json(p) for p in _list(s["members"], f"set {name!r} members")),
             )
         for name, f in obj.get("funcs", {}).items():
-            cod = f["cod"]
-            cod = XREAL if cod == XREAL else parse_carrier(cod)
+            cod = XREAL if f["cod"] == XREAL else _carrier_from_json(f["cod"])
             table = {}
             for entry in f["table"]:
                 if not isinstance(entry, list) or len(entry) != 2:
@@ -316,7 +309,7 @@ def model_from_json(obj) -> FiniteModel:
                 p = _point_from_json(entry[0])
                 v = parse_xreal(entry[1]) if cod == XREAL else _point_from_json(entry[1])
                 table[p] = v
-            m.funcs[name] = FuncData(parse_carrier(f["dom"]), cod, table)
+            m.funcs[name] = FuncData(_carrier_from_json(f["dom"]), cod, table)
         for name, mm in obj.get("measures", {}).items():
             m.measures[name] = MeasureData(
                 mm["space"], {a: _frac_from_json(w) for a, w in mm["weights"].items()}
@@ -329,8 +322,6 @@ def model_from_json(obj) -> FiniteModel:
             )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # e.g. "sets": []
         raise FormatError(f"malformed model: {exc!r}") from None
-    except RecursionError:  # parse_carrier recurses once per prod(
-        raise FormatError("malformed model: a carrier is nested too deeply") from None
     m.validate()
     return m
 
@@ -436,14 +427,7 @@ def _dot(u, v) -> XReal:
 
 def _vector(c: Carrier) -> bool:
     """Whether c is the XREAL marker or a product of such factors only."""
-    stack = [c]
-    while stack:
-        c = stack.pop()
-        if isinstance(c, Prod):
-            stack += (c.left, c.right)
-        elif c != XREAL:
-            return False
-    return True
+    return all(s == XREAL for s in _space_names(c))
 
 
 # One rule per constructor: rule(model, node, *the values of the node's children).
@@ -478,7 +462,7 @@ def _countable_join(m, e):
 
 
 def _prod(m, e, l, r):
-    return SetData(Prod(l.carrier, r.carrier), frozenset((a, b) for a in l.members for b in r.members))
+    return SetData(ast.ProductSpace(l.carrier, r.carrier), frozenset((a, b) for a in l.members for b in r.members))
 
 
 def _proj(m, e, s):
@@ -502,7 +486,7 @@ def _section(m, e, s):
 
 
 def _graph(m, e, f):
-    return SetData(Prod(f.dom, f.cod), frozenset(f.table.items()))
+    return SetData(ast.ProductSpace(f.dom, f.cod), frozenset(f.table.items()))
 
 
 def _sublevel(m, e, f):
@@ -515,14 +499,14 @@ def _sublevel(m, e, f):
 
 def _pair(m, e, l, r):
     table = {p: (v, r.table[p]) for p, v in l.table.items() if p in r.table}
-    return FuncData(l.dom, Prod(l.cod, r.cod), table)
+    return FuncData(l.dom, ast.ProductSpace(l.cod, r.cod), table)
 
 
 def _cyl(m, e, f):
-    if not isinstance(e.factor, (str, Prod)):  # a model space name or carrier in this context
+    if not all(type(s) is str for s in _space_names(e.factor)):  # a carrier of model spaces here
         raise UnsupportedConstructorError("cylinder factors must name model spaces in finite evaluation")
     extra = m.points(e.factor)
-    return FuncData(Prod(f.dom, e.factor), f.cod, {(p, b): v for p, v in f.table.items() for b in extra})
+    return FuncData(ast.ProductSpace(f.dom, e.factor), f.cod, {(p, b): v for p, v in f.table.items() for b in extra})
 
 
 def _compose(m, e, outer, inner):
@@ -590,7 +574,7 @@ def _over(m, e, f, d):
 def _integral(m, e, f):
     _scalar(f, "integration")
     k = _named(m.kernels, e.kernel, "kernel")
-    if f.dom != Prod(k.src, k.dst):
+    if f.dom is not ast.ProductSpace(k.src, k.dst):
         raise SignatureError(f"integral against {e.kernel!r} needs a function on prod({k.src}, {k.dst})")
     ys = m.points(k.dst)
     out = {}

@@ -31,7 +31,6 @@ from .finitemodel import (
     FiniteModel,
     FuncData,
     MeasureData,
-    Prod,
     SetData,
     eval_set,
     func_data,
@@ -40,6 +39,10 @@ from .finitemodel import (
 from .xreal import NEG_INF, POS_INF, XReal, fin, neg_part, pos_part, xreal_prod, xreal_sum
 
 IDENTITIES = ("INFSUP-PROJ", "SUM-PRE", "PROD-POS", "EPS-E", "FUBINI-DIRAC")
+
+# the fixed carriers of the cases, held here so that no case rebuilds them
+_XY = ast.ProductSpace("X", "Y")
+_C_XU = ast.ProductSpace("C", ast.ProductSpace("X", "U"))
 
 
 @dataclass(frozen=True)
@@ -99,9 +102,9 @@ def generate_case(identity: str, seed: int) -> IdentityCase:
     if identity == "INFSUP-PROJ":
         m.spaces["X"] = _rand_space(rng, "x")
         m.spaces["Y"] = _rand_space(rng, "y")
-        pts = m.points(Prod("X", "Y"))
-        m.sets["D"] = SetData(Prod("X", "Y"), _rand_subset(rng, pts))
-        m.funcs["f"] = FuncData(Prod("X", "Y"), XREAL, _rand_table(rng, pts))
+        pts = m.points(_XY)
+        m.sets["D"] = SetData(_XY, _rand_subset(rng, pts))
+        m.funcs["f"] = FuncData(_XY, XREAL, _rand_table(rng, pts))
         return IdentityCase(identity, m, {"c": Fraction(rng.randint(-4, 4), rng.randint(1, 2))})
     if identity == "SUM-PRE":
         m.spaces["X"] = _rand_space(rng, "x")
@@ -118,16 +121,15 @@ def generate_case(identity: str, seed: int) -> IdentityCase:
     if identity == "EPS-E":
         m.spaces["X"] = _rand_space(rng, "x")
         m.spaces["Y"] = _rand_space(rng, "y")
-        pts = m.points(Prod("X", "Y"))
-        m.sets["D"] = SetData(Prod("X", "Y"), _rand_subset(rng, pts))
-        m.funcs["f"] = FuncData(Prod("X", "Y"), XREAL, _rand_table(rng, pts))
+        pts = m.points(_XY)
+        m.sets["D"] = SetData(_XY, _rand_subset(rng, pts))
+        m.funcs["f"] = FuncData(_XY, XREAL, _rand_table(rng, pts))
         return IdentityCase(identity, m, {"eps": Fraction(rng.randint(1, 4), rng.randint(1, 4))})
     if identity == "FUBINI-DIRAC":
         m.spaces["C"] = _rand_space(rng, "c", 1, 4)
         m.spaces["X"] = _rand_space(rng, "x", 1, 4)
         m.spaces["U"] = _rand_space(rng, "u", 1, 4)
-        carrier = Prod("C", Prod("X", "U"))
-        m.sets["S"] = SetData(carrier, _rand_subset(rng, m.points(carrier)))
+        m.sets["S"] = SetData(_C_XU, _rand_subset(rng, m.points(_C_XU)))
         m.measures["mu"] = MeasureData("X", _rand_measure(rng, m.spaces["X"]))
         return IdentityCase(identity, m)
     raise ValueError(f"unknown identity {identity!r}")

@@ -40,6 +40,7 @@ from .sema import Env, bind
 # start with.  A match with no named group is trailing whitespace or the end
 # of the line.  The operator tokens share one group because their first
 # characters are disjoint from identifiers' and integers'.
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(
     r"""
     \s*
@@ -47,7 +48,7 @@ _TOKEN_RE = re.compile(
         (?P<comment>\#.*)
       | (?P<string>"[^"]*")
       | (?P<op>->|~>|<=|>=|==|[()\[\],:=<>/@-])
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<ident>""" + IDENTIFIER.pattern + r""")
       | (?P<int>[0-9]+)
       | (?P<bad>.)
     )?
@@ -490,13 +491,22 @@ class _LineParser:
         self.names[name] = kind
 
 
+def _parse_line(text: str, read, spaces: dict):
+    """read's value from text, a line with nothing else on it."""
+    lp = _LineParser(_lex_line(text, 1), 1, spaces, {})
+    value = read(lp)
+    lp.end()
+    return value
+
+
 def parse_schedule(text: str):
     """Parse a bare schedule clause, e.g. "bounded delta 2"."""
-    tokens = _lex_line(text, 1)
-    lp = _LineParser(tokens, 1, {}, {})
-    sched = lp.schedule()
-    lp.end()
-    return sched
+    return _parse_line(text, _LineParser.schedule, {})
+
+
+def parse_space(text: str, spaces: dict) -> ast.SpaceExpr:
+    """Parse a bare space value, e.g. "prod(X, reals)"; spaces maps each name to its value."""
+    return _parse_line(text, _LineParser.space_expr, spaces)
 
 
 def parse_program(text: str) -> ast.Program:

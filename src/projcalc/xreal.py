@@ -108,13 +108,20 @@ def fin(q: RationalLike) -> XReal:
     return XReal(0, q)  # __post_init__ converts ints and rejects floats
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text) without an exponent: "1e3000000" would cost seconds to expand."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"rationals take no exponent: {text!r}")
+    return Fraction(text)
+
+
 def parse_xreal(text: str) -> XReal:
     t = text.strip()
     if t in ("-inf", "-oo"):
         return NEG_INF
     if t in ("+inf", "inf", "+oo"):
         return POS_INF
-    return fin(Fraction(t))
+    return fin(parse_rational(t))
 
 
 def format_xreal(x: XReal) -> str:

@@ -47,7 +47,6 @@ from projcalc.finitemodel import (
     Carrier,
     FiniteModel,
     FuncData,
-    Prod,
     _axis_index,
     _CMP,
     _dot,
@@ -432,7 +431,7 @@ def reference_set_carrier_of(e: ast.SetExpr, m: FiniteModel) -> Carrier:
     if isinstance(e, (ast.CountableUnion, ast.CountableIntersection)):
         return m.sets[_family_members(m, e.base, "set")[0]].carrier
     if isinstance(e, ast.Product):
-        return Prod(reference_set_carrier_of(e.left, m), reference_set_carrier_of(e.right, m))
+        return ast.ProductSpace(reference_set_carrier_of(e.left, m), reference_set_carrier_of(e.right, m))
     if isinstance(e, ast.Projection):
         c = reference_set_carrier_of(e.operand, m)
         return c.left if _axis_index(c, e.axis) == 1 else c.right
@@ -445,7 +444,7 @@ def reference_set_carrier_of(e: ast.SetExpr, m: FiniteModel) -> Carrier:
         return c.right if _axis_index(c, e.axis) == 1 else c.left
     if isinstance(e, ast.Graph):
         f = reference_func_data(e.func, m)
-        return Prod(f.dom, f.cod)
+        return ast.ProductSpace(f.dom, f.cod)
     if isinstance(e, ast.Sublevel):
         return reference_func_data(e.func, m).dom
     raise UnsupportedConstructorError(f"no finite semantics for {type(e).__name__}")
@@ -527,18 +526,18 @@ def reference_func_data(e: ast.FuncExpr, m: FiniteModel) -> FuncData:
     if isinstance(e, ast.PairFunc):
         l, r = reference_func_data(e.left, m), reference_func_data(e.right, m)
         common = [p for p in l.table if p in r.table]
-        return FuncData(l.dom, Prod(l.cod, r.cod), {p: (l.table[p], r.table[p]) for p in common})
+        return FuncData(l.dom, ast.ProductSpace(l.cod, r.cod), {p: (l.table[p], r.table[p]) for p in common})
     if isinstance(e, ast.CylinderExtend):
         f = reference_func_data(e.func, m)
         factor = e.factor  # a model space name or carrier in this context
-        if isinstance(factor, (str, Prod)):
+        if isinstance(factor, (str, ast.ProductSpace)):
             extra = m.points(factor)
         else:
             raise UnsupportedConstructorError(
                 "cylinder factors must name model spaces in finite evaluation"
             )
         return FuncData(
-            Prod(f.dom, factor),
+            ast.ProductSpace(f.dom, factor),
             f.cod,
             {(p, b): v for p, v in f.table.items() for b in extra},
         )
@@ -604,7 +603,7 @@ def reference_func_data(e: ast.FuncExpr, m: FiniteModel) -> FuncData:
         _scalar(f, "inf_over/sup_over")
         direction = "inf" if isinstance(e, ast.PartialInf) else "sup"
         out = sectionwise_optimum(reference_eval_set(e.dom, m), f.table, direction)
-        return FuncData(f.dom.left if isinstance(f.dom, Prod) else f.dom, XREAL, out)
+        return FuncData(f.dom.left if isinstance(f.dom, ast.ProductSpace) else f.dom, XREAL, out)
     if isinstance(e, ast.IntegralKernel):
         f = reference_func_data(e.func, m)
         _scalar(f, "integration")

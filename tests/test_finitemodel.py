@@ -1,11 +1,13 @@
 """Finite-model io, validation, and exact evaluation of the operator AST."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from projcalc import ast, finitemodel
+from projcalc.ast import ProductSpace
 from projcalc.errors import FormatError, SignatureError, UnsupportedConstructorError
 from projcalc.pointclass import ConstantClass, delta
 from projcalc.finitemodel import (
@@ -14,16 +16,13 @@ from projcalc.finitemodel import (
     FuncData,
     KernelData,
     MeasureData,
-    Prod,
     SetData,
     dumps_model,
     eval_set,
     evaluate,
-    format_carrier,
     func_data,
     loads_model,
     measure_of,
-    parse_carrier,
 )
 from projcalc.xreal import NEG_INF, POS_INF, fin
 
@@ -37,13 +36,13 @@ def base_model() -> FiniteModel:
             "A": SetData("X", frozenset({"x1"})),
             "B": SetData("Y", frozenset({"y2", "y3"})),
             "Yfull": SetData("Y", frozenset({"y1", "y2", "y3"})),
-            "S": SetData(Prod("X", "Y"), frozenset({("x1", "y1"), ("x1", "y3"), ("x2", "y2")})),
-            "SQ": SetData(Prod("X", "X"), frozenset({("x1", "x1")})),
+            "S": SetData(ProductSpace("X", "Y"), frozenset({("x1", "y1"), ("x1", "y3"), ("x2", "y2")})),
+            "SQ": SetData(ProductSpace("X", "X"), frozenset({("x1", "x1")})),
             "base_0": SetData("X", frozenset({"x1"})),
             "base_1": SetData("X", frozenset({"x1", "x2"})),
         },
         funcs={
-            "f": FuncData(Prod("X", "Y"), XREAL, {
+            "f": FuncData(ProductSpace("X", "Y"), XREAL, {
                 ("x1", "y1"): fin(1), ("x1", "y2"): fin(2), ("x1", "y3"): fin(Fraction(-1, 2)),
                 ("x2", "y1"): NEG_INF, ("x2", "y2"): POS_INF, ("x2", "y3"): fin(0),
             }),
@@ -73,22 +72,82 @@ def m() -> FiniteModel:
 
 
 def test_points_left_major(m):
-    assert m.points(Prod("X", "Y"))[:4] == [
+    assert m.points(ProductSpace("X", "Y"))[:4] == [
         ("x1", "y1"), ("x1", "y2"), ("x1", "y3"), ("x2", "y1"),
     ]
     with pytest.raises(SignatureError):
         m.points("Z")
 
 
-@pytest.mark.parametrize("c", ["X", Prod("X", "Y"), Prod(Prod("X", "X"), "Y")])
+def model_on(carrier: str, members: str = "[]", spaces: str = '{"X": ["x"], "Y": ["y"]}') -> str:
+    """A .pjm document with one set A on the carrier text."""
+    return (
+        f'{{"schema": "projcalc/1", "spaces": {spaces}, '
+        f'"sets": {{"A": {{"carrier": "{carrier}", "members": {members}}}}}}}'
+    )
+
+
+@pytest.mark.parametrize("c", ["X", ProductSpace("X", "Y"), ProductSpace(ProductSpace("X", "X"), "Y")])
 def test_carrier_round_trip(c):
-    assert parse_carrier(format_carrier(c)) == c
+    m = FiniteModel(spaces={"X": ("x",), "Y": ("y",)}, sets={"A": SetData(c, frozenset())})
+    assert loads_model(dumps_model(m)).sets["A"].carrier is c
 
 
-@pytest.mark.parametrize("bad", ["prod(X Y)", "prod(X, Y", "", "prod(, Y)", "X junk"])
+@pytest.mark.parametrize("bad", ["prod(X Y)", "prod(X, Y", "", "prod(, Y)", "X junk", "X\u00e9", "prod(X, Y))"])
 def test_carrier_rejects(bad):
-    with pytest.raises(FormatError):
-        parse_carrier(bad)
+    with pytest.raises(FormatError, match="^bad carrier "):
+        loads_model(model_on(bad))
+
+
+def test_carrier_spellings():
+    # the space syntax's spacing and keyword case; identifiers are the lexer's
+    assert loads_model(model_on("  PROD( X ,prod(Y,X) ) ")).sets["A"].carrier is ProductSpace(
+        "X", ProductSpace("Y", "X")
+    )
+    assert loads_model(model_on("X_1", spaces='{"X_1": ["x"]}')).sets["A"].carrier == "X_1"
+
+
+@pytest.mark.parametrize("name", ["reals", "Nat", "BAIRE", "cantor", "prod", "Measures", "xreal", "XReal"])
+def test_space_syntax_keywords_are_reserved(name):
+    with pytest.raises(FormatError, match=f"^space name '{name}' is reserved"):
+        loads_model(model_on("X", spaces=f'{{"X": ["x"], "{name}": ["v"]}}'))
+
+
+def test_keyword_leaves_name_unknown_spaces():
+    with pytest.raises(FormatError, match="^set 'A' names unknown space 'reals'$"):
+        loads_model(model_on("prod(X, Reals)"))
+
+
+def nested(depth: int, atom: str = "x", other: str = "x") -> tuple[str, str]:
+    """A carrier that nests prod(..., X) depth deep, and the JSON of one of its points."""
+    return "prod(" * depth + "X" + ", X)" * depth, "[" * depth + f'"{atom}"' + f', "{other}"]' * depth
+
+
+def test_carrier_depth_is_bounded():
+    # MAX_CARRIER_DEPTH loads, evaluates and dumps; one level more is refused
+    carrier, point = nested(finitemodel.MAX_CARRIER_DEPTH)
+    m = loads_model(model_on(carrier, members=f"[{point}]", spaces='{"X": ["x"]}'))
+    assert evaluate(ast.Complement(S("A")), m).members == frozenset()
+    assert loads_model(dumps_model(m)) == m
+    for depth in (finitemodel.MAX_CARRIER_DEPTH + 1, 3000):
+        with pytest.raises(FormatError, match="^malformed model: a carrier is nested too deeply$"):
+            loads_model(model_on(nested(depth)[0], spaces='{"X": ["x"]}'))
+
+
+@pytest.mark.parametrize("depth", [19, 40])
+def test_deep_carriers_are_not_listed(depth):
+    # validation tests each point against its carrier's structure: over a
+    # 2-atom X, the 40-deep carrier has 2^41 points, and none is listed
+    carrier, point = nested(depth, "x0", "x1")
+    spaces = '{"X": ["x0", "x1"]}'
+    start = time.perf_counter()
+    assert len(loads_model(model_on(carrier, members=f"[{point}]", spaces=spaces)).sets["A"].members) == 1
+    with pytest.raises(FormatError, match="must be total"):
+        loads_model(
+            f'{{"schema": "projcalc/1", "spaces": {spaces}, '
+            f'"funcs": {{"f": {{"dom": "{carrier}", "cod": "xreal", "table": [[{point}, "0"]]}}}}}}'
+        )
+    assert time.perf_counter() - start < 0.5
 
 
 # --- validation -----------------------------------------------------------------
@@ -191,6 +250,30 @@ def test_loads_model_names_the_unknown_space(section, error):
     assert str(exc.value) == error
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"schema": "projcalc/1", "spaces": {"X": "xy"}}', "space 'X' atoms must be a list, got 'xy'"),
+    (model_on("X", members='"xy"'), "set 'A' members must be a list, got 'xy'"),
+    (model_on("X", members='{"x": 1}'), "set 'A' members must be a list, got {'x': 1}"),
+])
+def test_atoms_and_members_are_json_lists(doc, message):
+    # a string was read one character at a time, an object by its keys
+    with pytest.raises(FormatError) as exc:
+        loads_model(doc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value", ["1e3000000", "1E5", "2.5e-1"])
+def test_rationals_take_no_exponent(value):
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match=f"^bad rational '{value}'$"):
+        loads_model('{"schema": "projcalc/1", "spaces": {"X": ["x"]}, '
+                    f'"measures": {{"m": {{"space": "X", "weights": {{"x": "{value}"}}}}}}}}')
+    with pytest.raises(FormatError, match="exponent"):
+        loads_model('{"schema": "projcalc/1", "spaces": {"X": ["x"]}, '
+                     f'"funcs": {{"f": {{"dom": "X", "cod": "xreal", "table": [["x", "{value}"]]}}}}}}')
+    assert time.perf_counter() - start < 0.5
+
+
 def test_loads_model_validates():
     # structurally fine, semantically bad: measure mass 2
     doc = (
@@ -250,7 +333,7 @@ def test_eval_images_and_graphs(m):
     assert eval_set(ast.Preimage(ast.NamedFunc("g"), S("B")), m) == {"x1"}
     graph = eval_set(ast.Graph(ast.NamedFunc("g")), m)
     assert graph == {("x1", "y2"), ("x2", "y1")}
-    assert evaluate(ast.Graph(ast.NamedFunc("g")), m).carrier == Prod("X", "Y")
+    assert evaluate(ast.Graph(ast.NamedFunc("g")), m).carrier == ProductSpace("X", "Y")
 
 
 def test_eval_sublevel_ops(m):
@@ -300,7 +383,7 @@ def test_set_algebra_randomized():
 
 def test_func_pair_and_compose(m):
     pair = func_data(ast.PairFunc(ast.NamedFunc("g"), ast.NamedFunc("g")), m)
-    assert pair.cod == Prod("Y", "Y")
+    assert pair.cod == ProductSpace("Y", "Y")
     assert pair.table["x1"] == ("y2", "y2")
     comp = func_data(ast.Compose(ast.NamedFunc("r"), ast.NamedFunc("g")), m)
     assert comp.dom == "X" and comp.cod == "X"
@@ -309,7 +392,7 @@ def test_func_pair_and_compose(m):
 
 def test_func_cylinder(m):
     cyl = func_data(ast.CylinderExtend(ast.NamedFunc("s"), "Y"), m)
-    assert cyl.dom == Prod("X", "Y")
+    assert cyl.dom == ProductSpace("X", "Y")
     assert cyl.table[("x1", "y3")] == fin(3)
     assert cyl.table[("x2", "y1")] == NEG_INF
     with pytest.raises(UnsupportedConstructorError, match="cylinder factors"):
@@ -417,7 +500,7 @@ def test_func_integral_both_infinite():
     # a row putting mass 1/2 on a +inf value and 1/2 on a -inf value
     m = FiniteModel(
         spaces={"X": ("x",), "Y": ("y1", "y2")},
-        funcs={"w": FuncData(Prod("X", "Y"), XREAL, {("x", "y1"): POS_INF, ("x", "y2"): NEG_INF})},
+        funcs={"w": FuncData(ProductSpace("X", "Y"), XREAL, {("x", "y1"): POS_INF, ("x", "y2"): NEG_INF})},
         kernels={"k": KernelData("X", "Y", {"x": {"y1": Fraction(1, 2), "y2": Fraction(1, 2)}})},
     )
     m.validate()
@@ -480,7 +563,7 @@ FUNC_NODES = set(ast.FuncExpr.__args__)
 EVALUATED = (SET_NODES | FUNC_NODES) - {ast.MeasureThreshold, ast.EpsSelector}
 
 X, Y = "X", "Y"
-CARRIERS = (X, Y, Prod(X, Y), Prod(Y, X))
+CARRIERS = (X, Y, ProductSpace(X, Y), ProductSpace(Y, X))
 OTHER = {X: Y, Y: X}
 VALUES = [NEG_INF, POS_INF] + [fin(Fraction(a, b)) for a in range(-3, 4) for b in (1, 2)]
 
@@ -525,7 +608,7 @@ def random_set(rng, m, c, depth):
     forms = ["name"] + (["family"] if c == X else [])
     if depth > 1:
         forms += ["compl", "union", "inter", "pre", "sublevel"]
-        forms += ["prod", "graph"] if isinstance(c, Prod) else ["proj", "img", "section"]
+        forms += ["prod", "graph"] if isinstance(c, ProductSpace) else ["proj", "img", "section"]
     form, d = rng.choice(forms), depth - 1
     o = OTHER.get(c)
     if form == "name":
@@ -549,28 +632,28 @@ def random_set(rng, m, c, depth):
         return ast.Graph(random_func(rng, m, c.left, c.right, d))
     if form == "proj":
         if rng.randrange(2):
-            return ast.Projection(random_set(rng, m, Prod(c, o), d), rng.choice((1, c)))
-        return ast.Projection(random_set(rng, m, Prod(o, c), d), rng.choice((2, c)))
+            return ast.Projection(random_set(rng, m, ProductSpace(c, o), d), rng.choice((1, c)))
+        return ast.Projection(random_set(rng, m, ProductSpace(o, c), d), rng.choice((2, c)))
     if form == "img":
         dom = rng.choice(CARRIERS)
         return ast.BorelImage(func_name(m, dom, c, rng), random_set(rng, m, dom, d))
     at = rng.choice(m.spaces[o])
     if rng.randrange(2):
-        return ast.Section(random_set(rng, m, Prod(o, c), d), 1, at=at)
-    return ast.Section(random_set(rng, m, Prod(c, o), d), 2, at=at)
+        return ast.Section(random_set(rng, m, ProductSpace(o, c), d), 1, at=at)
+    return ast.Section(random_set(rng, m, ProductSpace(c, o), d), 2, at=at)
 
 
 def random_func(rng, m, dom, cod, depth):
     """A well-typed function expression from dom to cod, at most depth nodes deep."""
-    if cod == Prod(XREAL, XREAL):  # no model function has it; pair builds it at any depth
+    if cod == ProductSpace(XREAL, XREAL):  # no model function has it; pair builds it at any depth
         d = max(depth - 1, 1)
         return ast.PairFunc(random_func(rng, m, dom, XREAL, d), random_func(rng, m, dom, XREAL, d))
     forms = ["name"] + (["family"] if (dom, cod) == (X, XREAL) else [])
     if depth > 1:
         forms.append("compose")
-        if isinstance(cod, Prod):
+        if isinstance(cod, ProductSpace):
             forms.append("pair")
-        if isinstance(dom, Prod):
+        if isinstance(dom, ProductSpace):
             forms.append("cyl")
         else:
             forms.append("fsection")
@@ -594,27 +677,27 @@ def random_func(rng, m, dom, cod, depth):
         o = OTHER[dom]
         at = rng.choice(m.spaces[o])
         if rng.randrange(2):
-            return ast.SectionOf(random_func(rng, m, Prod(o, dom), cod, d), 1, at=at)
-        return ast.SectionOf(random_func(rng, m, Prod(dom, o), cod, d), 2, at=at)
+            return ast.SectionOf(random_func(rng, m, ProductSpace(o, dom), cod, d), 1, at=at)
+        return ast.SectionOf(random_func(rng, m, ProductSpace(dom, o), cod, d), 2, at=at)
     if form == "select":
-        return ast.Select(random_set(rng, m, Prod(dom, cod), d))
+        return ast.Select(random_set(rng, m, ProductSpace(dom, cod), d))
     if form == "from_graph":
-        return ast.FromGraph(random_set(rng, m, Prod(dom, cod), d), random_set(rng, m, dom, d))
+        return ast.FromGraph(random_set(rng, m, ProductSpace(dom, cod), d), random_set(rng, m, dom, d))
     if form == "arith":
         node = rng.choice((ast.Sum, ast.ProdOp, ast.MinOp, ast.MaxOp))
         return node(random_func(rng, m, dom, XREAL, d), random_func(rng, m, dom, XREAL, d))
     if form == "neg":
         return ast.Neg(random_func(rng, m, dom, XREAL, d))
     if form == "inner":
-        v = rng.choice((XREAL, Prod(XREAL, XREAL)))
+        v = rng.choice((XREAL, ProductSpace(XREAL, XREAL)))
         return ast.InnerProduct(random_func(rng, m, dom, v, d), random_func(rng, m, dom, v, d))
     if form == "pow":  # whole exponents: a refused root is pinned by the defect table below
         return ast.Power(random_func(rng, m, dom, XREAL, d), Fraction(rng.randint(1, 3)))
     if form == "over":
-        on = Prod(dom, OTHER[dom])
+        on = ProductSpace(dom, OTHER[dom])
         node = rng.choice((ast.PartialInf, ast.PartialSup))
         return node(random_func(rng, m, on, XREAL, d), random_set(rng, m, on, d))
-    return ast.IntegralKernel(random_func(rng, m, Prod(X, Y), XREAL, d), "q")
+    return ast.IntegralKernel(random_func(rng, m, ProductSpace(X, Y), XREAL, d), "q")
 
 
 def test_fold_matches_the_recursive_ladders():

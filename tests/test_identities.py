@@ -13,7 +13,6 @@ from projcalc.finitemodel import (
     FiniteModel,
     FuncData,
     MeasureData,
-    Prod,
     SetData,
     dumps_model,
 )
@@ -99,8 +98,8 @@ def test_counterexample_rows(monkeypatch):
 def test_infsup_proj_empty_constraint():
     m = FiniteModel(
         spaces={"X": ("x0",), "Y": ("y0",)},
-        sets={"D": SetData(Prod("X", "Y"), frozenset())},
-        funcs={"f": FuncData(Prod("X", "Y"), XREAL, {("x0", "y0"): fin(0)})},
+        sets={"D": SetData(ast.ProductSpace("X", "Y"), frozenset())},
+        funcs={"f": FuncData(ast.ProductSpace("X", "Y"), XREAL, {("x0", "y0"): fin(0)})},
     )
     m.validate()
     case = IdentityCase("INFSUP-PROJ", m, {"c": Fraction(1)})
@@ -111,8 +110,8 @@ def test_eps_e_flat_objective():
     pts = [("x0", "y0"), ("x0", "y1"), ("x1", "y0"), ("x1", "y1")]
     m = FiniteModel(
         spaces={"X": ("x0", "x1"), "Y": ("y0", "y1")},
-        sets={"D": SetData(Prod("X", "Y"), frozenset(pts))},
-        funcs={"f": FuncData(Prod("X", "Y"), XREAL, {p: fin(0) for p in pts})},
+        sets={"D": SetData(ast.ProductSpace("X", "Y"), frozenset(pts))},
+        funcs={"f": FuncData(ast.ProductSpace("X", "Y"), XREAL, {p: fin(0) for p in pts})},
     )
     m.validate()
     case = IdentityCase("EPS-E", m, {"eps": Fraction(1)})
@@ -127,8 +126,8 @@ def test_eps_e_degenerate_sections():
     }
     m = FiniteModel(
         spaces={"X": ("x0", "x1"), "Y": ("y0", "y1")},
-        sets={"D": SetData(Prod("X", "Y"), frozenset(table))},
-        funcs={"f": FuncData(Prod("X", "Y"), XREAL, table)},
+        sets={"D": SetData(ast.ProductSpace("X", "Y"), frozenset(table))},
+        funcs={"f": FuncData(ast.ProductSpace("X", "Y"), XREAL, table)},
     )
     m.validate()
     case = IdentityCase("EPS-E", m, {"eps": Fraction(1, 3)})
@@ -136,7 +135,7 @@ def test_eps_e_degenerate_sections():
 
 
 def test_fubini_dirac_full_product():
-    carrier = Prod("C", Prod("X", "U"))
+    carrier = ast.ProductSpace("C", ast.ProductSpace("X", "U"))
     m = FiniteModel(
         spaces={"C": ("c0", "c1"), "X": ("x0", "x1"), "U": ("u0",)},
         measures={"mu": MeasureData("X", {"x0": Fraction(1, 4), "x1": Fraction(3, 4)})},

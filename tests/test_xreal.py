@@ -131,6 +131,16 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_xreal("0.5e3x")
 
+    @pytest.mark.parametrize("text", ["1e3", "2E-1", "0.5e3", "1e10000000"])
+    def test_no_exponents(self, text):
+        # Fraction("1e10000000") alone takes seconds to expand
+        with pytest.raises(ValueError, match="exponent"):
+            parse_xreal(text)
+
+    @pytest.mark.parametrize("text, value", [(" -3/4 ", Fraction(-3, 4)), ("1.5", Fraction(3, 2)), ("+2", Fraction(2))])
+    def test_other_rational_forms_stay(self, text, value):
+        assert parse_xreal(text) == fin(value)
+
 
 class TestIntegrals:
     def test_finite_case(self):
