@@ -1,16 +1,24 @@
 """Command-line front end.
 
-Subcommands: infer (run a program's assertions), check (re-verify a saved
-derivation against a program's declarations), oracle (randomized identity
+Subcommands: infer (run a program's assertions), check (re-verify saved
+derivations against a program's declarations), oracle (randomized identity
 suites on finite models), game (solve a finite game file), fmt (canonical
 program formatting).
 
+``infer --emit-derivations`` writes the lets' files in program order, and
+a let's file cites each earlier let it uses by the SHA-256 digest of that
+let's file, in one LET row, instead of copying its rows.  ``check`` reads
+a derivation as one table of rows, with no Derivation objects, and checks
+every row in file order, each distinct rule step once; the files it cites,
+read from beside it, are verified first, each once.  ``check`` takes one
+or more derivations and prints one line for each, in order.
+
 ``main`` may run many times in one process, and a run checks every
 derivation it emits against the same program.  So the last program loaded
-keeps its parse and bind: a command on identical program text reuses
-them, while any other text, an edited file included, is read afresh.
-``check`` reads a derivation as one table of rows, with no Derivation
-objects, and checks every row in file order, each distinct rule step once.
+keeps its parse and bind, and the digests of the files verified against
+it: a command on identical program text reuses them, and a file with a
+digest verified before is not read again, while any other text, an edited
+file included, is read afresh.
 
 A command returns its verdict, 0 or 1, and raises on anything else;
 ``main`` alone turns a package error into ``error: ...`` on stderr and an
@@ -26,12 +34,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from itertools import islice
 from pathlib import Path
 
-from .derivation import ZFC, ZFC_PD, check, expand, read_table, serialize
+from .derivation import ZFC, ZFC_PD, RowTable, check, expand, read_table, serialize
 # deserialize is looked up on this module by bench/tracing.py
 from .derivation import deserialize  # noqa: F401
 from .errors import VERDICT_ERRORS, CheckError, FormatError, ProjcalcError, ResourceLimitError
@@ -50,21 +59,51 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _read(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            return f.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _decode(path: str, data: bytes) -> str:
+    """data as ``Path.read_text`` reads it: UTF-8, with universal newlines."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _read(path: str) -> str:
+    return _decode(path, _read_bytes(path))
+
+
+def _digest(data: bytes) -> str:
+    import hashlib  # here, not at the top: importing it takes longer than a small check
+
+    return f"sha256:{hashlib.sha256(data).hexdigest()}"
+
+
+class _Loaded(tuple):
+    """A program text's (Program, Env), and in ``verified`` the digest of
+    each .pjd file checked against it so far, with its (mode, root judgment)."""
+
+
+def _load(text: str) -> _Loaded:
+    loaded = _Loaded(parse(text))
+    loaded.verified = {}
+    return loaded
 
 
 # one entry bounds the memory it holds; the shared (Program, Env) is never
-# changed after binding, and a text that fails to parse or bind is not kept
-_front_end = functools.lru_cache(maxsize=1)(parse)
+# changed after binding, a text that fails to parse or bind is not kept,
+# and the files verified against a program are forgotten with it
+_front_end = functools.lru_cache(maxsize=1)(_load)
 
 
-def _load_program(path: str):
+def _load_program(path: str) -> _Loaded:
     return _front_end(_read(path))
 
 
@@ -103,18 +142,31 @@ def cmd_infer(args) -> int:
     bindings = _infer_bindings(program, engine)
     results = evaluate_assertions(program, env, mode, engine)
 
-    certs = [(f"let_{row['name']}.pjd", row.pop("derivation", None)) for row in bindings]
-    certs += [(f"assert_{res.line:03d}.pjd", res.derivation) for res in results]
+    lets = [(row["name"], row.pop("derivation", None)) for row in bindings]
     emitted: list[str] = []
     if args.emit_derivations:
         out_dir = Path(args.emit_derivations)
+        # a let's derivation -> (name, digest) of the first let file that
+        # proves it; a leaf is one row either way, and is never cited
+        cites: dict = {}
+
+        def emit(name: str, text: str) -> bytes:
+            path = out_dir / name
+            data = text.encode("utf-8")
+            path.write_bytes(data)
+            emitted.append(str(path))
+            return data
+
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            for name, cert in certs:
-                if cert is not None:
-                    path = out_dir / name
-                    path.write_text(serialize(cert), encoding="utf-8")
-                    emitted.append(str(path))
+            for name, d in lets:  # in program order: a let cites only the lets before it
+                if d is not None:
+                    data = emit(f"let_{name}.pjd", serialize(d, cites))
+                    if d.premises:
+                        cites.setdefault(d, (name, _digest(data)))
+            for res in results:
+                if res.derivation is not None:
+                    emit(f"assert_{res.line:03d}.pjd", serialize(res.derivation))
         except OSError as exc:
             raise FormatError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from None
 
@@ -149,27 +201,77 @@ def cmd_infer(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_check(args) -> int:
-    program, env = _load_program(args.program)
-    text = _read(args.derivation)
+def _let_bound(env, name: str) -> bool:
+    entry = env.sets.get(name) or env.funcs.get(name)
+    return entry is not None and entry.expr is not None
+
+
+def _verify(path: str, env, verified: dict) -> tuple[str, RowTable]:
+    """The text and rows of the file at path, once it and the files it cites check.
+
+    A LET row cites let_<name>.pjd beside the file it is in.  Each cited
+    file not verified yet is read, hashed and checked before the file that
+    cites it, on an explicit stack of files, so citations may chain as far
+    as memory allows; a digest already in ``verified`` is not read again,
+    and every file that checks is added.  A failure inside a cited file is
+    raised at that file's path, followed by the row's path in it."""
+    data = _read_bytes(path)
+    text = _decode(path, data)
     rows = read_table(text)
-    try:
-        check(rows, env)
-    except CheckError as exc:
-        print(f"check failed at {exc.path or '/'}: {exc.reason}")
-        return 1
-    # check recomputes judgments, not subjects.  A subject the engine wrote
-    # restates an expression of the program, so its text is no longer than
-    # the document or, where equal rows were merged, the program's canonical
-    # text; a longer one comes from rows that name their premises over and
-    # over, and could take time and memory exponential in the document's size.
-    subject = expand(rows, len(text))
-    if subject is None:
-        subject = expand(rows, len(format_program(program)))
-    if subject is None:
-        raise FormatError("the derivation's subject is longer than the program's own text")
-    print(f"ok: {subject} : {rows.judgments[-1].render()} [{rows.mode}]")
-    return 0
+    files = [(path, _digest(data), rows, iter(rows.cites.items()))]
+    while files:
+        file, digest, t, cites = files[-1]
+        for i, cite in cites:  # resumes after the last file pushed
+            name = t.subjects[i]
+            if cite in verified or not _let_bound(env, name):
+                continue  # a row that names no let fails in check
+            cited = os.path.join(os.path.dirname(file), f"let_{name}.pjd")
+            data = _read_bytes(cited)
+            if _digest(data) != cite:
+                continue  # check finds no verified file for the row
+            cited_text = _decode(cited, data)
+            try:
+                ct = read_table(cited_text)
+            except FormatError as exc:
+                raise FormatError(f"{cited}: {exc}") from None
+            files.append((cited, cite, ct, iter(ct.cites.items())))
+            break
+        else:
+            if digest not in verified:
+                try:
+                    check(t, env, verified)
+                except CheckError as exc:
+                    if len(files) == 1:
+                        raise
+                    raise CheckError(f"{file}#{exc.path or '/'}", exc.reason) from None
+                verified[digest] = (t.mode, t.judgments[-1])
+            files.pop()
+    return text, rows
+
+
+def cmd_check(args) -> int:
+    loaded = _load_program(args.program)
+    program, env = loaded
+    failed = False
+    for path in args.derivations:
+        try:
+            text, rows = _verify(path, env, loaded.verified)
+        except CheckError as exc:
+            print(f"check failed at {exc.path or '/'}: {exc.reason}")
+            failed = True
+            continue
+        # check recomputes judgments, not subjects.  A subject the engine wrote
+        # restates an expression of the program, so its text is no longer than
+        # the document or, where equal rows were merged, the program's canonical
+        # text; a longer one comes from rows that name their premises over and
+        # over, and could take time and memory exponential in the document's size.
+        subject = expand(rows, len(text))
+        if subject is None:
+            subject = expand(rows, len(format_program(program)))
+        if subject is None:
+            raise FormatError("the derivation's subject is longer than the program's own text")
+        print(f"ok: {subject} : {rows.judgments[-1].render()} [{rows.mode}]")
+    return 1 if failed else 0
 
 
 def cmd_oracle(args) -> int:
@@ -271,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-derivations", metavar="DIR", help="write .pjd files for every certificate")
     p.set_defaults(run=cmd_infer)
 
-    p = sub.add_parser("check", help="re-verify a .pjd derivation against a program")
-    p.add_argument("derivation")
+    p = sub.add_parser("check", help="re-verify .pjd derivations, and the files they cite, against a program")
+    p.add_argument("derivations", nargs="+", metavar="derivation")
     p.add_argument("program")
     p.set_defaults(run=cmd_check)
 
@@ -340,8 +442,6 @@ def script() -> int:
         try:
             _flush()
         except OSError:
-            import os
-
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 

@@ -12,7 +12,9 @@ each leaf against the program, any other step once per distinct rule and
 judgments.  It shares the lattice primitives and the parser with the
 engine but none of the engine's rule-application code, so an engine that
 emits a wrong level is caught here.  Only a failure walks the table from
-the root, to name the failing row's path.
+the root, to name the failing row's path.  A LET row cites a let's own
+derivation file by digest instead of copying its rows; check() takes the
+files already verified and holds the row to the one it cites.
 """
 
 from __future__ import annotations
@@ -81,7 +83,9 @@ class Conclusion:
 @dataclass(frozen=True, eq=False)
 class Derivation:
     """One node; equality and hashing go by identity, since the generated
-    structural ones would unfold shared subproofs (compare by serialize)."""
+    structural ones would unfold shared subproofs (compare by serialize).
+    A LET node, read back from a file that cites another, has the cited
+    file's digest for its cite."""
 
     rule: str
     cite: str
@@ -101,11 +105,14 @@ def node(rule: str, premises: tuple[Derivation, ...], subject: str, judgment: Ju
 # a row of its own is the path #i.j... to it through the premises (the
 # row's i-th premise, that premise's j-th, ...), and a name stays a name.
 # The mode is written once, in the header, and each row's cite follows
-# from its rule.
+# from its rule, but for a LET row: it stands for the derivation of a let
+# proved in a file of its own, let_<name>.pjd beside this one, and cites
+# that file by the SHA-256 digest of its bytes.
 
 SCHEMA = "projcalc/3"
 
 _REF = re.compile(r"#(\d+(?:\.\d+)*)")
+_DIGEST = re.compile(r"sha256:[0-9a-f]{64}")
 
 
 def _walk(root, premises_of=lambda n: n.premises):
@@ -129,40 +136,51 @@ def _walk(root, premises_of=lambda n: n.premises):
             frames.pop()
 
 
-def serialize(d: Derivation) -> str:
+def serialize(d: Derivation, cites: dict | None = None) -> str:
     """Canonical node table, one JSON row per line, with a trailing newline.
 
     Rows come in first post-order visit order and structurally equal nodes
     share one row, so the text depends only on the derivation's structure.
-    Every node must be in the root's mode.
+    Every node must be in the root's mode.  ``cites`` maps nodes to the
+    (let name, digest) of a file already written that proves them: each
+    such node below the root is written as one LET row citing that file,
+    and nothing below it is written.
     """
     mode = d.conclusion.mode
+    cites = cites or {}
     rows: dict[str, int] = {}  # rendered row -> row id
     row_of: dict[Derivation, int] = {}  # node -> row id
-    for n, _ in _walk(d):
+    for n, _ in _walk(d, lambda n: () if n in cites and n is not d else n.premises):
         c = n.conclusion
         if c.mode != mode:
             raise ValueError(f"a {c.mode} node inside a {mode} derivation")
         # the row json.dumps(..., sort_keys=True, ensure_ascii=False) would
         # write, spelled out: keys in sorted order, default separators
-        premises = ", ".join([str(row_of[p]) for p in n.premises])
+        if n in cites and n is not d:
+            (subject, digest), rule, premises = cites[n], "LET", ""
+        else:
+            subject, digest, rule = c.subject, n.cite, n.rule  # a LET node's cite is its digest
+            premises = ", ".join([str(row_of[p]) for p in n.premises])
         line = (
-            f'{{"judgment": {_str(c.judgment.render())}, "premises": [{premises}], '
-            f'"rule": {_str(n.rule)}, "subject": {_str(c.subject)}}}'
+            f'"judgment": {_str(c.judgment.render())}, "premises": [{premises}], '
+            f'"rule": {_str(rule)}, "subject": {_str(subject)}}}'
         )
+        line = f'{{"digest": {_str(digest)}, {line}' if rule == "LET" else f"{{{line}"
         row_of[n] = rows.setdefault(line, len(rows))
     return f'{{"mode": {_str(mode)}, "nodes": [\n' + ",\n".join(rows) + f'\n], "schema": "{SCHEMA}"}}\n'
 
 
 class RowTable:
     """Rows as columns, root last: rule, premise row ids, subject, judgment
-    (from read_table, one object per distinct text), and a Derivation's modes."""
+    (from read_table, one object per distinct text), a Derivation's modes,
+    and the digest each LET row cites, by row id."""
 
-    __slots__ = ("mode", "rules", "premises", "subjects", "judgments", "modes")
+    __slots__ = ("mode", "rules", "premises", "subjects", "judgments", "modes", "cites")
 
-    def __init__(self, mode: str, rules: list, premises: list, subjects: list, judgments: list, modes=None):
+    def __init__(self, mode: str, rules: list, premises: list, subjects: list, judgments: list, modes=None,
+                 cites=None):
         self.mode, self.rules, self.premises, self.modes = mode, rules, premises, modes
-        self.subjects, self.judgments = subjects, judgments
+        self.subjects, self.judgments, self.cites = subjects, judgments, cites or {}
 
 
 def read_table(text: str) -> RowTable:
@@ -178,7 +196,7 @@ def read_table(text: str) -> RowTable:
     table = doc.get("nodes")
     if not isinstance(table, list) or not table:
         raise FormatError("derivation document needs a non-empty 'nodes' list")
-    rules, premises, subjects, judgments = [], [], [], []
+    rules, premises, subjects, judgments, cites = [], [], [], [], {}
     parsed: dict[str, Judgment] = {}  # a file holds few distinct judgments
     for i, row in enumerate(table):
         if not isinstance(row, dict):
@@ -200,6 +218,10 @@ def read_table(text: str) -> RowTable:
             # bool is an int subclass; only genuine ints name rows
             if type(p) is not int or not 0 <= p < i:
                 raise FormatError(f"premise {p!r} at /nodes/{i} does not name an earlier row")
+        if rule == "LET":
+            cites[i] = row.get("digest")
+            if not (isinstance(cites[i], str) and _DIGEST.fullmatch(cites[i])):
+                raise FormatError(f"a LET row needs a 'sha256:<64 hex digits>' digest at /nodes/{i}")
         rules.append(rule)
         premises.append(prem)
         subjects.append(subject)
@@ -215,7 +237,7 @@ def read_table(text: str) -> RowTable:
             raise FormatError(f"row /nodes/{i} is not reachable from the root")
         for p in premises[i]:
             reached[p] = True
-    return RowTable(mode, rules, premises, subjects, judgments)
+    return RowTable(mode, rules, premises, subjects, judgments, cites=cites)
 
 
 def _follow(premises: list, i: int, path: str) -> int | None:
@@ -233,9 +255,10 @@ def deserialize(text: str) -> Derivation:
     """A .pjd document's root as Derivation objects, one per row."""
     t = read_table(text)
     built: list[Derivation] = []
-    for rule, ids, subject, j in zip(t.rules, t.premises, t.subjects, t.judgments):
+    for i, (rule, ids, subject, j) in enumerate(zip(t.rules, t.premises, t.subjects, t.judgments)):
         kids = tuple([built[p] for p in ids])
-        built.append(Derivation(rule, CITATIONS.get(rule, ""), kids, Conclusion(subject, j, t.mode)))
+        cite = t.cites[i] if rule == "LET" else CITATIONS.get(rule, "")
+        built.append(Derivation(rule, cite, kids, Conclusion(subject, j, t.mode)))
     return built[-1]
 
 
@@ -247,7 +270,7 @@ def _table_of(d: Derivation | RowTable) -> RowTable:
     return RowTable(
         d.conclusion.mode, [n.rule for n in row_of], [[row_of[p] for p in n.premises] for n in row_of],
         [n.conclusion.subject for n in row_of], [n.conclusion.judgment for n in row_of],
-        [n.conclusion.mode for n in row_of],
+        [n.conclusion.mode for n in row_of], {i: n.cite for i, n in enumerate(row_of) if n.rule == "LET"},
     )
 
 
@@ -320,8 +343,9 @@ def _selector_stage(c: PointClass) -> int:
     return m
 
 
-def _declared(premises: list, name: str, j: Judgment, env: Env) -> Judgment:
-    if premises:
+def _declared(t: RowTable, i: int, env: Env, cited: dict) -> Judgment:
+    name, j = t.subjects[i], t.judgments[i]
+    if t.premises[i]:
         raise CheckError("", "declaration leaves have no premises")
     if j.kind == "class":
         if name not in env.sets or env.sets[name].cls is None:
@@ -342,8 +366,9 @@ def _declared(premises: list, name: str, j: Judgment, env: Env) -> Judgment:
     raise CheckError("", "declaration leaves carry class or level judgments")
 
 
-def _scheduled(premises: list, subject: str, j: Judgment, env: Env) -> Judgment:
-    if premises:
+def _scheduled(t: RowTable, i: int, env: Env, cited: dict) -> Judgment:
+    subject, j = t.subjects[i], t.judgments[i]
+    if t.premises[i]:
         raise CheckError("", "schedule leaves have no premises")
     if not subject.startswith("levels "):
         raise CheckError("", "schedule leaf subject must start with 'levels '")
@@ -360,8 +385,9 @@ def _scheduled(premises: list, subject: str, j: Judgment, env: Env) -> Judgment:
     return j
 
 
-def _measurable(premises: list, subject: str, j: Judgment, env: Env) -> Judgment:
-    if premises:
+def _measurable(t: RowTable, i: int, env: Env, cited: dict) -> Judgment:
+    subject, j = t.subjects[i], t.judgments[i]
+    if t.premises[i]:
         raise CheckError("", "P-UM nodes have no premises")
     if j.kind != "prop":
         raise CheckError("", "P-UM concludes a proposition")
@@ -371,6 +397,23 @@ def _measurable(premises: list, subject: str, j: Judgment, env: Env) -> Judgment
             "", f"proposition {j.text!r} does not restate the subject; expected {restated!r}"
         )
     _um_subject(subject)  # read in either mode; a level past the cap raises here
+    return j
+
+
+def _cited(t: RowTable, i: int, env: Env, cited: dict) -> Judgment:
+    name, j, digest = t.subjects[i], t.judgments[i], t.cites.get(i)
+    if t.premises[i]:
+        raise CheckError("", "LET rows have no premises")
+    if j.kind not in _KINDS.values():
+        raise CheckError("", "LET rows carry class or level judgments")
+    entry = (env.sets if j.kind == "class" else env.funcs).get(name)
+    if entry is None or entry.expr is None:
+        raise CheckError("", f"no {'set' if j.kind == 'class' else 'function'} let named {name!r}")
+    if digest not in (cited or {}):
+        raise CheckError("", f"no verified let_{name}.pjd hashes to {digest}")
+    mode, root = cited[digest]
+    if (mode, root) != (t.mode, j):
+        raise CheckError("", f"let_{name}.pjd concludes {root.render()} in {mode}, not {j.render()} in {t.mode}")
     return j
 
 
@@ -453,16 +496,21 @@ def _eps_selection(p: int, c: PointClass) -> Judgment:
 # for one or more of that kind; the conclusion is computed from the
 # premises' classes and levels, in premise order.  A one-premise S-BPRE, a
 # section, is the entry under ("S-BPRE", 1).  A leaf's kinds are None: its
-# conclusion is read off the row and the program, (premise ids, subject,
-# judgment, env), and its entry
-# raises its own reason when they disagree.  The gate, asked outside ZFC_PD
-# only and with the same arguments, returns None when the step stands
-# without determinacy, else the words that follow the rule id in the
-# refusal.
+# conclusion is read off the row, the program and the verified files it may
+# cite, (table, row id, env, cited), and its entry raises its own reason
+# when they disagree.  The gate, asked outside ZFC_PD only and with the same
+# arguments, returns None when the step stands without determinacy, else
+# the words that follow the rule id in the refusal.  LET, the one rule the
+# engine never applies, cites the file that proves a let (see check).
 _RULES = {
     "DECL": (None, _declared, None),
     "SCHED": (None, _scheduled, None),
-    "P-UM": (None, _measurable, lambda p, s, j, env: " beyond level 1" if _um_subject(s).level >= 2 else None),
+    "LET": (None, _cited, None),
+    "P-UM": (
+        None,
+        _measurable,
+        lambda t, i, env, cited: " beyond level 1" if _um_subject(t.subjects[i]).level >= 2 else None,
+    ),
     "S-COMPL": ("c", _complement, None),
     "S-CU": ("c*", _countable, None),
     "S-CI": ("c*", _countable, None),
@@ -506,8 +554,12 @@ LEAF_RULES = frozenset([rule for rule, (kinds, _, _) in _RULES.items() if kinds 
 _KINDS = {"c": "class", "l": "level"}
 
 
-def check(d: Derivation | RowTable, env: Env) -> None:
+def check(d: Derivation | RowTable, env: Env, cited: dict | None = None) -> None:
     """Raise CheckError unless every row re-derives and every leaf is declared.
+
+    ``cited`` maps the digest of each file already verified to its (mode,
+    root judgment); a LET row holds only if the file it cites is there, in
+    this table's mode, and concludes the row's judgment.
 
     The rows are checked in table order, each step once: a step is a leaf
     row, or a rule over a row's own and its premises' judgments.  If one
@@ -515,6 +567,7 @@ def check(d: Derivation | RowTable, env: Env) -> None:
     visit order and reports the first to fail at the path of its first
     visit, with the path its own checks raise ("" or /premises/i) below."""
     t = _table_of(d)
+    cited = {} if cited is None else cited
     judgments, premises = t.judgments, t.premises
     each_row = LEAF_RULES if t.modes is None else _RULES  # steps hold no mode; a Derivation's rows do
     passed = set()  # the steps that passed: leaf row ids, and (rule, judgment ids...)
@@ -522,14 +575,14 @@ def check(d: Derivation | RowTable, env: Env) -> None:
         for i, rule in enumerate(t.rules):
             step = i if rule in each_row else (rule, id(judgments[i]), *[id(judgments[p]) for p in premises[i]])
             if step not in passed:
-                _check_row(t, i, env)
+                _check_row(t, i, env, cited=cited)
                 passed.add(step)
         return
     except CheckError:
         pass
     for i, frames in _walk(len(t.rules) - 1, premises.__getitem__):
         try:
-            _check_row(t, i, env)
+            _check_row(t, i, env, cited=cited)
         except CheckError as exc:
             raise CheckError(_path_of(frames) + exc.path, exc.reason) from None
 
@@ -539,7 +592,7 @@ def _path_of(frames: list) -> str:
     return "".join([f"/premises/{i - 1}" for _, _, i in frames[:-1]])
 
 
-def _check_row(t: RowTable, i: int, env: Env) -> None:
+def _check_row(t: RowTable, i: int, env: Env, cited: dict | None = None) -> None:
     """Row i's own checks, against its premises' judgments."""
     rule, prem, j = t.rules[i], t.premises[i], t.judgments[i]
     if t.modes is not None and t.modes[i] != t.mode:
@@ -551,7 +604,7 @@ def _check_row(t: RowTable, i: int, env: Env) -> None:
         raise CheckError("", f"unknown rule id {rule!r}")
     kinds, conclude, gate = entry
     if kinds is None:
-        args = (prem, t.subjects[i], j, env)
+        args = (t, i, env, cited)
     else:
         if kinds[-1] == "*":
             kinds = kinds[0] * len(prem)  # conclude() refuses none

@@ -88,7 +88,11 @@ class FiniteModel:
     kernels: dict[str, KernelData] = field(default_factory=dict)
 
     def points(self, carrier: Carrier) -> list:
-        """All points of a carrier, left-major for products."""
+        """All points of a carrier, left-major for products.
+
+        It recurses once per product factor, and may: a product nested
+        deeper than the recursion limit over spaces of two atoms or more
+        has over 2**1000 points, which no explicit stack could list."""
         if isinstance(carrier, str):
             try:
                 return list(self.spaces[carrier])
@@ -420,9 +424,21 @@ def _power(v: XReal, exponent: Fraction, point) -> XReal:
 
 
 def _dot(u, v) -> XReal:
+    """The inner product of two values of one shape, nested pairs of extended
+    reals: the sum of their entrywise products.  A -inf product makes it
+    -inf at any depth of the nesting, and else a +inf one +inf, so one sum
+    over all the products, taken on an explicit stack, is the nested one."""
     if isinstance(u, XReal) and isinstance(v, XReal):
         return xreal_prod(u, v)
-    return xreal_sum([_dot(u[0], v[0]), _dot(u[1], v[1])])
+    products, pairs = [], [(u, v)]
+    while pairs:
+        u, v = pairs.pop()
+        if isinstance(u, XReal) and isinstance(v, XReal):
+            products.append(xreal_prod(u, v))
+        else:
+            (u0, u1), (v0, v1) = u, v
+            pairs += ((u1, v1), (u0, v0))
+    return xreal_sum(products)
 
 
 def _vector(c: Carrier) -> bool:

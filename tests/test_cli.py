@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from projcalc import cli, parser
+from projcalc import ZFC, ast, cli, parser
 from projcalc.cli import build_parser, main
+from projcalc.derivation import serialize
 from projcalc.games import BUDGET_ENV, FiniteGame, compile_target_expr, dumps_game, solve
+from projcalc.infer import infer_set
 
 from .oracles import brute_force_winner, reference_solve
 from .progen import compl_nest, corpus, doubling_chain, game_corpus, linear_chain, neg_nest, space_nest
@@ -219,8 +221,9 @@ def test_emit_derivations_onto_a_file_exits_two(gated, tmp_path, capsys):
 def test_derivations_frozen(tmp_path, capsys):
     # over the corpus and three chains, in both modes: every infer report and
     # exit code, and every emitted file's check output and exit code, frozen
-    # before subjects became references and unchanged by it; and the .pjd
-    # bytes themselves, frozen for schema projcalc/3
+    # before subjects became references and unchanged by it, or by lets
+    # citing the files of the lets they use; and the .pjd bytes themselves,
+    # frozen for schema projcalc/3 with those citations
     reports, checks, files = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     texts = corpus() + [doubling_chain(12), linear_chain(200), compl_nest(150)]
     for i, text in enumerate(texts):
@@ -237,7 +240,7 @@ def test_derivations_frozen(tmp_path, capsys):
                 checks.update(f"{pjd.name}\n{rc}\n{capsys.readouterr().out}".encode())
     assert reports.hexdigest() == "084c1d671b6cbfb1de6a8ecb09fa8557af9664dcf1af7f3ebab4107896d34ce1"
     assert checks.hexdigest() == "bcfabb71d5d7d8eaa46a6eaabdd83342ab459a4ab84d56e6ed1de80596b44a50"
-    assert files.hexdigest() == "2b2108805d167e0ecb4df3db50c7fa2f68dab3faf769c5784b77d0707dd1e8ca"
+    assert files.hexdigest() == "cb18d00cf6820cab12a6bde36c44c9c5c7898bb675a7dce09d1602d630e778de"
 
 
 def _fresh_cli(argv):
@@ -336,7 +339,7 @@ def test_one_engine_per_infer_run(tmp_path, monkeypatch, capsys):
     path = tmp_path / "linear.pjc"
     path.write_text(linear_chain(n), encoding="utf-8")
     roots = []
-    monkeypatch.setattr(cli, "serialize", lambda d: roots.append(d) or "")
+    monkeypatch.setattr(cli, "serialize", lambda d, cites=None: roots.append(d) or "")
     assert main(["infer", str(path), "--emit-derivations", str(tmp_path / "d")]) == 0
     assert len(roots) == n
     for before, after in zip(roots, roots[1:]):
@@ -478,10 +481,12 @@ def test_check_level_past_the_cap(mode, row, rc, out, err, gated, tmp_path, caps
 
 
 def test_check_tampered_shared_row(tmp_path, capsys):
+    # a file with every row inline, as serialize writes with no citations
     program = tmp_path / "doubling.pjc"
     program.write_text(doubling_chain(4), encoding="utf-8")
-    assert main(["infer", str(program), "--emit-derivations", str(tmp_path / "d")]) == 0
-    path = tmp_path / "d" / "let_A4.pjd"
+    _, env = parser.parse(doubling_chain(4))
+    path = tmp_path / "let_A4.pjd"
+    path.write_text(serialize(infer_set(ast.NamedSet("A4"), env, ZFC)[1]), encoding="utf-8")
     assert main(["check", str(path), str(program)]) == 0
     doc = json.loads(path.read_text(encoding="utf-8"))
     uses = [0] * len(doc["nodes"])
@@ -498,6 +503,181 @@ def test_check_tampered_shared_row(tmp_path, capsys):
         "check failed at /premises/0: conclusion 'class delta 3' does not match "
         "recomputed 'class delta 2' for rule S-CU\n"
     )
+
+
+# --- citations --------------------------------------------------------------------
+
+
+def _emit(tmp_path, text: str, *flags: str, name: str = "d"):
+    """The program at tmp_path/<name>.pjc, its files emitted into tmp_path/<name>,
+    and a fresh front end, so no file of it counts as verified yet."""
+    program = tmp_path / f"{name}.pjc"
+    program.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / name
+    assert main(["infer", str(program), "--emit-derivations", str(out_dir), *flags]) == 0
+    cli._front_end.cache_clear()
+    return str(program), out_dir
+
+
+def _rows(path) -> tuple[dict, list]:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    return doc, doc["nodes"]
+
+
+def _sha(path) -> str:
+    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_let_cites_the_lets_it_uses(tmp_path, capsys):
+    program, out = _emit(tmp_path, linear_chain(3))
+    _, rows = _rows(out / "let_A3.pjd")
+    assert rows == [
+        {"digest": _sha(out / "let_A2.pjd"), "judgment": "class sigma 1", "premises": [], "rule": "LET",
+         "subject": "A2"},
+        {"judgment": "class pi 1", "premises": [0], "rule": "S-COMPL", "subject": "compl(A2)"},
+    ]
+    capsys.readouterr()
+    assert main(["check", str(out / "let_A3.pjd"), program]) == 0
+    assert capsys.readouterr().out == "ok: compl(A2) : class pi 1 [ZFC]\n"
+
+
+def test_check_missing_cited_file(tmp_path, capsys):
+    program, out = _emit(tmp_path, linear_chain(3))
+    (out / "let_A1.pjd").unlink()
+    capsys.readouterr()
+    assert main(["check", str(out / "let_A3.pjd"), program]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {out / 'let_A1.pjd'}: ")
+
+
+def test_check_cited_file_edited_after_emit(tmp_path, capsys):
+    program, out = _emit(tmp_path, linear_chain(3))
+    cited = out / "let_A1.pjd"
+    digest = _sha(cited)
+    cited.write_text(cited.read_text(encoding="utf-8") + " ", encoding="utf-8")  # still a valid file
+    capsys.readouterr()
+    assert main(["check", str(out / "let_A2.pjd"), program]) == 1
+    assert capsys.readouterr().out == f"check failed at /premises/0: no verified let_A1.pjd hashes to {digest}\n"
+
+
+def test_check_failure_inside_cited_file(tmp_path, capsys):
+    # a cited file whose own row is wrong, cited by its new digest
+    program, out = _emit(tmp_path, linear_chain(3))
+    doc, rows = _rows(out / "let_A1.pjd")
+    rows[-1]["rule"] = "S-PROJ"
+    (out / "let_A1.pjd").write_text(json.dumps(doc), encoding="utf-8")
+    doc, rows = _rows(out / "let_A2.pjd")
+    rows[0]["digest"] = _sha(out / "let_A1.pjd")
+    (out / "let_A2.pjd").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(out / "let_A2.pjd"), program]) == 1
+    assert capsys.readouterr().out == (
+        f"check failed at {out / 'let_A1.pjd'}#/: conclusion 'class pi 1' does not match "
+        "recomputed 'class sigma 1' for rule S-PROJ\n"
+    )
+
+
+def test_check_cited_judgment_differs(tmp_path, capsys):
+    program, out = _emit(tmp_path, linear_chain(3))
+    doc, rows = _rows(out / "let_A2.pjd")
+    rows[0]["judgment"] = "class sigma 1"
+    (out / "let_A2.pjd").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(out / "let_A2.pjd"), program]) == 1
+    assert capsys.readouterr().out == (
+        "check failed at /premises/0: let_A1.pjd concludes class pi 1 in ZFC, not class sigma 1 in ZFC\n"
+    )
+
+
+@pytest.mark.parametrize("subject,reason", [
+    ("A0", "no set let named 'A0'"),
+    ("Q", "no set let named 'Q'"),
+    ("../d/let_A1", "no set let named '../d/let_A1'"),
+])
+def test_check_cite_of_no_let(subject, reason, tmp_path, capsys):
+    program, out = _emit(tmp_path, linear_chain(3))
+    doc, rows = _rows(out / "let_A2.pjd")
+    rows[0]["subject"] = subject
+    (out / "let_A2.pjd").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(out / "let_A2.pjd"), program]) == 1
+    assert capsys.readouterr().out == f"check failed at /premises/0: {reason}\n"
+
+
+def test_check_cited_file_in_the_other_mode(tmp_path, capsys):
+    program, out = _emit(tmp_path, linear_chain(3))
+    _, pd_out = _emit(tmp_path, linear_chain(3), "--assume-pd", name="pd")
+    (out / "let_A1.pjd").write_bytes((pd_out / "let_A1.pjd").read_bytes())
+    doc, rows = _rows(out / "let_A2.pjd")
+    rows[0]["digest"] = _sha(out / "let_A1.pjd")
+    (out / "let_A2.pjd").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(out / "let_A2.pjd"), program]) == 1
+    assert capsys.readouterr().out == (
+        "check failed at /premises/0: let_A1.pjd concludes class pi 1 in ZFC_PD, not class pi 1 in ZFC\n"
+    )
+
+
+def test_an_alias_is_cited_under_its_first_name(tmp_path, capsys):
+    text = "space X = baire\nset A0 in X : sigma 1\nlet A = compl(A0)\nlet B = A\nlet C = compl(B)\n"
+    program, out = _emit(tmp_path, text)
+    assert (out / "let_B.pjd").read_bytes() == (out / "let_A.pjd").read_bytes()
+    _, rows = _rows(out / "let_C.pjd")
+    assert [(r["rule"], r["subject"]) for r in rows] == [("LET", "A"), ("S-COMPL", "compl(B)")]
+    capsys.readouterr()
+    files = [str(out / f"let_{name}.pjd") for name in "CBA"]
+    assert main(["check", *files, program]) == 0
+    assert capsys.readouterr().out == (
+        "ok: compl(B) : class sigma 1 [ZFC]\nok: compl(A0) : class pi 1 [ZFC]\nok: compl(A0) : class pi 1 [ZFC]\n"
+    )
+
+
+def test_check_many_files_in_one_run(tmp_path, capsys):
+    program, out = _emit(tmp_path, linear_chain(12))
+    files = sorted(out.iterdir())  # as a shell glob lists them: let_A1, let_A10, let_A11, let_A12, let_A2, ...
+    capsys.readouterr()
+    assert main(["check", *map(str, files), program]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for path, line in zip(files, lines, strict=True):
+        assert main(["check", str(path), program]) == 0
+        assert capsys.readouterr().out == line + "\n"
+    doc, rows = _rows(out / "let_A11.pjd")
+    rows[-1]["judgment"] = "class sigma 1"
+    (out / "let_A11.pjd").write_text(json.dumps(doc), encoding="utf-8")
+    cli._front_end.cache_clear()  # else let_A12, verified above with the file it cites then, stays verified
+    assert main(["check", *map(str, files), program]) == 1
+    bad = [name for name, line in zip(files, capsys.readouterr().out.splitlines(), strict=True)
+           if not line.startswith("ok: ")]
+    assert bad == [out / "let_A11.pjd", out / "let_A12.pjd"]
+
+
+def test_a_verified_file_is_not_read_again(tmp_path, monkeypatch, capsys):
+    program, out = _emit(tmp_path, linear_chain(5))
+    reads = []
+    read = cli._read_bytes
+    monkeypatch.setattr(cli, "_read_bytes", lambda path: reads.append(os.path.basename(path)) or read(path))
+    for name in ("A5", "A3", "A5"):
+        assert main(["check", str(out / f"let_{name}.pjd"), program]) == 0
+    assert reads == ["d.pjc", "let_A5.pjd", "let_A4.pjd", "let_A3.pjd", "let_A2.pjd",
+                     "let_A1.pjd", "d.pjc", "let_A3.pjd", "d.pjc", "let_A5.pjd"]
+
+
+def test_chain_files_grow_linearly(tmp_path):
+    # each let's file cites the one before instead of copying it
+    sizes = {}
+    for n in (200, 400, 800):
+        _, out = _emit(tmp_path, linear_chain(n), name=f"linear{n}")
+        sizes[n] = sum(p.stat().st_size for p in out.iterdir())
+    assert sizes[400] < 2.2 * sizes[200] and sizes[800] < 2.2 * sizes[400]
+    assert sizes[800] < 1 << 20
+
+
+def test_long_let_chain_checks(tmp_path):
+    # let_A3000.pjd cites a chain of 3000 files, deeper than the recursion limit
+    program, out = _emit(tmp_path, linear_chain(3000))
+    done = _fresh_cli(["check", str(out / "let_A3000.pjd"), program])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok: compl(A2999) : class sigma 1 [ZFC]\n", "")
 
 
 def test_deep_nest_derivations_check(tmp_path, capsys):

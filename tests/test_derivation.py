@@ -401,9 +401,9 @@ def _counting(monkeypatch, name):
     calls = []
     original = getattr(derivation, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(derivation, name, counting)
     return calls
@@ -475,9 +475,45 @@ def test_check_walks_the_row_ids_once_on_failure(monkeypatch, env):
     assert walks == [(2, table.premises.__getitem__)]
 
 
+def test_let_rows_cite_a_verified_file():
+    # serialize writes a cited let as one LET row; check holds it to the
+    # (mode, root judgment) recorded for its digest, and deserialize keeps it
+    _, env = parse(linear_chain(3))
+    engine = Engine(env, ZFC)
+    (_, a2), (_, a3) = engine.infer(ast.NamedSet("A2")), engine.infer(ast.NamedSet("A3"))
+    digest = "sha256:" + hashlib.sha256(serialize(a2).encode()).hexdigest()
+    text = serialize(a3, {a2: ("A2", digest), a3: ("A3", "sha256:" + "0" * 64)})  # the root is never cited
+    assert json.loads(text)["nodes"] == [
+        {"digest": digest, "judgment": "class sigma 1", "premises": [], "rule": "LET", "subject": "A2"},
+        {"judgment": "class pi 1", "premises": [0], "rule": "S-COMPL", "subject": "compl(A2)"},
+    ]
+    loaded = deserialize(text)
+    assert loaded.premises[0].cite == digest and serialize(loaded) == text
+    for table in (derivation.read_table(text), loaded):
+        check(table, env, {digest: (ZFC, a2.conclusion.judgment)})
+        for cited, reason in [
+            ({}, f"no verified let_A2.pjd hashes to {digest}"),
+            ({digest: (ZFC_PD, a2.conclusion.judgment)}, "let_A2.pjd concludes class sigma 1 in ZFC_PD, "
+                                                          "not class sigma 1 in ZFC"),
+        ]:
+            with pytest.raises(CheckError) as exc:
+                check(table, env, cited)
+            assert (exc.value.path, exc.value.reason) == ("/premises/0", reason)
+
+
+@pytest.mark.parametrize("digest", [None, 7, "", "sha256:abc", "sha256:" + "A" * 64, "md5:" + "0" * 64])
+def test_let_rows_need_a_digest(digest):
+    row = {"judgment": "class pi 1", "premises": [], "rule": "LET", "subject": "A1"}
+    if digest is not None:
+        row["digest"] = digest
+    with pytest.raises(FormatError, match="a LET row needs a 'sha256:<64 hex digits>' digest at /nodes/0"):
+        derivation.read_table(json.dumps({"mode": "ZFC", "nodes": [row], "schema": "projcalc/3"}))
+
+
 def test_rule_table_covers_every_rule():
-    assert {k for k in derivation._RULES if isinstance(k, str)} == set(CITATIONS)
-    assert derivation.LEAF_RULES == {"DECL", "SCHED", "P-UM"}
+    # LET, the one rule the engine never applies, cites another file
+    assert {k for k in derivation._RULES if isinstance(k, str)} == set(CITATIONS) | {"LET"}
+    assert derivation.LEAF_RULES == {"DECL", "SCHED", "P-UM", "LET"}
 
 
 def test_deserialize_parses_each_judgment_text_once(monkeypatch):

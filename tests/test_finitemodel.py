@@ -2,6 +2,7 @@
 
 import random
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from projcalc.finitemodel import (
     loads_model,
     measure_of,
 )
-from projcalc.xreal import NEG_INF, POS_INF, fin
+from projcalc.xreal import NEG_INF, POS_INF, XReal, fin, xreal_prod, xreal_sum
 
 from . import oracles
 
@@ -850,6 +851,41 @@ def test_deep_nests_evaluate(m):
         e, f = ast.Complement(e), ast.Neg(f)
     assert eval_set(e, m) == {"x1"}
     assert func_data(f, m).table == m.funcs["s"].table
+
+
+def _nested_dot(u, v):
+    # the inner product as the nested binary sums it is defined by
+    if isinstance(u, XReal):
+        return xreal_prod(u, v)
+    return xreal_sum([_nested_dot(u[0], v[0]), _nested_dot(u[1], v[1])])
+
+
+def test_inner_product_sums_as_the_nesting_does():
+    rng = random.Random(5)
+    entries = [NEG_INF, POS_INF, fin(0), fin(Fraction(1, 2)), fin(-3)]
+
+    def shape(depth):  # None for an entry, else a pair of shapes
+        return None if depth == 0 or rng.random() < 0.3 else (shape(depth - 1), shape(depth - 1))
+
+    def fill(s):
+        return rng.choice(entries) if s is None else (fill(s[0]), fill(s[1]))
+
+    for _ in range(2000):
+        s = shape(4)
+        u, v = fill(s), fill(s)
+        assert finitemodel._dot(u, v) == _nested_dot(u, v), (u, v)
+
+
+def test_deep_inner_products_evaluate():
+    # 3000 nested pairs, deeper than the recursion limit; f is +inf at one
+    # point and -inf at another, so the sums meet both infinities
+    m = loads_model((Path(__file__).resolve().parents[1] / "demos" / "models" / "two_by_three.pjm").read_text())
+    p = F("f")
+    for _ in range(3000):
+        p = ast.PairFunc(p, F("f"))
+    table = evaluate(ast.InnerProduct(p, p), m).table
+    assert table == {point: xreal_sum([xreal_prod(v, v)] * 3001) for point, v in m.funcs["f"].table.items()}
+    assert table[("x1", "y1")] == POS_INF and table[("x0", "y0")] == fin(Fraction(3001, 9))
 
 
 def test_combine_runs_once_per_node(m, monkeypatch):

@@ -115,7 +115,7 @@ def test_expression_walkers_do_not_recurse(module):
 def test_finite_model_evaluator_does_not_recurse():
     # the evaluator is one fold; only the model's carrier and point helpers recurse
     found = recursive_functions((PACKAGE / "finitemodel.py").read_text(encoding="utf-8"))
-    assert found == ["_dot", "_point_from_json", "_point_to_json", "points"]
+    assert found == ["_point_from_json", "_point_to_json", "points"]
 
 
 def test_recursion_is_flagged():
