@@ -1,32 +1,97 @@
 """AST for the line-oriented calculus DSL.
 
-Space expressions are hash-consed: two are equal iff they are one object.
-Set and function expressions are frozen trees; axis arguments stay as
-written (a 1-based position or a space name) and are resolved against
-carriers at bind time.  Statement line numbers are carried for diagnostics
-but excluded from equality so that parse(format(p)) == p.
+Every node is a _Node: its fields are its class's __slots__, it cannot be
+changed once built, and == and hash compare its fields as a frozen
+dataclass's do.  Space expressions are hash-consed: two are equal iff they
+are one object.  Set and function expressions are trees; axis arguments
+stay as written (a 1-based position or a space name) and are resolved
+against carriers at bind time.  Statement line numbers are carried for
+diagnostics but excluded from equality so that parse(format(p)) == p.
 
 The keyword form of each fixed-arity constructor is written down once, in
-SET_FORMS and FUNC_FORMS (EPS_FORM for eps_inf/eps_sup, SPACE_ATOMS and
-SPACE_FORMS for spaces); the parser reads and the formatter writes every
-such form from its entry, and children() reads a node's subexpressions from
-it.  The binder, the engine, the formatter and the finite-model evaluator
-walk expressions through fold(), the parser with a stack of its own, so
-expressions nest as deep as memory allows; so do space values, whose
-factors space_children() gives.  A new constructor is its class and one
-entry here plus its rules in sema, infer and derivation; an irregular form
-is also named in children() and spelled by hand in parser.expr and
-formatter.pieces.
+SET_FORMS and FUNC_FORMS (EPS_STEPS for eps_inf/eps_sup, SPACE_ATOMS and
+SPACE_FORMS for spaces), and a form's entry declares its node class too;
+the parser reads and the formatter writes every such form from its entry,
+and children() reads a node's subexpressions from it.  The binder, the
+engine, the formatter and the finite-model evaluator walk expressions
+through fold(), the parser with a stack of its own, so expressions nest as
+deep as memory allows; so do space values, whose factors space_children()
+gives.  A new constructor is one table entry plus its rules in sema, infer
+and derivation; an irregular form is declared on its own line below, named
+in children() and spelled by hand in parser.expr and formatter.pieces.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from fractions import Fraction
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, or_
 
-from .pointclass import LevelSchedule, PointClass
+# --- nodes ---------------------------------------------------------------------
+
+# (field names, defaults) -> (a function of the fields' slot setters giving
+# __init__, __eq__, __hash__)
+_COMPILED = {}
+
+
+def _compiled(fields: tuple, defaults: dict) -> tuple:
+    """Compile, once per field list, __eq__, __hash__ and the maker of __init__(self, field, ...)."""
+    key = (fields, tuple(defaults.items()))
+    if key not in _COMPILED:
+        params = "".join(f", {f}={defaults[f]!r}" if f in defaults else f", {f}" for f in fields)
+        body = "".join(f"        _set_{f}(self, {f})\n" for f in fields) or "        pass\n"
+        setters = ", ".join(f"_set_{f}" for f in fields)
+        mine = "".join(f"self.{f}, " for f in fields if f != "line")
+        theirs = mine.replace("self.", "other.")
+        namespace = {}
+        exec(
+            f"def make({setters}):\n    def __init__(self{params}):\n{body}    return __init__\n"
+            f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n    return NotImplemented\n"
+            f"def __hash__(self):\n    return hash(({mine}))\n",
+            namespace,
+        )
+        _COMPILED[key] = namespace["make"], namespace["__eq__"], namespace["__hash__"]
+    return _COMPILED[key]
+
+
+class _Node:
+    """A node whose fields are its class's own __slots__, in order.
+
+    Each class gets an __init__ compiled for its fields, as dataclasses and
+    namedtuple do: positional or keyword arguments, with the defaults the
+    class is declared with.  It sets each field through its slot, past the
+    __setattr__ that refuses any change.  == and hash are a frozen
+    dataclass's: the same class and equal fields, and the hash of the tuple
+    of fields; a statement's line is shown but neither compared nor hashed.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **defaults):
+        fields = cls._fields = tuple(f for f in vars(cls)["__slots__"] if f != "__weakref__")
+        make, cls.__eq__, cls.__hash__ = _compiled(fields, defaults)
+        cls.__init__ = make(*[vars(cls)[f].__set__ for f in fields])
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):  # copy and pickle rebuild a node through its class
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _node(name: str, fields: str = "", base: type = _Node, **defaults) -> type:
+    """The node class name on base, its fields named in the string fields."""
+    return type(name, (base,), {"__slots__": tuple(fields.split())}, **defaults)
+
 
 # --- spaces ------------------------------------------------------------------
 
@@ -34,8 +99,17 @@ from .pointclass import LevelSchedule, PointClass
 _SPACES = weakref.WeakValueDictionary()
 
 
-class _HashConsed:
-    """The one object of this class and factors (Filliatre and Conchon, 2006)."""
+class _HashConsed(_Node):
+    """The one object of this class and factors (Filliatre and Conchon, 2006).
+
+    __new__ may hand back a space that exists; __init__ then sets its
+    fields again, to the values they hold."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls, **defaults):
+        super().__init_subclass__(**defaults)
+        cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__  # one object per value
 
     def __new__(cls, *factors):
         key = (cls, *factors)
@@ -45,342 +119,97 @@ class _HashConsed:
         return space
 
 
-@dataclass(frozen=True, eq=False)
-class Reals(_HashConsed):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class Naturals(_HashConsed):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class Baire(_HashConsed):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class Cantor(_HashConsed):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class XRealLine(_HashConsed):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class ProductSpace(_HashConsed):
-    left: "SpaceExpr"
-    right: "SpaceExpr"
-
-
-@dataclass(frozen=True, eq=False)
-class MeasureSpace(_HashConsed):
-    inner: "SpaceExpr"
-
+Reals = _node("Reals", base=_HashConsed)
+Naturals = _node("Naturals", base=_HashConsed)
+Baire = _node("Baire", base=_HashConsed)
+Cantor = _node("Cantor", base=_HashConsed)
+XRealLine = _node("XRealLine", base=_HashConsed)
+ProductSpace = _node("ProductSpace", "left right", _HashConsed)
+MeasureSpace = _node("MeasureSpace", "inner", _HashConsed)
 
 SpaceExpr = Reals | Naturals | Baire | Cantor | XRealLine | ProductSpace | MeasureSpace
 
 Axis = int | str  # 1-based position, or a space name resolved at bind time
 
-# --- set expressions ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NamedSet:
-    name: str
-
-
-@dataclass(frozen=True)
-class Complement:
-    operand: "SetExpr"
-
-
-@dataclass(frozen=True)
-class FiniteUnion:
-    members: tuple["SetExpr", ...]
-
-
-@dataclass(frozen=True)
-class FiniteIntersection:
-    members: tuple["SetExpr", ...]
-
-
-@dataclass(frozen=True)
-class CountableUnion:
-    index: str
-    base: str
-    carrier: SpaceExpr | None
-    schedule: LevelSchedule
-
-
-@dataclass(frozen=True)
-class CountableIntersection:
-    index: str
-    base: str
-    carrier: SpaceExpr | None
-    schedule: LevelSchedule
-
-
-@dataclass(frozen=True)
-class Product:
-    left: "SetExpr"
-    right: "SetExpr"
-
-
-@dataclass(frozen=True)
-class Projection:
-    operand: "SetExpr"
-    axis: Axis
-
-
-@dataclass(frozen=True)
-class BorelImage:
-    func: str  # must name a level-1 function
-    operand: "SetExpr"
-
-
-@dataclass(frozen=True)
-class Preimage:
-    func: "FuncExpr"
-    operand: "SetExpr"
-
-
-@dataclass(frozen=True)
-class Section:
-    operand: "SetExpr"
-    axis: Axis
-    at: str | None = None  # concrete coordinate, only meaningful on models
-
-
-@dataclass(frozen=True)
-class Graph:
-    func: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class Sublevel:
-    func: "FuncExpr"
-    op: str  # one of < <= > >=
-    bound: Fraction
-
-
-@dataclass(frozen=True)
-class MeasureThreshold:
-    operand: "SetExpr"
-    threshold: Fraction
-
-
-SetExpr = (
-    NamedSet
-    | Complement
-    | FiniteUnion
-    | FiniteIntersection
-    | CountableUnion
-    | CountableIntersection
-    | Product
-    | Projection
-    | BorelImage
-    | Preimage
-    | Section
-    | Graph
-    | Sublevel
-    | MeasureThreshold
-)
-
-# --- function expressions ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NamedFunc:
-    name: str
-
-
-@dataclass(frozen=True)
-class PairFunc:
-    left: "FuncExpr"
-    right: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class CylinderExtend:
-    func: "FuncExpr"
-    factor: SpaceExpr
-
-
-@dataclass(frozen=True)
-class Compose:
-    outer: "FuncExpr"
-    inner: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class SectionOf:
-    func: "FuncExpr"
-    axis: Axis
-    at: str | None = None
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: "FuncExpr"
-    right: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class ProdOp:
-    left: "FuncExpr"
-    right: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class MinOp:
-    left: "FuncExpr"
-    right: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class MaxOp:
-    left: "FuncExpr"
-    right: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class InnerProduct:
-    left: "FuncExpr"
-    right: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class Power:
-    operand: "FuncExpr"
-    exponent: Fraction  # > 0; operand must be nonneg-annotated
-
-
-@dataclass(frozen=True)
-class CountableSup:
-    index: str
-    base: str
-    carrier: SpaceExpr | None  # domain space of the family, if stated
-    schedule: LevelSchedule
-
-
-@dataclass(frozen=True)
-class CountableInf:
-    index: str
-    base: str
-    carrier: SpaceExpr | None
-    schedule: LevelSchedule
-
-
-@dataclass(frozen=True)
-class PartialInf:
-    func: "FuncExpr"
-    dom: "SetExpr"
-
-
-@dataclass(frozen=True)
-class PartialSup:
-    func: "FuncExpr"
-    dom: "SetExpr"
-
-
-@dataclass(frozen=True)
-class IntegralKernel:
-    func: "FuncExpr"
-    kernel: str
-
-
-@dataclass(frozen=True)
-class Select:
-    operand: "SetExpr"
-
-
-@dataclass(frozen=True)
-class EpsSelector:
-    dom: "SetExpr"
-    func: "FuncExpr"
-    eps: Fraction  # > 0
-    direction: str  # "inf" or "sup"
-
-
-@dataclass(frozen=True)
-class FromGraph:
-    graph: "SetExpr"
-    dom: "SetExpr"
-
-
-FuncExpr = (
-    NamedFunc
-    | PairFunc
-    | CylinderExtend
-    | Compose
-    | SectionOf
-    | Sum
-    | Neg
-    | ProdOp
-    | MinOp
-    | MaxOp
-    | InnerProduct
-    | Power
-    | CountableSup
-    | CountableInf
-    | PartialInf
-    | PartialSup
-    | IntegralKernel
-    | Select
-    | EpsSelector
-    | FromGraph
-)
-
-# --- keyword forms -----------------------------------------------------------
+# --- expressions without a fixed-arity keyword form ----------------------------
+
+NamedSet = _node("NamedSet", "name")
+NamedFunc = _node("NamedFunc", "name")
+FiniteUnion = _node("FiniteUnion", "members")  # a tuple of set expressions
+FiniteIntersection = _node("FiniteIntersection", "members")
+# a family base_0, base_1, ... indexed by index; carrier is its space if stated, else None
+_FAMILY = "index base carrier schedule"
+CountableUnion = _node("CountableUnion", _FAMILY)
+CountableIntersection = _node("CountableIntersection", _FAMILY)
+CountableSup = _node("CountableSup", _FAMILY)
+CountableInf = _node("CountableInf", _FAMILY)
+EpsSelector = _node("EpsSelector", "dom func eps direction")  # eps > 0; direction "inf" or "sup"
+
+# --- keyword forms -------------------------------------------------------------
 #
-# keyword -> (node class, bracket slot or None, paren slots), spelled
-# keyword[bracket](slot, ..., slot).  A slot is (field, kind); the kind is the
-# grammar category there (set_expr, func_expr, space_expr, ident, axis,
+# keyword -> (node class name, slot, ..., slot), spelled keyword(slot, ..., slot)
+# or, if one slot is written "[field kind]", keyword[that slot](the others).
+# Each slot is "field kind", in the order of the class's fields; the kind is
+# the grammar category there (set_expr, func_expr, space_expr, ident, axis,
 # comparator, rational), read by the parser's method of that name, or point:
-# an axis with an optional "@ name", filling the fields axis and at.
+# an axis with an optional "@ name", filling that field and a last field at
+# (None if no "@").  Each entry becomes keyword -> (node class, slot steps).
 
-SET_FORMS = {
-    "compl": (Complement, None, (("operand", "set_expr"),)),
-    "prod": (Product, None, (("left", "set_expr"), ("right", "set_expr"))),
-    "proj": (Projection, ("axis", "axis"), (("operand", "set_expr"),)),
-    "img": (BorelImage, ("func", "ident"), (("operand", "set_expr"),)),
-    "pre": (Preimage, ("func", "func_expr"), (("operand", "set_expr"),)),
-    "section": (Section, ("axis", "point"), (("operand", "set_expr"),)),
-    "graph": (Graph, None, (("func", "func_expr"),)),
-    "sublevel": (Sublevel, None, (("func", "func_expr"), ("op", "comparator"), ("bound", "rational"))),
-    "measure_ge": (MeasureThreshold, None, (("operand", "set_expr"), ("threshold", "rational"))),
-}
 
-FUNC_FORMS = {
-    "pair": (PairFunc, None, (("left", "func_expr"), ("right", "func_expr"))),
-    "compose": (Compose, None, (("outer", "func_expr"), ("inner", "func_expr"))),
-    "add": (Sum, None, (("left", "func_expr"), ("right", "func_expr"))),
-    "mul": (ProdOp, None, (("left", "func_expr"), ("right", "func_expr"))),
-    "min": (MinOp, None, (("left", "func_expr"), ("right", "func_expr"))),
-    "max": (MaxOp, None, (("left", "func_expr"), ("right", "func_expr"))),
-    "inner": (InnerProduct, None, (("left", "func_expr"), ("right", "func_expr"))),
-    "neg": (Neg, None, (("operand", "func_expr"),)),
-    "cyl": (CylinderExtend, ("factor", "space_expr"), (("func", "func_expr"),)),
-    "fsection": (SectionOf, ("axis", "point"), (("func", "func_expr"),)),
-    "pow": (Power, None, (("operand", "func_expr"), ("exponent", "rational"))),
-    "inf_over": (PartialInf, None, (("func", "func_expr"), ("dom", "set_expr"))),
-    "sup_over": (PartialSup, None, (("func", "func_expr"), ("dom", "set_expr"))),
-    "integral": (IntegralKernel, None, (("func", "func_expr"), ("kernel", "ident"))),
-    "select": (Select, None, (("operand", "set_expr"),)),
-    "from_graph": (FromGraph, None, (("graph", "set_expr"), ("dom", "set_expr"))),
-}
+def slot_steps(slots) -> tuple[tuple[str, str, str], ...]:
+    """(text before the slot, field, kind) in reading order; a form ends in ")"."""
+    bracket = [s[1:-1].split() for s in slots if s[0] == "["]
+    order = bracket + [s.split() for s in slots if s[0] != "["]
+    leads = ("[", "](") if bracket else ("(",)
+    leads += (", ",) * (len(order) - len(leads))
+    return tuple((lead, field, kind) for lead, (field, kind) in zip(leads, order))
 
-# one class for two keywords, eps_inf and eps_sup, so not in FUNC_FORMS
-EPS_FORM = (EpsSelector, None, (("dom", "set_expr"), ("func", "func_expr"), ("eps", "rational")))
+
+def _forms(declared: dict) -> dict:
+    """keyword -> (node class, slot steps), each class built from its entry."""
+    forms = {}
+    for word, (name, *slots) in declared.items():
+        steps = slot_steps(slots)
+        fields = [s.strip("[]").split()[0] for s in slots]
+        at = {"at": None} if any(kind == "point" for _, _, kind in steps) else {}
+        cls = globals()[name] = _node(name, " ".join([*fields, *at]), **at)
+        forms[word] = (cls, steps)
+    return forms
+
+
+SET_FORMS = _forms({
+    "compl": ("Complement", "operand set_expr"),
+    "prod": ("Product", "left set_expr", "right set_expr"),
+    "proj": ("Projection", "operand set_expr", "[axis axis]"),
+    "img": ("BorelImage", "[func ident]", "operand set_expr"),  # func names a level-1 function
+    "pre": ("Preimage", "[func func_expr]", "operand set_expr"),
+    "section": ("Section", "operand set_expr", "[axis point]"),  # at: only meaningful on models
+    "graph": ("Graph", "func func_expr"),
+    "sublevel": ("Sublevel", "func func_expr", "op comparator", "bound rational"),
+    "measure_ge": ("MeasureThreshold", "operand set_expr", "threshold rational"),
+})
+
+FUNC_FORMS = _forms({
+    "pair": ("PairFunc", "left func_expr", "right func_expr"),
+    "compose": ("Compose", "outer func_expr", "inner func_expr"),
+    "add": ("Sum", "left func_expr", "right func_expr"),
+    "mul": ("ProdOp", "left func_expr", "right func_expr"),
+    "min": ("MinOp", "left func_expr", "right func_expr"),
+    "max": ("MaxOp", "left func_expr", "right func_expr"),
+    "inner": ("InnerProduct", "left func_expr", "right func_expr"),
+    "neg": ("Neg", "operand func_expr"),
+    "cyl": ("CylinderExtend", "func func_expr", "[factor space_expr]"),
+    "fsection": ("SectionOf", "func func_expr", "[axis point]"),
+    "pow": ("Power", "operand func_expr", "exponent rational"),  # exponent > 0, operand nonneg
+    "inf_over": ("PartialInf", "func func_expr", "dom set_expr"),
+    "sup_over": ("PartialSup", "func func_expr", "dom set_expr"),
+    "integral": ("IntegralKernel", "func func_expr", "kernel ident"),
+    "select": ("Select", "operand set_expr"),
+    "from_graph": ("FromGraph", "graph set_expr", "dom set_expr"),
+})
+
+# the form of eps_inf and eps_sup, one class for two keywords, so not in FUNC_FORMS
+EPS_STEPS = slot_steps(("dom set_expr", "func func_expr", "eps rational"))
 
 # keyword -> (node of "keyword(member, member, ...)" or None, node of
 # "keyword i in nat of base_i ... with levels ...")
@@ -395,20 +224,15 @@ SPACE_ATOMS = {"reals": Reals, "nat": Naturals, "baire": Baire, "cantor": Cantor
 # keyword -> (node class, number of factors) of "keyword(factor, ..., factor)"
 SPACE_FORMS = {"prod": (ProductSpace, 2), "measures": (MeasureSpace, 1)}
 
-
-def slot_steps(bracket, slots) -> tuple[tuple[str, str, str], ...]:
-    """(text before the slot, field, kind) in reading order; a form ends in ")"."""
-    leads = ("[", "](") if bracket else ("(",)
-    order = (bracket, *slots) if bracket else slots
-    leads += (", ",) * (len(order) - len(leads))
-    return tuple((lead, field, kind) for lead, (field, kind) in zip(leads, order))
-
+SetExpr = reduce(or_, [NamedSet, FiniteUnion, FiniteIntersection, CountableUnion, CountableIntersection,
+                       *(c for c, _ in SET_FORMS.values())])
+FuncExpr = reduce(or_, [NamedFunc, CountableSup, CountableInf, EpsSelector, *(c for c, _ in FUNC_FORMS.values())])
 
 # node class -> the fields that hold its subexpressions, in reading order,
 # and a getter of them (of one field, it returns the value, not a 1-tuple)
 _CHILD_FIELDS = {
-    c: tuple(f for _, f, k in slot_steps(b, s) if k in ("set_expr", "func_expr"))
-    for c, b, s in (*SET_FORMS.values(), *FUNC_FORMS.values(), EPS_FORM)
+    c: tuple(f for _, f, k in steps if k in ("set_expr", "func_expr"))
+    for c, steps in (*SET_FORMS.values(), *FUNC_FORMS.values(), (EpsSelector, EPS_STEPS))
 }
 _CHILD_GETTERS = {c: attrgetter(*fields) for c, fields in _CHILD_FIELDS.items()}
 _CHILD_GETTERS[FiniteUnion] = _CHILD_GETTERS[FiniteIntersection] = attrgetter("members")
@@ -425,7 +249,7 @@ def children(e) -> tuple:
 
 def space_children(s) -> tuple:
     """The factors of space s, in the order its text spells them."""
-    return tuple(vars(s).values())  # a space's fields are its factors, set in order
+    return tuple([getattr(s, f) for f in s._fields])  # a space's fields are its factors
 
 
 def fold(root, combine, kids=children):
@@ -456,12 +280,11 @@ def fold(root, combine, kids=children):
 # --- declarations and statements --------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuncAnnot:
-    """Declared measurability: origin tracks how the level arose."""
+class FuncAnnot(_Node):
+    """Declared measurability: origin (declared | borel | lsa | usa) tracks
+    how the level arose; borel gives level 1, lsa and usa collapse to 2."""
 
-    origin: str  # declared | borel | lsa | usa
-    level: int  # borel -> 1; lsa/usa collapse to 2
+    __slots__ = ("origin", "level")
 
     def __str__(self) -> str:
         if self.origin == "declared":
@@ -469,95 +292,28 @@ class FuncAnnot:
         return self.origin
 
 
-@dataclass(frozen=True)
-class SpaceDecl:
-    name: str
-    space: SpaceExpr
-    line: int = field(default=0, compare=False)
+def _statement(name: str, fields: str, **defaults) -> type:
+    """A statement's node class: its fields, then its line (0 if not given)."""
+    return _node(name, fields + " line", **defaults, line=0)
 
 
-@dataclass(frozen=True)
-class SetDecl:
-    name: str
-    space: SpaceExpr
-    cls: PointClass
-    line: int = field(default=0, compare=False)
+SpaceDecl = _statement("SpaceDecl", "name space")
+SetDecl = _statement("SetDecl", "name space cls")
+FuncDecl = _statement("FuncDecl", "name dom cod annot domain_set nonneg", domain_set=None, nonneg=False)
+KernelDecl = _statement("KernelDecl", "name src dst level")
+LetSet = _statement("LetSet", "name expr")
+LetFunc = _statement("LetFunc", "name expr")
+AssertClass = _statement("AssertClass", "expr op cls")  # op is <= or ==
+AssertLevel = _statement("AssertLevel", "expr op level")
+AssertUM = _statement("AssertUM", "name")
 
-
-@dataclass(frozen=True)
-class FuncDecl:
-    name: str
-    dom: SpaceExpr
-    cod: SpaceExpr
-    annot: FuncAnnot
-    domain_set: str | None = None
-    nonneg: bool = False
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class KernelDecl:
-    name: str
-    src: SpaceExpr
-    dst: SpaceExpr
-    level: int
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class LetSet:
-    name: str
-    expr: SetExpr
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class LetFunc:
-    name: str
-    expr: FuncExpr
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class AssertClass:
-    expr: SetExpr
-    op: str  # <= or ==
-    cls: PointClass
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class AssertLevel:
-    expr: FuncExpr
-    op: str
-    level: int
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class AssertUM:
-    name: str
-    line: int = field(default=0, compare=False)
-
-
-Statement = (
-    SpaceDecl
-    | SetDecl
-    | FuncDecl
-    | KernelDecl
-    | LetSet
-    | LetFunc
-    | AssertClass
-    | AssertLevel
-    | AssertUM
-)
+Statement = SpaceDecl | SetDecl | FuncDecl | KernelDecl | LetSet | LetFunc | AssertClass | AssertLevel | AssertUM
 
 Assertion = AssertClass | AssertLevel | AssertUM
 
 
-@dataclass(frozen=True)
-class Program:
-    statements: tuple[Statement, ...]
+class Program(_Node):
+    __slots__ = ("statements",)
 
     @property
     def assertions(self) -> tuple[Assertion, ...]:

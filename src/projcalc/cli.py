@@ -281,6 +281,8 @@ def cmd_oracle(args) -> int:
     started = time.perf_counter()
     if args.suite != "all" and args.suite not in IDENTITIES:
         raise ProjcalcError(f"unknown suite {args.suite!r}; choose one of {', '.join(IDENTITIES)} or 'all'")
+    if args.count < 0:
+        raise ProjcalcError(f"--count must be 0 or more, got {args.count}")
     rows = list(run_suite(args.suite, args.seed, args.count))
     for row in rows:
         print(json.dumps(row, sort_keys=True, ensure_ascii=False))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from json.encoder import encode_basestring as _str
 
 from .errors import CheckError, FormatError, LevelOverflowError, read_json
@@ -183,6 +183,13 @@ class RowTable:
         self.subjects, self.judgments, self.cites = subjects, judgments, cites or {}
 
 
+@lru_cache(maxsize=1024)
+def _judgment(text: str) -> Judgment:
+    """The judgment a text spells, parsed once per process: a Judgment is
+    frozen, so every file read shares it, and a chain's files hold few texts."""
+    return Judgment.parse(text)
+
+
 def read_table(text: str) -> RowTable:
     """A .pjd document's rows, each validated as it is read, all reached from the root."""
     doc = read_json(text)
@@ -197,7 +204,6 @@ def read_table(text: str) -> RowTable:
     if not isinstance(table, list) or not table:
         raise FormatError("derivation document needs a non-empty 'nodes' list")
     rules, premises, subjects, judgments, cites = [], [], [], [], {}
-    parsed: dict[str, Judgment] = {}  # a file holds few distinct judgments
     for i, row in enumerate(table):
         if not isinstance(row, dict):
             raise FormatError(f"derivation row /nodes/{i} is not an object")
@@ -207,13 +213,10 @@ def read_table(text: str) -> RowTable:
             raise FormatError(f"missing field {exc} at /nodes/{i}") from None
         if not (isinstance(rule, str) and isinstance(prem, list) and isinstance(subject, str)):
             raise FormatError(f"bad field types at /nodes/{i}")
-        try:
-            j = parsed[judgment]
-        except (KeyError, TypeError):  # a text not read yet, or not a string at all
-            try:
-                j = parsed[judgment] = Judgment.parse(judgment)
-            except (ValueError, TypeError, AttributeError, LevelOverflowError) as exc:
-                raise FormatError(f"bad judgment at /nodes/{i}: {exc}") from None
+        try:  # a text not a string fails to parse, and is never memoized
+            j = _judgment(judgment) if type(judgment) is str else Judgment.parse(judgment)
+        except (ValueError, TypeError, AttributeError, LevelOverflowError) as exc:
+            raise FormatError(f"bad judgment at /nodes/{i}: {exc}") from None
         for p in prem:
             # bool is an int subclass; only genuine ints name rows
             if type(p) is not int or not 0 <= p < i:

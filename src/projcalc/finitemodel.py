@@ -26,6 +26,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate, repeat
 
 from . import ast
 from .errors import FormatError, ParseError, SignatureError, UnsupportedConstructorError, read_json
@@ -224,18 +225,19 @@ def _frac_from_json(text) -> Fraction:
         raise FormatError(f"bad rational {text!r}") from None
 
 
+# "(" opens a product and ")" closes it: a carrier's products nest as deep as its brackets
+_BRACKET_STEP = {"(": 1, ")": -1}
+
+
 def _carrier_from_json(text) -> Carrier:
     """A carrier from its text, each identifier in it standing for its own name."""
+    # the running bracket depth, in C, up to the first step past the bound
+    if isinstance(text, str) and MAX_CARRIER_DEPTH + 1 in accumulate(map(_BRACKET_STEP.get, text, repeat(0))):
+        raise FormatError("malformed model: a carrier is nested too deeply")
     try:
-        carrier = parse_space(text, {name: name for name in IDENTIFIER.findall(text)})
+        return parse_space(text, {name: name for name in IDENTIFIER.findall(text)})
     except ParseError as exc:
         raise FormatError(f"bad carrier {text!r}: {exc}") from None
-    level = [carrier]  # the factors one product deeper at each round
-    for _ in range(MAX_CARRIER_DEPTH + 1):
-        level = [f for c in level if type(c) is ast.ProductSpace for f in (c.left, c.right)]
-        if not level:
-            return carrier
-    raise FormatError("malformed model: a carrier is nested too deeply")
 
 
 def _list(obj, what: str) -> list:
@@ -368,8 +370,8 @@ _FUNC_NODES = frozenset(ast.FuncExpr.__args__)
 # node class -> the class of each child's value, in the order ast.children gives them
 _VALUES = {"set_expr": SetData, "func_expr": FuncData}
 _SLOTS = {
-    c: tuple(_VALUES[k] for _, _, k in ast.slot_steps(b, s) if k in _VALUES)
-    for c, b, s in (*ast.SET_FORMS.values(), *ast.FUNC_FORMS.values())
+    c: tuple(_VALUES[k] for _, _, k in steps if k in _VALUES)
+    for c, steps in (*ast.SET_FORMS.values(), *ast.FUNC_FORMS.values())
 }
 
 

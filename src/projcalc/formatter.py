@@ -3,13 +3,15 @@
 parse(format(p)) == p for every well-formed program: keywords come out
 lowercase, spacing is fixed, space declarations keep their names but later
 references are printed structurally (names are resolved at parse time).
-Keyword forms are written from the tables in ast, which the parser and
-ast.children read too; only the irregular ones (union/inter, countable
-families, eps_*) are spelled here, and a new one is also named in
-ast.children.  pieces() gives one node's text with its subexpressions left
-in place, and write() expands such pieces on an explicit stack, appending
-each token to one list, so an expression's text costs time linear in its
-length at any depth, and a space value's from space_pieces() the same way.
+Keyword forms are written from the tables in ast, whose entries also
+declare the node classes, so a new constructor is one table entry plus its
+rules; the parser and ast.children read the tables too.  Only the
+irregular forms (union/inter, countable families, eps_*) are spelled here,
+and a new one is also named in ast.children.  pieces() gives one node's
+text with its subexpressions left in place, and write() expands such
+pieces on an explicit stack, appending each token to one list, so an
+expression's text costs time linear in its length at any depth, and a
+space value's from space_pieces() the same way.
 The inference engine spells each node with spell(), putting a short
 reference in place of each subexpression.
 """
@@ -20,9 +22,7 @@ from . import ast
 from .pointclass import BoundedBy, ConstantClass, ExplicitList, LevelSchedule, Unbounded
 
 # node class -> (keyword, slot steps) for the forms of ast.SET_FORMS/FUNC_FORMS
-_BY_CLASS = {
-    c: (w, ast.slot_steps(b, s)) for w, (c, b, s) in (*ast.SET_FORMS.items(), *ast.FUNC_FORMS.items())
-}
+_BY_CLASS = {c: (w, steps) for w, (c, steps) in (*ast.SET_FORMS.items(), *ast.FUNC_FORMS.items())}
 _LISTS = {finite: w for w, (finite, _) in ast.FAMILIES.items() if finite is not None}
 _FAMILIES = {countable: w for w, (_, countable) in ast.FAMILIES.items()}
 _ATOM_NAMES = {c: w for w, c in ast.SPACE_ATOMS.items()}

@@ -6,12 +6,13 @@ eagerly (programs have no forward references), so parsed declarations carry
 structural space values.  parse() also binds, reporting undeclared names as
 ResolutionError and carrier mismatches as SignatureError.
 
-Keyword forms are read from the tables in ast (edit those to add one; the
-formatter and ast.children read them too); only the irregular ones
-(union/inter, countable families) are spelled here, and a new one is also
-named in ast.children.  Expressions and space values are each read by one
-loop over a stack of partly read forms (_LineParser.expr, space_expr), so
-they nest as deep as memory allows.
+Keyword forms are read from the tables in ast, whose entries also declare
+the node classes, so a new constructor is one table entry plus its rules;
+the formatter and ast.children read the tables too.  Only the irregular
+forms (union/inter, countable families, eps_*) are spelled here, and a new
+one is also named in ast.children.  Expressions and space values are each
+read by one loop over a stack of partly read forms (_LineParser.expr,
+space_expr), so they nest as deep as memory allows.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# keyword -> (node builder, slot steps) for the forms of ast.SET_FORMS/FUNC_FORMS/EPS_FORM
-_SET_FORMS = {w: (c, ast.slot_steps(b, s)) for w, (c, b, s) in ast.SET_FORMS.items()}
-_FUNC_FORMS = {w: (c, ast.slot_steps(b, s)) for w, (c, b, s) in ast.FUNC_FORMS.items()}
-_EPS_STEPS = ast.slot_steps(*ast.EPS_FORM[1:])
-_FUNC_FORMS["eps_inf"] = (functools.partial(ast.EpsSelector, direction="inf"), _EPS_STEPS)
-_FUNC_FORMS["eps_sup"] = (functools.partial(ast.EpsSelector, direction="sup"), _EPS_STEPS)
+# keyword -> (node constructor, slot steps): ast.FUNC_FORMS and the two eps_* forms
+_FUNC_FORMS = {
+    **ast.FUNC_FORMS,
+    "eps_inf": (functools.partial(ast.EpsSelector, direction="inf"), ast.EPS_STEPS),
+    "eps_sup": (functools.partial(ast.EpsSelector, direction="sup"), ast.EPS_STEPS),
+}
 
 SET_KEYWORDS = set(ast.SET_FORMS) | {"union", "inter"}
 FUNC_KEYWORDS = set(_FUNC_FORMS) | {"sup", "inf"}
@@ -70,7 +71,7 @@ _CAP_DIGITS = len(str(LEVEL_CAP))
 
 # expression kind -> (keyword forms, family keywords, node, kind and noun of a name)
 _READS = {
-    "set_expr": (_SET_FORMS, ("union", "inter"), ast.NamedSet, "set", "set"),
+    "set_expr": (ast.SET_FORMS, ("union", "inter"), ast.NamedSet, "set", "set"),
     "func_expr": (_FUNC_FORMS, ("sup", "inf"), ast.NamedFunc, "func", "function"),
 }
 

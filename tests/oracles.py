@@ -30,12 +30,17 @@ second route to the same answers.
   members, function tables, set carriers) that finitemodel.evaluate's one
   fold replaced, kept as they were, each walking its operands again for
   their carriers.  They share the model's arithmetic helpers with the
-  package, so they pin the walk, not the arithmetic.
+  package, so they pin the walk, not the arithmetic;
+- AST nodes: a frozen dataclass made with dataclasses.make_dataclass for
+  each node class, as the classes were declared before the syntax table
+  declared them, not the node base's compiled __init__ and its own ==,
+  hash and repr.
 """
 
 from __future__ import annotations
 
 import ast as pyast
+import dataclasses
 import itertools
 import json
 import re
@@ -624,3 +629,25 @@ def reference_func_data(e: ast.FuncExpr, m: FiniteModel) -> FuncData:
         out = least_choice(((x, y) for (x, y) in g if x in dom_set), m.points(carrier.right))
         return FuncData(carrier.left, carrier.right, out)
     raise UnsupportedConstructorError(f"no finite semantics for {type(e).__name__}")
+
+
+# --- AST nodes: frozen dataclasses ----------------------------------------------
+
+# the defaults of the node fields that have one, besides a statement's line
+NODE_DEFAULTS = {"at": None, "domain_set": None, "nonneg": False}
+
+
+def dataclass_twin(cls) -> type:
+    """A frozen dataclass with the name and fields of node class cls.
+
+    A statement's line defaults to 0 and is neither compared nor hashed; a
+    space compares and hashes by identity (eq=False)."""
+    spec = []
+    for name in cls._fields:
+        if name == "line":
+            spec.append((name, object, dataclasses.field(default=0, compare=False)))
+        elif name in NODE_DEFAULTS:
+            spec.append((name, object, dataclasses.field(default=NODE_DEFAULTS[name])))
+        else:
+            spec.append(name)
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True, eq=cls not in ast.SpaceExpr.__args__)

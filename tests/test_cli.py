@@ -726,6 +726,14 @@ def test_oracle_unknown_suite(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["all", "EPS-E"])
+def test_oracle_negative_count_is_malformed(suite, capsys):
+    assert main(["oracle", suite, "--count", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --count must be 0 or more, got -1\n"
+    assert main(["oracle", suite, "--count", "0", "--json"]) == 0
+
+
 def test_oracle_counterexample_exits_one(monkeypatch, capsys):
     import projcalc.identities as mod
 

@@ -288,6 +288,10 @@ BAD_DOCUMENTS = [
     ("bad judgment", _doc(_row(judgment="klass sigma 1"), COMPL_A), "bad judgment at /nodes/0"),
     ("bad level judgment", _doc(_row(subject="g", judgment="level delta x"), COMPL_A),
      "bad judgment at /nodes/0"),
+    ("judgment a list", _doc(_row(judgment=["class sigma 1"]), COMPL_A),
+     "^bad judgment at /nodes/0: 'list' object has no attribute 'partition'$"),
+    ("judgment a number", _doc(DECL_A, _row("S-COMPL", [0], "compl(A)", 1)),
+     "^bad judgment at /nodes/1: 'int' object has no attribute 'partition'$"),
     ("unknown mode", _doc(DECL_A, COMPL_A, mode="ZFC+V=L"), "unknown mode 'ZFC\\+V=L' at /mode"),
     ("missing mode", json.dumps({"nodes": [DECL_A, COMPL_A], "schema": "projcalc/3"}), "unknown mode None"),
     ("reference past the premises", _doc(DECL_A, _row("S-COMPL", [0], "compl(#1)", "class pi 1")),
@@ -517,7 +521,9 @@ def test_rule_table_covers_every_rule():
 
 
 def test_deserialize_parses_each_judgment_text_once(monkeypatch):
-    # a file holds few distinct judgments, however many rows it has
+    # a file holds few distinct judgments, however many rows it has, and
+    # the files a process reads share one memo of them, emptied here first
+    derivation._judgment.cache_clear()
     _, nest_env = parse(compl_nest(300))
     text = serialize(infer_set(ast.NamedSet("N"), nest_env, ZFC)[1])
     texts = []
@@ -531,6 +537,8 @@ def test_deserialize_parses_each_judgment_text_once(monkeypatch):
     loaded = deserialize(text)
     assert sorted(texts) == ["class pi 1", "class sigma 1"]
     check(loaded, nest_env)
+    deserialize(text)
+    assert len(texts) == 2
 
 
 SECOND_PREMISE_CLASS_RULES = ("S-BIMG", "S-BPRE", "F-DOM", "F-PRE-Δ", "F-PRE-Σ", "F-PARTIAL", "F-EPS")

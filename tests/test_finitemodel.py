@@ -135,6 +135,15 @@ def test_carrier_depth_is_bounded():
             loads_model(model_on(nested(depth)[0], spaces='{"X": ["x"]}'))
 
 
+def test_a_very_deep_carrier_is_refused_before_it_is_read():
+    # the bracket depth gives the bound away long before the parser would
+    text = model_on(nested(200_000)[0], spaces='{"X": ["x"]}')
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="^malformed model: a carrier is nested too deeply$"):
+        loads_model(text)
+    assert time.perf_counter() - start < 0.2
+
+
 @pytest.mark.parametrize("depth", [19, 40])
 def test_deep_carriers_are_not_listed(depth):
     # validation tests each point against its carrier's structure: over a
