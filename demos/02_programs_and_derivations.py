@@ -1,19 +1,19 @@
 """Parse a program, infer every binding, and check the evidence independently.
 
 Each inference returns a derivation with shared subproofs.  The checker
-re-derives every node from its premises and the declarations alone, so a
-tampered derivation is caught no matter where the edit lands.
+reads only what is written: the derivation serialized as a table of rows.
+It re-derives every row from its premises and the declarations alone, so
+a tampered file is caught no matter where the edit lands.
 
 Run:  python3 demos/02_programs_and_derivations.py
 """
 
-import dataclasses
 import json
 import pathlib
 
 import projcalc.ast as ast
-from projcalc import (ZFC, check, deserialize, evaluate_assertions, infer_set,
-                      parse, serialize)
+from projcalc import (ZFC, check, evaluate_assertions, infer_set, parse,
+                      read_table, serialize)
 from projcalc.errors import CheckError
 
 source = (pathlib.Path(__file__).parent / "programs" / "hierarchy_tour.pjc").read_text()
@@ -41,19 +41,19 @@ _, deriv = infer_set(ast.NamedSet("F"), env, ZFC)
 print("\n== the derivation behind `let F = proj[1](G)` ==")
 show(deriv)
 
-# serialization round trip, then independent verification
+# serialize, read the rows back, and verify them independently
 text = serialize(deriv)
-again = deserialize(text)
-check(again, env)
-rows = json.loads(text)["nodes"]
-print(f"\nserialized as {len(rows)} rows, reloaded, and re-checked: ok")
+rows = read_table(text)
+check(rows, env)
+print(f"\nserialized as {len(rows.rules)} rows, read back, and re-checked: ok")
 
-# flip one conclusion and the checker localizes the damage
-bad_cls = dataclasses.replace(deriv.conclusion.judgment.cls, level=7)
-bad_judgment = dataclasses.replace(deriv.conclusion.judgment, cls=bad_cls)
-tampered = dataclasses.replace(
-    deriv, conclusion=dataclasses.replace(deriv.conclusion, judgment=bad_judgment))
+# raise the level of the root row's class in the written file, and the
+# checker localizes the damage
+doc = json.loads(text)
+root = doc["nodes"][-1]
+kind, level = root["judgment"].rsplit(" ", 1)
+root["judgment"] = f"{kind} 7"
 try:
-    check(tampered, env)
+    check(read_table(json.dumps(doc)), env)
 except CheckError as exc:
-    print(f"tampered copy rejected: {exc}")
+    print(f"tampered row ({kind} {level} -> {kind} 7) rejected: {exc}")

@@ -6,7 +6,7 @@ The package has four largely independent layers:
   AST and DSL front end (`ast`, `parser`, `sema`, `formatter`), the
   inference engine that assigns classes and measurability levels with
   derivations with shared subproofs (`infer`, `rules`), and an independent
-  re-checker for serialized derivations (`derivation`);
+  re-checker that reads serialized derivations as row tables (`derivation`);
 - concrete: exact finite models with evaluators for every constructor that
   has desk-scale semantics (`finitemodel`, `xreal`), randomized structural
   identity suites over them (`identities`), and enumerated near-optimal
@@ -28,8 +28,8 @@ from .derivation import (
     Derivation,
     Judgment,
     check,
-    deserialize,
     expand,
+    read_table,
     serialize,
 )
 from .errors import (
@@ -120,8 +120,8 @@ __all__ = [
     "Derivation",
     "Judgment",
     "check",
-    "deserialize",
     "expand",
+    "read_table",
     "serialize",
     "AxiomRequiredError",
     "CheckError",

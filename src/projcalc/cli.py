@@ -8,10 +8,10 @@ program formatting).
 ``infer --emit-derivations`` writes the lets' files in program order, and
 a let's file cites each earlier let it uses by the SHA-256 digest of that
 let's file, in one LET row, instead of copying its rows.  ``check`` reads
-a derivation as one table of rows, with no Derivation objects, and checks
-every row in file order, each distinct rule step once; the files it cites,
-read from beside it, are verified first, each once.  ``check`` takes one
-or more derivations and prints one line for each, in order.
+a derivation as one table of rows, the one form the checker takes, and
+checks every row in file order, each distinct rule step once; the files
+it cites, read from beside it, are verified first, each once.  ``check``
+takes one or more derivations and prints one line for each, in order.
 
 ``main`` may run many times in one process, and a run checks every
 derivation it emits against the same program.  So the last program loaded
@@ -42,7 +42,7 @@ from pathlib import Path
 
 from .derivation import ZFC, ZFC_PD, RowTable, check, expand, read_table, serialize
 # deserialize is looked up on this module by bench/tracing.py
-from .derivation import deserialize  # noqa: F401
+from .derivation import read_table as deserialize  # noqa: F401
 from .errors import VERDICT_ERRORS, CheckError, FormatError, ProjcalcError, ResourceLimitError
 from .formatter import format_program
 from .games import loads_game, solve

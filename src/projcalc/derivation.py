@@ -4,9 +4,10 @@ A derivation node is {rule, cite, premises, conclusion}; the conclusion is
 a rendered judgment (subject, class or level, axiom mode).  Premises may be
 shared, so a derivation is a DAG of node objects.  A node's subject spells
 only its own constructor and points at its subexpressions' premises with
-#i.j... paths, so a derivation's text is linear in its size; expand()
-writes a subject out in full.  check() takes a table's rows in order, as
-read_table() reads a file, and checks each by its rule's entry in one rule
+#i.j... paths, so a derivation's text is linear in its size.  serialize()
+writes the nodes as rows, read_table() reads a file's rows as columns and
+never as nodes, and check() and expand() take only such a table.  check()
+takes the rows in order and checks each by its rule's entry in one rule
 table, its own copy of the rule arithmetic and the determinacy gates:
 each leaf against the program, any other step once per distinct rule and
 judgments.  It shares the lattice primitives and the parser with the
@@ -83,9 +84,7 @@ class Conclusion:
 @dataclass(frozen=True, eq=False)
 class Derivation:
     """One node; equality and hashing go by identity, since the generated
-    structural ones would unfold shared subproofs (compare by serialize).
-    A LET node, read back from a file that cites another, has the cited
-    file's digest for its cite."""
+    structural ones would unfold shared subproofs (compare by serialize)."""
 
     rule: str
     cite: str
@@ -158,29 +157,28 @@ def serialize(d: Derivation, cites: dict | None = None) -> str:
         # write, spelled out: keys in sorted order, default separators
         if n in cites and n is not d:
             (subject, digest), rule, premises = cites[n], "LET", ""
+            head = f'{{"digest": {_str(digest)}, '
         else:
-            subject, digest, rule = c.subject, n.cite, n.rule  # a LET node's cite is its digest
+            subject, rule, head = c.subject, n.rule, "{"
             premises = ", ".join([str(row_of[p]) for p in n.premises])
         line = (
-            f'"judgment": {_str(c.judgment.render())}, "premises": [{premises}], '
+            f'{head}"judgment": {_str(c.judgment.render())}, "premises": [{premises}], '
             f'"rule": {_str(rule)}, "subject": {_str(subject)}}}'
         )
-        line = f'{{"digest": {_str(digest)}, {line}' if rule == "LET" else f"{{{line}"
         row_of[n] = rows.setdefault(line, len(rows))
     return f'{{"mode": {_str(mode)}, "nodes": [\n' + ",\n".join(rows) + f'\n], "schema": "{SCHEMA}"}}\n'
 
 
 class RowTable:
-    """Rows as columns, root last: rule, premise row ids, subject, judgment
-    (from read_table, one object per distinct text), a Derivation's modes,
-    and the digest each LET row cites, by row id."""
+    """A .pjd document's rows as columns, root last: rule, premise row ids,
+    subject, judgment (one object per distinct text), and the digest each
+    LET row cites, by row id."""
 
-    __slots__ = ("mode", "rules", "premises", "subjects", "judgments", "modes", "cites")
+    __slots__ = ("mode", "rules", "premises", "subjects", "judgments", "cites")
 
-    def __init__(self, mode: str, rules: list, premises: list, subjects: list, judgments: list, modes=None,
-                 cites=None):
-        self.mode, self.rules, self.premises, self.modes = mode, rules, premises, modes
-        self.subjects, self.judgments, self.cites = subjects, judgments, cites or {}
+    def __init__(self, mode: str, rules: list, premises: list, subjects: list, judgments: list, cites: dict):
+        self.mode, self.rules, self.premises = mode, rules, premises
+        self.subjects, self.judgments, self.cites = subjects, judgments, cites
 
 
 @lru_cache(maxsize=1024)
@@ -240,7 +238,7 @@ def read_table(text: str) -> RowTable:
             raise FormatError(f"row /nodes/{i} is not reachable from the root")
         for p in premises[i]:
             reached[p] = True
-    return RowTable(mode, rules, premises, subjects, judgments, cites=cites)
+    return RowTable(mode, rules, premises, subjects, judgments, cites)
 
 
 def _follow(premises: list, i: int, path: str) -> int | None:
@@ -254,34 +252,11 @@ def _follow(premises: list, i: int, path: str) -> int | None:
     return i
 
 
-def deserialize(text: str) -> Derivation:
-    """A .pjd document's root as Derivation objects, one per row."""
-    t = read_table(text)
-    built: list[Derivation] = []
-    for i, (rule, ids, subject, j) in enumerate(zip(t.rules, t.premises, t.subjects, t.judgments)):
-        kids = tuple([built[p] for p in ids])
-        cite = t.cites[i] if rule == "LET" else CITATIONS.get(rule, "")
-        built.append(Derivation(rule, cite, kids, Conclusion(subject, j, t.mode)))
-    return built[-1]
-
-
-def _table_of(d: Derivation | RowTable) -> RowTable:
-    """d's rows; a Derivation's are its distinct nodes in serialize's order."""
-    if isinstance(d, RowTable):
-        return d
-    row_of = {n: i for i, (n, _) in enumerate(_walk(d))}
-    return RowTable(
-        d.conclusion.mode, [n.rule for n in row_of], [[row_of[p] for p in n.premises] for n in row_of],
-        [n.conclusion.subject for n in row_of], [n.conclusion.judgment for n in row_of],
-        [n.conclusion.mode for n in row_of], {i: n.cite for i, n in enumerate(row_of) if n.rule == "LET"},
-    )
-
-
 class _PastLimit(Exception):
     pass
 
 
-def expand(d: Derivation | RowTable, limit: int | None = None) -> str | None:
+def expand(t: RowTable, limit: int | None = None) -> str | None:
     """The root's subject in full, each #path replaced by the full text of
     the subject it names, if any, in one pass at any depth.
 
@@ -289,7 +264,6 @@ def expand(d: Derivation | RowTable, limit: int | None = None) -> str | None:
     the table's size, so a table read from outside should come with a limit:
     each row written costs its own characters, and at least one, and past
     the limit the answer is None, after work linear in the limit."""
-    t = _table_of(d)
     left = float("inf") if limit is None else limit
 
     def pieces_of(i: int) -> list:
@@ -557,7 +531,7 @@ LEAF_RULES = frozenset([rule for rule, (kinds, _, _) in _RULES.items() if kinds 
 _KINDS = {"c": "class", "l": "level"}
 
 
-def check(d: Derivation | RowTable, env: Env, cited: dict | None = None) -> None:
+def check(t: RowTable, env: Env, cited: dict | None = None) -> None:
     """Raise CheckError unless every row re-derives and every leaf is declared.
 
     ``cited`` maps the digest of each file already verified to its (mode,
@@ -569,14 +543,12 @@ def check(d: Derivation | RowTable, env: Env, cited: dict | None = None) -> None
     fails, a walk from the root checks the rows afresh in first post-order
     visit order and reports the first to fail at the path of its first
     visit, with the path its own checks raise ("" or /premises/i) below."""
-    t = _table_of(d)
     cited = {} if cited is None else cited
     judgments, premises = t.judgments, t.premises
-    each_row = LEAF_RULES if t.modes is None else _RULES  # steps hold no mode; a Derivation's rows do
     passed = set()  # the steps that passed: leaf row ids, and (rule, judgment ids...)
     try:
         for i, rule in enumerate(t.rules):
-            step = i if rule in each_row else (rule, id(judgments[i]), *[id(judgments[p]) for p in premises[i]])
+            step = i if rule in LEAF_RULES else (rule, id(judgments[i]), *[id(judgments[p]) for p in premises[i]])
             if step not in passed:
                 _check_row(t, i, env, cited=cited)
                 passed.add(step)
@@ -598,8 +570,6 @@ def _path_of(frames: list) -> str:
 def _check_row(t: RowTable, i: int, env: Env, cited: dict | None = None) -> None:
     """Row i's own checks, against its premises' judgments."""
     rule, prem, j = t.rules[i], t.premises[i], t.judgments[i]
-    if t.modes is not None and t.modes[i] != t.mode:
-        raise CheckError("", f"mode mismatch: {t.modes[i]} inside a {t.mode} derivation")
     if j.level is not None and j.level > LEVEL_CAP:
         raise CheckError("", f"level {j.level} exceeds cap {LEVEL_CAP}")
     entry = _RULES.get(("S-BPRE", 1) if rule == "S-BPRE" and len(prem) == 1 else rule)

@@ -11,7 +11,8 @@ here claims minimality.
 Each node's subject spells only its own constructor: a name is written as
 the name, and any other subexpression as the #i.j... path through the
 node's premises to the row that derives it, so building a subject costs
-the same at any depth.  derivation.expand writes a subject out in full.
+the same at any depth.  A certificate's subject is its expression as the
+formatter spells it, so the engine calls nothing of the checker's.
 
 Determinacy gating: F-INT and F-EPS always need ZFC_PD; F-SELECT needs it
 beyond stage 0; S-WR needs it beyond level 1.  A gated step in plain ZFC
@@ -30,7 +31,6 @@ from .derivation import (
     Derivation,
     Judgment,
     class_judgment,
-    expand,
     level_judgment,
     node,
 )
@@ -368,7 +368,7 @@ def _certificate(e: ast.FuncExpr, env: Env, mode: str) -> Certificate:
     engine = Engine(env, mode)
     signature(e, env)
     fl, d = engine.func_level(e)
-    return Certificate(expand(d), f"level delta {fl.level}", mode, d, note="derived bound")
+    return Certificate(format_expr(e), f"level delta {fl.level}", mode, d, note="derived bound")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ from projcalc import (
     leq,
     meet,
     parse,
+    read_table,
     run_suite,
+    serialize,
     universal_measurability,
 )
 from projcalc.derivation import CheckError, Derivation
@@ -436,12 +438,12 @@ def test_c8_derivation_soundness():
                 _, d = infer_func(A.NamedFunc(stmt.name), env, ZFC_PD)
             else:
                 continue
-            check(d, env)
+            check(read_table(serialize(d)), env)
             pool.append((d, env))
         for res in evaluate_assertions(program, env, ZFC_PD):
             assert res.ok, (res.line, res.detail)
             if res.derivation is not None:
-                check(res.derivation, env)
+                check(read_table(serialize(res.derivation)), env)
                 pool.append((res.derivation, env))
     assert len(pool) >= 150
 
@@ -456,7 +458,7 @@ def test_c8_derivation_soundness():
         assert mutant_judgment != node.conclusion.judgment
         mutant = _with_judgment(d, path, mutant_judgment)
         with pytest.raises(CheckError):
-            check(mutant, env)
+            check(read_table(serialize(mutant)), env)
 
 
 # ---------------------------------------------------------------- criterion 9

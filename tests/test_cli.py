@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -1113,3 +1114,44 @@ def test_shared_front_end_matches_a_fresh_one(tmp_path, capsys):
     for entry in (*shared_env.sets.values(), *shared_env.funcs.values(), *shared_env.kernels.values()):
         with pytest.raises(dataclasses.FrozenInstanceError):
             entry.space = None
+
+
+# --- the benchmark's tracer -----------------------------------------------------
+
+TRACED = """\
+space W = prod(baire, baire)
+set G in W : pi 3
+let F = proj[1](G)
+let H = compl(F)
+assert class(H) <= pi 4
+"""
+
+
+def _bench_tracing():
+    """bench/tracing.py, loaded from its file without putting bench/ on the path."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_walks_what_infer_returns(tmp_path, capsys):
+    # the tracer wraps the functions the CLI looks up and walks the
+    # derivations they return by rule, premises and conclusion: an infer and
+    # a check of its assertion's file, each one traced op, read what they ran
+    tracing = _bench_tracing()
+    path, out_dir = tmp_path / "traced.pjc", tmp_path / "out"
+    path.write_text(TRACED, encoding="utf-8")
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        with tracer.op_span({"command": "infer"}):
+            rc_infer = main(["infer", str(path), "--json", "--emit-derivations", str(out_dir)])
+        (emitted,) = out_dir.glob("assert_*.pjd")
+        with tracer.op_span({"command": "check"}):
+            rc_check = main(["check", str(emitted), str(path)])
+    assert capsys.readouterr().out.endswith("ok: compl(F) : class pi 4 [ZFC]\n")
+    assert (rc_infer, rc_check) == (0, 0)
+    infer_op, check_op = tracer.ops
+    assert (infer_op["built"], infer_op["rules"]) == (3, {"DECL": 1, "S-PROJ": 1, "S-COMPL": 1})
+    assert "derivation.check" in {s.name for s in tracer.spans if s.op == 1}
+    assert check_op["built"] == 0  # check reads rows, and the tracer counts no Derivation there

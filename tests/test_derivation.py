@@ -18,10 +18,11 @@ from projcalc.derivation import (
     Conclusion,
     Derivation,
     Judgment,
+    RowTable,
     check,
-    deserialize,
     expand,
     node,
+    read_table,
     serialize,
 )
 from projcalc.errors import VERDICT_ERRORS, CheckError, FormatError, LevelOverflowError
@@ -79,12 +80,42 @@ def sample_trees(env):
     ).derivation
 
 
+def _rows(d: Derivation) -> RowTable:
+    """d as projcalc check reads it: written by serialize, read back by read_table."""
+    return read_table(serialize(d))
+
+
+def _rebuilt(d: Derivation, change) -> Derivation:
+    """d with each node n replaced by change(n, its rebuilt premises), a shared node rebuilt once."""
+    new = {}
+    for n, _ in derivation._walk(d):
+        new[n] = change(n, tuple([new[p] for p in n.premises]))
+    return new[d]
+
+
+def _walked_columns(d: Derivation) -> tuple:
+    """(rules, premise row ids, subjects, judgments) of d's distinct nodes in
+    first post-order visit order, structurally equal nodes as one row."""
+    rows, row_of = {}, {}
+    for n in reference_postorder(d):
+        key = (n.rule, tuple([row_of[p] for p in n.premises]), n.conclusion.subject, n.conclusion.judgment)
+        row_of[n] = rows.setdefault(key, len(rows))
+    return tuple([list(column) for column in zip(*rows)])
+
+
+def _read_back(d: Derivation, text: str) -> RowTable:
+    """text's rows, asserted to be d's own: its nodes in walk order, in d's mode."""
+    t = read_table(text)
+    assert (t.mode, t.cites) == (d.conclusion.mode, {})
+    assert (t.rules, [tuple(p) for p in t.premises], t.subjects, t.judgments) == _walked_columns(d)
+    return t
+
+
 def test_round_trip(env):
     for d in sample_trees(env):
         text = serialize(d)
-        assert same_derivation(deserialize(text), d)
-        # canonical form is a fixed point
-        assert serialize(deserialize(text)) == text
+        assert text == reference_serialize(d)
+        _read_back(d, text)
 
 
 def test_serialized_shape(env):
@@ -110,7 +141,7 @@ def test_serialized_shape(env):
 
 def test_check_accepts_engine_output(env):
     for d in sample_trees(env):
-        check(d, env)
+        check(_rows(d), env)
 
 
 def _with_judgment(d: Derivation, j: Judgment) -> Derivation:
@@ -121,7 +152,7 @@ def test_bumped_conclusion_rejected(env):
     d = infer_set(ast.FiniteUnion((ast.NamedSet("A"), ast.NamedSet("B"))), env, ZFC)[1]
     bad = _with_judgment(d, Judgment("class", cls=pi(1)))
     with pytest.raises(CheckError) as exc:
-        check(bad, env)
+        check(_rows(bad), env)
     assert "recomputed" in str(exc.value)
 
 
@@ -129,62 +160,53 @@ def test_tampered_leaf_rejected(env):
     d = infer_set(ast.NamedSet("A"), env, ZFC)[1]
     bad = _with_judgment(d, Judgment("class", cls=sigma(3)))
     with pytest.raises(CheckError) as exc:
-        check(bad, env)
+        check(_rows(bad), env)
     assert "declared class" in str(exc.value)
 
 
 def test_unknown_leaf_name_rejected(env):
     bad = node("DECL", (), "Z", Judgment("class", cls=sigma(1)), ZFC)
     with pytest.raises(CheckError):
-        check(bad, env)
+        check(_rows(bad), env)
 
 
 def test_wrong_rule_id_rejected(env):
     d = infer_set(ast.Complement(ast.NamedSet("A")), env, ZFC)[1]
     bad = dataclasses.replace(d, rule="S-CU")  # union of one thing keeps sigma 1, not pi 1
     with pytest.raises(CheckError):
-        check(bad, env)
+        check(_rows(bad), env)
     with pytest.raises(CheckError) as exc:
-        check(dataclasses.replace(d, rule="X-??"), env)
+        check(_rows(dataclasses.replace(d, rule="X-??")), env)
     assert "unknown rule" in str(exc.value)
 
 
 def test_mode_mismatch_rejected(env):
+    # a file has one mode, so a tree of mixed modes is never written
     d = infer_set(ast.Complement(ast.NamedSet("A")), env, ZFC_PD)[1]
     flipped = dataclasses.replace(
         d, premises=(dataclasses.replace(d.premises[0], conclusion=dataclasses.replace(d.premises[0].conclusion, mode=ZFC)),)
     )
-    with pytest.raises(CheckError) as exc:
-        check(flipped, env)
-    assert "mode mismatch" in str(exc.value)
+    with pytest.raises(ValueError, match="^a ZFC node inside a ZFC_PD derivation$"):
+        serialize(flipped)
+
+
+def _demoted(d: Derivation) -> Derivation:
+    """d with every node in ZFC."""
+    return _rebuilt(d, lambda n, premises: Derivation(
+        n.rule, n.cite, premises, dataclasses.replace(n.conclusion, mode=ZFC)))
 
 
 def test_axiom_gate_rejected_in_checker(env):
     d = infer_func(ast.IntegralKernel(ast.NamedFunc("f"), "q"), env, ZFC_PD)[1]
-
-    def demote(t: Derivation) -> Derivation:
-        return Derivation(
-            t.rule,
-            t.cite,
-            tuple(demote(p) for p in t.premises),
-            dataclasses.replace(t.conclusion, mode=ZFC),
-        )
-
     with pytest.raises(CheckError) as exc:
-        check(demote(d), env)
+        check(_rows(_demoted(d)), env)
     assert "axiom gate" in str(exc.value)
 
 
 def test_select_gate_rejected_in_checker(env):
     d = select_certificate(ast.NamedSet("D"), env, ZFC_PD).derivation
-
-    def demote(t: Derivation) -> Derivation:
-        return Derivation(
-            t.rule, t.cite, tuple(demote(p) for p in t.premises), dataclasses.replace(t.conclusion, mode=ZFC)
-        )
-
     with pytest.raises(CheckError) as exc:
-        check(demote(d), env)
+        check(_rows(_demoted(d)), env)
     assert "axiom gate" in str(exc.value)
 
 
@@ -196,12 +218,12 @@ def test_sched_leaf_is_reparsed(env):
     bad_leaf = _with_judgment(leaf, Judgment("class", cls=sigma(3)))
     bad = dataclasses.replace(d, premises=(bad_leaf,), conclusion=dataclasses.replace(d.conclusion, judgment=Judgment("class", cls=sigma(3))))
     with pytest.raises(CheckError) as exc:
-        check(bad, env)
+        check(_rows(bad), env)
     assert "schedule bound" in str(exc.value)
     # garble the subject text itself
     garbled = dataclasses.replace(leaf, conclusion=dataclasses.replace(leaf.conclusion, subject="levels bounded nonsense"))
     with pytest.raises(CheckError):
-        check(dataclasses.replace(d, premises=(garbled,)), env)
+        check(_rows(dataclasses.replace(d, premises=(garbled,))), env)
 
 
 def test_error_paths_locate_the_premise(env):
@@ -209,7 +231,7 @@ def test_error_paths_locate_the_premise(env):
     bad0 = _with_judgment(d.premises[1], Judgment("class", cls=pi(3)))
     bad = dataclasses.replace(d, premises=(d.premises[0], bad0))
     with pytest.raises(CheckError) as exc:
-        check(bad, env)
+        check(_rows(bad), env)
     assert exc.value.path == "/premises/1"
 
 
@@ -218,33 +240,33 @@ def test_wrong_premise_shape_rejected(env):
     # S-COMPL with two premises
     two = node("S-COMPL", (decl, decl), "x", Judgment("class", cls=pi(1)), ZFC)
     with pytest.raises(CheckError):
-        check(two, env)
+        check(_rows(two), env)
     # level premise where a class is needed
     lvl = node("DECL", (), "g", Judgment("level", level=3), ZFC)
     mixed = node("S-COMPL", (lvl,), "x", Judgment("class", cls=pi(1)), ZFC)
     with pytest.raises(CheckError):
-        check(mixed, env)
+        check(_rows(mixed), env)
 
 
 def test_decl_with_premises_rejected(env):
     decl = node("DECL", (), "A", Judgment("class", cls=sigma(1)), ZFC)
     stuffed = dataclasses.replace(decl, premises=(decl,))
     with pytest.raises(CheckError) as exc:
-        check(stuffed, env)
+        check(_rows(stuffed), env)
     assert "no premises" in str(exc.value)
 
 
 def test_pum_subject_must_be_class_token(env):
     good = node("P-UM", (), "sigma 1", Judgment("prop", text="universally measurable: sigma 1"), ZFC)
-    check(good, env)
+    check(_rows(good), env)
     bad = node("P-UM", (), "whatever", Judgment("prop", text="universally measurable"), ZFC)
     with pytest.raises(CheckError):
-        check(bad, env)
+        check(_rows(bad), env)
     gated = node("P-UM", (), "sigma 2", Judgment("prop", text="universally measurable: sigma 2"), ZFC)
     with pytest.raises(CheckError) as exc:
-        check(gated, env)
+        check(_rows(gated), env)
     assert "axiom gate" in str(exc.value)
-    check(node("P-UM", (), "sigma 2", Judgment("prop", text="universally measurable: sigma 2"), ZFC_PD), env)
+    check(_rows(node("P-UM", (), "sigma 2", Judgment("prop", text="universally measurable: sigma 2"), ZFC_PD)), env)
 
 
 @pytest.mark.parametrize("mode", [ZFC, ZFC_PD])
@@ -253,7 +275,7 @@ def test_pum_subject_past_the_cap_fails_the_check(env, mode):
     claim = Judgment("prop", text="universally measurable: sigma 99999999")
     past = node("P-UM", (), "sigma 99999999", claim, mode)
     with pytest.raises(CheckError) as exc:
-        check(past, env)
+        check(_rows(past), env)
     assert (exc.value.path, exc.value.reason) == ("", "LevelOverflow: level 99999999 exceeds cap 65535")
 
 
@@ -331,20 +353,22 @@ BAD_DOCUMENTS = [
 
 
 def test_good_document_loads_and_checks(env):
-    d = deserialize(GOOD_DOCUMENT)
-    check(d, env)
-    assert d.premises[0].conclusion.subject == "A"
+    t = read_table(GOOD_DOCUMENT)
+    check(t, env)
+    assert (t.mode, t.rules, t.premises, t.subjects, t.cites) == (
+        ZFC, ["DECL", "S-COMPL"], [[], [0]], ["A", "compl(A)"], {})
+    assert t.judgments == [Judgment("class", cls=sigma(1)), Judgment("class", cls=pi(1))]
 
 
 @pytest.mark.parametrize("label,text,message", BAD_DOCUMENTS, ids=[t[0] for t in BAD_DOCUMENTS])
 def test_deserialize_rejects(label, text, message):
     with pytest.raises(FormatError, match=message):
-        deserialize(text)
+        read_table(text)
 
 
 def test_format_error_offset():
     with pytest.raises(FormatError) as exc:
-        deserialize('{"rule": }')
+        read_table('{"rule": }')
     assert exc.value.offset == 9
 
 
@@ -357,9 +381,8 @@ def test_checked_tree_from_disk(tmp_path, env):
     d = infer_func(ast.Compose(ast.NamedFunc("g"), ast.NamedFunc("b")), env, ZFC)[1]
     p = tmp_path / "tree.json"
     p.write_text(serialize(d), encoding="utf-8")
-    loaded = deserialize(p.read_text(encoding="utf-8"))
+    loaded = _read_back(d, p.read_text(encoding="utf-8"))
     check(loaded, env)
-    assert same_derivation(loaded, d)
 
 
 # --- shared subproofs -----------------------------------------------------------
@@ -370,21 +393,21 @@ def test_doubling_chain_is_linear():
     started = time.perf_counter()
     cls, d = infer_set(ast.NamedSet("A18"), chain_env, ZFC)
     text = serialize(d)
-    loaded = deserialize(text)
+    loaded = read_table(text)
     check(loaded, chain_env)
     elapsed = time.perf_counter() - started
     assert cls == delta(2)
     assert len(json.loads(text)["nodes"]) == 1 + 2 * 18
     assert len(text.encode("utf-8")) < 16 * 1024
     assert elapsed < 0.25
-    assert serialize(loaded) == text
+    _read_back(d, text)
 
 
 def test_identity_hash_is_fast_on_shared_subproofs():
     # structural __eq__/__hash__ would unfold the 2^18 paths of the chain
     _, chain_env = parse(doubling_chain(18))
     d = infer_set(ast.NamedSet("A18"), chain_env, ZFC)[1]
-    twin = deserialize(serialize(d))
+    twin = infer_set(ast.NamedSet("A18"), chain_env, ZFC)[1]  # another engine builds other nodes
     started = time.perf_counter()
     hash(d)
     assert d in {d} and twin not in {d}
@@ -395,9 +418,13 @@ def test_identity_hash_is_fast_on_shared_subproofs():
 def test_same_derivation_sees_a_deep_difference():
     _, chain_env = parse(doubling_chain(6))
     d = infer_set(ast.NamedSet("A6"), chain_env, ZFC)[1]
-    doc = json.loads(serialize(d))
-    doc["nodes"][0]["subject"] = "A_other"
-    assert not same_derivation(d, deserialize(json.dumps(doc)))
+    first = next(derivation._walk(d))[0]  # the leaf every path of the chain ends in
+    other = _rebuilt(d, lambda n, premises: dataclasses.replace(
+        n, premises=premises,
+        conclusion=dataclasses.replace(n.conclusion, subject="A_other") if n is first else n.conclusion))
+    assert json.loads(serialize(other))["nodes"][0]["subject"] == "A_other"
+    assert not same_derivation(d, other)
+    assert same_derivation(d, _rebuilt(d, lambda n, premises: dataclasses.replace(n, premises=premises)))
 
 
 def _counting(monkeypatch, name):
@@ -481,7 +508,7 @@ def test_check_walks_the_row_ids_once_on_failure(monkeypatch, env):
 
 def test_let_rows_cite_a_verified_file():
     # serialize writes a cited let as one LET row; check holds it to the
-    # (mode, root judgment) recorded for its digest, and deserialize keeps it
+    # (mode, root judgment) recorded for its digest, and read_table keeps it
     _, env = parse(linear_chain(3))
     engine = Engine(env, ZFC)
     (_, a2), (_, a3) = engine.infer(ast.NamedSet("A2")), engine.infer(ast.NamedSet("A3"))
@@ -491,18 +518,17 @@ def test_let_rows_cite_a_verified_file():
         {"digest": digest, "judgment": "class sigma 1", "premises": [], "rule": "LET", "subject": "A2"},
         {"judgment": "class pi 1", "premises": [0], "rule": "S-COMPL", "subject": "compl(A2)"},
     ]
-    loaded = deserialize(text)
-    assert loaded.premises[0].cite == digest and serialize(loaded) == text
-    for table in (derivation.read_table(text), loaded):
-        check(table, env, {digest: (ZFC, a2.conclusion.judgment)})
-        for cited, reason in [
-            ({}, f"no verified let_A2.pjd hashes to {digest}"),
-            ({digest: (ZFC_PD, a2.conclusion.judgment)}, "let_A2.pjd concludes class sigma 1 in ZFC_PD, "
-                                                          "not class sigma 1 in ZFC"),
-        ]:
-            with pytest.raises(CheckError) as exc:
-                check(table, env, cited)
-            assert (exc.value.path, exc.value.reason) == ("/premises/0", reason)
+    table = read_table(text)
+    assert (table.rules, table.premises, table.cites) == (["LET", "S-COMPL"], [[], [0]], {0: digest})
+    check(table, env, {digest: (ZFC, a2.conclusion.judgment)})
+    for cited, reason in [
+        ({}, f"no verified let_A2.pjd hashes to {digest}"),
+        ({digest: (ZFC_PD, a2.conclusion.judgment)}, "let_A2.pjd concludes class sigma 1 in ZFC_PD, "
+                                                      "not class sigma 1 in ZFC"),
+    ]:
+        with pytest.raises(CheckError) as exc:
+            check(table, env, cited)
+        assert (exc.value.path, exc.value.reason) == ("/premises/0", reason)
 
 
 @pytest.mark.parametrize("digest", [None, 7, "", "sha256:abc", "sha256:" + "A" * 64, "md5:" + "0" * 64])
@@ -534,10 +560,10 @@ def test_deserialize_parses_each_judgment_text_once(monkeypatch):
         return original(text)
 
     monkeypatch.setattr(Judgment, "parse", staticmethod(counting))
-    loaded = deserialize(text)
+    loaded = read_table(text)
     assert sorted(texts) == ["class pi 1", "class sigma 1"]
     check(loaded, nest_env)
-    deserialize(text)
+    read_table(text)
     assert len(texts) == 2
 
 
@@ -551,7 +577,7 @@ def test_wrong_second_premise_kind_names_that_premise(env, rule):
     b = node("DECL", (), "b", Judgment("level", level=1), ZFC_PD)
     bad = node(rule, (b, b), "b", Judgment("class", cls=delta(1)), ZFC_PD)
     with pytest.raises(CheckError) as exc:
-        check(bad, env)
+        check(_rows(bad), env)
     assert (exc.value.path, exc.value.reason) == ("/premises/1", "expected a class judgment")
 
 
@@ -562,10 +588,7 @@ def test_fault_reached_twice_is_reported_at_its_first_visit(env):
     inner = node("S-COMPL", (forged,), "compl(A)", Judgment("class", cls=pi(2)), ZFC)
     root = node("S-CU", (inner, forged), "union(compl(A), A)", Judgment("class", cls=delta(3)), ZFC)
     with pytest.raises(CheckError) as exc:
-        check(root, env)
-    assert str(exc.value) == "/premises/0/premises/0: declared class of 'A' is sigma 1, not sigma 2"
-    with pytest.raises(CheckError) as exc:
-        check(deserialize(serialize(root)), env)
+        check(_rows(root), env)
     assert str(exc.value) == "/premises/0/premises/0: declared class of 'A' is sigma 1, not sigma 2"
 
 
@@ -577,9 +600,8 @@ def test_equal_nodes_share_one_row():
     rows = json.loads(serialize(root))["nodes"]
     assert len(rows) == 2
     assert rows[1]["premises"] == [0, 0]
-    loaded = deserialize(serialize(root))
-    assert same_derivation(loaded, root)
-    assert loaded.premises[0] is loaded.premises[1]
+    loaded = read_table(serialize(root))
+    assert (loaded.rules, loaded.premises, loaded.subjects) == (["DECL", "S-CU"], [[], [0, 0]], ["A", "union(A, A)"])
 
 
 def test_round_trip_on_generated_programs():
@@ -595,8 +617,7 @@ def test_round_trip_on_generated_programs():
         for d in found:
             serialized = serialize(d)
             assert serialized == reference_serialize(d)
-            assert same_derivation(deserialize(serialized), d)
-            assert serialize(deserialize(serialized)) == serialized
+            _read_back(d, serialized)
             count += 1
     assert count >= 150
 
@@ -611,7 +632,7 @@ def test_rows_match_json_dumps_on_awkward_text():
     text = serialize(sigma_pre)
     assert text == reference_serialize(sigma_pre)
     assert "F-PRE-Δ" in text and '\\"quoted\\"' in text
-    assert same_derivation(deserialize(text), sigma_pre)
+    _read_back(sigma_pre, text)
 
 
 def test_mixed_modes_are_not_written():
@@ -676,7 +697,7 @@ def test_level_past_the_cap_fails_the_check():
         node("F-GRAPH", (top,), "graph(top)", Judgment("class", cls=delta(3)), ZFC_PD),
     ):
         with pytest.raises(CheckError) as exc:
-            check(d, cap_env)
+            check(_rows(d), cap_env)
         assert str(exc.value) == "/: LevelOverflow: level 65536 exceeds cap 65535"
 
 
@@ -707,7 +728,7 @@ def test_eps_level_matches_the_construction():
                 assert str(exc) == want, (p, c, direction)
             else:
                 assert cert.derivation.conclusion.judgment.level == want, (p, c, direction)
-                check(cert.derivation, sweep_env)
+                check(_rows(cert.derivation), sweep_env)
             compared += 1
     assert compared == 2 * (11 * 33 + 7)
 
@@ -742,7 +763,7 @@ def test_engine_subjects_parse_as_expressions():
             d = stack.pop()
             if id(d) not in seen and d.premises:
                 seen.add(id(d))
-                subjects.add(expand(d))
+                subjects.add(expand(_rows(d)))
                 stack.extend(d.premises)
         lets = "".join(f"let Subject{i} = {s}\n" for i, s in enumerate(sorted(subjects)))
         try:
@@ -778,9 +799,9 @@ def test_expanded_roots_are_the_formatted_expressions():
             else:
                 e = stmt.expr
             want = format_expr(_unfolded(e, prog_env))
-            assert expand(d) == want, stmt
-            assert expand(deserialize(serialize(d))) == want
-            assert expand(d, len(want)) == want and expand(d, len(want) - 1) is None
+            t = _rows(d)
+            assert expand(t) == want, stmt
+            assert expand(t, len(want)) == want and expand(t, len(want) - 1) is None
             count += 1
     assert count >= 250
 
@@ -831,7 +852,7 @@ def test_check_outcomes_frozen():
     outcomes = []
     for _, prog_env, _, mutants in _frozen_cases():
         for _, _, mutant in mutants:
-            outcomes.append(_outcome(lambda: check(deserialize(mutant), prog_env)))
+            outcomes.append(_outcome(lambda: check(read_table(mutant), prog_env)))
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert (len(outcomes), digest) == (
         2396, "42f24f54efbd11f26b58a5431ea24ae25de4792050bc1357c0e9278bcacee9db"
@@ -839,8 +860,8 @@ def test_check_outcomes_frozen():
 
 
 def test_cli_check_reports_what_the_tree_check_does(tmp_path, capsys):
-    # projcalc check reads the file as rows; check(deserialize(...)) goes
-    # through Derivation objects: on every frozen mutant they agree
+    # projcalc check, with its program loading, cited files and report
+    # lines, says what check(read_table(...)) says of every frozen mutant
     program, pjd = tmp_path / "p.pjc", tmp_path / "d.pjd"
     compared = 0
     for text, prog_env, _, mutants in _frozen_cases():
@@ -849,7 +870,7 @@ def test_cli_check_reports_what_the_tree_check_does(tmp_path, capsys):
             pjd.write_text(mutant, encoding="utf-8")
             rc = main(["check", str(pjd), str(program)])
             out = capsys.readouterr().out
-            want = _outcome(lambda: check(deserialize(mutant), prog_env))
+            want = _outcome(lambda: check(read_table(mutant), prog_env))
             if want == ["ok"]:
                 assert rc == 0 and out.startswith("ok: "), out
             else:
@@ -919,7 +940,6 @@ def test_reordered_and_duplicated_rows_report_what_the_canonical_file_does():
             assert (k, change) == (k2, change2)
             want = _outcome(lambda: check(derivation.read_table(mutant), prog_env))
             assert _outcome(lambda: check(derivation.read_table(moved), prog_env)) == want, (mutant, moved)
-            assert _outcome(lambda: check(deserialize(moved), prog_env)) == want
             file_order_wrong += _file_order_outcome(moved, prog_env) != want
             compared += 1
     assert compared == 2396

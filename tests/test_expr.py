@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from projcalc import ast, formatter
-from projcalc.errors import ParseError, ResolutionError, SignatureError
+from projcalc.errors import ParseError, ProjcalcError, ResolutionError, SignatureError
 from projcalc.formatter import format_expr, format_program, format_statement
 from projcalc.parser import (
     FUNC_KEYWORDS,
@@ -369,6 +369,33 @@ def test_parse_error_texts_frozen():
                 out = f"{type(exc).__name__}: {exc}"
             h.update(f"{variant}\n{out}\n".encode())
     assert h.hexdigest() == "80b29bc848d971ac95ab092fcc9c6b416cda94e13dafc01e613ae4a5da56f902"
+
+
+def _bound(text: str) -> str:
+    """What parse (read and bind) says of text: "ok", or its error."""
+    try:
+        parse(text)
+    except ProjcalcError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def test_fmt_is_idempotent_on_the_digest_variants():
+    # every variant behind the syntax digest that reads formats to a fixed
+    # point, and binding the formatted text says what binding the text does
+    variants = read = 0
+    for context, line in _syntax_lines():
+        for variant in [line] + _variants(line):
+            variants += 1
+            text = context + variant + "\n"
+            try:
+                out = format_program(parse_program(text))
+            except (ParseError, ResolutionError):
+                continue
+            assert format_program(parse_program(out)) == out, variant
+            assert _bound(out) == _bound(text), variant
+            read += 1
+    assert (variants, read) == (2871, 120)
 
 
 def test_syntax_lines_spell_every_keyword():

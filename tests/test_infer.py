@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from projcalc import ast, infer, sema
-from projcalc.derivation import ZFC, ZFC_PD, check, expand
+from projcalc.derivation import ZFC, ZFC_PD, check, expand, read_table, serialize
 from projcalc.errors import (
     AxiomRequiredError,
     SignAnnotationMissingError,
@@ -27,6 +27,7 @@ from projcalc.infer import (
     select_certificate,
     universal_measurability,
 )
+from projcalc.formatter import format_expr
 from projcalc.parser import parse
 from projcalc.pointclass import (
     BoundedBy,
@@ -37,7 +38,7 @@ from projcalc.pointclass import (
     sigma,
 )
 
-from .progen import compl_nest, linear_chain
+from .progen import compl_nest, corpus, linear_chain
 
 BASE = """\
 space X = baire
@@ -133,21 +134,21 @@ FUNC_GOLDEN = [
 def test_set_golden(env, label, expr, expected):
     got, d = infer_set(expr, env, ZFC)
     assert got == expected
-    check(d, env)
+    check(read_table(serialize(d)), env)
     # determinacy never changes an ungated answer
     got_pd, d_pd = infer_set(expr, env, ZFC_PD)
     assert got_pd == expected
-    check(d_pd, env)
+    check(read_table(serialize(d_pd)), env)
 
 
 @pytest.mark.parametrize("label,expr,expected", FUNC_GOLDEN, ids=[t[0] for t in FUNC_GOLDEN])
 def test_func_golden(env, label, expr, expected):
     got, d = infer_func(expr, env, ZFC)
     assert got.level == expected
-    check(d, env)
+    check(read_table(serialize(d)), env)
     got_pd, d_pd = infer_func(expr, env, ZFC_PD)
     assert got_pd.level == expected
-    check(d_pd, env)
+    check(read_table(serialize(d_pd)), env)
 
 
 def test_let_bindings_expand(env):
@@ -155,10 +156,10 @@ def test_let_bindings_expand(env):
     _, e = parse(src)
     got, d = infer_set(N("U"), e, ZFC)
     assert got == pi(2)
-    check(d, e)
+    check(read_table(serialize(d)), e)
     fl, d = infer_func(F("k"), e, ZFC)
     assert fl.level == 3
-    check(d, e)
+    check(read_table(serialize(d)), e)
 
 
 def test_integral_gated(env):
@@ -168,7 +169,7 @@ def test_integral_gated(env):
     assert "F-INT" in str(exc.value)
     fl, d = infer_func(expr, env, ZFC_PD)
     assert fl.level == 5  # 2 + 1 + 2
-    check(d, env)
+    check(read_table(serialize(d)), env)
     fl2, _ = infer_func(ast.IntegralKernel(F("f3"), "q2"), env, ZFC_PD)
     assert fl2.level == 7  # 3 + 2 + 2
 
@@ -180,7 +181,7 @@ def test_measure_threshold_gated(env):
     assert "S-WR" in str(exc.value)
     got, d = infer_set(expr, env, ZFC_PD)
     assert got == sigma(2)
-    check(d, env)
+    check(read_table(serialize(d)), env)
     # a pi operand lifts by one before the gate test
     got2, _ = infer_set(ast.MeasureThreshold(ast.Complement(N("A")), Fraction(1, 3)), env, ZFC_PD)
     assert got2 == sigma(2)
@@ -191,7 +192,7 @@ def test_select_stage_zero(env):
     assert isinstance(cert, Certificate)
     assert cert.conclusion == "level delta 4"
     assert cert.note == "derived bound"
-    check(cert.derivation, env)
+    check(read_table(serialize(cert.derivation)), env)
 
 
 def test_select_stage_one_gated(env):
@@ -200,13 +201,13 @@ def test_select_stage_one_gated(env):
     assert "F-SELECT" in str(exc.value)
     cert = select_certificate(N("D"), env, ZFC_PD)
     assert cert.conclusion == "level delta 5"
-    check(cert.derivation, env)
+    check(read_table(serialize(cert.derivation)), env)
 
 
 def test_select_expression_form(env):
     fl, d = infer_func(ast.Select(N("P")), env, ZFC)
     assert fl.level == 4
-    check(d, env)
+    check(read_table(serialize(d)), env)
 
 
 def test_eps_selector(env):
@@ -214,12 +215,12 @@ def test_eps_selector(env):
         eps_selector_certificate(N("D"), F("f"), Fraction(1, 10), "inf", env, ZFC)
     cert = eps_selector_certificate(N("D"), F("f"), Fraction(1, 10), "inf", env, ZFC_PD)
     assert cert.conclusion == "level delta 5"
-    check(cert.derivation, env)
+    check(read_table(serialize(cert.derivation)), env)
     assert cert.derivation.rule == "F-EPS"
     # sup direction lands at the same level
     cert2 = eps_selector_certificate(N("D"), F("f"), Fraction(1, 4), "sup", env, ZFC_PD)
     assert cert2.conclusion == "level delta 5"
-    check(cert2.derivation, env)
+    check(read_table(serialize(cert2.derivation)), env)
 
 
 def test_eps_selector_bad_direction(env):
@@ -256,6 +257,37 @@ def test_certificates_check_signatures(env, build, text):
     assert str(built.value) == str(bound.value)
 
 
+def test_certificate_subjects_are_what_their_derivations_expand_to():
+    # the engine names a certificate's subject from the expression, not by
+    # reading its own derivation back: every selector of a corpus program,
+    # and a select of every set and an eps-selection of every set under every
+    # function that the signatures admit, says what check would print of it
+    compared = 0
+    for text in corpus(80, 5):
+        program, prog_env = parse(text)
+        stack = [s.expr for s in program.statements if getattr(s, "expr", None) is not None]
+        selectors = []
+        while stack:
+            e = stack.pop()
+            stack.extend(ast.children(e))
+            if isinstance(e, (ast.Select, ast.EpsSelector)):
+                selectors.append(e)
+        sets = [N(name) for name in prog_env.sets]
+        selectors += [ast.Select(s) for s in sets]
+        selectors += [ast.EpsSelector(s, F(f), Fraction(1, 4), "inf") for s in sets for f in prog_env.funcs]
+        for e in selectors:
+            try:
+                if isinstance(e, ast.Select):
+                    cert = select_certificate(e.operand, prog_env, ZFC_PD)
+                else:
+                    cert = eps_selector_certificate(e.dom, e.func, e.eps, e.direction, prog_env, ZFC_PD)
+            except SignatureError:
+                continue
+            assert cert.subject == expand(read_table(serialize(cert.derivation))) == format_expr(e)
+            compared += 1
+    assert compared >= 500
+
+
 def test_unbounded_schedule(env):
     expr = ast.CountableUnion("i", "A", None, Unbounded("levels grow with the index"))
     with pytest.raises(UnboundedScheduleError) as exc:
@@ -279,7 +311,7 @@ def test_function_let_chain_binds_and_infers():
     assert e.funcs["f400"].nonneg and e.funcs["f400"].cod == ast.Reals()
     fl, d = infer_func(ast.Power(F("f400"), Fraction(3, 2)), e, ZFC)
     assert fl.level == 2
-    check(d, e)
+    check(read_table(serialize(d)), e)
 
 
 def test_union_let_chain_infers():
@@ -288,7 +320,7 @@ def test_union_let_chain_infers():
     _, e = parse("space X = baire\nset A0 in X : sigma 1\n" + "\n".join(lines) + "\n")
     cls, d = infer_set(N("A400"), e, ZFC)
     assert cls == sigma(1)
-    check(d, e)
+    check(read_table(serialize(d)), e)
 
 
 def test_deep_space_binds_in_process():
@@ -307,11 +339,11 @@ def test_deep_nests_infer_in_process():
         deep = ast.Complement(deep)
     cls, d = infer_set(deep, e, ZFC)
     assert cls == sigma(1)
-    check(d, e)
+    check(read_table(serialize(d)), e)
     _, e = parse(linear_chain(3000))
     cls, d = infer_set(N("A3000"), e, ZFC)
     assert cls == sigma(1)
-    check(d, e)
+    check(read_table(serialize(d)), e)
 
 
 def test_nest_subjects_render_in_linear_calls():
@@ -327,7 +359,7 @@ def test_nest_subjects_render_in_linear_calls():
             written += len(node.conclusion.subject)
             (node,) = node.premises
         assert cls == sigma(1) and written == len("compl(#0)") * (depth - 1) + len("compl(A0)")
-        assert expand(d) == text.split(" = ")[-1].strip()
+        assert expand(read_table(serialize(d))) == text.split(" = ")[-1].strip()
 
 
 def _pow_nest(depth: int, sign: str) -> str:
@@ -353,7 +385,7 @@ def test_pow_nest_signs_in_linear_work(monkeypatch):
     _, e = parse(_pow_nest(depth, " nonneg"))
     fl, d = infer_func(F("N"), e, ZFC)
     assert fl.level == 1 and calls == (depth + 1) + (depth + 2)
-    check(d, e)
+    check(read_table(serialize(d)), e)
 
 
 def test_pow_sign_failure_names_the_innermost_pow():
