@@ -15,97 +15,60 @@ The package has four largely independent layers:
   (`games`);
 - plumbing: the `projcalc` command line (`cli`).
 
-The concrete layer loads on first use of one of its names, so a process
-that only infers and checks never imports it.
+Importing the package loads none of them: each public name loads its
+module on first use.  `projcalc.cli` loads the symbolic layer and `games`
+but not the concrete layer, so a process that only infers and checks never
+imports it.
 """
 
 import importlib
 
-from .derivation import (
-    ZFC,
-    ZFC_PD,
-    Conclusion,
-    Derivation,
-    Judgment,
-    check,
-    expand,
-    read_table,
-    serialize,
-)
-from .errors import (
-    AxiomRequiredError,
-    CheckError,
-    FormatError,
-    LevelOverflowError,
-    ParseError,
-    ProjcalcError,
-    ResolutionError,
-    ResourceLimitError,
-    SignAnnotationMissingError,
-    SignatureError,
-    UnboundedScheduleError,
-    UnsupportedConstructorError,
-)
-from .games import (
-    FiniteGame,
-    compile_target_expr,
-    dumps_game,
-    loads_game,
-    solve,
-    verify_strategy,
-)
-from .infer import (
-    AssertionResult,
-    Certificate,
-    Engine,
-    FuncLevel,
-    Refusal,
-    eps_selector_certificate,
-    evaluate_assertions,
-    infer_func,
-    infer_set,
-    select_certificate,
-    universal_measurability,
-)
-from .parser import parse, parse_program
-from .pointclass import (
-    LEVEL_CAP,
-    PointClass,
-    complement_class,
-    delta,
-    join,
-    leq,
-    meet,
-    pi,
-    product_class,
-    projection_class,
-    sigma,
-)
-from .sema import Env, bind
-
 __version__ = "0.1.0"
 
-# the concrete layer's names, by the module that defines them
-_LAZY = {
+# every public name, by the module that defines it
+_EXPORTS = {
+    "derivation": (
+        "ZFC", "ZFC_PD", "Conclusion", "Derivation", "Judgment", "check", "expand", "read_table",
+        "serialize",
+    ),
+    "errors": (
+        "AxiomRequiredError", "CheckError", "FormatError", "LevelOverflowError", "ParseError",
+        "ProjcalcError", "ResolutionError", "ResourceLimitError", "SignAnnotationMissingError",
+        "SignatureError", "UnboundedScheduleError", "UnsupportedConstructorError",
+    ),
     "finitemodel": (
         "XREAL", "FiniteModel", "FuncData", "KernelData", "MeasureData", "SetData",
         "dumps_model", "eval_set", "func_data", "loads_model", "measure_of",
     ),
+    "games": ("FiniteGame", "compile_target_expr", "dumps_game", "loads_game", "solve", "verify_strategy"),
     "identities": (
         "IDENTITIES", "Counterexample", "IdentityCase", "case_seed", "check_identity",
         "generate_case", "run_suite",
     ),
+    "infer": (
+        "AssertionResult", "Certificate", "Engine", "Refusal", "eps_selector_certificate",
+        "evaluate_assertions", "infer_func", "infer_set", "select_certificate",
+        "universal_measurability",
+    ),
+    "parser": ("parse", "parse_program"),
+    "pointclass": (
+        "LEVEL_CAP", "PointClass", "complement_class", "delta", "join", "leq", "meet", "pi",
+        "product_class", "projection_class", "sigma",
+    ),
     "selectors": ("eps_select_enumerate", "sectionwise_optimum"),
+    "sema": ("Env", "bind"),
     "xreal": (
         "NEG_INF", "POS_INF", "XReal", "fin", "format_xreal", "integral_lower", "integral_upper",
         "parse_xreal",
     ),
 }
-_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):
-    module = _LAZY_HOME.get(name)
+    module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{module}", __name__), name)
@@ -113,87 +76,5 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "ZFC",
-    "ZFC_PD",
-    "Conclusion",
-    "Derivation",
-    "Judgment",
-    "check",
-    "expand",
-    "read_table",
-    "serialize",
-    "AxiomRequiredError",
-    "CheckError",
-    "FormatError",
-    "LevelOverflowError",
-    "ParseError",
-    "ProjcalcError",
-    "ResolutionError",
-    "ResourceLimitError",
-    "SignAnnotationMissingError",
-    "SignatureError",
-    "UnboundedScheduleError",
-    "UnsupportedConstructorError",
-    "XREAL",
-    "FiniteModel",
-    "FuncData",
-    "KernelData",
-    "MeasureData",
-    "SetData",
-    "dumps_model",
-    "eval_set",
-    "func_data",
-    "loads_model",
-    "measure_of",
-    "FiniteGame",
-    "compile_target_expr",
-    "dumps_game",
-    "loads_game",
-    "solve",
-    "verify_strategy",
-    "IDENTITIES",
-    "Counterexample",
-    "IdentityCase",
-    "case_seed",
-    "check_identity",
-    "generate_case",
-    "run_suite",
-    "AssertionResult",
-    "Certificate",
-    "Engine",
-    "FuncLevel",
-    "Refusal",
-    "eps_selector_certificate",
-    "evaluate_assertions",
-    "infer_func",
-    "infer_set",
-    "select_certificate",
-    "universal_measurability",
-    "parse",
-    "parse_program",
-    "LEVEL_CAP",
-    "PointClass",
-    "complement_class",
-    "delta",
-    "join",
-    "leq",
-    "meet",
-    "pi",
-    "product_class",
-    "projection_class",
-    "sigma",
-    "eps_select_enumerate",
-    "sectionwise_optimum",
-    "Env",
-    "bind",
-    "NEG_INF",
-    "POS_INF",
-    "XReal",
-    "fin",
-    "format_xreal",
-    "integral_lower",
-    "integral_upper",
-    "parse_xreal",
-    "__version__",
-]
+def __dir__():
+    return sorted(globals().keys() | _HOME.keys())

@@ -34,10 +34,9 @@ from .derivation import (
     level_judgment,
     node,
 )
-from .errors import VERDICT_ERRORS, AxiomRequiredError, LevelOverflowError, SignAnnotationMissingError
+from .errors import VERDICT_ERRORS, AxiomRequiredError, SignAnnotationMissingError
 from .formatter import format_expr, format_schedule, format_statement, spell
 from .pointclass import (
-    LEVEL_CAP,
     Kind,
     PointClass,
     complement_class,
@@ -54,20 +53,6 @@ from .pointclass import (
 )
 from .rules import UM_REFUSAL
 from .sema import Env, nonneg_rule, signature
-
-
-@dataclass(frozen=True)
-class FuncLevel:
-    """Measurability level delta(level)."""
-
-    level: int
-
-    def __post_init__(self):
-        if self.level > LEVEL_CAP:
-            raise LevelOverflowError(self.level, LEVEL_CAP)
-
-    def __str__(self) -> str:
-        return f"delta {self.level}"
 
 
 @dataclass(frozen=True)
@@ -109,8 +94,8 @@ class Engine:
         # and kernel inferred so far, in one namespace
         self.named: dict[str, tuple] = {}
 
-    def infer(self, e) -> tuple[PointClass | FuncLevel, Derivation]:
-        """The class of set expression e, or the level of function expression e, with its derivation."""
+    def infer(self, e) -> tuple[PointClass, Derivation]:
+        """The class of set expression e, or the level delta(n) of function expression e, with its derivation."""
         value, d, _, _ = ast.fold(e, self._combine, self._enter)
         return value, d
 
@@ -194,7 +179,7 @@ class Engine:
                         dc, dd, _, _ = kids[0]
                         lvl = max(lvl, delta_lift(dc).level)
                         d = self._func_node("F-DOM", [d, dd], e.name, lvl)
-                    fl = FuncLevel(lvl)
+                    fl = delta(lvl)
                 hit = self.named[e.name] = fl, d, e.name
             return hit
         # the i-th kid is the i-th premise, but where a case below says otherwise
@@ -333,14 +318,14 @@ class Engine:
         return cls, self._set_node(rule, premises, spell(e, refs), cls), None
 
     def _func(self, e, rule: str, premises, refs, level: int) -> tuple:
-        return FuncLevel(level), self._func_node(rule, premises, spell(e, refs), level), None
+        return delta(level), self._func_node(rule, premises, spell(e, refs), level), None
 
 
 def infer_set(e: ast.SetExpr, env: Env, mode: str = ZFC) -> tuple[PointClass, Derivation]:
     return Engine(env, mode).set_class(e)
 
 
-def infer_func(e: ast.FuncExpr, env: Env, mode: str = ZFC) -> tuple[FuncLevel, Derivation]:
+def infer_func(e: ast.FuncExpr, env: Env, mode: str = ZFC) -> tuple[PointClass, Derivation]:
     return Engine(env, mode).func_level(e)
 
 
@@ -426,7 +411,7 @@ def evaluate_assertions(
     return results
 
 
-def universal_measurability(subject: PointClass | FuncLevel, mode: str = ZFC) -> Certificate | Refusal:
+def universal_measurability(subject: PointClass, mode: str = ZFC) -> Certificate | Refusal:
     """Certificate that a class or level is universally measurable, or a refusal.
 
     Level 1 goes through outright; higher levels need ZFC_PD.  The refusal

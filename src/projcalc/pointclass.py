@@ -196,30 +196,3 @@ def schedule_bound(s: LevelSchedule) -> PointClass:
             out = join(out, c)
         return out
     raise UnboundedScheduleError(s.witness)
-
-
-__all__ = [
-    "LEVEL_CAP",
-    "Kind",
-    "PointClass",
-    "sigma",
-    "pi",
-    "delta",
-    "parse_class_token",
-    "leq",
-    "join",
-    "meet",
-    "delta_lift",
-    "sigma_lift",
-    "complement_class",
-    "projection_class",
-    "product_class",
-    "ConstantClass",
-    "BoundedBy",
-    "ExplicitList",
-    "Unbounded",
-    "LevelSchedule",
-    "schedule_bound",
-    "LevelOverflowError",
-    "UnboundedScheduleError",
-]

@@ -193,20 +193,3 @@ def _integral_parts(f: dict, p: dict) -> tuple[XReal, XReal]:
     i_plus = xreal_sum(xreal_prod(weights[x], pos_part(f[x])) for x in p)
     i_minus = xreal_sum(xreal_prod(weights[x], neg_part(f[x])) for x in p)
     return i_plus, i_minus
-
-
-__all__ = [
-    "XReal",
-    "NEG_INF",
-    "POS_INF",
-    "ZERO",
-    "fin",
-    "parse_xreal",
-    "format_xreal",
-    "xreal_sum",
-    "xreal_prod",
-    "pos_part",
-    "neg_part",
-    "integral_lower",
-    "integral_upper",
-]

@@ -10,12 +10,15 @@ expressions and space values, and in the game solver, no function reaches
 itself through calls by name, and in the finite-model layer only the
 carrier and point helpers do.
 
-Importing the command line leaves the concrete layer unloaded.
+Importing the command line leaves the concrete layer unloaded, importing the
+package loads none of its modules, and every module parses at the Python
+version that pyproject.toml declares as the floor.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,3 +169,67 @@ def test_cli_import_leaves_the_concrete_layer_unloaded():
     assert doc["lazy"] == "projcalc.finitemodel"
     assert doc["missing"] == []
     assert doc["uncallable"] == []
+
+
+# the public names at the commit that declared each of them once, less FuncLevel
+PUBLIC = [
+    "AssertionResult", "AxiomRequiredError", "Certificate", "CheckError", "Conclusion", "Counterexample",
+    "Derivation", "Engine", "Env", "FiniteGame", "FiniteModel", "FormatError", "FuncData", "IDENTITIES",
+    "IdentityCase", "Judgment", "KernelData", "LEVEL_CAP", "LevelOverflowError", "MeasureData", "NEG_INF",
+    "POS_INF", "ParseError", "PointClass", "ProjcalcError", "Refusal", "ResolutionError", "ResourceLimitError",
+    "SetData", "SignAnnotationMissingError", "SignatureError", "UnboundedScheduleError",
+    "UnsupportedConstructorError", "XREAL", "XReal", "ZFC", "ZFC_PD", "__version__", "bind", "case_seed",
+    "check", "check_identity", "compile_target_expr", "complement_class", "delta", "dumps_game", "dumps_model",
+    "eps_select_enumerate", "eps_selector_certificate", "eval_set", "evaluate_assertions", "expand", "fin",
+    "format_xreal", "func_data", "generate_case", "infer_func", "infer_set", "integral_lower", "integral_upper",
+    "join", "leq", "loads_game", "loads_model", "measure_of", "meet", "parse", "parse_program", "parse_xreal",
+    "pi", "product_class", "projection_class", "read_table", "run_suite", "sectionwise_optimum",
+    "select_certificate", "serialize", "sigma", "solve", "universal_measurability", "verify_strategy",
+]
+
+EXPORT_PROBE = """
+import importlib, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "projcalc" or m.startswith("projcalc."))
+import projcalc
+bare = loaded()
+undir = sorted(set(projcalc.__all__) - set(dir(projcalc)))  # before any name is looked up
+import projcalc.cli
+cli = loaded()
+misplaced = []
+for name, module in projcalc._HOME.items():
+    home = "projcalc." + module
+    value = getattr(projcalc, name)
+    if value is not getattr(importlib.import_module(home), name) or getattr(value, "__module__", home) != home:
+        misplaced.append(name)
+print(json.dumps({"bare": bare, "undir": undir, "cli": cli, "all": projcalc.__all__, "misplaced": misplaced}))
+"""
+
+
+def test_each_public_name_loads_its_module_on_first_use():
+    # a fresh interpreter: importing the package loads no module of it, and
+    # each public name is the object its home module defines
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", EXPORT_PROBE], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    doc = json.loads(done.stdout)
+    assert doc["bare"] == ["projcalc"]
+    cli = ["ast", "cli", "derivation", "errors", "formatter", "games", "infer", "parser", "pointclass", "rules",
+           "sema"]
+    assert doc["cli"] == ["projcalc"] + [f"projcalc.{m}" for m in cli]
+    assert len(set(doc["all"])) == len(doc["all"]) and sorted(doc["all"]) == PUBLIC
+    assert doc["misplaced"] == []
+    assert doc["undir"] == []
+
+
+def declared_python_floor() -> tuple[int, int]:
+    """(major, minor) of pyproject.toml's requires-python, read without tomllib (3.11+)."""
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', text, re.M).groups()
+    return int(major), int(minor)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_sources_parse_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=declared_python_floor())
