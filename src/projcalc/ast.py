@@ -10,15 +10,16 @@ diagnostics but excluded from equality so that parse(format(p)) == p.
 
 The keyword form of each fixed-arity constructor is written down once, in
 SET_FORMS and FUNC_FORMS (EPS_STEPS for eps_inf/eps_sup, SPACE_ATOMS and
-SPACE_FORMS for spaces), and a form's entry declares its node class too;
-the parser reads and the formatter writes every such form from its entry,
-and children() reads a node's subexpressions from it.  The binder, the
-engine, the formatter and the finite-model evaluator walk expressions
-through fold(), the parser with a stack of its own, so expressions nest as
-deep as memory allows; so do space values, whose factors space_children()
-gives.  A new constructor is one table entry plus its rules in sema, infer
-and derivation; an irregular form is declared on its own line below, named
-in children() and spelled by hand in parser.expr and formatter.pieces.
+SPACE_FORMS for spaces), and each statement's in STATEMENT_FORMS; an entry
+declares its node class too, the parser reads and the formatter writes every
+such form from its entry, and children() reads a node's subexpressions from
+it.  The binder, the engine, the formatter and the finite-model evaluator
+walk expressions through fold(), the parser with a stack of its own, so
+expressions nest as deep as memory allows; so do space values, whose factors
+space_children() gives.  A new constructor or statement is one table entry
+plus its rules in sema and infer (and for a constructor in derivation); an
+irregular form is declared on its own line below, named in children() and
+spelled by hand in parser.expr and formatter.pieces.
 """
 
 from __future__ import annotations
@@ -292,20 +293,44 @@ class FuncAnnot(_Node):
         return self.origin
 
 
-def _statement(name: str, fields: str, **defaults) -> type:
-    """A statement's node class: its fields, then its line (0 if not given)."""
-    return _node(name, fields + " line", **defaults, line=0)
+# keyword (one word, or assert and a second) -> (node class name, step, ...).
+# A step is "lead ... field kind": the words before the field (keywords if
+# names, else punctuation), the field, and the parser's method that reads it;
+# a field marked "?" may be absent and is read only when its lead word is
+# there, and a step ending in punctuation is all lead.  The fields are the
+# required ones, then those that may be absent (None, or False for a flag,
+# which its lead alone sets), then the line.  A let names a class per kind.
 
 
-SpaceDecl = _statement("SpaceDecl", "name space")
-SetDecl = _statement("SetDecl", "name space cls")
-FuncDecl = _statement("FuncDecl", "name dom cod annot domain_set nonneg", domain_set=None, nonneg=False)
-KernelDecl = _statement("KernelDecl", "name src dst level")
-LetSet = _statement("LetSet", "name expr")
-LetFunc = _statement("LetFunc", "name expr")
-AssertClass = _statement("AssertClass", "expr op cls")  # op is <= or ==
-AssertLevel = _statement("AssertLevel", "expr op level")
-AssertUM = _statement("AssertUM", "name")
+def _statements(declared: dict) -> dict:
+    """keyword -> (node class or kind -> class, (text before the field, field, kind, may be absent) per step)."""
+    forms = {}
+    for word, (names, *declared_steps) in declared.items():
+        steps = []
+        for words in map(str.split, declared_steps):
+            *lead, field, kind = words if words[-1].isidentifier() else (*words, None, None)
+            text = "".join([w if w in "()" else " " + w for w in lead])  # "(" and ")" hug their neighbours
+            text += "" if kind in (None, "flag") or text.endswith("(") else " "
+            steps.append((text, field and field.rstrip("?"), kind, field and field.endswith("?")))
+        defaults = {f: False if kind == "flag" else None for _, f, kind, absent in steps if absent}
+        fields = " ".join([*(f for _, f, _, absent in steps if f and not absent), *defaults, "line"])
+        built = {k: globals().setdefault(n, _node(n, fields, **defaults, line=0))
+                 for k, n in (names.items() if isinstance(names, dict) else [(None, names)])}
+        forms[word] = (built.get(None, built), tuple(steps))  # a let's kind -> class, else the class
+    return forms
+
+
+STATEMENT_FORMS = _statements({
+    "space": ("SpaceDecl", "name ident", "= space space_expr"),
+    "set": ("SetDecl", "name ident", "in space space_expr", ": cls set_class"),
+    "func": ("FuncDecl", "name ident", ": dom space_expr", "-> cod space_expr", "on domain_set? ident",
+             ": annot func_annot", "nonneg nonneg? flag"),
+    "kernel": ("KernelDecl", "name ident", ": src space_expr", "~> dst space_expr", ": level kernel_level"),
+    "let": ({"set": "LetSet", "func": "LetFunc"}, "name ident", "= expr any_expr"),
+    "assert class": ("AssertClass", "( expr set_expr", ") op assert_cmp", "cls set_class"),  # op is <= or ==
+    "assert level": ("AssertLevel", "( expr func_expr", ") op assert_cmp", "delta level level"),
+    "assert um": ("AssertUM", "( name ident", ")"),
+})
 
 Statement = SpaceDecl | SetDecl | FuncDecl | KernelDecl | LetSet | LetFunc | AssertClass | AssertLevel | AssertUM
 

@@ -1,6 +1,6 @@
 """Proof traces: derivations with shared subproofs, a node-table wire format, and a re-checker.
 
-A derivation node is {rule, cite, premises, conclusion}; the conclusion is
+A derivation node is {rule, premises, conclusion}; the conclusion is
 a rendered judgment (subject, class or level, axiom mode).  Premises may be
 shared, so a derivation is a DAG of node objects.  A node's subject spells
 only its own constructor and points at its subexpressions' premises with
@@ -29,7 +29,6 @@ from .errors import CheckError, FormatError, LevelOverflowError, read_json
 from .formatter import write
 from .parser import parse_schedule
 from .pointclass import LEVEL_CAP, Kind, PointClass, delta, leq, parse_class_token, pi, schedule_bound, sigma
-from .rules import CITATIONS
 from .sema import Env
 
 ZFC = "ZFC"
@@ -87,13 +86,12 @@ class Derivation:
     structural ones would unfold shared subproofs (compare by serialize)."""
 
     rule: str
-    cite: str
     premises: tuple["Derivation", ...]
     conclusion: Conclusion
 
 
 def node(rule: str, premises: tuple[Derivation, ...], subject: str, judgment: Judgment, mode: str) -> Derivation:
-    return Derivation(rule, CITATIONS[rule], premises, Conclusion(subject, judgment, mode))
+    return Derivation(rule, premises, Conclusion(subject, judgment, mode))
 
 
 # --- wire format --------------------------------------------------------------
@@ -103,10 +101,11 @@ def node(rule: str, premises: tuple[Derivation, ...], subject: str, judgment: Ju
 # A row's subject spells only its own constructor: each subexpression with
 # a row of its own is the path #i.j... to it through the premises (the
 # row's i-th premise, that premise's j-th, ...), and a name stays a name.
-# The mode is written once, in the header, and each row's cite follows
-# from its rule, but for a LET row: it stands for the derivation of a let
-# proved in a file of its own, let_<name>.pjd beside this one, and cites
-# that file by the SHA-256 digest of its bytes.
+# The mode is written once, in the header.  A row's rule id names its
+# citation in rules.CITATIONS, which no file or node holds, but for a LET
+# row: it stands for the derivation of a let proved in a file of its own,
+# let_<name>.pjd beside this one, and cites that file by the SHA-256 digest
+# of its bytes.
 
 SCHEMA = "projcalc/3"
 

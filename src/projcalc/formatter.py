@@ -3,17 +3,16 @@
 parse(format(p)) == p for every well-formed program: keywords come out
 lowercase, spacing is fixed, space declarations keep their names but later
 references are printed structurally (names are resolved at parse time).
-Keyword forms are written from the tables in ast, whose entries also
-declare the node classes, so a new constructor is one table entry plus its
-rules; the parser and ast.children read the tables too.  Only the
-irregular forms (union/inter, countable families, eps_*) are spelled here,
-and a new one is also named in ast.children.  pieces() gives one node's
-text with its subexpressions left in place, and write() expands such
-pieces on an explicit stack, appending each token to one list, so an
-expression's text costs time linear in its length at any depth, and a
-space value's from space_pieces() the same way.
-The inference engine spells each node with spell(), putting a short
-reference in place of each subexpression.
+Keyword forms and statements are written from the tables in ast, whose
+entries also declare the node classes, so a new constructor or statement is
+one table entry plus its rules; the parser and ast.children read the tables
+too.  Only the irregular forms (union/inter, countable families, eps_*) are
+spelled here, and a new one is also named in ast.children.  pieces() gives
+one node's text with its subexpressions left in place, and write() expands
+such pieces on an explicit stack, appending each token to one list, so an
+expression's text costs time linear in its length at any depth, and a space
+value's from space_pieces() the same way.  The inference engine spells
+each node with spell(), a short reference in place of each subexpression.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ def space_pieces(s: ast.SpaceExpr) -> list:
 
 
 def format_space(s: ast.SpaceExpr) -> str:
-    return write((s,), space_pieces)
+    name = _ATOM_NAMES.get(type(s))
+    return name if name is not None else write((s,), space_pieces)
 
 
 def format_schedule(s: LevelSchedule) -> str:
@@ -123,32 +123,30 @@ def format_expr(e) -> str:
     return write((e,), pieces)
 
 
+# field kind -> the writer of its value's text, if not str
+_WRITE_VALUE = {"space_expr": format_space, "set_expr": format_expr, "func_expr": format_expr,
+                "any_expr": format_expr, "kernel_level": "delta {}".format, "flag": lambda _: ""}
+
+# statement class -> (keyword, (text before the field, field, writer of its value, may be absent) per step)
+_STATEMENTS = {
+    cls: (word, tuple([(text, field, _WRITE_VALUE.get(kind, str), absent) for text, field, kind, absent in steps]))
+    for word, (node, steps) in ast.STATEMENT_FORMS.items()
+    for cls in (node.values() if type(node) is dict else (node,))
+}
+
+
 def format_statement(stmt: ast.Statement) -> str:
-    if isinstance(stmt, ast.SpaceDecl):
-        return f"space {stmt.name} = {format_space(stmt.space)}"
-    if isinstance(stmt, ast.SetDecl):
-        return f"set {stmt.name} in {format_space(stmt.space)} : {stmt.cls}"
-    if isinstance(stmt, ast.FuncDecl):
-        on = f" on {stmt.domain_set}" if stmt.domain_set is not None else ""
-        nn = " nonneg" if stmt.nonneg else ""
-        return (
-            f"func {stmt.name} : {format_space(stmt.dom)} -> "
-            f"{format_space(stmt.cod)}{on} : {stmt.annot}{nn}"
-        )
-    if isinstance(stmt, ast.KernelDecl):
-        return (
-            f"kernel {stmt.name} : {format_space(stmt.src)} ~> "
-            f"{format_space(stmt.dst)} : delta {stmt.level}"
-        )
-    if isinstance(stmt, (ast.LetSet, ast.LetFunc)):
-        return write((f"let {stmt.name} = ", stmt.expr), pieces)
-    if isinstance(stmt, ast.AssertClass):
-        return write(("assert class(", stmt.expr, f") {stmt.op} {stmt.cls}"), pieces)
-    if isinstance(stmt, ast.AssertLevel):
-        return write(("assert level(", stmt.expr, f") {stmt.op} delta {stmt.level}"), pieces)
-    if isinstance(stmt, ast.AssertUM):
-        return f"assert um({stmt.name})"
-    raise TypeError(f"not a statement: {stmt!r}")
+    """stmt's text, written by the steps of its entry in ast.STATEMENT_FORMS."""
+    if type(stmt) not in _STATEMENTS:
+        raise TypeError(f"not a statement: {stmt!r}")
+    word, steps = _STATEMENTS[type(stmt)]
+    out = [word]
+    for text, field, write_value, absent in steps:
+        value = getattr(stmt, field) if field else ""  # a closing step has no field
+        if value or not absent:  # a field that may be absent is written only when it is there
+            out.append(text)
+            out.append(write_value(value))
+    return "".join(out)
 
 
 def format_program(program: ast.Program) -> str:

@@ -6,22 +6,23 @@ eagerly (programs have no forward references), so parsed declarations carry
 structural space values.  parse() also binds, reporting undeclared names as
 ResolutionError and carrier mismatches as SignatureError.
 
-Keyword forms are read from the tables in ast, whose entries also declare
-the node classes, so a new constructor is one table entry plus its rules;
-the formatter and ast.children read the tables too.  Only the irregular
-forms (union/inter, countable families, eps_*) are spelled here, and a new
-one is also named in ast.children.  Expressions and space values are each
-read by one loop over a stack of partly read forms (_LineParser.expr,
-space_expr), so they nest as deep as memory allows.
+Keyword forms and statements are read from the tables in ast, whose
+entries also declare the node classes, so a new constructor or statement is
+one table entry plus its rules; the formatter and ast.children read the
+tables too.  Only the irregular forms (union/inter, countable families,
+eps_*) are spelled here, and a new one is also named in ast.children.
+Expressions and space values are each read by one loop over a stack of
+partly read forms (_LineParser.expr, space_expr), so they nest as deep as
+memory allows.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import ast
 from .errors import LevelOverflowError, ParseError, ResolutionError
@@ -60,8 +61,8 @@ _TOKEN_RE = re.compile(
 # keyword -> (node constructor, slot steps): ast.FUNC_FORMS and the two eps_* forms
 _FUNC_FORMS = {
     **ast.FUNC_FORMS,
-    "eps_inf": (functools.partial(ast.EpsSelector, direction="inf"), ast.EPS_STEPS),
-    "eps_sup": (functools.partial(ast.EpsSelector, direction="sup"), ast.EPS_STEPS),
+    "eps_inf": (partial(ast.EpsSelector, direction="inf"), ast.EPS_STEPS),
+    "eps_sup": (partial(ast.EpsSelector, direction="sup"), ast.EPS_STEPS),
 }
 
 SET_KEYWORDS = set(ast.SET_FORMS) | {"union", "inter"}
@@ -279,11 +280,17 @@ class _LineParser:
         return base
 
     def comparator(self) -> str:
+        return self.operator("<", "<=", ">", ">=")
+
+    def assert_cmp(self) -> str:
+        return self.operator("<=", "==")
+
+    def operator(self, *kinds: str) -> str:
         tok = self.peek()
-        if tok is not None and tok.kind in ("<", "<=", ">", ">="):
+        if tok is not None and tok.kind in kinds:
             self._advance()
             return tok.kind
-        self.error(("<", "<=", ">", ">="))
+        self.error(kinds)
 
     # -- expressions
 
@@ -394,102 +401,59 @@ class _LineParser:
     # -- statements
 
     def statement(self) -> ast.Statement:
-        word = self.keyword("space", "set", "func", "kernel", "let", "assert")
-        out = getattr(self, f"_stmt_{word}")()
+        """One statement, read by the steps of its entry in ast.STATEMENT_FORMS."""
+        word = self.keyword(*_FIRST_WORDS)
+        if _STATEMENT_WORDS[word]:  # assert and its second keyword
+            word += " " + self.keyword(*_STATEMENT_WORDS[word])
+        node, steps, values = _STATEMENTS[word]
+        values, kind = list(values), word  # the fields' values in the class's order, defaults until read
+        for lead, position, read, absent in steps:
+            if absent and not self.at_keyword(lead[0][1]):
+                continue
+            for take, token in lead:
+                take(self, token)
+            if read is not None:
+                values[position] = read(self)
+        if type(node) is dict:  # a let: its right side is read with its kind, which picks the class
+            values[-1], kind = values[-1]
+            node = node[kind]
+        if word == "assert um":
+            if self.names.get(values[0]) not in ("set", "func"):
+                raise ResolutionError(f"undeclared subject {values[0]!r} in um assertion")
+        elif node._fields[0] == "name":  # a declaration
+            if values[0] in self.names:
+                raise ResolutionError(f"duplicate identifier {values[0]!r}")
+            self.names[values[0]] = kind
+            if word == "space":
+                self.spaces[values[0]] = values[1]
         self.end()
-        return out
+        return node(*values, self.lineno)
 
-    def _stmt_space(self):
-        name = self.ident()
-        self.take("=")
-        space = self.space_expr()
-        self._register(name, "space")
-        self.spaces[name] = space
-        return ast.SpaceDecl(name, space, line=self.lineno)
+    def kernel_level(self) -> int:
+        return self.level() if self.keyword("delta", "borel") == "delta" else 1
 
-    def _stmt_set(self):
-        name = self.ident()
-        self.keyword("in")
-        space = self.space_expr()
-        self.take(":")
-        cls = self.set_class()
-        self._register(name, "set")
-        return ast.SetDecl(name, space, cls, line=self.lineno)
+    def flag(self) -> bool:
+        return True  # its lead word is there
 
-    def _stmt_func(self):
-        name = self.ident()
-        self.take(":")
-        dom = self.space_expr()
-        self.take("->")
-        cod = self.space_expr()
-        domain_set = None
-        if self.at_keyword("on"):
-            self._advance()
-            domain_set = self.ident()
-        self.take(":")
-        annot = self.func_annot()
-        nonneg = False
-        if self.at_keyword("nonneg"):
-            self._advance()
-            nonneg = True
-        self._register(name, "func")
-        return ast.FuncDecl(name, dom, cod, annot, domain_set, nonneg, line=self.lineno)
 
-    def _stmt_kernel(self):
-        name = self.ident()
-        self.take(":")
-        src = self.space_expr()
-        self.take("~>")
-        dst = self.space_expr()
-        self.take(":")
-        word = self.keyword("delta", "borel")
-        level = self.level() if word == "delta" else 1
-        self._register(name, "kernel")
-        return ast.KernelDecl(name, src, dst, level, line=self.lineno)
+def _statement_steps(node, steps) -> tuple:
+    """An ast.STATEMENT_FORMS entry as (node, steps, the fields' defaults), each step
+    ((reader, token) per lead word, its field's position in the class, its reader, may be absent)."""
+    cls = node if isinstance(node, type) else next(iter(node.values()))
+    compiled = []
+    for text, field, kind, absent in steps:
+        lead = tuple([(_LineParser.keyword if w.isidentifier() else _LineParser.take, w) for w in text.split()])
+        read = partial(_LineParser.expr, kind=kind) if kind in _READS else kind and getattr(_LineParser, kind)
+        compiled.append((lead, field and cls._fields.index(field), read, absent))
+    defaults = cls.__init__.__defaults__  # of the fields that may be absent, then of the line
+    return node, tuple(compiled), (None,) * (len(cls._fields) - len(defaults)) + defaults[:-1]
 
-    def _stmt_let(self):
-        name = self.ident()
-        self.take("=")
-        expr, kind = self.any_expr()
-        self._register(name, kind)
-        if kind == "set":
-            return ast.LetSet(name, expr, line=self.lineno)
-        return ast.LetFunc(name, expr, line=self.lineno)
 
-    def _stmt_assert(self):
-        word = self.keyword("class", "level", "um")
-        if word == "um":
-            self.take("(")
-            name = self.ident()
-            self.take(")")
-            if self.names.get(name) not in ("set", "func"):
-                raise ResolutionError(f"undeclared subject {name!r} in um assertion")
-            return ast.AssertUM(name, line=self.lineno)
-        self.take("(")
-        if word == "class":
-            expr = self.expr("set_expr")
-            self.take(")")
-            op = self._assert_cmp()
-            cls = self.set_class()
-            return ast.AssertClass(expr, op, cls, line=self.lineno)
-        expr = self.expr("func_expr")
-        self.take(")")
-        op = self._assert_cmp()
-        self.keyword("delta")
-        level = self.level()
-        return ast.AssertLevel(expr, op, level, line=self.lineno)
-
-    def _assert_cmp(self) -> str:
-        tok = self.peek()
-        if tok is not None and tok.kind in ("<=", "=="):
-            self._advance()
-            return tok.kind
-        self.error(("<=", "==",))
-
-    def _register(self, name: str, kind: str):
-        if name in self.names:
-            raise ResolutionError(f"duplicate identifier {name!r}")
-        self.names[name] = kind
+# keyword -> its compiled entry; each first keyword -> the second keywords that may follow it
+_STATEMENTS = {word: _statement_steps(*form) for word, form in ast.STATEMENT_FORMS.items()}
+_STATEMENT_WORDS = {first: tuple(w.split()[1] for w in _STATEMENTS if w.startswith(first + " "))
+                    for first in (word.split()[0] for word in _STATEMENTS)}
+_FIRST_WORDS = tuple(_STATEMENT_WORDS)
 
 
 def _parse_line(text: str, read, spaces: dict):

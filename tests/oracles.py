@@ -299,7 +299,7 @@ def same_derivation(a, b) -> bool:
         if x is y or (id(x), id(y)) in seen:
             continue
         seen.add((id(x), id(y)))
-        if (x.rule, x.cite, x.conclusion) != (y.rule, y.cite, y.conclusion):
+        if (x.rule, x.conclusion) != (y.rule, y.conclusion):
             return False
         if len(x.premises) != len(y.premises):
             return False

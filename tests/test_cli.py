@@ -370,7 +370,7 @@ def test_check_ok(derivation, gated, capsys):
 
 
 def test_check_tampered_rule(derivation, gated, tmp_path, capsys):
-    doc = json.loads(open(derivation, encoding="utf-8").read())
+    doc = json.loads(Path(derivation).read_text(encoding="utf-8"))
     doc["nodes"][-1]["rule"] = "S-COMPL"  # wrong arity for the union's two premises
     bad = tmp_path / "bad.pjd"
     bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -413,7 +413,7 @@ def test_check_unreadable_document_exits_two(text, gated, tmp_path, capsys):
      "error: unsupported schema 'projcalc/2'; expected 'projcalc/3'\n"),
 ], ids=["past-the-premises", "below-a-leaf", "schema-2"])
 def test_check_unreadable_reference_exits_two(edit, error, derivation, gated, tmp_path, capsys):
-    doc = json.loads(open(derivation, encoding="utf-8").read())
+    doc = json.loads(Path(derivation).read_text(encoding="utf-8"))
     assert doc["nodes"][-1]["subject"] == "union(A, #1)"
     edit(doc)
     bad = tmp_path / "bad.pjd"

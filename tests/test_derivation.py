@@ -193,7 +193,7 @@ def test_mode_mismatch_rejected(env):
 def _demoted(d: Derivation) -> Derivation:
     """d with every node in ZFC."""
     return _rebuilt(d, lambda n, premises: Derivation(
-        n.rule, n.cite, premises, dataclasses.replace(n.conclusion, mode=ZFC)))
+        n.rule, premises, dataclasses.replace(n.conclusion, mode=ZFC)))
 
 
 def test_axiom_gate_rejected_in_checker(env):
@@ -477,7 +477,7 @@ def _random_dag(rng: random.Random) -> Derivation:
     for i in range(rng.randint(1, 14)):
         k = rng.randint(0, min(3, len(built)))
         kids = tuple(rng.choice(built) for _ in range(k))
-        built.append(Derivation("S-CU", "", kids, Conclusion(str(i), Judgment("prop", text=""), ZFC)))
+        built.append(Derivation("S-CU", kids, Conclusion(str(i), Judgment("prop", text=""), ZFC)))
     return built[-1]
 
 

@@ -435,3 +435,70 @@ def test_deep_nest_formats_in_linear_time(monkeypatch):
     assert format_program(program).endswith(f"let N = {'compl(' * depth}A0{')' * depth}\n")
     assert calls == depth + 1
     assert longest <= len("compl(")
+
+
+# -- the statement table: every entry of ast.STATEMENT_FORMS, each part that
+# may be absent both there and not, read and written back
+
+# keyword -> (line, its canonical text or None if the line is canonical), under BASE
+STATEMENT_LINES = {
+    "space": [("space W = prod(Z, reals)", "space W = prod(prod(baire, nat), reals)"),
+              ("space V = cantor", None)],
+    "set": [("set S in prod(baire, cantor) : sigma 3", None),
+            ("set S in X : borel", "set S in baire : delta 1")],
+    "func": [("func h : baire -> reals : delta 2", None),
+             ("func h : prod(baire, nat) -> xreal on D : delta 3", None),
+             ("func h : baire -> reals : borel nonneg", None),
+             ("func h : prod(baire, nat) -> xreal on D : lsa nonneg", None),
+             ("FUNC h : X -> reals ON A : usa NonNeg", "func h : baire -> reals on A : usa nonneg")],
+    "kernel": [("kernel k : baire ~> nat : delta 4", None),
+               ("kernel k : X ~> Y : borel", "kernel k : baire ~> nat : delta 1")],
+    "let": [("let L = compl(A)", None), ("let M = pair(g, g)", None)],
+    "assert class": [("assert class(A) <= sigma 1", None), ("assert class(compl(B)) == sigma 2", None),
+                     ("assert  class ( A )  <=  analytic", "assert class(A) <= sigma 1")],
+    "assert level": [("assert level(f) <= delta 2", None), ("assert level(neg(f)) == delta 2", None)],
+    "assert um": [("assert um(A)", None), ("assert um ( f )", "assert um(f)")],
+}
+
+# statement class -> its fields, as they were when each class was declared on a line of its own
+STATEMENT_FIELDS = {
+    "SpaceDecl": ("name", "space", "line"),
+    "SetDecl": ("name", "space", "cls", "line"),
+    "FuncDecl": ("name", "dom", "cod", "annot", "domain_set", "nonneg", "line"),
+    "KernelDecl": ("name", "src", "dst", "level", "line"),
+    "LetSet": ("name", "expr", "line"),
+    "LetFunc": ("name", "expr", "line"),
+    "AssertClass": ("expr", "op", "cls", "line"),
+    "AssertLevel": ("expr", "op", "level", "line"),
+    "AssertUM": ("name", "line"),
+}
+
+
+def _entry_classes(word: str) -> set:
+    node = ast.STATEMENT_FORMS[word][0]
+    return set(node.values()) if isinstance(node, dict) else {node}
+
+
+@pytest.mark.parametrize("word", list(ast.STATEMENT_FORMS))
+def test_each_statement_entry_reads_and_writes_its_lines(word):
+    classes = _entry_classes(word)
+    assert {c.__name__: c._fields for c in classes} == {c.__name__: STATEMENT_FIELDS[c.__name__] for c in classes}
+    lines = STATEMENT_LINES[word]
+    if word == "func":  # the two parts that may be absent, each there and not
+        parts = {(" on " in line, "nonneg" in line) for line, _ in lines}
+        assert parts == {(on, nonneg) for on in (False, True) for nonneg in (False, True)}
+    seen = set()
+    for line, canonical in lines:
+        program, _ = parse(BASE + line + "\n")
+        stmt = program.statements[-1]
+        seen.add(type(stmt))
+        text = format_statement(stmt)
+        assert text == (canonical or line)
+        assert format_statement(parse(BASE + text + "\n")[0].statements[-1]) == text
+        assert parse(format_program(program))[0] == program
+    assert seen == classes
+
+
+def test_the_statement_table_declares_every_statement_class():
+    assert {c.__name__ for w in ast.STATEMENT_FORMS for c in _entry_classes(w)} == set(STATEMENT_FIELDS)
+    assert list(ast.STATEMENT_FORMS) == list(STATEMENT_LINES)
