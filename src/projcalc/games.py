@@ -32,6 +32,7 @@ import ast as pyast
 import json
 import os
 import re
+import warnings
 from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
@@ -377,7 +378,11 @@ def compile_target_expr(source: str, n_rounds: int) -> Callable[[tuple], bool]:
     # way: MemoryError from the parser's stack, RecursionError from compile
     too_deep = "bad target expression: nested too deeply"
     try:
-        tree = pyast.parse(source, mode="eval")
+        # a text that Python's parser accepts with a warning (such as "1and")
+        # is refused, so that no warning reaches stderr beside a report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = pyast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise FormatError(f"bad target expression: {exc.msg}") from None
     except (MemoryError, RecursionError):

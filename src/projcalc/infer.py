@@ -2,11 +2,13 @@
 
 Every judgment comes with a derivation with shared subproofs: an engine
 infers each declared or let-bound name once, and every later use of the
-name reuses the same derivation object.  At each node the engine
-applies the sharpest applicable rule for that constructor (the one genuine
-two-rule node is composition, where an inner level-1 function upgrades
-F-COMP to F-COMP-B).  All results are upper bounds by construction; nothing
-here claims minimality.
+name reuses the same derivation object.  A constructor whose row has its
+children as premises is one _SYNTAX_RULES entry: its rule, and its
+conclusion from the children's classes or levels.  The rest are cases of
+Engine._build: names, countable families over a SCHED leaf, and the rows
+with a gate, a choice of rule (the sharpest that applies) or a template,
+a premise that is not a child.  All results are upper bounds by
+construction; nothing here claims minimality.
 
 Each node's subject spells only its own constructor: a name is written as
 the name, and any other subexpression as the #i.j... path through the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import ast
 from .derivation import (
@@ -76,6 +79,45 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown axiom mode {mode!r}")
 
 
+def _join(*values: PointClass) -> PointClass:
+    """The least class or level above every value; of one value, that value."""
+    return reduce(join, values)
+
+
+def _above(*values: PointClass) -> PointClass:
+    """delta n+1, for delta n the least delta class that holds every value."""
+    return delta(max([delta_lift(v).level for v in values]) + 1)
+
+
+# node class -> (rule, its conclusion from the children's classes or
+# levels) of each row whose premises are the node's children, in
+# ast.children order, and whose subject spells the node
+_SYNTAX_RULES = {
+    ast.Complement: ("S-COMPL", complement_class),
+    ast.FiniteUnion: ("S-CU", _join),
+    ast.FiniteIntersection: ("S-CI", _join),
+    ast.Product: ("S-PROD", product_class),
+    ast.Projection: ("S-PROJ", projection_class),
+    ast.Section: ("S-BPRE", _join),
+    ast.Graph: ("F-GRAPH", _above),
+    ast.Sublevel: ("S-SUBLEV", _join),
+    ast.PairFunc: ("F-PAIR", _join),
+    ast.CylinderExtend: ("F-CYL", _join),
+    ast.SectionOf: ("F-SECT", _above),
+    ast.PartialInf: ("F-PARTIAL", _above),
+    ast.PartialSup: ("F-PARTIAL", _above),
+    ast.FromGraph: ("F-UNGRAPH", _above),
+    **dict.fromkeys((ast.Sum, ast.Neg, ast.ProdOp, ast.MinOp, ast.MaxOp, ast.InnerProduct, ast.Power),
+                    ("F-ARITH", _join)),
+}
+
+_SETS = frozenset(ast.SetExpr.__args__)  # a row of one of these concludes a class, else a level
+
+# countable family class -> its rule, over one SCHED leaf
+_FAMILY_RULES = {ast.CountableUnion: "S-CU", ast.CountableIntersection: "S-CI",
+                 ast.CountableSup: "F-CSUP", ast.CountableInf: "F-CINF"}
+
+
 class Engine:
     """One inference run over one environment and axiom mode.
 
@@ -103,15 +145,14 @@ class Engine:
 
     # -- node builders
 
-    def _set_node(self, rule: str, premises, expr_text: str, cls: PointClass) -> Derivation:
-        return node(rule, tuple(premises), expr_text, class_judgment(cls), self.mode)
+    def _node(self, rule: str, premises, subject: str, value: PointClass, is_set: bool) -> Derivation:
+        """A row concluding class value for a set, or level value.level for a function."""
+        judgment = class_judgment(value) if is_set else level_judgment(value.level)
+        return node(rule, tuple(premises), subject, judgment, self.mode)
 
-    def _func_node(self, rule: str, premises, expr_text: str, level: int) -> Derivation:
-        return node(rule, tuple(premises), expr_text, level_judgment(level), self.mode)
-
-    def _sched_leaf(self, schedule) -> Derivation:
-        bound = schedule_bound(schedule)  # raises UnboundedScheduleError
-        return node("SCHED", (), f"levels {format_schedule(schedule)}", class_judgment(bound), self.mode)
+    def _row(self, e, rule: str, premises, refs, value: PointClass) -> tuple:
+        """(value, the row of e, no name), its subject e spelled with refs for its children."""
+        return value, self._node(rule, premises, spell(e, refs), value, type(e) in _SETS), None
 
     # -- the walk
 
@@ -119,19 +160,15 @@ class Engine:
         """The nodes e is built from: a name not inferred yet is built from
         its let body or, for a partial function, its domain set.  Refusals
         that come before any premise are raised here."""
-        if isinstance(e, ast.NamedSet):
-            if e.name not in self.named:
-                entry = self.env.set_entry(e.name)
-                if entry.expr is not None:
-                    return (entry.expr,)
-            return ()
-        if isinstance(e, ast.NamedFunc):
-            if e.name not in self.named:
-                entry = self.env.func_entry(e.name)
-                if entry.expr is not None:
-                    return (entry.expr,)
-                if entry.domain_set is not None:
-                    return (ast.NamedSet(entry.domain_set),)
+        if isinstance(e, (ast.NamedSet, ast.NamedFunc)):
+            if e.name in self.named:
+                return ()
+            is_set = isinstance(e, ast.NamedSet)
+            entry = self.env.set_entry(e.name) if is_set else self.env.func_entry(e.name)
+            if entry.expr is not None:
+                return (entry.expr,)
+            if not is_set and entry.domain_set is not None:
+                return (ast.NamedSet(entry.domain_set),)
             return ()
         if isinstance(e, ast.BorelImage):
             domain_set = self.env.func_entry(e.func).domain_set
@@ -163,7 +200,7 @@ class Engine:
                     hit = kids[0][0], kids[0][1], e.name
                 else:
                     cls = self.env.set_entry(e.name).cls
-                    hit = cls, self._set_node("DECL", (), e.name, cls), e.name
+                    hit = cls, self._node("DECL", (), e.name, cls, True), e.name
                 self.named[e.name] = hit
             return hit
         if isinstance(e, ast.NamedFunc):
@@ -173,115 +210,76 @@ class Engine:
                 if entry.expr is not None:
                     fl, d = kids[0][0], kids[0][1]
                 else:
-                    lvl = entry.annot.level
-                    d = self._func_node("DECL", (), e.name, lvl)
+                    fl = delta(entry.annot.level)
+                    d = self._node("DECL", (), e.name, fl, False)
                     if entry.domain_set is not None:
                         dc, dd, _, _ = kids[0]
-                        lvl = max(lvl, delta_lift(dc).level)
-                        d = self._func_node("F-DOM", [d, dd], e.name, lvl)
-                    fl = delta(lvl)
+                        fl = delta(max(fl.level, delta_lift(dc).level))
+                        d = self._node("F-DOM", [d, dd], e.name, fl, False)
                 hit = self.named[e.name] = fl, d, e.name
             return hit
         # the i-th kid is the i-th premise, but where a case below says otherwise
         refs = [name or f"#{i}" for i, (_, _, name, _) in enumerate(kids)]
-        if isinstance(e, ast.EpsSelector):
-            refs.reverse()  # _enter gave (func, dom), the premise order
-        # -- sets
-        if isinstance(e, ast.Complement):
-            c, d, _, _ = kids[0]
-            return self._set(e, "S-COMPL", [d], refs, complement_class(c))
-        if isinstance(e, (ast.FiniteUnion, ast.FiniteIntersection)):
-            rule = "S-CU" if isinstance(e, ast.FiniteUnion) else "S-CI"
-            out = kids[0][0]
-            for k in kids[1:]:
-                out = join(out, k[0])
-            return self._set(e, rule, [k[1] for k in kids], refs, out)
-        if isinstance(e, (ast.CountableUnion, ast.CountableIntersection)):
-            rule = "S-CU" if isinstance(e, ast.CountableUnion) else "S-CI"
-            leaf = self._sched_leaf(e.schedule)
-            return self._set(e, rule, [leaf], refs, leaf.conclusion.judgment.cls)
-        if isinstance(e, ast.Product):
-            (a, da, _, _), (b, db, _, _) = kids
-            return self._set(e, "S-PROD", [da, db], refs, product_class(a, b))
-        if isinstance(e, ast.Projection):
-            c, d, _, _ = kids[0]
-            return self._set(e, "S-PROJ", [d], refs, projection_class(c))
+        entry = _SYNTAX_RULES.get(type(e))
+        if entry is not None:
+            rule, conclude = entry
+            values, premises, _, _ = zip(*kids)
+            return self._row(e, rule, premises, refs, conclude(*values))
+        rule = _FAMILY_RULES.get(type(e))
+        if rule is not None:
+            bound = schedule_bound(e.schedule)  # raises UnboundedScheduleError
+            leaf = self._node("SCHED", (), f"levels {format_schedule(e.schedule)}", bound, True)
+            return self._row(e, rule, [leaf], refs, bound if type(e) in _SETS else delta_lift(bound))
         if isinstance(e, ast.BorelImage):
             # the image rule wants the bare level-1 declaration, not an
             # F-DOM lift; a partial domain restricts the operand instead
-            leaf = self._func_node("DECL", (), e.func, self.env.func_entry(e.func).annot.level)
+            leaf = self._node("DECL", (), e.func, delta(self.env.func_entry(e.func).annot.level), False)
             c, d, operand, _ = kids[0]
             if len(kids) == 2:
                 dc, dd, domain_set, _ = kids[1]
                 c = join(c, dc)
-                d = self._set_node("S-CI", [d, dd], f"inter({operand or '#0'}, {domain_set})", c)
-                return self._set(e, "S-BIMG", [leaf, d], [operand or "#1.0"], projection_class(c))
-            return self._set(e, "S-BIMG", [leaf, d], [operand or "#1"], projection_class(c))
+                restricted = ast.FiniteIntersection((e.operand, ast.NamedSet(domain_set)))
+                d = self._node("S-CI", [d, dd], spell(restricted, [operand or "#0", domain_set]), c, True)
+                return self._row(e, "S-BIMG", [leaf, d], [operand or "#1.0"], projection_class(c))
+            return self._row(e, "S-BIMG", [leaf, d], [operand or "#1"], projection_class(c))
         if isinstance(e, ast.Preimage):
             (fl, fd, func, _), (c, d, operand, _) = kids
             if fl.level == 1:
-                return self._set(e, "S-BPRE", [fd, d], refs, c)
+                return self._row(e, "S-BPRE", [fd, d], refs, c)
             if c.kind is Kind.DELTA:
-                return self._set(e, "F-PRE-Δ", [fd, d], refs, delta(fl.level + c.level))
+                return self._row(e, "F-PRE-Δ", [fd, d], refs, delta(fl.level + c.level))
             if c.kind is Kind.SIGMA:
-                return self._set(e, "F-PRE-Σ", [fd, d], refs, sigma(c.level + fl.level - 1))
-            # pi target: complement, pull back the sigma side, complement again
-            flip = self._set_node("S-COMPL", [d], f"compl({operand or '#0'})", complement_class(c))
+                return self._row(e, "F-PRE-Σ", [fd, d], refs, sigma(c.level + fl.level - 1))
+            # pi target: complement, pull back the sigma side, complement
+            # again; the inner row is pre[f](compl(B)), spelled as e is
+            subject = spell(ast.Complement(e.operand), [operand or "#0"])
+            flip = self._node("S-COMPL", [d], subject, complement_class(c), True)
             pulled = sigma(c.level + fl.level - 1)
-            inner = self._set_node("F-PRE-Σ", [fd, flip], f"pre[{func or '#0'}](#1)", pulled)
-            return self._set(e, "S-COMPL", [inner], [func or "#0.0", operand or "#0.1.0"], complement_class(pulled))
-        if isinstance(e, ast.Section):
-            c, d, _, _ = kids[0]
-            return self._set(e, "S-BPRE", [d], refs, c)
-        if isinstance(e, ast.Graph):
-            fl, fd, _, _ = kids[0]
-            return self._set(e, "F-GRAPH", [fd], refs, delta(fl.level + 1))
-        if isinstance(e, ast.Sublevel):
-            fl, fd, _, _ = kids[0]
-            return self._set(e, "S-SUBLEV", [fd], refs, delta(fl.level))
+            inner = self._node("F-PRE-Σ", [fd, flip], spell(e, [func or "#0", "#1"]), pulled, True)
+            return self._row(e, "S-COMPL", [inner], [func or "#0.0", operand or "#0.1.0"], complement_class(pulled))
         if isinstance(e, ast.MeasureThreshold):
             c, d, _, _ = kids[0]
             out = sigma_lift(c)
             if out.level >= 2 and self.mode != ZFC_PD:
                 raise AxiomRequiredError("S-WR", f"threshold sets above level 1 (here {out})")
-            return self._set(e, "S-WR", [d], refs, out)
-        # -- functions
-        if isinstance(e, ast.PairFunc):
-            (l, dl, _, _), (r, dr, _, _) = kids
-            return self._func(e, "F-PAIR", [dl, dr], refs, max(l.level, r.level))
-        if isinstance(e, ast.CylinderExtend):
-            fl, fd, _, _ = kids[0]
-            return self._func(e, "F-CYL", [fd], refs, fl.level)
+            return self._row(e, "S-WR", [d], refs, out)
         if isinstance(e, ast.Compose):
             (o, do, _, _), (i, di, _, _) = kids
             if i.level == 1:
                 # inner Borel: preimages of the outer function's targets
                 # pull back without cost
-                return self._func(e, "F-COMP-B", [do, di], refs, o.level)
-            return self._func(e, "F-COMP", [do, di], refs, o.level + i.level)
-        if isinstance(e, ast.SectionOf):
-            fl, fd, _, _ = kids[0]
-            return self._func(e, "F-SECT", [fd], refs, fl.level + 1)
-        if isinstance(e, (ast.Sum, ast.Neg, ast.ProdOp, ast.MinOp, ast.MaxOp, ast.InnerProduct, ast.Power)):
-            return self._func(e, "F-ARITH", [k[1] for k in kids], refs, max(k[0].level for k in kids))
-        if isinstance(e, (ast.CountableSup, ast.CountableInf)):
-            rule = "F-CSUP" if isinstance(e, ast.CountableSup) else "F-CINF"
-            leaf = self._sched_leaf(e.schedule)
-            return self._func(e, rule, [leaf], refs, delta_lift(leaf.conclusion.judgment.cls).level)
-        if isinstance(e, (ast.PartialInf, ast.PartialSup)):
-            (fl, fd, _, _), (dc, dd, _, _) = kids
-            return self._func(e, "F-PARTIAL", [fd, dd], refs, max(fl.level, delta_lift(dc).level) + 1)
+                return self._row(e, "F-COMP-B", [do, di], refs, o)
+            return self._row(e, "F-COMP", [do, di], refs, delta(o.level + i.level))
         if isinstance(e, ast.IntegralKernel):
             fl, fd, _, _ = kids[0]
             hit = self.named.get(e.kernel)
             if hit is None:
-                klevel = self.env.kernel_entry(e.kernel).level
-                kleaf = self._func_node("DECL", (), e.kernel, klevel)
-                hit = self.named[e.kernel] = klevel, kleaf, e.kernel
+                kl = delta(self.env.kernel_entry(e.kernel).level)
+                hit = self.named[e.kernel] = kl, self._node("DECL", (), e.kernel, kl, False), e.kernel
             if self.mode != ZFC_PD:
                 raise AxiomRequiredError("F-INT", "kernel integration is determinacy-gated")
-            klevel, kleaf, _ = hit
-            return self._func(e, "F-INT", [fd, kleaf], refs, fl.level + klevel + 2)
+            kl, kleaf, _ = hit
+            return self._row(e, "F-INT", [fd, kleaf], refs, delta(fl.level + kl.level + 2))
         if isinstance(e, ast.Select):
             c, d, operand, _ = kids[0]
             # the least stage m with c <= pi(2m+1) is t // 2, for t the least
@@ -294,31 +292,21 @@ class Engine:
             # F-UNGRAPH over the selector's graph (F-SELECT) and domain (S-PROJ)
             graph_cls, dom_cls = pi(2 * m + 1), projection_class(c)
             ref = operand or "#0"
-            sel = self._set_node("F-SELECT", [d], f"graph(select({ref}))", graph_cls)
-            dom = self._set_node("S-PROJ", [d], f"proj[1]({ref})", dom_cls)
-            level = max(delta_lift(graph_cls).level, delta_lift(dom_cls).level) + 1
-            return self._func(e, "F-UNGRAPH", [sel, dom], [operand or "#0.0"], level)
+            sel = self._node("F-SELECT", [d], spell(ast.Graph(e), [spell(e, [ref])]), graph_cls, True)
+            dom = self._node("S-PROJ", [d], spell(ast.Projection(e.operand, 1), [ref]), dom_cls, True)
+            return self._row(e, "F-UNGRAPH", [sel, dom], [operand or "#0.0"], _above(graph_cls, dom_cls))
         if isinstance(e, ast.EpsSelector):
             (fl, fd, _, _), (dc, dd, _, _) = kids
-            q = max(fl.level, delta_lift(dc).level)
             # the near-optimal and escape bands around the sectionwise
-            # optimum (level q+1) make a delta q+1 target; F-UNGRAPH over its
-            # selector's pi 2m+1 graph and its sigma q+1 projection gives the
-            # level.  Both classes are built so that a level past the cap
-            # raises LevelOverflowError.
-            m = delta(q + 1).level // 2
-            return self._func(e, "F-EPS", [fd, dd], refs, delta(max(2 * m + 2, q + 2)).level + 1)
-        if isinstance(e, ast.FromGraph):
-            (gc, gd, _, _), (dc, dd, _, _) = kids
-            level = max(delta_lift(gc).level, delta_lift(dc).level) + 1
-            return self._func(e, "F-UNGRAPH", [gd, dd], refs, level)
+            # optimum make a delta q+1 target; F-UNGRAPH over its selector's
+            # pi 2m+1 graph and its sigma q+1 projection gives the level.
+            # Each class is built, so a level past the cap raises
+            # LevelOverflowError.
+            target = _above(fl, dc)
+            m = target.level // 2
+            level = _above(delta(max(2 * m + 2, target.level + 1)))
+            return self._row(e, "F-EPS", [fd, dd], refs[::-1], level)  # refs in the text's order
         raise TypeError(f"not a set or function expression: {e!r}")
-
-    def _set(self, e, rule: str, premises, refs, cls: PointClass) -> tuple:
-        return cls, self._set_node(rule, premises, spell(e, refs), cls), None
-
-    def _func(self, e, rule: str, premises, refs, level: int) -> tuple:
-        return delta(level), self._func_node(rule, premises, spell(e, refs), level), None
 
 
 def infer_set(e: ast.SetExpr, env: Env, mode: str = ZFC) -> tuple[PointClass, Derivation]:
@@ -378,32 +366,20 @@ def evaluate_assertions(
     for stmt in program.assertions:
         text = format_statement(stmt)
         try:
-            if isinstance(stmt, ast.AssertClass):
-                got, d = eng.set_class(stmt.expr)
-                if stmt.op == "<=":
-                    ok = leq(got, stmt.cls)
-                else:
-                    ok = got == stmt.cls
-                detail = f"inferred {got}"
-            elif isinstance(stmt, ast.AssertLevel):
-                fl, d = eng.func_level(stmt.expr)
-                ok = fl.level <= stmt.level if stmt.op == "<=" else fl.level == stmt.level
-                detail = f"inferred delta {fl.level}"
-            elif isinstance(stmt, ast.AssertUM):
-                if stmt.name in env.sets:
-                    got_cls, d = eng.set_class(ast.NamedSet(stmt.name))
-                    verdict = universal_measurability(got_cls, mode)
-                else:
-                    fl, d = eng.func_level(ast.NamedFunc(stmt.name))
-                    verdict = universal_measurability(fl, mode)
+            if isinstance(stmt, ast.AssertUM):
+                got, d = eng.infer(ast.NamedSet(stmt.name) if stmt.name in env.sets else ast.NamedFunc(stmt.name))
+                verdict = universal_measurability(got, mode)
                 if isinstance(verdict, Refusal):
                     results.append(AssertionResult(stmt.line, text, False, verdict.reason, d))
                     continue
-                ok = True
-                detail = verdict.conclusion
-                d = verdict.derivation
+                ok, detail, d = True, verdict.conclusion, verdict.derivation
             else:
-                raise TypeError(f"unknown assertion {stmt!r}")
+                got, d = eng.infer(stmt.expr)
+                if isinstance(stmt, ast.AssertClass):
+                    ok = leq(got, stmt.cls) if stmt.op == "<=" else got == stmt.cls
+                else:  # a level is compared as a number, as written
+                    ok = got.level <= stmt.level if stmt.op == "<=" else got.level == stmt.level
+                detail = f"inferred {got}"
         except VERDICT_ERRORS as exc:
             results.append(AssertionResult(stmt.line, text, False, str(exc), None))
             continue

@@ -19,6 +19,7 @@ from projcalc.cli import build_parser, main
 from projcalc.derivation import serialize
 from projcalc.games import BUDGET_ENV, FiniteGame, compile_target_expr, dumps_game, solve
 from projcalc.infer import infer_set
+from projcalc.rules import UM_REFUSAL
 
 from .oracles import brute_force_winner, reference_solve
 from .progen import compl_nest, corpus, doubling_chain, game_corpus, linear_chain, neg_nest, space_nest
@@ -987,6 +988,148 @@ def test_game_target_dividing_by_zero_exits_two(expr, error, tmp_path, capsys):
     path.write_text(json.dumps({"schema": "projcalc/1", "k": 2, "N": 1, "target": {"expr": expr}}), encoding="utf-8")
     assert main(["game", str(path)]) == 2
     assert capsys.readouterr() == ("", error)  # one error line, no traceback
+
+
+def test_game_target_that_python_parses_with_a_warning_exits_two(tmp_path):
+    # "1and" parses with a SyntaxWarning; pytest captures warnings apart
+    # from stderr, so the command runs in an interpreter of its own
+    path = tmp_path / "warns.pjg"
+    doc = {"schema": "projcalc/1", "k": 2, "N": 1, "target": {"expr": "a0 == 1and b0 == 1"}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    run = _fresh_cli(["game", "--json", str(path)])
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: bad target expression: invalid decimal literal\n")
+
+
+# --- errors of the binder ---------------------------------------------------------
+
+BINDER_HEADER = """\
+space X = baire
+space Y = cantor
+space Z = reals
+set A in X : sigma 1
+set B in Y : sigma 1
+set P in prod(X, Y) : pi 1
+func f : X -> reals : borel
+func g : Y -> reals : borel
+func v : X -> Y : borel
+func w : prod(X, Y) -> Y : borel
+func r : prod(X, Y) -> reals : borel
+kernel q : X ~> Y : delta 1
+"""
+
+
+@pytest.mark.parametrize("line,error", [
+    ("let U = integral(r, nope)", "undeclared kernel 'nope'"),
+    ("let U = proj[3](P)", "axis must be 1 or 2, got 3"),
+    ("let U = proj[Z](P)", "space 'Z' is not a factor of the carrier"),
+    ("let U = union i in nat of z_i with levels bounded sigma 1",
+     "cannot infer the carrier of family z_*: declare z_0 or add an 'in <space>' clause"),
+    ("let U = img[g](A)", "img[g]: function domain differs from operand carrier"),
+    ("let U = sublevel(v, <, 1)", "sublevel sets need a real or extended-real valued function"),
+    ("let U = pair(f, g)", "pair(f, g): domains differ"),
+    ("let U = compose(f, f)", "compose(f, g): codomain of g differs from domain of f"),
+    ("let U = add(f, g)", "pointwise arithmetic needs a shared domain"),
+    ("let U = add(v, v)", "sum/neg needs matching real-vector or scalar codomains"),
+    ("let U = mul(f, g)", "pointwise arithmetic needs a shared domain"),
+    ("let U = mul(v, v)", "mul/min/max need scalar codomains"),
+    ("let U = inner(v, v)", "inner(f, g) needs a shared domain and equal real-vector codomains"),
+    ("let U = pow(v, 2)", "pow needs a scalar codomain"),
+    ("let U = inf_over(f, A)", "inf_over/sup_over need a function on a product space"),
+    ("let U = inf_over(w, P)", "inf_over/sup_over need a scalar codomain"),
+    ("let U = inf_over(r, prod(A, A))", "inf_over/sup_over: constraint set lives on a different product"),
+    ("let U = integral(f, q)", "integral(f, q): f must live on the product of the kernel's spaces"),
+    ("let U = integral(w, q)", "integral needs a scalar integrand"),
+    ("let U = eps_inf(P, w, 1/2)", "eps selection needs a scalar objective"),
+    ("let U = from_graph(A, A)", "from_graph(G, D): G must live on a product space"),
+    ("let U = from_graph(P, B)", "from_graph(G, D): D must live on the first factor of G's carrier"),
+], ids=[
+    "kernel", "axis-range", "axis-factor", "family-carrier", "img-domain", "sublevel", "pair", "compose",
+    "sum-domain", "sum-codomain", "mul-domain", "mul-codomain", "inner", "pow", "partial-product",
+    "partial-codomain", "partial-constraint", "integral-product", "integral-codomain", "eps-objective",
+    "from-graph-product", "from-graph-domain",
+])
+def test_each_binder_error_exits_two(line, error, tmp_path, capsys):
+    path = tmp_path / "p.pjc"
+    path.write_text(f"{BINDER_HEADER}{line}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["infer", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_a_function_family_takes_the_carrier_of_its_first_member(tmp_path, capsys):
+    path = tmp_path / "p.pjc"
+    path.write_text(
+        f"{BINDER_HEADER}func z_0 : X -> reals : borel\nlet U = sup n in nat of z_n with levels bounded delta 1\n",
+        encoding="utf-8",
+    )
+    assert main(["infer", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "let U: level delta 1" in out and err == ""
+
+
+# --- the engine's image and measurability cases --------------------------------
+
+PARTIAL = """\
+space X = baire
+space Y = cantor
+set D in X : pi 1
+set A in X : sigma 2
+func f : X -> Y on D : borel
+func g : X -> Y : borel
+let B = img[f](A)
+let C = img[f](compl(A))
+assert um(g)
+assert um(f)
+"""
+
+
+def test_an_image_under_a_partial_function_restricts_its_operand(tmp_path, capsys):
+    # the image rule takes f's bare declaration and the operand cut down to
+    # f's domain, named when the operand is a name and a path when it is not
+    path = tmp_path / "p.pjc"
+    path.write_text(PARTIAL, encoding="utf-8")
+    out_dir = tmp_path / "d"
+    main(["infer", str(path), "--emit-derivations", str(out_dir)])
+    capsys.readouterr()
+    assert (out_dir / "let_B.pjd").read_text(encoding="utf-8") == (
+        '{"mode": "ZFC", "nodes": [\n'
+        '{"judgment": "level delta 1", "premises": [], "rule": "DECL", "subject": "f"},\n'
+        '{"judgment": "class sigma 2", "premises": [], "rule": "DECL", "subject": "A"},\n'
+        '{"judgment": "class pi 1", "premises": [], "rule": "DECL", "subject": "D"},\n'
+        '{"judgment": "class sigma 2", "premises": [1, 2], "rule": "S-CI", "subject": "inter(A, D)"},\n'
+        '{"judgment": "class sigma 2", "premises": [0, 3], "rule": "S-BIMG", "subject": "img[f](A)"}\n'
+        '], "schema": "projcalc/3"}\n'
+    )
+    assert (out_dir / "let_C.pjd").read_text(encoding="utf-8") == (
+        '{"mode": "ZFC", "nodes": [\n'
+        '{"judgment": "level delta 1", "premises": [], "rule": "DECL", "subject": "f"},\n'
+        '{"judgment": "class sigma 2", "premises": [], "rule": "DECL", "subject": "A"},\n'
+        '{"judgment": "class pi 2", "premises": [1], "rule": "S-COMPL", "subject": "compl(A)"},\n'
+        '{"judgment": "class pi 1", "premises": [], "rule": "DECL", "subject": "D"},\n'
+        '{"judgment": "class pi 2", "premises": [2, 3], "rule": "S-CI", "subject": "inter(#0, D)"},\n'
+        '{"judgment": "class sigma 3", "premises": [0, 4], "rule": "S-BIMG", "subject": "img[f](#1.0)"}\n'
+        '], "schema": "projcalc/3"}\n'
+    )
+    assert main(["check", str(out_dir / "let_C.pjd"), str(path)]) == 0
+    assert capsys.readouterr().out == "ok: img[f](compl(A)) : class sigma 3 [ZFC]\n"
+
+
+@pytest.mark.parametrize("flags,rc,um_f", [
+    ([], 1, f"FAIL ({UM_REFUSAL})"),
+    (["--assume-pd"], 0, "ok (universally measurable)"),
+], ids=["zfc", "pd"])
+def test_assert_um_of_a_function(flags, rc, um_f, tmp_path, capsys):
+    # g is Borel, so um(g) holds outright; f, partial on a pi 1 domain, is
+    # at level 2, where measurability needs determinacy
+    path = tmp_path / "p.pjc"
+    path.write_text(PARTIAL, encoding="utf-8")
+    out_dir = tmp_path / "d"
+    assert main(["infer", str(path), "--emit-derivations", str(out_dir), *flags]) == rc
+    out = capsys.readouterr().out
+    assert "line 9: assert um(g) -> ok (universally measurable)\n" in out
+    assert f"line 10: assert um(f) -> {um_f}\n" in out
+    for pjd in sorted(out_dir.iterdir()):
+        assert main(["check", str(pjd), str(path)]) == 0, pjd.name
 
 
 # --- one parser per process -----------------------------------------------------

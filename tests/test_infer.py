@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from projcalc import ast, infer, sema
+from projcalc import ast, derivation, infer, sema
 from projcalc.derivation import ZFC, ZFC_PD, check, expand, read_table, serialize
 from projcalc.errors import (
     AxiomRequiredError,
@@ -37,6 +37,7 @@ from projcalc.pointclass import (
     pi,
     sigma,
 )
+from projcalc.rules import CITATIONS
 
 from .progen import compl_nest, corpus, linear_chain
 
@@ -462,3 +463,40 @@ def test_assertion_lines_and_text():
     assert res.line == len(BASE.splitlines()) + 1
     assert res.text.startswith("assert class(")
     assert res.derivation is not None
+
+
+# the constructors whose rows the engine builds case by case: names,
+# countable families over a SCHED leaf, and the rows with a gate, a choice
+# of rule or a premise that is not a child
+HAND_WRITTEN = (
+    ast.NamedSet, ast.NamedFunc, ast.CountableUnion, ast.CountableIntersection, ast.CountableSup,
+    ast.CountableInf, ast.BorelImage, ast.Preimage, ast.MeasureThreshold, ast.Compose, ast.IntegralKernel,
+    ast.Select, ast.EpsSelector,
+)
+
+
+def test_each_constructor_is_a_table_row_or_a_hand_written_case():
+    table = infer._SYNTAX_RULES
+    constructors = {*ast.SetExpr.__args__, *ast.FuncExpr.__args__}
+    for cls in constructors:
+        assert (cls in table) != (cls in HAND_WRITTEN), cls.__name__
+    assert constructors.issuperset(table) and constructors.issuperset(HAND_WRITTEN)
+    for rule, _ in table.values():
+        assert rule in CITATIONS and rule in derivation._RULES, rule
+    # a table row's premises are its node's children, over every node of
+    # the generated corpus whose class is a table key
+    seen = set()
+    for text in corpus():
+        prog, env = parse(text)
+        engine = infer.Engine(env, ZFC_PD)
+        for stmt in prog.statements:
+            if not isinstance(stmt, (ast.LetSet, ast.LetFunc, ast.AssertClass, ast.AssertLevel)):
+                continue
+            nodes = []
+            ast.fold(stmt.expr, lambda e, kids: nodes.append(e))
+            for e in nodes:
+                if type(e) in table:
+                    _, d = engine.infer(e)
+                    assert (d.rule, len(d.premises)) == (table[type(e)][0], len(ast.children(e))), format_expr(e)
+                    seen.add(type(e))
+    assert seen == set(table)
