@@ -1,12 +1,14 @@
 """End-to-end command tests, run in-process through main(argv)."""
 
 import dataclasses
+import errno
 import hashlib
 import importlib.util
 import json
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -218,6 +220,79 @@ def test_emit_derivations_onto_a_file_exits_two(gated, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: cannot write {taken}: ") and "Traceback" not in err
+
+
+def test_emit_onto_a_directory_exits_two(gated, tmp_path, capsys):
+    out_dir = tmp_path / "derivs"
+    (out_dir / "let_U.pjd").mkdir(parents=True)
+    assert main(["infer", gated, "--assume-pd", "--json", "--emit-derivations", str(out_dir)]) == 2
+    expected = f"error: cannot write {out_dir / 'let_U.pjd'}: {os.strerror(errno.EISDIR)}\n"
+    assert tuple(capsys.readouterr()) == ("", expected)
+
+
+def test_re_emit_keeps_mode_and_inode(gated, tmp_path, capsys):
+    # a new file is created as open() creates one, 0o666 less the umask, and
+    # a file written again is the same file, with its mtime moved on
+    out_dir = tmp_path / "derivs"
+    argv = ["infer", gated, "--assume-pd", "--emit-derivations", str(out_dir)]
+    umask = os.umask(0o027)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(umask)
+    files = sorted(out_dir.iterdir())
+    assert files and {stat.S_IMODE(p.stat().st_mode) for p in files} == {0o640}
+    inodes = [p.stat().st_ino for p in files]
+    for p in files:
+        os.utime(p, ns=(0, 0))
+    assert main(argv) == 0
+    assert sorted(out_dir.iterdir()) == files
+    assert [p.stat().st_ino for p in files] == inodes
+    assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {0o640}
+    assert all(p.stat().st_mtime_ns > 0 for p in files)
+
+
+def test_re_emit_over_longer_stale_files(tmp_path, capsys):
+    # each file is written over the old one in place and then trimmed: files
+    # padded with 4 KiB of junk come out byte for byte as in a fresh
+    # directory, and check alike, the LET rows' digests of cited files included
+    programs = [tmp_path / "p0.pjc", tmp_path / "p1.pjc"]
+    for path, text in zip(programs, (linear_chain(3), PROGRAM)):
+        path.write_text(text, encoding="utf-8")
+
+    def emit(out_dir: Path) -> list[Path]:
+        for i, program in enumerate(programs):
+            assert main(["infer", str(program), "--emit-derivations", str(out_dir / str(i))]) == 0
+        return sorted(out_dir.rglob("*.pjd"))
+
+    stale = emit(tmp_path / "a")
+    for path in stale:
+        path.write_bytes(path.read_bytes() + bytes(range(256)) * 16)
+    assert emit(tmp_path / "a") == stale
+    fresh = emit(tmp_path / "b")
+    assert [p.relative_to(tmp_path / "b") for p in fresh] == [p.relative_to(tmp_path / "a") for p in stale]
+    assert any(p.name == "let_A3.pjd" for p in stale) and any(p.name.startswith("assert_") for p in stale)
+    capsys.readouterr()
+    for a, b in zip(stale, fresh):
+        assert a.read_bytes() == b.read_bytes()
+        program = str(programs[int(a.parent.name)])
+        outs = []
+        for path in (a, b):
+            cli._front_end.cache_clear()  # so each check reads every file it cites
+            assert main(["check", str(path), program]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("ok: ")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a symlink to the null device")
+def test_emit_onto_a_link_to_the_null_device(gated, tmp_path, capsys):
+    # the null device has no length to trim: it takes the file, as it did
+    # when files were truncated on open
+    out_dir = tmp_path / "derivs"
+    out_dir.mkdir()
+    (out_dir / "let_U.pjd").symlink_to(os.devnull)
+    assert main(["infer", gated, "--assume-pd", "--emit-derivations", str(out_dir)]) == 0
+    assert (out_dir / "let_U.pjd").is_symlink()
 
 
 def test_derivations_frozen(tmp_path, capsys):

@@ -13,6 +13,11 @@ carrier and point helpers do.
 Importing the command line leaves the concrete layer unloaded, importing the
 package loads none of its modules, and every module parses at the Python
 version that pyproject.toml declares as the floor.
+
+The package writes files through one opener, ``cli._overwrite``, which
+writes over a file in place instead of truncating it to zero first: no
+module calls ``write_bytes`` or ``write_text``, or opens a file for writing
+without that opener.
 """
 
 import ast
@@ -70,6 +75,71 @@ def test_unused_import_is_flagged():
         "    return sys.argv\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "signature")]
+
+
+# cli's opener, the one every file the package writes goes through
+OPENER = "_overwrite"
+
+
+def truncating_writes(source: str) -> list[tuple[int, str]]:
+    """(line, call) of every write that may truncate a file on open: a
+    ``write_bytes`` or ``write_text`` call, an ``open`` or ``X.open`` call
+    with a write mode (or a mode not spelled out) but without
+    ``opener=_overwrite``, and an ``os.open`` outside that opener, except of
+    ``os.devnull``."""
+    tree = ast.parse(source)
+    in_opener = {
+        id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == OPENER for n in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+        if name in ("write_bytes", "write_text"):
+            found.append((node.lineno, name))
+        elif name == "open" and owner == "os":
+            if id(node) not in in_opener and ast.unparse(node.args[0]) != "os.devnull":
+                found.append((node.lineno, "os.open"))
+        elif name == "open":
+            # open(file, mode) and io.open(file, mode), but Path(...).open(mode)
+            at = 1 if isinstance(func, ast.Name) or owner in ("io", "builtins") else 0
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at:at + 1]
+            mode = modes[0] if modes else ast.Constant("r")
+            writes = not isinstance(mode, ast.Constant) or set(mode.value) & set("wax+")
+            opener = [ast.unparse(k.value) for k in node.keywords if k.arg == "opener"]
+            if writes and opener != [OPENER]:
+                found.append((node.lineno, "open"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_files_are_written_through_the_one_opener(path):
+    assert truncating_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_truncating_write_is_flagged():
+    source = (
+        "import io, os\n"
+        "def _overwrite(path, flags):\n"
+        "    return os.open(path, flags & ~os.O_TRUNC, 0o666)\n"
+        "def emit(path, data, mode):\n"
+        "    path.write_bytes(data)\n"
+        "    path.write_text(data.decode())\n"
+        "    open(path, 'w')\n"
+        "    io.open(path, mode='xb')\n"
+        "    path.open('a')\n"
+        "    open(path, mode)\n"
+        "    os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)\n"
+        "    open(path, 'wb', opener=_overwrite)\n"
+        "    open(path, 'rb'), open(path), path.open(), io.open(path, 'r')\n"
+        "    os.open(os.devnull, os.O_WRONLY)\n"
+    )
+    assert truncating_writes(source) == [
+        (5, "write_bytes"), (6, "write_text"), (7, "open"), (8, "open"), (9, "open"), (10, "open"), (11, "os.open"),
+    ]
 
 
 # the modules that walk set and function expressions and space values, the
