@@ -18,8 +18,8 @@ walk expressions through fold(), the parser with a stack of its own, so
 expressions nest as deep as memory allows; so do space values, whose factors
 space_children() gives.  A new constructor or statement is one table entry
 plus its rules in sema and infer (and for a constructor in derivation); in
-infer a constructor is one _SYNTAX_RULES entry, or a case of Engine._build if
-its premises are not its children.  An irregular form is declared on its own
+sema a constructor is one _SIGNATURES entry, and in infer one _SYNTAX_RULES
+entry, or a case of Engine._build if its premises are not its children.  An irregular form is declared on its own
 line below, named in children() and spelled by hand in parser.expr and
 formatter.pieces.
 """

@@ -36,6 +36,7 @@ from .finitemodel import (
     func_data,
     measure_of,
 )
+from .selectors import qualifies
 from .xreal import NEG_INF, POS_INF, XReal, fin, neg_part, pos_part, xreal_prod, xreal_sum
 
 IDENTITIES = ("INFSUP-PROJ", "SUM-PRE", "PROD-POS", "EPS-E", "FUBINI-DIRAC")
@@ -246,20 +247,7 @@ def _check_eps_e(case: IdentityCase) -> Counterexample | None:
     D = m.sets["D"].members
     f = m.funcs["f"].table
     fstar = func_data(ast.PartialInf(ast.NamedFunc("f"), ast.NamedSet("D")), m).table
-    band = set()
-    for (x, y) in D:
-        v = fstar[x]
-        if v == NEG_INF:
-            ok = f[(x, y)] < fin(-1 / eps)
-        elif v == POS_INF:
-            # the section is identically +inf, so every choice attains the
-            # infimum exactly; the strict band would be empty here
-            ok = True
-        else:
-            ok = f[(x, y)] < v + fin(eps)
-        if ok:
-            band.add((x, y))
-    lhs = {x for (x, y) in band}
+    lhs = {x for (x, y) in D if qualifies(f[(x, y)], fstar[x], eps, "inf")}  # the near-optimal band's domain
     rhs = eval_set(ast.Projection(ast.NamedSet("D"), 1), m)
     if lhs != set(rhs):
         x = sorted(set(rhs) ^ lhs)[0]

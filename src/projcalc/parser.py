@@ -8,8 +8,10 @@ ResolutionError and carrier mismatches as SignatureError.
 
 Keyword forms and statements are read from the tables in ast, whose
 entries also declare the node classes, so a new constructor or statement is
-one table entry plus its rules; the formatter and ast.children read the
-tables too.  Only the irregular forms (union/inter, countable families,
+one table entry here plus one entry in each later layer's table (sema's
+signatures, infer's rules, finitemodel's rules), and the test that every
+constructor has an entry in every layer names the layer it misses; the
+formatter and ast.children read the tables too.  Only the irregular forms (union/inter, countable families,
 eps_*) are spelled here, and a new one is also named in ast.children.
 Expressions and space values are each read by one loop over a stack of
 partly read forms (_LineParser.expr, space_expr), so they nest as deep as

@@ -41,7 +41,8 @@ def least_choice(pairs: Iterable[tuple], y_order: Sequence) -> dict:
     return out
 
 
-def _qualifies(v: XReal, opt: XReal, eps: Fraction, direction: str) -> bool:
+def qualifies(v: XReal, opt: XReal, eps: Fraction, direction: str) -> bool:
+    """Whether value v is eps-close to its section's optimum opt in direction."""
     if direction == "inf":
         if opt == NEG_INF:
             return v < fin(-1 / eps)
@@ -75,7 +76,7 @@ def eps_select_enumerate(
     if eps <= 0:
         raise ValueError("eps must be positive")
     opt = sectionwise_optimum(D, f, direction)
-    near = ((x, y) for (x, y) in D if _qualifies(f[(x, y)], opt[x], eps, direction))
+    near = ((x, y) for (x, y) in D if qualifies(f[(x, y)], opt[x], eps, direction))
     out = least_choice(near, y_order)
     # on finite sections the optimum is attained, so every x is covered
     assert set(out) == set(opt)

@@ -1117,11 +1117,23 @@ kernel q : X ~> Y : delta 1
     ("let U = eps_inf(P, w, 1/2)", "eps selection needs a scalar objective"),
     ("let U = from_graph(A, A)", "from_graph(G, D): G must live on a product space"),
     ("let U = from_graph(P, B)", "from_graph(G, D): D must live on the first factor of G's carrier"),
+    ("let U = proj[1](A)", "axis selection needs a product carrier, got baire"),
+    ("let U = proj[nope](P)", "undeclared space 'nope' used as axis"),
+    ("space W = prod(X, X)\nset S in W : sigma 1\nlet U = proj[X](S)",
+     "axis 'X' is ambiguous on a square product; use 1 or 2"),
+    ("func h : X -> Y : delta 2\nlet U = img[h](A)", "img[h] needs a level-1 (Borel) function"),
+    ("let U = pre[g](A)", "pre[f](B): codomain of f differs from the carrier of B"),
+    ("let U = pow(f, 0)", "pow exponent must be positive"),
+    ("let U = select(A)", "select(A) needs A on a product space"),
+    ("let U = eps_inf(P, r, 0)", "eps must be positive"),
+    ("let U = eps_inf(A, f, 1/2)", "eps selection needs a constraint set on a product space"),
+    ("let U = eps_inf(P, f, 1/2)", "eps selection: objective domain differs from the constraint carrier"),
 ], ids=[
     "kernel", "axis-range", "axis-factor", "family-carrier", "img-domain", "sublevel", "pair", "compose",
     "sum-domain", "sum-codomain", "mul-domain", "mul-codomain", "inner", "pow", "partial-product",
     "partial-codomain", "partial-constraint", "integral-product", "integral-codomain", "eps-objective",
-    "from-graph-product", "from-graph-domain",
+    "from-graph-product", "from-graph-domain", "axis-product", "axis-undeclared", "axis-square", "img-level",
+    "pre-codomain", "pow-exponent", "select-product", "eps-positive", "eps-product", "eps-domain",
 ])
 def test_each_binder_error_exits_two(line, error, tmp_path, capsys):
     path = tmp_path / "p.pjc"

@@ -14,6 +14,10 @@ Importing the command line leaves the concrete layer unloaded, importing the
 package loads none of its modules, and every module parses at the Python
 version that pyproject.toml declares as the floor.
 
+The binder dispatches on an expression's class through its class-keyed
+tables only: ``sema`` makes no ``isinstance`` or ``type(...)`` test of a set
+or function expression class.
+
 The package writes files through one opener, ``cli._overwrite``, which
 writes over a file in place instead of truncating it to zero first: no
 module calls ``write_bytes`` or ``write_text``, or opens a file for writing
@@ -29,6 +33,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from projcalc import ast as projcalc_ast
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "projcalc"
 
@@ -204,6 +210,51 @@ def test_recursion_is_flagged():
         "        return set_carrier(self)\n"
     )
     assert recursive_functions(source) == ["func_signature", "set_carrier", "set_expr"]
+
+
+# the set and function expression classes, by name
+EXPRESSION_CLASSES = frozenset(c.__name__ for c in (*projcalc_ast.SetExpr.__args__, *projcalc_ast.FuncExpr.__args__))
+
+
+def expression_class_tests(source: str) -> list[tuple[int, str]]:
+    """(line, class) of every ``isinstance(x, ast.C)`` and ``type(x) is ast.C``
+    (or ``==``, ``in``, and their negations) test of an expression class C."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            tested = [node.args[1]]
+        elif (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id", None) == "type"
+        ):
+            tested = node.comparators
+        else:
+            continue
+        for t in tested:
+            for c in t.elts if isinstance(t, (ast.Tuple, ast.List, ast.Set)) else [t]:
+                named = isinstance(c, ast.Attribute) and getattr(c.value, "id", None) == "ast"
+                if named and c.attr in EXPRESSION_CLASSES:
+                    found.append((node.lineno, c.attr))
+    return sorted(found)
+
+
+def test_the_binder_tests_no_expression_class():
+    assert expression_class_tests((PACKAGE / "sema.py").read_text(encoding="utf-8")) == []
+
+
+def test_expression_class_test_is_flagged():
+    source = (
+        "from . import ast\n"
+        "def carrier(e, s):\n"
+        "    if isinstance(e, ast.Complement):\n"
+        "        return s\n"
+        "    if isinstance(e, (ast.Sum, ast.Neg)) or type(e) is ast.Power:\n"
+        "        return s\n"
+        "    if type(e) not in (ast.Graph, ast.ProductSpace) and isinstance(s, ast.ProductSpace):\n"
+        "        return isinstance(e, ast.SetDecl) or type(e) == str\n"
+    )
+    assert expression_class_tests(source) == [(3, "Complement"), (5, "Neg"), (5, "Power"), (5, "Sum"), (7, "Graph")]
 
 
 STARTUP_PROBE = """
